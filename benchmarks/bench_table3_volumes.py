@@ -16,7 +16,7 @@ import pytest
 
 from benchmarks.common import ExperimentReport, check
 from benchmarks.workloads import simulate_window, IMPLANT_MIXES, DAY
-from repro.synthetic.logs import records_to_summaries, write_log
+from repro.sources.proxy import records_to_summaries, write_log
 
 
 @pytest.fixture(scope="module")

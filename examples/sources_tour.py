@@ -23,8 +23,8 @@ from repro.sources import (
     netflow_records_to_summaries,
     netflow_view_of_proxy,
 )
+from repro.sources.proxy import records_to_summaries
 from repro.synthetic import BeaconSpec, FluxBeacon, subdomain_flux_pool
-from repro.synthetic.logs import records_to_summaries
 
 DAY = 86_400.0
 

@@ -129,12 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--top", type=int, default=20,
                       help="print at most this many ranked cases")
     pipe.add_argument(
-        "--detection-batch-size", type=int, default=0, metavar="N",
-        help="run periodicity detection in batches of N pairs over the "
-             "shape-grouped FFT/ACF kernels (0 = serial per-pair path; "
-             "results are identical either way)",
-    )
-    pipe.add_argument(
         "--telemetry", type=Path, default=None, metavar="DIR",
         help="collect run telemetry and write report.txt/metrics.jsonl/"
              "metrics.prom into DIR",
@@ -206,12 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument(
         "--analysis-time-scale", type=float, default=None, metavar="SECONDS",
         help="rescale summaries to this granularity before detection",
-    )
-    runp.add_argument(
-        "--detection-batch-size", type=int, default=0, metavar="N",
-        help="run each reduce partition's detection in batches of N "
-             "pairs over the shape-grouped FFT/ACF kernels (0 = serial "
-             "per-pair path; results are identical either way)",
     )
     runp.add_argument(
         "--telemetry", type=Path, default=None, metavar="DIR",
@@ -515,7 +503,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     config = PipelineConfig(
         local_whitelist_threshold=args.tau_p,
         ranking_percentile=args.percentile,
-        detection_batch_size=args.detection_batch_size,
         provenance=_provenance_policy(args),
     )
     if args.columnar:
@@ -554,7 +541,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = PipelineConfig(
         local_whitelist_threshold=args.tau_p,
         ranking_percentile=args.percentile,
-        detection_batch_size=args.detection_batch_size,
         use_shared_memory=args.shared_memory,
         provenance=_provenance_policy(args),
     )

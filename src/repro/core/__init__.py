@@ -44,7 +44,6 @@ from repro.core.detector import (
 from repro.core.batch import (
     BatchedDetector,
     batch_autocorrelation,
-    batch_candidate_peaks,
     batch_power_spectra,
 )
 
@@ -82,6 +81,5 @@ __all__ = [
     "PeriodicityDetector",
     "BatchedDetector",
     "batch_autocorrelation",
-    "batch_candidate_peaks",
     "batch_power_spectra",
 ]

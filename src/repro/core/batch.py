@@ -1,32 +1,32 @@
-"""Batched multi-pair spectral kernels — the detection fast path.
+"""Batched multi-pair detection — the one detection loop.
 
-The serial detector runs one ``rfft`` per (pair, scale) slot, one more
-for each ACF, and twenty more inside every cold permutation test.  At
-BAYWATCH scale (Section VII: millions of pairs) the per-call Python and
-scipy dispatch overhead of those small transforms dominates the actual
-arithmetic.  This module amortizes it:
+One ``rfft`` per (pair, scale) slot, one more for each ACF, and twenty
+more inside every cold permutation test: at BAYWATCH scale (Section
+VII: millions of pairs) the per-call Python and scipy dispatch overhead
+of those small transforms dominates the actual arithmetic.  This module
+amortizes it:
 
-- :func:`batch_power_spectra`, :func:`batch_autocorrelation`, and
-  :func:`batch_candidate_peaks` group signals by transform shape, stack
-  them into 2-D arrays, and run *single* batched ``scipy.fft`` calls
-  (optionally threaded via ``workers=``); per-pair post-processing
+- :func:`batch_power_spectra` and :func:`batch_autocorrelation` group
+  signals by transform shape, stack them into 2-D arrays, and run
+  *single* batched ``scipy.fft`` calls; per-pair post-processing
   consumes rows of the shared arrays.
-- :class:`BatchedDetector` drives whole batches of
-  :class:`~repro.core.timeseries.ActivitySummary` pairs through the
+- :class:`BatchedDetector` drives chunks of pairs through the
   :class:`~repro.core.detector.PeriodicityDetector` seams, replacing
-  the per-pair transforms with the kernels above.
+  the per-pair transforms with the kernels above.  Every detection in
+  the package runs through it; ``PeriodicityDetector.detect`` is a
+  one-pair chunk.
 
-Every kernel is bit-for-bit equivalent to its serial counterpart (the
-same mean removal, padding, and normalization in the same dtype), and
-the driver consumes each pair's seeded generator in the serial order —
-so batch size 1 *and* batch size N reproduce ``detect_summary`` exactly.
-The parity suite enforces this.
+Every kernel is bit-for-bit equivalent to its single-signal counterpart
+(the same mean removal, padding, and normalization in the same dtype),
+and :class:`BatchedDetector` consumes each pair's seeded generator in
+a fixed per-pair order — so how pairs fall into chunks never changes a
+result.  ``tests/core/test_batch.py`` enforces this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import fft as _fft
@@ -38,40 +38,42 @@ from repro.core.detector import (
     _PairPlan,
     _ScaleWork,
 )
-from repro.core.periodogram import SpectralPeak, candidate_peaks
 from repro.core.timeseries import ActivitySummary
 from repro.obs.registry import get_registry
 from repro.obs.tracing import span
 from repro.utils.validation import as_sorted_timestamps, require
 
 __all__ = [
+    "SLOT_BUDGET",
     "batch_power_spectra",
     "batch_autocorrelation",
-    "batch_candidate_peaks",
     "BatchedDetector",
 ]
 
+#: Binned signal slots one chunk may hold across all its (pair, scale)
+#: signals.  A slot costs 8 bytes of signal and about 4 of periodogram,
+#: so a chunk stays near 50 MB whatever its pair count; a pair larger
+#: than the budget on its own runs as a chunk of one.
+SLOT_BUDGET = 1 << 22
 
-def batch_power_spectra(
-    signals: np.ndarray, *, workers: Optional[int] = None
-) -> np.ndarray:
+
+def batch_power_spectra(signals: np.ndarray) -> np.ndarray:
     """Periodogram power of every row of equal-length ``signals``.
 
     Row ``i`` of the result equals
     ``power_spectrum(signals[i])`` bit for bit — same mean removal,
     same transform length, same normalization — but all rows share one
-    batched real FFT.  ``workers`` threads the transform for large
-    batches (scipy releases the GIL per row block).
+    batched real FFT.
     """
     x = np.ascontiguousarray(signals, dtype=float)
     require(x.ndim == 2, "signals must be 2-D (one row per pair)")
     require(x.shape[1] >= 4, "signals must have at least 4 columns")
     centered = x - x.mean(axis=1, keepdims=True)
-    spectrum = _fft.rfft(centered, axis=1, workers=workers)
+    spectrum = _fft.rfft(centered, axis=1)
     # The elementwise complex ops run per row: numpy's SIMD kernels may
     # round |z|**2 differently over a long 2-D buffer than over the 1-D
-    # array the serial power_spectrum sees, and bitwise parity wins over
-    # the marginal vectorization gain (the FFT above stays batched).
+    # array power_spectrum sees, and bitwise parity wins over the
+    # marginal vectorization gain (the FFT above stays batched).
     out = np.empty((x.shape[0], x.shape[1] // 2))
     for row in range(x.shape[0]):
         power = (np.abs(spectrum[row]) ** 2) / x.shape[1]
@@ -79,17 +81,16 @@ def batch_power_spectra(
     return out
 
 
-def batch_autocorrelation(
-    signals: Sequence[np.ndarray], *, workers: Optional[int] = None
-) -> List[np.ndarray]:
+def batch_autocorrelation(signals: Sequence[np.ndarray]) -> List[np.ndarray]:
     """ACF of each (variable-length) signal via shape-grouped transforms.
 
     Signals are bucketed by their FFT size (``next_fast_len(2n)`` —
     the same padded length :func:`~repro.core.autocorrelation.autocorrelation`
     uses), zero-padded into one stack per bucket, and transformed with a
     single ``rfft``/``irfft`` pair per bucket.  Each returned array is
-    bitwise identical to the serial ACF, including the degenerate
-    zero-variance case (all-equal signal -> zeros with ``acf[0] = 1``).
+    bitwise identical to :func:`~repro.core.autocorrelation.autocorrelation`,
+    including the degenerate zero-variance case (all-equal signal ->
+    zeros with ``acf[0] = 1``).
     """
     arrays = [np.asarray(signal, dtype=float) for signal in signals]
     out: List[Optional[np.ndarray]] = [None] * len(arrays)
@@ -108,15 +109,15 @@ def batch_autocorrelation(
             centered = x - x.mean()
             padded[row, : x.size] = centered
             variances[row] = float(np.dot(centered, centered))
-        spectrum = _fft.rfft(padded, axis=1, workers=workers)
+        spectrum = _fft.rfft(padded, axis=1)
         # Self-product row by row: the complex multiply is the one
         # elementwise op whose SIMD rounding depends on buffer length,
-        # so a single 2-D product would drift from the serial ACF by an
+        # so a single 2-D product would drift from the 1-D ACF by an
         # ulp.  Both FFTs are batched; only this product is per-row.
         product = np.empty_like(spectrum)
         for row in range(len(members)):
             product[row] = spectrum[row] * np.conj(spectrum[row])
-        correlation = _fft.irfft(product, size, axis=1, workers=workers)
+        correlation = _fft.irfft(product, size, axis=1)
         for row, index in enumerate(members):
             n = arrays[index].size
             if variances[row] <= 0:
@@ -126,39 +127,6 @@ def batch_autocorrelation(
                 acf = correlation[row, :n] / variances[row]
             out[index] = acf
     return out  # type: ignore[return-value]
-
-
-def batch_candidate_peaks(
-    signals: np.ndarray,
-    thresholds: Sequence[float],
-    *,
-    max_candidates: int = 32,
-    workers: Optional[int] = None,
-) -> List[List[SpectralPeak]]:
-    """Spectral peaks of each row of equal-length ``signals``.
-
-    Equivalent to calling
-    :func:`~repro.core.periodogram.candidate_peaks` per row against the
-    matching threshold, with all row periodograms produced by one
-    batched transform.
-    """
-    x = np.asarray(signals, dtype=float)
-    require(x.ndim == 2, "signals must be 2-D (one row per pair)")
-    levels = np.asarray(thresholds, dtype=float)
-    require(
-        levels.shape == (x.shape[0],),
-        "thresholds must provide one level per signal row",
-    )
-    power = batch_power_spectra(x, workers=workers)
-    return [
-        candidate_peaks(
-            row,
-            float(level),
-            max_candidates=max_candidates,
-            spectrum=row_power,
-        )
-        for row, level, row_power in zip(x, levels, power)
-    ]
 
 
 @dataclass
@@ -188,85 +156,120 @@ class _PairUnit:
     slots: List[_Slot] = field(default_factory=list)
     thresholds: List[float] = field(default_factory=list)
 
+    @property
+    def n_slots(self) -> int:
+        """Binned signal slots this pair adds to its chunk."""
+        return sum(slot.signal.size for slot in self.slots)
+
 
 class BatchedDetector:
     """Multi-pair detection over the shape-grouped kernels.
 
-    Wraps a :class:`PeriodicityDetector` and processes summaries in
-    chunks of ``batch_size``: per-pair screening, planning, and binning
-    run first (consuming each pair's seeded generator exactly as the
-    serial path does), then all periodograms of a chunk are produced by
-    shape-grouped batched FFTs, then candidate analysis runs per slot,
-    and finally the surviving slots' ACFs come from one more batched
-    transform before per-pair verification and merging.
+    Wraps a :class:`PeriodicityDetector` and processes pairs in chunks
+    bounded by :data:`SLOT_BUDGET`: per-pair screening, planning, and
+    binning run first (consuming each pair's seeded generator), then all
+    periodograms of a chunk are produced by shape-grouped batched FFTs,
+    then candidate analysis runs per slot, and finally the surviving
+    slots' ACFs come from one more batched transform before per-pair
+    verification and merging.
 
-    Results are returned in input order and are identical to calling
-    ``detector.detect_summary`` per pair — batching changes the
-    transform grouping, never the arithmetic or the random stream.
+    Results are returned in input order and do not depend on how the
+    pairs fall into chunks — chunking changes the transform grouping,
+    never the arithmetic or the random stream.
     """
 
-    def __init__(
-        self,
-        detector: Optional[PeriodicityDetector] = None,
-        *,
-        batch_size: int = 256,
-        workers: Optional[int] = None,
-    ) -> None:
-        require(batch_size >= 1, "batch_size must be at least 1")
+    def __init__(self, detector: Optional[PeriodicityDetector] = None) -> None:
         self.detector = detector or PeriodicityDetector()
-        self.batch_size = batch_size
-        self.workers = workers
 
     def detect_summaries(
         self, summaries: Sequence[ActivitySummary]
     ) -> List[DetectionResult]:
-        """Detection results for ``summaries``, in input order."""
+        """Detection results for ``summaries``, in input order.
+
+        Each summary's analysis ladder starts at its own granularity
+        when that is coarser than the configured finest scale.
+        """
+        if not summaries:
+            return []
+        return self._detect(
+            (self.detector.for_time_scale(summary.time_scale),
+             summary.timestamps())
+            for summary in summaries
+        )
+
+    def _detect(
+        self, pairs: Iterable[Tuple[PeriodicityDetector, Sequence[float]]]
+    ) -> List[DetectionResult]:
+        """Run ``(detector, timestamps)`` pairs chunk by chunk."""
+        pending = iter(pairs)
         results: List[DetectionResult] = []
-        for start in range(0, len(summaries), self.batch_size):
-            chunk = summaries[start : start + self.batch_size]
+        carry: Optional[_PairUnit] = None
+        while True:
             with span("detect.batch"):
-                results.extend(self._detect_chunk(chunk))
-        return results
+                # Phase 1 — screen, plan (the GMM fit), and bin.
+                with span("detect.batch.plan"):
+                    units, carry = self._plan_chunk(pending, carry)
+                results.extend(self._detect_chunk(units))
+            if carry is None:
+                return results
 
     # -- batch phases ------------------------------------------------------
 
-    def _detect_chunk(
-        self, summaries: Sequence[ActivitySummary]
-    ) -> List[DetectionResult]:
+    def _plan_chunk(
+        self,
+        pending: Iterator[Tuple[PeriodicityDetector, Sequence[float]]],
+        carry: Optional[_PairUnit],
+    ) -> Tuple[List[_PairUnit], Optional[_PairUnit]]:
+        """Plan pairs until the next one would overflow the slot budget.
+
+        Returns the chunk and the planned pair that did not fit, which
+        opens the next chunk (None once ``pending`` is exhausted).
+        """
+        units = [] if carry is None else [carry]
+        n_slots = sum(unit.n_slots for unit in units)
+        for detector, timestamps in pending:
+            unit = self._plan_pair(detector, timestamps)
+            if units and n_slots + unit.n_slots > SLOT_BUDGET:
+                return units, unit
+            units.append(unit)
+            n_slots += unit.n_slots
+        return units, None
+
+    @staticmethod
+    def _plan_pair(
+        detector: PeriodicityDetector, timestamps: Sequence[float]
+    ) -> _PairUnit:
+        """Screen, plan, and bin one pair (draws its GMM randomness)."""
+        get_registry().counter("detector.pairs_total").inc()
+        unit = _PairUnit(detector=detector)
+        ts = as_sorted_timestamps(timestamps)
+        early, prepared = detector._screen(ts)
+        if early is not None:
+            unit.result = early
+            return unit
+        duration, scales = prepared
+        unit.plan = detector._plan(ts, duration, scales)
+        for scale in unit.plan.scales:
+            signal = detector._bin_at_scale(unit.plan, scale)
+            if signal is not None:
+                unit.slots.append(_Slot(scale=scale, signal=signal))
+        return unit
+
+    def _detect_chunk(self, units: List[_PairUnit]) -> List[DetectionResult]:
+        """Phases 2-5 over one planned chunk."""
         registry = get_registry()
         registry.counter("detector.batch.batches").inc()
-        registry.counter("detector.batch.pairs").inc(len(summaries))
-
-        # Phase 1 — screen, plan, and bin every pair.  This is the
-        # rng-bearing part, so it runs strictly in pair order.
-        units: List[_PairUnit] = []
-        pending: List[_Slot] = []
-        for summary in summaries:
-            registry.counter("detector.pairs_total").inc()
-            detector = self.detector.for_time_scale(summary.time_scale)
-            unit = _PairUnit(detector=detector)
-            ts = as_sorted_timestamps(summary.timestamps())
-            early, prepared = detector._screen(ts)
-            if early is not None:
-                unit.result = early
-            else:
-                duration, scales = prepared
-                unit.plan = detector._plan(ts, duration, scales)
-                for scale in unit.plan.scales:
-                    signal = detector._bin_at_scale(unit.plan, scale)
-                    if signal is not None:
-                        slot = _Slot(scale=scale, signal=signal)
-                        unit.slots.append(slot)
-                        pending.append(slot)
-            units.append(unit)
+        registry.counter("detector.batch.pairs").inc(len(units))
 
         # Phase 2 — one batched FFT per distinct signal length.
         with span("detect.batch.spectra"):
-            self._attach_spectra(pending, registry)
+            self._attach_spectra(
+                [slot for unit in units for slot in unit.slots], registry
+            )
 
-        # Phase 3 — thresholds and pre-ACF candidate analysis, again in
-        # pair order: the no-cache permutation path draws from the
-        # pair's generator, scale by scale, exactly like the serial loop.
+        # Phase 3 — thresholds and pre-ACF candidate analysis, in pair
+        # order: the no-cache permutation path draws from the pair's
+        # generator, scale by scale, after its GMM draws.
         acf_slots: List[_Slot] = []
         with span("detect.batch.analyze"):
             for unit in units:
@@ -290,13 +293,12 @@ class BatchedDetector:
                         acf_slots.append(slot)
 
         # Phase 4 — one batched ACF per padded-length group, but only
-        # for slots that still have candidates to verify (the serial
-        # path computes the ACF just as lazily).
+        # for slots that still have candidates to verify.
         with span("detect.batch.acf"):
             if acf_slots:
                 registry.counter("detector.batch.acf_rows").inc(len(acf_slots))
                 acfs = batch_autocorrelation(
-                    [slot.signal for slot in acf_slots], workers=self.workers
+                    [slot.signal for slot in acf_slots]
                 )
                 for slot, acf in zip(acf_slots, acfs):
                     slot.acf = acf
@@ -335,7 +337,7 @@ class BatchedDetector:
         registry.counter("detector.batch.spectrum_rows").inc(len(slots))
         for members in groups.values():
             stacked = np.stack([slot.signal for slot in members])
-            power = batch_power_spectra(stacked, workers=self.workers)
+            power = batch_power_spectra(stacked)
             maxima = power.max(axis=1)
             for row, slot in enumerate(members):
                 slot.spectrum = power[row]

@@ -36,13 +36,15 @@ import numpy as np
 
 from repro.core.autocorrelation import autocorrelation, validate_candidate
 from repro.core.gmm import GaussianMixture, select_gmm
-from repro.core.periodogram import candidate_peaks, power_spectrum
+# power_spectrum is not called in this module (BatchedDetector in
+# repro.core.batch owns the transforms) but stays importable from here,
+# where profilers look up the detector's kernels.
+from repro.core.periodogram import candidate_peaks, power_spectrum  # noqa: F401
 from repro.core.permutation import ThresholdCache, permutation_threshold
 from repro.core.pruning import fold_intervals, prune_candidates
 from repro.core.timeseries import ActivitySummary, bin_series, intervals_from_timestamps
 from repro.obs.registry import get_registry
 from repro.utils.validation import (
-    as_sorted_timestamps,
     require,
     require_positive,
     require_probability,
@@ -160,11 +162,12 @@ _MIN_FUNDAMENTAL_STRENGTH = 0.5
 class _PairPlan:
     """Everything pair-level the per-scale analysis needs.
 
-    Built once per pair by :meth:`PeriodicityDetector._plan` (which also
-    consumes the pair's share of the seeded generator — GMM first, then
-    per-scale permutation draws — so the serial and batched paths see an
-    identical random stream).  The batched fast path holds many plans at
-    once while the shared-array kernels run.
+    Built once per pair by :meth:`PeriodicityDetector._plan`, which also
+    owns the pair's seeded generator: the GMM fit draws from it first,
+    then the per-scale permutation draws, so a pair's random stream does
+    not depend on the other pairs of its chunk.
+    :class:`~repro.core.batch.BatchedDetector` holds many plans at once
+    while the shared-array kernels run.
     """
 
     ts: np.ndarray
@@ -176,7 +179,7 @@ class _PairPlan:
     gmm_periods: List[float]
     rng: np.random.Generator
     # Provenance accumulators, folded into the DetectionResult by
-    # _finalize; both the serial and batched paths update them.
+    # _finalize; BatchedDetector and probe_prebinned update them.
     n_raw: int = 0
     n_pruned: int = 0
     margin: float = float("-inf")
@@ -188,8 +191,9 @@ class _ScaleWork:
 
     Produced by :meth:`PeriodicityDetector._analyze_scale` when at least
     one pruned candidate still needs hill validation; the ACF itself is
-    computed by the caller (serially, or as a row of a batched
-    transform) and handed to :meth:`PeriodicityDetector._verify_scale`.
+    computed by the caller (as a row of a batched transform, or one
+    transform for a prebinned probe) and handed to
+    :meth:`PeriodicityDetector._verify_scale`.
     """
 
     scale: float
@@ -285,19 +289,15 @@ class PeriodicityDetector:
     # -- public API --------------------------------------------------------
 
     def detect(self, timestamps: Sequence[float]) -> DetectionResult:
-        """Detect periodicities in a raw timestamp sequence (seconds)."""
-        registry = get_registry()
-        registry.counter("detector.pairs_total").inc()
-        ts = as_sorted_timestamps(timestamps)
-        early, prepared = self._screen(ts)
-        if early is not None:
-            return early
-        duration, scales = prepared
-        with registry.timer("detector.detect.seconds"):
-            result = self._detect_multi_scale(ts, duration, scales)
-        if result.periodic:
-            registry.counter("detector.pairs_periodic").inc()
-        return result
+        """Detect periodicities in a raw timestamp sequence (seconds).
+
+        The pair runs as a one-pair chunk of
+        :class:`~repro.core.batch.BatchedDetector`, the one detection
+        loop, so it gets exactly the result a multi-pair call would.
+        """
+        from repro.core.batch import BatchedDetector
+
+        return BatchedDetector(self)._detect([(self, timestamps)])[0]
 
     def detect_summary(self, summary: ActivitySummary) -> DetectionResult:
         """Detect periodicities in an :class:`ActivitySummary`.
@@ -345,10 +345,10 @@ class PeriodicityDetector:
         """Steps 2-3 on an externally binned signal and spectrum.
 
         Runs candidate extraction, pruning, and ACF verification
-        exactly as :meth:`_detect_at_scale` does, but on a caller-
-        provided ``signal``/``spectrum``/``threshold`` triple (e.g. a
-        grid-anchored sliding-DFT state) instead of re-binning and
-        re-transforming the timestamps.  Returns the verified
+        exactly as :class:`~repro.core.batch.BatchedDetector` does per
+        slot, but on a caller-provided ``signal``/``spectrum``/
+        ``threshold`` triple (e.g. a grid-anchored sliding-DFT state)
+        instead of re-binning and re-transforming the timestamps.  Returns the verified
         candidates at this scale; ``plan`` accumulates the usual
         provenance counters (``n_raw``, ``n_pruned``).
         """
@@ -381,7 +381,7 @@ class PeriodicityDetector:
     def _screen(
         self, ts: np.ndarray
     ) -> Tuple[Optional[DetectionResult], Optional[Tuple[float, List[float]]]]:
-        """The cheap pre-analysis gates shared by serial and batched paths.
+        """The cheap pre-analysis gates every pair passes first.
 
         Returns either an early rejection result, or the ``(duration,
         scales)`` pair the full analysis needs.  Exactly one element of
@@ -502,16 +502,6 @@ class PeriodicityDetector:
             rng=rng,
         )
 
-    def _detect_multi_scale(
-        self, ts: np.ndarray, duration: float, scales: List[float]
-    ) -> DetectionResult:
-        plan = self._plan(ts, duration, scales)
-        verified: List[CandidatePeriod] = []
-        thresholds: List[float] = []
-        for scale in plan.scales:
-            verified.extend(self._detect_at_scale(plan, scale, thresholds))
-        return self._finalize(plan, verified, thresholds)
-
     def _finalize(
         self,
         plan: _PairPlan,
@@ -575,28 +565,6 @@ class PeriodicityDetector:
                 confidence=cfg.confidence,
                 rng=rng,
             ).threshold
-
-    def _detect_at_scale(
-        self, plan: _PairPlan, scale: float, thresholds: List[float]
-    ) -> List[CandidatePeriod]:
-        """Run steps 1-3 at a single granularity; periods in seconds."""
-        registry = get_registry()
-        signal = self._bin_at_scale(plan, scale)
-        if signal is None:
-            return []
-        threshold = self._scale_threshold(signal, plan.rng)
-        thresholds.append(threshold)
-        with registry.timer("detector.dft.seconds"):
-            spectrum = power_spectrum(signal)
-        margin = float(spectrum.max()) - threshold
-        if margin > plan.margin:
-            plan.margin = margin
-        work = self._analyze_scale(plan, scale, signal, spectrum, threshold)
-        if work is None:
-            return []
-        with registry.timer("detector.acf.seconds"):
-            acf = autocorrelation(signal)
-        return self._verify_scale(plan, work, acf)
 
     def _analyze_scale(
         self,

@@ -65,18 +65,13 @@ class PipelineConfig:
     min_events: int = 4
     use_threshold_cache: bool = True
     aggregate_entities: bool = False
-    #: Pairs per batched-detection chunk; 0 keeps the serial per-pair
-    #: path.  Any positive size produces identical reports (the batched
-    #: kernels are bit-for-bit equivalent) — the knob only trades peak
-    #: memory for FFT/ACF dispatch amortization.
-    detection_batch_size: int = 0
     #: Reuse sliding-DFT spectral state across pipeline runs: detection
     #: screens each pair on incrementally maintained periodograms and
     #: only screen survivors pay for the full batched detector.  The
     #: win applies to rolling windows re-run per tick (a 30-day window
     #: stepped daily); one-shot runs simply pay a state build.  Requires
     #: ``use_threshold_cache`` and a binary-signal detector — otherwise
-    #: detection silently degrades to the plain batched path.  Part of
+    #: detection silently degrades to the plain in-process path.  Part of
     #: ``repr`` (and the sharded run fingerprint): warm spectral state
     #: must never leak into a run configured without it.
     incremental_detection: bool = False
@@ -119,10 +114,6 @@ class PipelineConfig:
         )
         require_probability(self.ranking_percentile, "ranking_percentile")
         require(self.min_events >= 2, "min_events must be at least 2")
-        require(
-            self.detection_batch_size >= 0,
-            "detection_batch_size must be non-negative (0 = serial)",
-        )
         # Literal tuple rather than an import: the filtering layer must
         # not depend on the mapreduce layer (repro.mapreduce.executors
         # re-validates via make_executor when the engine is built).
@@ -254,7 +245,6 @@ class BaywatchPipeline:
         # The stages module imports leaf filtering modules, so it is
         # imported lazily here to keep the package graph acyclic.
         from repro.stages import (
-            BatchedDetection,
             IncrementalDetection,
             InProcessDetection,
             PeriodicityDetectionStage,
@@ -271,13 +261,7 @@ class BaywatchPipeline:
                     / INCREMENTAL_STATE_FILE
                 )
             executor = IncrementalDetection(
-                self.detector,
-                batch_size=max(1, self.config.detection_batch_size or 256),
-                state_path=state_path,
-            )
-        elif self.config.detection_batch_size > 0:
-            executor = BatchedDetection(
-                self.detector, batch_size=self.config.detection_batch_size
+                self.detector, state_path=state_path
             )
         else:
             executor = InProcessDetection(self.detector)

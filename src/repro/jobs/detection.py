@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
+from repro.core.batch import BatchedDetector
 from repro.core.detector import DetectionResult, DetectorConfig, PeriodicityDetector
 from repro.core.permutation import ThresholdCache
 from repro.core.timeseries import ActivitySummary
@@ -30,9 +31,9 @@ class BeaconingDetectionJob(MapReduceJob):
     :class:`~repro.core.permutation.ThresholdCache` to every worker
     (the job is pickled into worker processes, cache included) so
     workers start from shared warm buckets instead of each re-deriving
-    every bucket from scratch.  ``batch_size`` > 0 switches the reduce
-    phase to the batched fast path of :mod:`repro.core.batch`,
-    amortizing FFT/ACF dispatch across all pairs of a partition.
+    every bucket from scratch.  The reduce phase runs all pairs of a
+    partition through :class:`~repro.core.batch.BatchedDetector`,
+    amortizing FFT/ACF dispatch across them.
 
     **Arena mode** (:meth:`bind_arena`): instead of pickling every
     summary into every worker task, the caller packs the batch into a
@@ -52,19 +53,16 @@ class BeaconingDetectionJob(MapReduceJob):
         min_events: int = 4,
         use_threshold_cache: bool = True,
         threshold_cache: Optional[ThresholdCache] = None,
-        batch_size: int = 0,
         n_partitions: int = 32,
         provenance_policy: Optional[ProvenancePolicy] = None,
         provenance_pairs: FrozenSet[Tuple[str, str]] = frozenset(),
     ) -> None:
         require(min_events >= 2, "min_events must be at least 2")
-        require(batch_size >= 0, "batch_size must be non-negative")
         self.detector_config = detector_config or DetectorConfig(seed=0)
         self.skip_destinations = frozenset(skip_destinations)
         self.min_events = min_events
         self.use_threshold_cache = use_threshold_cache
         self.threshold_cache = threshold_cache
-        self.batch_size = batch_size
         self.n_partitions = n_partitions
         #: When set, non-periodic results the provenance policy wants
         #: (sampled pairs, detection near-misses, and the explicitly
@@ -171,56 +169,23 @@ class BeaconingDetectionJob(MapReduceJob):
     def reduce(
         self, key: Tuple[str, str], values: Iterable[ActivitySummary]
     ) -> Iterator[KeyValue]:
-        """Run the shared detection loop on each pair's history.
-
-        Materialized under a ``detect`` span (rather than yielded
-        lazily) so the span brackets the actual detector work — inside
-        a worker process the span record ships back to the engine with
-        its parent link, which is how worker-side detection time shows
-        up in the merged trace tree.
-        """
-        from repro.stages import detect_pairs
-
-        detector = self._get_detector()
-        resolved = [self._resolve(value) for value in values]
-        with span("detect"):
-            if self.provenance_policy is None:
-                output = [
-                    (key, DetectionCase(summary=self._materialize(summary),
-                                        detection=result))
-                    for summary, result in detect_pairs(detector, resolved)
-                ]
-            else:
-                output = []
-                for summary in resolved:
-                    result = detector.detect_summary(summary)
-                    if self._ships_result(
-                        summary.source, summary.destination, result
-                    ):
-                        output.append(
-                            (key, DetectionCase(
-                                summary=self._materialize(summary),
-                                detection=result))
-                        )
-        return iter(output)
+        """Detect one pair's history: a partition of one key group."""
+        return self.reduce_partition([(key, values)])
 
     def reduce_partition(
         self, grouped: Iterable[Tuple[Any, Iterable[ActivitySummary]]]
     ) -> Iterator[KeyValue]:
-        """Cross-key fast path: batch all pairs of the partition.
+        """Detect all pairs of the partition in one batched call.
 
-        With ``batch_size`` > 0 the partition's summaries are flattened
-        (preserving group order) and run through the shape-grouped
-        batched kernels, whose results are bit-for-bit identical to the
-        serial :meth:`reduce` loop.  Quarantine fallback still works:
-        a failing partition is split into single-group units, each of
-        which re-enters here as a batch of one group.
+        The partition's summaries are flattened (preserving group
+        order) and run through the shape-grouped batched kernels under
+        a ``detect`` span — inside a worker process the span record
+        ships back to the engine with its parent link, which is how
+        worker-side detection time shows up in the merged trace tree.
+        Quarantine fallback still works: a failing partition is split
+        into single-group units, each of which re-enters here as a
+        partition of one group.
         """
-        if self.batch_size <= 0:
-            yield from super().reduce_partition(grouped)
-            return
-        from repro.core.batch import BatchedDetector
-
         flat: List[Tuple[Any, Any]] = [
             (key, self._resolve(value))
             for key, values in grouped
@@ -228,11 +193,8 @@ class BeaconingDetectionJob(MapReduceJob):
         ]
         if not flat:
             return
-        batched = BatchedDetector(
-            self._get_detector(), batch_size=self.batch_size
-        )
         with span("detect"):
-            results = batched.detect_summaries(
+            results = BatchedDetector(self._get_detector()).detect_summaries(
                 [summary for _key, summary in flat]
             )
         for (key, summary), result in zip(flat, results):

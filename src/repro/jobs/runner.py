@@ -531,7 +531,6 @@ class BaywatchRunner:
             min_events=self.config.min_events,
             use_threshold_cache=self.config.use_threshold_cache,
             threshold_cache=self.threshold_cache,
-            batch_size=self.config.detection_batch_size,
             **kwargs,
         )
         executor = getattr(self.engine, "executor", None)
@@ -724,8 +723,7 @@ class BaywatchRunner:
                     / INCREMENTAL_STATE_FILE
                 )
             self._incremental_executor = IncrementalDetection(
-                batch_size=max(1, self.config.detection_batch_size or 256),
-                state_path=state_path,
+                state_path=state_path
             )
         return self._incremental_executor
 

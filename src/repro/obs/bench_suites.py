@@ -12,10 +12,9 @@ Seven suites cover the pipeline's cost structure:
 - ``mapreduce`` — the local engine's map/shuffle/reduce machinery,
   serial vs. a 2-worker process pool, isolating dispatch overhead from
   detector cost.
-- ``detection_batch`` — the batched multi-pair fast path
-  (:mod:`repro.core.batch`) against the per-pair baseline on a seeded
-  1k-pair workload, with and without a warm shared
-  :class:`~repro.core.permutation.ThresholdCache`.
+- ``detection_batch`` — the batched multi-pair detection loop
+  (:mod:`repro.core.batch`) on a seeded 1k-pair workload, with and
+  without a warm shared :class:`~repro.core.permutation.ThresholdCache`.
 - ``scalability`` — one batched-FFT detection workload through the
   MapReduce engine under each local execution backend (serial inline,
   2- and 4-thread pools, a 2-process pool), pricing dispatch overhead
@@ -404,14 +403,11 @@ def _threshold_grid(summaries, config) -> set:
 
 
 def build_detection_batch_suite() -> List[Benchmark]:
-    """Batched fast path vs per-pair detection on a 1k-pair workload.
+    """Batched detection on a 1k-pair workload, cold and warm.
 
-    - ``detection.per_pair`` — the pre-PR execution model: a serial
-      ``detect_summary`` loop over 64-pair partitions, each with its own
-      cold :class:`~repro.core.permutation.ThresholdCache` (every
-      sharded worker used to re-derive every bucket from scratch).
     - ``detection.batched_cold`` — the shape-grouped kernels with a
-      fresh cold cache per iteration: the kernel-only gain.
+      fresh cold :class:`~repro.core.permutation.ThresholdCache` per
+      iteration.
     - ``detection.batched`` — kernels plus one precomputed warm shared
       cache (warmed at suite build time; warmth is the shareable,
       persistable artifact the runner ships to workers).
@@ -421,9 +417,9 @@ def build_detection_batch_suite() -> List[Benchmark]:
     - ``detection.cache_precompute`` — cost of warming that cache from
       the workload grid (the one-time setup the warm path amortizes).
 
-    All the detection variants produce bit-identical results (the
-    parity suite enforces this); the GMM interval screen is disabled so
-    the suite isolates the spectral path the kernels accelerate.
+    All the detection variants produce bit-identical results; the GMM
+    interval screen is disabled so the suite isolates the spectral path
+    the kernels accelerate.
     """
     from repro.core.batch import BatchedDetector
     from repro.core.detector import DetectorConfig, PeriodicityDetector
@@ -432,22 +428,12 @@ def build_detection_batch_suite() -> List[Benchmark]:
     summaries = _detection_workload(1024)
     config = DetectorConfig(seed=0, use_gmm=False)
     grid = _threshold_grid(summaries, config)
-    partition = 64
-
-    def run_per_pair() -> int:
-        for start in range(0, len(summaries), partition):
-            detector = PeriodicityDetector(
-                config, threshold_cache=ThresholdCache()
-            )
-            for summary in summaries[start : start + partition]:
-                detector.detect_summary(summary)
-        return len(summaries)
 
     def run_batched_cold() -> int:
         detector = PeriodicityDetector(
             config, threshold_cache=ThresholdCache()
         )
-        BatchedDetector(detector, batch_size=256).detect_summaries(summaries)
+        BatchedDetector(detector).detect_summaries(summaries)
         return len(summaries)
 
     warm_cache = ThresholdCache()
@@ -455,7 +441,7 @@ def build_detection_batch_suite() -> List[Benchmark]:
 
     def run_batched_warm() -> int:
         detector = PeriodicityDetector(config, threshold_cache=warm_cache)
-        BatchedDetector(detector, batch_size=256).detect_summaries(summaries)
+        BatchedDetector(detector).detect_summaries(summaries)
         return len(summaries)
 
     def run_precompute() -> int:
@@ -472,9 +458,7 @@ def build_detection_batch_suite() -> List[Benchmark]:
         # default sampling policy — what a provenance-enabled executor
         # does per shard; delta vs ``detection.batched`` is the overhead.
         detector = PeriodicityDetector(config, threshold_cache=warm_cache)
-        results = BatchedDetector(
-            detector, batch_size=256
-        ).detect_summaries(summaries)
+        results = BatchedDetector(detector).detect_summaries(summaries)
         for summary, result in zip(summaries, results):
             detection_verdicts(
                 summary.source, summary.destination, result, policy
@@ -483,7 +467,6 @@ def build_detection_batch_suite() -> List[Benchmark]:
 
     detection_metrics = lambda: {"pairs": 1024.0, "window_days": 1.0}  # noqa: E731
     return [
-        Benchmark("detection.per_pair", run_per_pair, metrics=detection_metrics),
         Benchmark(
             "detection.batched_cold", run_batched_cold, metrics=detection_metrics
         ),
@@ -530,7 +513,6 @@ def build_scalability_suite() -> List[Benchmark]:
     warm_cache.precompute(_threshold_grid(summaries, config))
     job = BeaconingDetectionJob(
         config,
-        batch_size=64,
         use_threshold_cache=True,
         threshold_cache=warm_cache,
     )
@@ -670,16 +652,14 @@ def build_incremental_suite() -> List[Benchmark]:
     def run_cold() -> int:
         summaries = window_summaries(window_days - 1)
         detector = PeriodicityDetector(config, threshold_cache=warm_cache)
-        BatchedDetector(detector, batch_size=256).detect_summaries(summaries)
+        BatchedDetector(detector).detect_summaries(summaries)
         return n_pairs
 
     pipeline_config = PipelineConfig(
-        detector=config,
-        incremental_detection=True,
-        detection_batch_size=256,
+        detector=config, incremental_detection=True
     )
     context = StageContext(config=pipeline_config, threshold_cache=warm_cache)
-    executor = IncrementalDetection(batch_size=256)
+    executor = IncrementalDetection()
     cursor = window_days - 1
 
     def warm_tick() -> int:

@@ -19,9 +19,6 @@ This module owns the proxy-log data path end to end:
 - :func:`summary_from_observations` — the per-pair fold used by the
   data-extraction MapReduce job (Section VII-A), so the engine path and
   the streaming path produce bit-identical summaries.
-
-This code used to live in ``repro.synthetic.logs``; that module keeps
-deprecated re-exports so old imports continue to work.
 """
 
 from __future__ import annotations

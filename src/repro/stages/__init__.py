@@ -20,12 +20,10 @@ is never imported from here).  See ``docs/ARCHITECTURE.md``.
 from repro.stages.base import Stage, run_stages
 from repro.stages.context import PopularityIndex, StageContext, build_report
 from repro.stages.detection import (
-    BatchedDetection,
     IncrementalDetection,
     InProcessDetection,
     PeriodicityDetectionStage,
     build_case,
-    detect_pairs,
     detection_verdicts,
     record_detection_verdicts,
 )
@@ -45,12 +43,10 @@ __all__ = [
     "PopularityIndex",
     "StageContext",
     "build_report",
-    "BatchedDetection",
     "IncrementalDetection",
     "InProcessDetection",
     "PeriodicityDetectionStage",
     "build_case",
-    "detect_pairs",
     "detection_verdicts",
     "record_detection_verdicts",
     "GlobalWhitelistStage",

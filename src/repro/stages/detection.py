@@ -2,16 +2,14 @@
 
 Steps 3-5 — DFT candidate extraction, permutation thresholding and
 pruning, ACF verification — run inside
-:class:`~repro.core.PeriodicityDetector`.  The stage itself is
-execution-agnostic: a pluggable *executor* maps surviving summaries to
-``(summary, DetectionResult)`` pairs, which lets the same stage object
-run in-process (:class:`InProcessDetection`), over a MapReduce engine,
-or in checkpointed shards — the latter two executors live with the
-runner in :mod:`repro.jobs.runner`, keeping this package free of job
-dependencies.
+:class:`~repro.core.batch.BatchedDetector`, the one detection loop.
+The stage itself is execution-agnostic: a pluggable *executor* maps
+surviving summaries to ``(summary, DetectionResult)`` pairs, which lets
+the same stage object run in-process (:class:`InProcessDetection`),
+over a MapReduce engine, or in checkpointed shards — the latter two
+executors live with the runner in :mod:`repro.jobs.runner`, keeping
+this package free of job dependencies.
 
-:func:`detect_pairs` is the single detection loop both the in-process
-executor and the detection MapReduce job's reduce task share, and
 :func:`build_case` is the single enrichment point turning a detection
 into a :class:`~repro.filtering.case.BeaconingCase` (popularity,
 similar sources, LM score).
@@ -24,13 +22,13 @@ from typing import (
     Any,
     Callable,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
 )
 
+from repro.core.batch import BatchedDetector
 from repro.core.detector import DetectionResult, PeriodicityDetector
 from repro.core.timeseries import ActivitySummary
 from repro.filtering.case import BeaconingCase
@@ -46,13 +44,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.stages.context import StageContext
 
 __all__ = [
-    "BatchedDetection",
     "DetectionExecutor",
     "IncrementalDetection",
     "InProcessDetection",
     "PeriodicityDetectionStage",
     "build_case",
-    "detect_pairs",
     "detection_verdicts",
     "record_detection_verdicts",
 ]
@@ -72,8 +68,8 @@ def detection_verdicts(
 ) -> List[VerdictRecord]:
     """Verdict records for funnel steps 3-5, derived from one result.
 
-    A pure function of the (extended) :class:`DetectionResult`, so the
-    serial detector, the batched fast path, and a sharded worker that
+    A pure function of the (extended) :class:`DetectionResult`, so an
+    in-process run, a MapReduce worker, and a sharded worker that
     round-tripped the result through a checkpoint all produce the exact
     same chain.
     """
@@ -173,20 +169,6 @@ DetectionExecutor = Callable[
 ]
 
 
-def detect_pairs(
-    detector: PeriodicityDetector, summaries: Iterable[ActivitySummary]
-) -> Iterator[Tuple[ActivitySummary, DetectionResult]]:
-    """Run the detector over summaries, yielding the periodic ones.
-
-    The one detection loop shared by the in-process executor and the
-    MapReduce detection job's reduce task.
-    """
-    for summary in summaries:
-        result = detector.detect_summary(summary)
-        if result.periodic:
-            yield summary, result
-
-
 def build_case(
     context: "StageContext",
     summary: ActivitySummary,
@@ -210,7 +192,7 @@ def build_case(
 
 
 class InProcessDetection:
-    """Default executor: run the detector serially in this process.
+    """Default executor: run the batched detector in this process.
 
     Pass a prebuilt detector to share a warm
     :class:`~repro.core.permutation.ThresholdCache` across runs;
@@ -229,55 +211,7 @@ class InProcessDetection:
                 context.config.detector,
                 threshold_cache=context.threshold_cache,
             )
-        recorder = context.provenance
-        if recorder is None:
-            return list(detect_pairs(self._detector, summaries)), []
-        detected: List[Tuple[ActivitySummary, DetectionResult]] = []
-        for summary in summaries:
-            result = self._detector.detect_summary(summary)
-            record_detection_verdicts(recorder, [(summary, result)])
-            if result.periodic:
-                detected.append((summary, result))
-        return detected, []
-
-
-class BatchedDetection:
-    """Executor running the shape-grouped batched fast path in-process.
-
-    Feeds the surviving pairs through
-    :class:`~repro.core.batch.BatchedDetector` in chunks of
-    ``batch_size``, amortizing the per-pair FFT/ACF dispatch across the
-    batch.  Batch size 1 reproduces :class:`InProcessDetection` bit for
-    bit (enforced by the parity suite), so the knob trades nothing but
-    peak memory for throughput.
-    """
-
-    def __init__(
-        self,
-        detector: Optional[PeriodicityDetector] = None,
-        *,
-        batch_size: int = 256,
-        workers: Optional[int] = None,
-    ) -> None:
-        self._detector = detector
-        self.batch_size = batch_size
-        self.workers = workers
-
-    def __call__(
-        self, context: "StageContext", summaries: List[ActivitySummary]
-    ) -> Tuple[List[Tuple[ActivitySummary, DetectionResult]], List[Any]]:
-        """Detect every summary in batches; nothing is quarantined."""
-        from repro.core.batch import BatchedDetector
-
-        if self._detector is None:
-            self._detector = PeriodicityDetector(
-                context.config.detector,
-                threshold_cache=context.threshold_cache,
-            )
-        batched = BatchedDetector(
-            self._detector, batch_size=self.batch_size, workers=self.workers
-        )
-        results = batched.detect_summaries(list(summaries))
+        results = BatchedDetector(self._detector).detect_summaries(summaries)
         if context.provenance is not None:
             record_detection_verdicts(
                 context.provenance, zip(summaries, results)
@@ -318,21 +252,17 @@ class IncrementalDetection:
     Requirements: the detector must use binary signals and a
     :class:`~repro.core.permutation.ThresholdCache` (the screen keys
     thresholds on signal shape).  When either is missing the executor
-    degrades to plain :class:`BatchedDetection` behaviour.
+    degrades to plain :class:`InProcessDetection` behaviour.
     """
 
     def __init__(
         self,
         detector: Optional[PeriodicityDetector] = None,
         *,
-        batch_size: int = 256,
-        workers: Optional[int] = None,
         config: Optional[Any] = None,
         state_path: Optional[Any] = None,
     ) -> None:
         self._detector = detector
-        self.batch_size = batch_size
-        self.workers = workers
         self._incremental_config = config
         self.state_path = state_path
         self._engine: Optional[Any] = None
@@ -417,12 +347,8 @@ class IncrementalDetection:
             return [], []
         if not cfg.binary_signal or context.threshold_cache is None:
             # The screen needs shape-keyed thresholds; degrade to the
-            # plain batched executor rather than guessing.
-            fallback = BatchedDetection(
-                self._detector, batch_size=self.batch_size,
-                workers=self.workers,
-            )
-            return fallback(context, summaries)
+            # plain in-process executor rather than guessing.
+            return InProcessDetection(self._detector)(context, summaries)
         if self._detector is None:
             self._detector = PeriodicityDetector(
                 cfg, threshold_cache=context.threshold_cache
@@ -540,15 +466,8 @@ class IncrementalDetection:
                 len(engine.cache)
             )
             if survivors:
-                from repro.core.batch import BatchedDetector
-
                 with span("detect.incremental.full"):
-                    batched = BatchedDetector(
-                        self._detector,
-                        batch_size=self.batch_size,
-                        workers=self.workers,
-                    )
-                    full = batched.detect_summaries(
+                    full = BatchedDetector(self._detector).detect_summaries(
                         [summaries[index] for index in survivors]
                     )
                 for index, result in zip(survivors, full):

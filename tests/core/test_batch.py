@@ -1,10 +1,11 @@
-"""Tests for the batched multi-pair detection fast path.
+"""Tests for the batched multi-pair detection loop.
 
 The contract under test is *bitwise* parity: every shape-grouped kernel
-must reproduce its serial counterpart exactly (same floats, not just
-close), and :class:`~repro.core.batch.BatchedDetector` must yield
-``DetectionResult``s identical to a per-pair ``detect_summary`` loop for
-any batch size.  Results are compared via ``repr`` because the
+must reproduce its single-signal counterpart exactly (same floats, not
+just close), and :class:`~repro.core.batch.BatchedDetector` must yield
+the same ``DetectionResult``s however the pairs fall into chunks — one
+call over every pair, one-pair ``detect_summary`` calls, or chunks cut
+by a tiny slot budget.  Results are compared via ``repr`` because the
 dataclasses carry NaN fields on rejection (``nan != nan`` defeats
 ``==``) while float repr round-trips exactly.
 """
@@ -16,15 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import batch
 from repro.core.autocorrelation import autocorrelation
 from repro.core.batch import (
     BatchedDetector,
     batch_autocorrelation,
-    batch_candidate_peaks,
     batch_power_spectra,
 )
 from repro.core.detector import DetectorConfig, PeriodicityDetector
-from repro.core.periodogram import candidate_peaks, power_spectrum
+from repro.core.periodogram import power_spectrum
 from repro.core.permutation import ThresholdCache, ThresholdCacheMismatch
 from repro.core.timeseries import ActivitySummary
 
@@ -94,22 +95,6 @@ class TestBatchAutocorrelation:
             batch_autocorrelation([np.zeros((4, 4))])
 
 
-class TestBatchCandidatePeaks:
-    def test_matches_serial_per_row(self, rng):
-        signals = _binary_rows(rng, 12, 512)
-        thresholds = [
-            float(np.median(power_spectrum(row))) for row in signals
-        ]
-        batched = batch_candidate_peaks(signals, thresholds)
-        for row, threshold, peaks in zip(signals, thresholds, batched):
-            assert peaks == candidate_peaks(row, threshold)
-
-    def test_threshold_count_must_match_rows(self, rng):
-        signals = _binary_rows(rng, 3, 64)
-        with pytest.raises(ValueError):
-            batch_candidate_peaks(signals, [0.5, 0.5])
-
-
 def _workload(seed, n_pairs=24):
     """Mixed beacons / sparse noise / degenerate pairs, several scales."""
     rng = np.random.default_rng(seed)
@@ -137,69 +122,98 @@ def _workload(seed, n_pairs=24):
     return summaries
 
 
-def _serial_results(detector, summaries):
-    return [detector.detect_summary(summary) for summary in summaries]
+def _chunking_runs(detector, summaries, pairs_per_call):
+    """``repr``s of the same pairs detected under three chunkings.
+
+    ``detect_summaries`` calls of ``pairs_per_call`` pairs each — one
+    call over every pair when it covers the workload, while smaller
+    values split the pairs the way the MapReduce engine's partitions
+    do; one-pair ``detect_summary`` calls; and one call over every pair
+    with a slot budget so small that every chunk closes after its first
+    pair with slots.  The runs share the detector's threshold cache: a
+    bucket's threshold comes from its own seeded draw, so cache warmth
+    never changes a result.
+    """
+    calls = [
+        result
+        for start in range(0, len(summaries), pairs_per_call)
+        for result in BatchedDetector(detector).detect_summaries(
+            summaries[start : start + pairs_per_call]
+        )
+    ]
+    per_pair = [detector.detect_summary(summary) for summary in summaries]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batch, "SLOT_BUDGET", 1)
+        tiny = BatchedDetector(detector).detect_summaries(summaries)
+    return [[repr(result) for result in run] for run in (calls, per_pair, tiny)]
+
+
+def _cached_detector():
+    return PeriodicityDetector(
+        DetectorConfig(seed=0), threshold_cache=ThresholdCache()
+    )
 
 
 class TestBatchedDetectorParity:
-    @pytest.mark.parametrize("batch_size", [1, 7, 256])
-    def test_matches_serial_detection(self, batch_size):
-        summaries = _workload(seed=3)
-        serial = _serial_results(
-            PeriodicityDetector(
-                DetectorConfig(seed=0), threshold_cache=ThresholdCache()
-            ),
-            summaries,
+    @pytest.mark.parametrize("pairs_per_call", [1, 7, 256])
+    def test_matches_serial_detection(self, pairs_per_call):
+        calls, *others = _chunking_runs(
+            _cached_detector(), _workload(seed=3), pairs_per_call
         )
-        batched = BatchedDetector(
-            PeriodicityDetector(
-                DetectorConfig(seed=0), threshold_cache=ThresholdCache()
-            ),
-            batch_size=batch_size,
-        ).detect_summaries(summaries)
-        assert [repr(r) for r in batched] == [repr(r) for r in serial]
+        assert all(run == calls for run in others)
 
     def test_matches_serial_without_threshold_cache(self):
         # The no-cache path draws permutation shuffles from each pair's
-        # seeded generator; the batched driver must consume the exact
-        # same random stream in the exact same order.
-        summaries = _workload(seed=11, n_pairs=8)
-        serial = _serial_results(
-            PeriodicityDetector(DetectorConfig(seed=0)), summaries
+        # seeded generator; every chunking must consume the exact same
+        # random stream in the exact same order.
+        whole, *others = _chunking_runs(
+            PeriodicityDetector(DetectorConfig(seed=0)),
+            _workload(seed=11, n_pairs=8),
+            8,
         )
-        batched = BatchedDetector(
-            PeriodicityDetector(DetectorConfig(seed=0)), batch_size=3
-        ).detect_summaries(summaries)
-        assert [repr(r) for r in batched] == [repr(r) for r in serial]
+        assert all(run == whole for run in others)
 
     def test_empty_input(self):
         assert BatchedDetector().detect_summaries([]) == []
 
-    def test_rejects_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            BatchedDetector(batch_size=0)
+    def test_chunks_stay_within_the_slot_budget(self, monkeypatch):
+        budget = 20_000
+        monkeypatch.setattr(batch, "SLOT_BUDGET", budget)
+        chunks = []
+        original = BatchedDetector._detect_chunk
+
+        def record(self, units):
+            chunks.append((len(units), sum(unit.n_slots for unit in units)))
+            return original(self, units)
+
+        monkeypatch.setattr(BatchedDetector, "_detect_chunk", record)
+        summaries = _workload(seed=3)
+        results = BatchedDetector(_cached_detector()).detect_summaries(
+            summaries
+        )
+        assert len(results) == len(summaries)
+        assert sum(n_pairs for n_pairs, _slots in chunks) == len(summaries)
+        # The workload needs several chunks, some of them multi-pair,
+        # and one pair alone exceeds the budget.
+        assert len(chunks) > 1
+        assert any(n_pairs > 1 for n_pairs, _slots in chunks)
+        assert any(slots > budget for _n_pairs, slots in chunks)
+        for n_pairs, slots in chunks:
+            assert slots <= budget or n_pairs == 1
 
     @settings(max_examples=10, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n_pairs=st.integers(min_value=1, max_value=16),
-        batch_size=st.sampled_from([1, 2, 5, 64]),
+        pairs_per_call=st.sampled_from([1, 2, 5, 64]),
     )
-    def test_property_random_pair_sets(self, seed, n_pairs, batch_size):
-        summaries = _workload(seed=seed, n_pairs=n_pairs)
-        serial = _serial_results(
-            PeriodicityDetector(
-                DetectorConfig(seed=0), threshold_cache=ThresholdCache()
-            ),
-            summaries,
+    def test_property_random_pair_sets(self, seed, n_pairs, pairs_per_call):
+        calls, *others = _chunking_runs(
+            _cached_detector(),
+            _workload(seed=seed, n_pairs=n_pairs),
+            pairs_per_call,
         )
-        batched = BatchedDetector(
-            PeriodicityDetector(
-                DetectorConfig(seed=0), threshold_cache=ThresholdCache()
-            ),
-            batch_size=batch_size,
-        ).detect_summaries(summaries)
-        assert [repr(r) for r in batched] == [repr(r) for r in serial]
+        assert all(run == calls for run in others)
 
 
 class TestThresholdCacheWarmth:

@@ -4,7 +4,7 @@ The contract under test, across the ticks of a rolling window:
 
 - the warm :class:`~repro.stages.IncrementalDetection` path never
   *adds* a detection over the cold full-window
-  :class:`~repro.stages.BatchedDetection` run (the screen can only
+  :class:`~repro.stages.InProcessDetection` run (the screen can only
   reject), and every true beacon the cold run reports comes back with
   identical candidate periods;
 - on typical workloads the reports are exactly equal (the screen's
@@ -24,7 +24,7 @@ from repro.core.detector import DetectorConfig
 from repro.core.permutation import ThresholdCache
 from repro.core.timeseries import ActivitySummary, merge_rescaled
 from repro.filtering.pipeline import PipelineConfig
-from repro.stages import BatchedDetection, IncrementalDetection, StageContext
+from repro.stages import IncrementalDetection, InProcessDetection, StageContext
 
 DAY = 86_400.0
 TIME_SCALE = 600.0
@@ -77,7 +77,6 @@ def _context(cache: ThresholdCache) -> StageContext:
     return StageContext(
         config=PipelineConfig(
             detector=DetectorConfig(seed=0, use_gmm=False),
-            detection_batch_size=64,
             incremental_detection=True,
         ),
         threshold_cache=cache,
@@ -111,8 +110,8 @@ class TestExecutorParity:
     def test_matches_cold_batched_reports_across_ticks(self, days):
         cold_context = _context(ThresholdCache())
         warm_context = _context(ThresholdCache())
-        cold = BatchedDetection(batch_size=64)
-        warm = IncrementalDetection(batch_size=64)
+        cold = InProcessDetection()
+        warm = IncrementalDetection()
         for end_day in range(WINDOW_DAYS - 1, N_DAYS):
             summaries = _window(days, end_day)
             cold_results, _ = cold(cold_context, summaries)
@@ -130,8 +129,8 @@ class TestExecutorParity:
         days = _day_summaries(seed=1)
         cold_context = _context(ThresholdCache())
         warm_context = _context(ThresholdCache())
-        cold = BatchedDetection(batch_size=64)
-        warm = IncrementalDetection(batch_size=64)
+        cold = InProcessDetection()
+        warm = IncrementalDetection()
         for end_day in range(WINDOW_DAYS - 1, N_DAYS):
             summaries = _window(days, end_day)
             cold_verdicts = _verdicts(cold(cold_context, summaries)[0])
@@ -145,12 +144,12 @@ class TestExecutorParity:
     def test_degrades_without_threshold_cache(self, days):
         context = _context(ThresholdCache())
         context.threshold_cache = None
-        executor = IncrementalDetection(batch_size=64)
+        executor = IncrementalDetection()
         results, quarantined = executor(
             context, _window(days, WINDOW_DAYS - 1)
         )
         assert quarantined == []
-        assert executor.engine is None  # fell back to plain batched
+        assert executor.engine is None  # fell back to plain in-process
         assert all(result.periodic for _summary, result in results)
 
 
@@ -160,7 +159,7 @@ class TestInterruptResume:
 
         # Continuous run: warm executor over every tick.
         continuous_context = _context(ThresholdCache())
-        continuous = IncrementalDetection(batch_size=64)
+        continuous = IncrementalDetection()
         continuous_results = None
         for end_day in range(WINDOW_DAYS - 1, N_DAYS):
             continuous_results, _ = continuous(
@@ -170,13 +169,13 @@ class TestInterruptResume:
         # Interrupted run: same ticks, but the executor is torn down
         # and rebuilt from the persisted state before the final tick.
         first_context = _context(ThresholdCache())
-        first = IncrementalDetection(batch_size=64, state_path=state_path)
+        first = IncrementalDetection(state_path=state_path)
         for end_day in range(WINDOW_DAYS - 1, N_DAYS - 1):
             first(first_context, _window(days, end_day))
         assert state_path.exists()
 
         resumed_context = _context(ThresholdCache())
-        resumed = IncrementalDetection(batch_size=64, state_path=state_path)
+        resumed = IncrementalDetection(state_path=state_path)
         resumed_results, _ = resumed(
             resumed_context, _window(days, N_DAYS - 1)
         )
@@ -186,7 +185,7 @@ class TestInterruptResume:
 
     def test_mismatched_state_is_discarded_not_trusted(self, days, tmp_path):
         state_path = tmp_path / "incremental-state.bin"
-        first = IncrementalDetection(batch_size=64, state_path=state_path)
+        first = IncrementalDetection(state_path=state_path)
         first(_context(ThresholdCache()), _window(days, WINDOW_DAYS - 1))
         assert state_path.exists()
 
@@ -194,16 +193,15 @@ class TestInterruptResume:
         # persisted warm state and still produce the cold answer.
         other_config = PipelineConfig(
             detector=DetectorConfig(seed=0, use_gmm=False, min_acf_score=0.4),
-            detection_batch_size=64,
             incremental_detection=True,
         )
         other_context = StageContext(
             config=other_config, threshold_cache=ThresholdCache()
         )
-        resumed = IncrementalDetection(batch_size=64, state_path=state_path)
+        resumed = IncrementalDetection(state_path=state_path)
         summaries = _window(days, WINDOW_DAYS - 1)
         warm_results, _ = resumed(other_context, summaries)
-        cold_results, _ = BatchedDetection(batch_size=64)(
+        cold_results, _ = InProcessDetection()(
             StageContext(
                 config=other_config, threshold_cache=ThresholdCache()
             ),

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.sources.proxy import records_to_summaries
 from repro.synthetic.enterprise import (
     EnterpriseConfig,
     EnterpriseSimulator,
     ImplantSpec,
 )
-from repro.synthetic.logs import records_to_summaries
 
 
 @pytest.fixture(scope="module")

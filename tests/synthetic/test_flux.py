@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import DetectorConfig, PeriodicityDetector
+from repro.sources.proxy import records_to_summaries
 from repro.synthetic import BeaconSpec, FluxBeacon, subdomain_flux_pool
-from repro.synthetic.logs import records_to_summaries
 
 DAY = 86_400.0
 

@@ -1,8 +1,8 @@
-"""Unit tests for repro.synthetic.logs."""
+"""Unit tests for the proxy-log records in repro.sources.proxy."""
 
 import pytest
 
-from repro.synthetic.logs import (
+from repro.sources.proxy import (
     ProxyLogRecord,
     read_log,
     records_to_summaries,

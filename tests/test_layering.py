@@ -3,12 +3,9 @@
 The analysis layers must not depend on the synthetic-traffic substrate:
 no module under ``repro.core``, ``repro.filtering``, ``repro.jobs``,
 ``repro.stages``, or ``repro.sources`` may import ``repro.synthetic``.
-The old import location ``repro.synthetic.logs`` keeps working as a
-deprecation shim that forwards to :mod:`repro.sources.proxy`.
 """
 
 import ast
-import warnings
 from pathlib import Path
 
 import pytest
@@ -43,37 +40,3 @@ def test_layer_does_not_import_synthetic(package):
             violations.append(f"{path.relative_to(SRC.parent)}:{lineno} "
                               f"imports {module}")
     assert not violations, "\n".join(violations)
-
-
-class TestDeprecationShim:
-    def test_moved_names_warn_and_forward(self):
-        import repro.sources.proxy as proxy
-        import repro.synthetic.logs as shim
-
-        for name in ("PairConfig", "ProxyLogRecord", "read_log",
-                     "records_to_summaries", "write_log"):
-            with pytest.warns(DeprecationWarning, match="repro.sources.proxy"):
-                obj = getattr(shim, name)
-            assert obj is getattr(proxy, name)
-
-    def test_unknown_name_raises_attribute_error(self):
-        import repro.synthetic.logs as shim
-
-        with pytest.raises(AttributeError):
-            shim.does_not_exist
-
-    def test_dir_lists_moved_names(self):
-        import repro.synthetic.logs as shim
-
-        assert {"ProxyLogRecord", "records_to_summaries"} <= set(dir(shim))
-
-    def test_star_surface_importable_without_warning_from_new_home(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.sources.proxy import (  # noqa: F401
-                PairConfig,
-                ProxyLogRecord,
-                read_log,
-                records_to_summaries,
-                write_log,
-            )

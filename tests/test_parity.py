@@ -199,18 +199,6 @@ def test_pipeline_accepts_iterator_source(records, scorer, pipeline_report):
     assert report_signature(streamed) == report_signature(pipeline_report)
 
 
-def test_batched_pipeline_matches_serial_pipeline(
-    records, scorer, pipeline_report
-):
-    # The batched detection executor must be invisible in the report:
-    # the shape-grouped kernels are bit-for-bit equivalent to the
-    # per-pair loop, whatever the chunking.
-    batched = BaywatchPipeline(
-        PipelineConfig(**CONFIG, detection_batch_size=5), scorer=scorer
-    ).run_records(records)
-    assert report_signature(batched) == report_signature(pipeline_report)
-
-
 def verdict_signature(records):
     """Everything that must agree across executors, per verdict record."""
     return [
@@ -233,9 +221,9 @@ def test_provenance_verdicts_identical_across_executors(
 ):
     # The same verdict chains — stage, kept/dropped, reason, near-miss
     # flag, and governing numbers — must come out of the in-process
-    # pipeline, the batched pipeline, the serial runner, and an
-    # interrupt-and-resumed sharded run, and survive the JSONL
-    # round-trip through the checkpoint directory unchanged.
+    # pipeline, the serial runner, and an interrupt-and-resumed sharded
+    # run, and survive the JSONL round-trip through the checkpoint
+    # directory unchanged.
     from repro.obs import ProvenancePolicy, read_provenance
 
     policy = ProvenancePolicy(sample_early_drops=sample)
@@ -246,11 +234,6 @@ def test_provenance_verdicts_identical_across_executors(
     ).run_records(records)
     assert base.provenance, "provenance-enabled run recorded nothing"
     base_sig = verdict_signature(base.provenance)
-
-    batched = BaywatchPipeline(
-        PipelineConfig(**config, detection_batch_size=8), scorer=scorer
-    ).run_records(records)
-    assert verdict_signature(batched.provenance) == base_sig
 
     runner = BaywatchRunner(
         PipelineConfig(**config), scorer=scorer
@@ -287,7 +270,7 @@ def test_batched_sharded_run_with_persisted_cache_matches_pipeline(
 
     from repro.core.permutation import ThresholdCache
 
-    config = PipelineConfig(**CONFIG, detection_batch_size=7)
+    config = PipelineConfig(**CONFIG)
     checkpoint = str(tmp_path / "ckpt")
     interrupted = BaywatchRunner(config, scorer=scorer)
     with pytest.raises(IncompleteRunError):
