@@ -12,9 +12,10 @@ amortizes it:
   consumes rows of the shared arrays.
 - :class:`BatchedDetector` drives chunks of pairs through the
   :class:`~repro.core.detector.PeriodicityDetector` seams, replacing
-  the per-pair transforms with the kernels above.  Every detection in
-  the package runs through it; ``PeriodicityDetector.detect`` is a
-  one-pair chunk.
+  the per-pair transforms with the kernels above and fitting every
+  pair's interval mixtures in one :func:`~repro.core.gmm.select_gmms`
+  call per chunk.  Every detection in the package runs through it;
+  ``PeriodicityDetector.detect`` is a one-pair chunk.
 
 Every kernel is bit-for-bit equivalent to its single-signal counterpart
 (the same mean removal, padding, and normalization in the same dtype),
@@ -38,6 +39,7 @@ from repro.core.detector import (
     _PairPlan,
     _ScaleWork,
 )
+from repro.core.gmm import select_gmms
 from repro.core.timeseries import ActivitySummary
 from repro.obs.registry import get_registry
 from repro.obs.tracing import span
@@ -167,11 +169,12 @@ class BatchedDetector:
 
     Wraps a :class:`PeriodicityDetector` and processes pairs in chunks
     bounded by :data:`SLOT_BUDGET`: per-pair screening, planning, and
-    binning run first (consuming each pair's seeded generator), then all
-    periodograms of a chunk are produced by shape-grouped batched FFTs,
-    then candidate analysis runs per slot, and finally the surviving
-    slots' ACFs come from one more batched transform before per-pair
-    verification and merging.
+    binning run first, then one EM call fits the interval mixtures of
+    the whole chunk (drawing each pair's initial means from its seeded
+    generator), then all periodograms of a chunk come from shape-grouped
+    batched FFTs, then candidate analysis runs per slot, and finally the
+    surviving slots' ACFs come from one more batched transform before
+    per-pair verification and merging.
 
     Results are returned in input order and do not depend on how the
     pairs fall into chunks — chunking changes the transform grouping,
@@ -206,7 +209,7 @@ class BatchedDetector:
         carry: Optional[_PairUnit] = None
         while True:
             with span("detect.batch"):
-                # Phase 1 — screen, plan (the GMM fit), and bin.
+                # Phase 1 — screen, plan and bin, then the chunk's GMMs.
                 with span("detect.batch.plan"):
                     units, carry = self._plan_chunk(pending, carry)
                 results.extend(self._detect_chunk(units))
@@ -222,24 +225,30 @@ class BatchedDetector:
     ) -> Tuple[List[_PairUnit], Optional[_PairUnit]]:
         """Plan pairs until the next one would overflow the slot budget.
 
-        Returns the chunk and the planned pair that did not fit, which
-        opens the next chunk (None once ``pending`` is exhausted).
+        Returns the chunk, with every pair's interval mixture fitted,
+        and the planned pair that did not fit, which opens the next
+        chunk and is fitted with it (None once ``pending`` is
+        exhausted).
         """
         units = [] if carry is None else [carry]
         n_slots = sum(unit.n_slots for unit in units)
+        carry = None
         for detector, timestamps in pending:
             unit = self._plan_pair(detector, timestamps)
             if units and n_slots + unit.n_slots > SLOT_BUDGET:
-                return units, unit
+                carry = unit
+                break
             units.append(unit)
             n_slots += unit.n_slots
-        return units, None
+        with span("detect.batch.gmm"):
+            self._fit_mixtures(units)
+        return units, carry
 
     @staticmethod
     def _plan_pair(
         detector: PeriodicityDetector, timestamps: Sequence[float]
     ) -> _PairUnit:
-        """Screen, plan, and bin one pair (draws its GMM randomness)."""
+        """Screen, plan, and bin one pair (no random draws yet)."""
         get_registry().counter("detector.pairs_total").inc()
         unit = _PairUnit(detector=detector)
         ts = as_sorted_timestamps(timestamps)
@@ -254,6 +263,31 @@ class BatchedDetector:
             if signal is not None:
                 unit.slots.append(_Slot(scale=scale, signal=signal))
         return unit
+
+    @staticmethod
+    def _fit_mixtures(units: List[_PairUnit]) -> None:
+        """Fit every planned pair's interval GMM in one kernel call."""
+        fitted = []
+        for unit in units:
+            if unit.plan is not None:
+                limit = unit.detector._mixture_components(unit.plan)
+                if limit:
+                    fitted.append((unit, limit))
+        if not fitted:
+            return
+        selection = select_gmms(
+            [unit.plan.positive for unit, _limit in fitted],
+            [unit.plan.rng for unit, _limit in fitted],
+            max_components=[limit for _unit, limit in fitted],
+        )
+        for (unit, _limit), mixture in zip(fitted, selection.mixtures):
+            unit.detector._attach_mixture(unit.plan, mixture)
+        registry = get_registry()
+        registry.counter("detector.gmm.fits").inc(selection.fits)
+        registry.counter("detector.gmm.iterations").inc(selection.iterations)
+        registry.counter("detector.gmm.not_converged").inc(
+            selection.not_converged
+        )
 
     def _detect_chunk(self, units: List[_PairUnit]) -> List[DetectionResult]:
         """Phases 2-5 over one planned chunk."""

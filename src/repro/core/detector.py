@@ -35,10 +35,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.autocorrelation import autocorrelation, validate_candidate
-from repro.core.gmm import GaussianMixture, select_gmm
-# power_spectrum is not called in this module (BatchedDetector in
-# repro.core.batch owns the transforms) but stays importable from here,
-# where profilers look up the detector's kernels.
+# select_gmm and power_spectrum are not called in this module
+# (BatchedDetector in repro.core.batch fits each chunk's mixtures and
+# owns the transforms) but stay importable from here, where profilers
+# look up the detector's kernels.
+from repro.core.gmm import GaussianMixture, select_gmm  # noqa: F401
 from repro.core.periodogram import candidate_peaks, power_spectrum  # noqa: F401
 from repro.core.permutation import ThresholdCache, permutation_threshold
 from repro.core.pruning import fold_intervals, prune_candidates
@@ -163,11 +164,13 @@ class _PairPlan:
     """Everything pair-level the per-scale analysis needs.
 
     Built once per pair by :meth:`PeriodicityDetector._plan`, which also
-    owns the pair's seeded generator: the GMM fit draws from it first,
-    then the per-scale permutation draws, so a pair's random stream does
-    not depend on the other pairs of its chunk.
+    owns the pair's seeded generator: the GMM's initial means are drawn
+    from it first, then the per-scale permutation draws, so a pair's
+    random stream does not depend on the other pairs of its chunk.
     :class:`~repro.core.batch.BatchedDetector` holds many plans at once
-    while the shared-array kernels run.
+    while the shared-array kernels run, and fits every plan's mixture in
+    one call (:meth:`PeriodicityDetector._attach_mixture`) when the
+    chunk closes.
     """
 
     ts: np.ndarray
@@ -458,26 +461,17 @@ class PeriodicityDetector:
     def _plan(
         self, ts: np.ndarray, duration: float, scales: List[float]
     ) -> _PairPlan:
-        """Pair-level analysis plan: intervals, GMM, useful scales, rng.
+        """Pair-level analysis plan: intervals, useful scales, rng.
 
-        This consumes the pair's seeded generator in a fixed order (GMM
-        fit first); per-scale permutation draws follow in scale order.
+        The plan's interval mixture is not fitted here:
+        :class:`~repro.core.batch.BatchedDetector` fits a whole chunk's
+        mixtures at once and hands each to :meth:`_attach_mixture`.  Those fits draw from the pair's seeded
+        generator first; per-scale permutation draws follow in scale
+        order.
         """
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(self.config.seed)
         intervals = intervals_from_timestamps(ts)
         positive = intervals[intervals > 0]
-
-        mixture: Optional[GaussianMixture] = None
-        if cfg.use_gmm and positive.size >= 4:
-            mixture = select_gmm(
-                positive, max_components=cfg.gmm_max_components, rng=rng
-            )
-        gmm_periods: List[float] = (
-            mixture.candidate_periods(cfg.gmm_min_weight, min_count=6)
-            if mixture
-            else []
-        )
 
         # Scales much finer than the smallest inter-event interval cannot
         # reveal anything the next-coarser scale will not: every
@@ -497,9 +491,25 @@ class PeriodicityDetector:
             scales=list(scales),
             intervals=intervals,
             positive=positive,
-            mixture=mixture,
-            gmm_periods=gmm_periods,
+            mixture=None,
+            gmm_periods=[],
             rng=rng,
+        )
+
+    def _mixture_components(self, plan: _PairPlan) -> int:
+        """Most GMM components to fit for ``plan``; 0 means no GMM."""
+        cfg = self.config
+        if cfg.use_gmm and plan.positive.size >= 4:
+            return cfg.gmm_max_components
+        return 0
+
+    def _attach_mixture(
+        self, plan: _PairPlan, mixture: GaussianMixture
+    ) -> None:
+        """Give ``plan`` its fitted interval mixture and GMM periods."""
+        plan.mixture = mixture
+        plan.gmm_periods = mixture.candidate_periods(
+            self.config.gmm_min_weight, min_count=6
         )
 
     def _finalize(

@@ -128,6 +128,12 @@ class WorkerKillerJob(_IdentityJob):
     Only meaningful with ``n_workers > 1``; in a serial engine this
     would kill the caller, so :meth:`reduce` refuses to fire unless it
     is running in a different process than the one that created it.
+
+    Each kill is claimed by atomically creating one marker file
+    (``<marker_path>.kill-<n>``, ``O_CREAT|O_EXCL``), one file per
+    allowed kill.  A read-bump-write counter would race between
+    concurrent workers: one can read the file mid-truncate as zero and
+    kill again, until no worker is left to drain the queue.
     """
 
     def __init__(
@@ -137,11 +143,25 @@ class WorkerKillerJob(_IdentityJob):
         self.kill_times = kill_times
         self._parent_pid = os.getpid()
 
+    def _claim_kill(self) -> bool:
+        """Claim one of the ``kill_times`` kills; False once all are taken."""
+        for shot in range(self.kill_times):
+            try:
+                fd = os.open(
+                    f"{self.marker.path}.kill-{shot}",
+                    os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+                )
+            except FileExistsError:
+                continue
+            os.close(fd)
+            return True
+        return False
+
     def reduce(self, key: Any, values: Iterable[Any]) -> Iterator[KeyValue]:
         if (
             key == self.poison_key
             and os.getpid() != self._parent_pid
-            and self.marker.bump() <= self.kill_times
+            and self._claim_kill()
         ):
             os.kill(os.getpid(), signal.SIGKILL)
         for value in values:

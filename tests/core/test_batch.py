@@ -28,6 +28,7 @@ from repro.core.detector import DetectorConfig, PeriodicityDetector
 from repro.core.periodogram import power_spectrum
 from repro.core.permutation import ThresholdCache, ThresholdCacheMismatch
 from repro.core.timeseries import ActivitySummary
+from repro.obs import MetricsRegistry, scoped_registry
 
 DAY = 86_400.0
 
@@ -122,6 +123,36 @@ def _workload(seed, n_pairs=24):
     return summaries
 
 
+def _wide_workload(seed, n_wide=4):
+    """Pairs holding a few hundred distinct intervals, among small pairs.
+
+    Above 128 values numpy's pairwise sum changes its tree with the row
+    length, so padding a pair's EM rows to a length set by the rest of
+    its chunk would show up here as a chunking-dependent mixture.
+    """
+    rng = np.random.default_rng(seed)
+    wide = []
+    for index in range(n_wide):
+        n_events = int(rng.integers(500, 900))
+        if index % 2 == 0:  # heavily jittered beacon
+            period = float(rng.uniform(90.0, 150.0))
+            gaps = rng.normal(period, 0.4 * period, size=n_events)
+            ts = np.cumsum(gaps.clip(1.0))
+        else:  # dense noise over a day
+            ts = np.sort(rng.uniform(0, DAY, size=n_events))
+        wide.append(
+            ActivitySummary.from_timestamps(
+                f"w{index}", "wide", ts, time_scale=1.0
+            )
+        )
+    small = _workload(seed, n_pairs=2 * n_wide)
+    return [
+        pair
+        for trio in zip(small[::2], wide, small[1::2])
+        for pair in trio
+    ]
+
+
 def _chunking_runs(detector, summaries, pairs_per_call):
     """``repr``s of the same pairs detected under three chunkings.
 
@@ -173,6 +204,21 @@ class TestBatchedDetectorParity:
         )
         assert all(run == whole for run in others)
 
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_matches_serial_on_wide_interval_pairs(self, cached):
+        detector = (
+            _cached_detector()
+            if cached
+            else PeriodicityDetector(DetectorConfig(seed=0))
+        )
+        summaries = _wide_workload(seed=5)
+        gaps = [np.diff(summary.timestamps()) for summary in summaries]
+        distinct = sorted(np.unique(gap[gap > 0]).size for gap in gaps)
+        # Eight small pairs, and wide ones on both sides of 256 values.
+        assert distinct[7] < 128 < distinct[8] < 256 < distinct[-1]
+        whole, *others = _chunking_runs(detector, summaries, len(summaries))
+        assert all(run == whole for run in others)
+
     def test_empty_input(self):
         assert BatchedDetector().detect_summaries([]) == []
 
@@ -214,6 +260,40 @@ class TestBatchedDetectorParity:
             pairs_per_call,
         )
         assert all(run == calls for run in others)
+
+
+class TestGmmTelemetry:
+    def test_chunk_counts_twelve_fits_per_fitted_pair(self):
+        rng = np.random.default_rng(4)
+        beacons = [
+            ActivitySummary.from_timestamps(
+                f"h{index}",
+                "beacon",
+                np.cumsum(rng.normal(300.0, 20.0, size=40)),
+                time_scale=1.0,
+            )
+            for index in range(5)
+        ]
+        too_few = ActivitySummary.from_timestamps(
+            "h9", "rare", [10.0, 500.0], time_scale=1.0
+        )
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
+            BatchedDetector(_cached_detector()).detect_summaries(
+                beacons + [too_few]
+            )
+        counters = dict(registry.counters())
+        assert counters["detector.batch.batches"] == 1
+        # k = 1..4 components x 3 restarts for each beacon; the pair
+        # rejected before planning fits nothing.
+        assert counters["detector.gmm.fits"] == 12 * len(beacons)
+        assert counters["detector.gmm.iterations"] >= 12 * len(beacons)
+        assert 0 <= counters["detector.gmm.not_converged"] <= 12 * len(beacons)
+        spans = {histogram.name for histogram in registry.histograms()}
+        assert (
+            "span.detect.batch.detect.batch.plan.detect.batch.gmm.seconds"
+            in spans
+        )
 
 
 class TestThresholdCacheWarmth:

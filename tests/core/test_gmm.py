@@ -1,9 +1,11 @@
 """Unit tests for repro.core.gmm."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.core.gmm import fit_gmm, select_gmm
+from repro.core.gmm import _init_means, fit_gmm, select_gmm, select_gmms
 
 
 @pytest.fixture
@@ -91,3 +93,147 @@ class TestResponsibilities:
         model = fit_gmm(two_cluster_data, 3)
         resp = model.responsibilities(two_cluster_data[:50])
         assert np.allclose(resp.sum(axis=1), 1.0)
+
+
+def _oracle_fit(x, k, rng, *, max_iter=200, tol=1e-6, variance_floor=1e-4):
+    """Plain per-sample EM: the reference the vectorized kernel must match.
+
+    Returns (means, variances, weights, log_likelihood, converged) with
+    the parameters after the last M-step and the log-likelihood of the
+    last E-step.
+    """
+    means = _init_means(x, k, rng)
+    variances = np.full(k, max(float(np.var(x)), variance_floor))
+    weights = np.full(k, 1.0 / k)
+    previous = -np.inf
+    for _ in range(max_iter):
+        log_probs = (
+            np.log(np.maximum(weights, 1e-300))
+            - 0.5 * (math.log(2.0 * math.pi) + np.log(variances))
+            - 0.5 * (x[:, None] - means) ** 2 / variances
+        )
+        peak = log_probs.max(axis=1, keepdims=True)
+        log_norm = peak + np.log(
+            np.exp(log_probs - peak).sum(axis=1, keepdims=True)
+        )
+        log_likelihood = float(log_norm.sum())
+        resp = np.exp(log_probs - log_norm)
+        counts = np.maximum(resp.sum(axis=0), 1e-12)
+        weights = counts / x.size
+        means = (resp * x[:, None]).sum(axis=0) / counts
+        variances = np.maximum(
+            (resp * (x[:, None] - means) ** 2).sum(axis=0) / counts,
+            variance_floor,
+        )
+        done = abs(log_likelihood - previous) < tol * max(1.0, abs(previous))
+        previous = log_likelihood
+        if done:
+            return means, variances, weights, previous, True
+    return means, variances, weights, previous, False
+
+
+def _oracle_select(x, max_components, rng, restarts=3):
+    """BIC selection over oracle fits, earlier fits winning ties."""
+    best = None
+    for k in range(1, min(max_components, x.size) + 1):
+        for _ in range(restarts):
+            fit = _oracle_fit(x, k, rng)
+            bic = (3 * k - 1) * math.log(x.size) - 2.0 * fit[3]
+            if best is None or bic < best[0]:
+                best = (bic, fit)
+    return best
+
+
+def _assert_matches(model, oracle, bic=None):
+    means, variances, weights, log_likelihood, converged = oracle
+    assert model.n_components == means.size
+    assert model.converged == converged
+    for got, want in (
+        ([c.mean for c in model.components], means),
+        ([c.variance for c in model.components], variances),
+        ([c.weight for c in model.components], weights),
+        ([model.log_likelihood], [log_likelihood]),
+    ):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+    if bic is not None:
+        assert model.bic == pytest.approx(bic, rel=1e-9)
+
+
+def _quantized(rng):
+    """Summary-style intervals: multiples of a 600 s scale, few distinct."""
+    hourly = np.round(rng.normal(3600.0, 400.0, size=400) / 600.0) * 600.0
+    sleeps = np.full(9, 10_800.0)
+    return np.concatenate([np.maximum(hourly, 600.0), sleeps])
+
+
+def _continuous(rng):
+    """Every interval distinct."""
+    return np.concatenate(
+        [rng.normal(5.0, 0.5, size=300), rng.normal(175.0, 3.0, size=60)]
+    )
+
+
+ORACLE_CASES = {
+    "quantized": _quantized,
+    "continuous": _continuous,
+    "zero_variance": lambda rng: np.full(20, 5.0),
+    "fewer_distinct_than_k": lambda rng: np.array([1.0, 1, 1, 2, 2, 2, 2]),
+}
+
+
+class TestKernelMatchesPerSampleEm:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_fit_gmm(self, case, k, rng):
+        x = ORACLE_CASES[case](rng)
+        for seed in range(3):
+            model = fit_gmm(x, k, rng=np.random.default_rng(seed))
+            _assert_matches(
+                model, _oracle_fit(x, k, np.random.default_rng(seed))
+            )
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_select_gmm(self, case, rng):
+        x = ORACLE_CASES[case](rng)
+        for seed in range(3):
+            model = select_gmm(
+                x, max_components=4, rng=np.random.default_rng(seed)
+            )
+            bic, oracle = _oracle_select(x, 4, np.random.default_rng(seed))
+            _assert_matches(model, oracle, bic)
+
+    def test_unconverged_fit_keeps_its_last_iteration(self, rng):
+        x = _continuous(rng)
+        model = fit_gmm(x, 3, max_iter=4, rng=np.random.default_rng(2))
+        oracle = _oracle_fit(x, 3, np.random.default_rng(2), max_iter=4)
+        assert not oracle[4]
+        _assert_matches(model, oracle)
+
+    def test_select_gmm_leaves_generator_as_init_draws_do(self, rng):
+        x = _quantized(rng)
+        fitted = np.random.default_rng(7)
+        select_gmm(x, max_components=4, rng=fitted)
+        drawn = np.random.default_rng(7)
+        for k in range(1, 5):
+            for _ in range(3):
+                _init_means(x, k, drawn)
+        assert fitted.bit_generator.state == drawn.bit_generator.state
+
+    def test_one_call_for_many_samples_matches_one_call_each(self, rng):
+        samples = [case(rng) for case in ORACLE_CASES.values()]
+        samples.append(rng.exponential(120.0, size=700).round())
+        together = select_gmms(
+            samples,
+            [np.random.default_rng(seed) for seed in range(len(samples))],
+            max_components=[4] * len(samples),
+        )
+        alone = [
+            select_gmm(x, max_components=4, rng=np.random.default_rng(seed))
+            for seed, x in enumerate(samples)
+        ]
+        assert [repr(m) for m in together.mixtures] == [repr(m) for m in alone]
+        assert together.fits == sum(
+            3 * min(4, x.size) for x in samples
+        )
+        assert together.fits >= together.not_converged >= 0
+        assert together.iterations >= together.fits

@@ -180,12 +180,19 @@ class TestTwoHostFleet:
     ):
         """The flagship crash story: a worker is SIGKILLed mid-task, its
         claim expires, the surviving "host" picks the task up, and the
-        run finishes with zero backend restarts."""
+        run finishes with zero backend restarts.
+
+        The task deadline bounds the wait: if both workers died, nothing
+        would drain the queue and the engine would poll forever; with
+        it, the run raises ``TaskTimeout`` after its three 10 s attempts.
+        """
         journal = EventJournal.in_dir(tmp_path / "journal")
         marker = str(tmp_path / "marker")
         with scoped_journal(journal):
             with WorkerFleet(queue, 2, claim_ttl=0.5) as fleet:
-                with self._engine(queue, max_retries=2) as engine:
+                with self._engine(
+                    queue, max_retries=2, task_timeout=10.0
+                ) as engine:
                     engine.executor.claim_ttl = 0.5
                     output = engine.run(
                         WorkerKillerJob(marker, kill_times=1), INPUTS
