@@ -37,8 +37,10 @@ import numpy as np
 from repro.core.autocorrelation import autocorrelation, validate_candidate
 # select_gmm and power_spectrum are not called in this module
 # (BatchedDetector in repro.core.batch fits each chunk's mixtures and
-# owns the transforms) but stay importable from here, where profilers
-# look up the detector's kernels.
+# owns the transforms).  They are imported only so that the targets
+# perfbench/layers.py names here still resolve; wrapping them measures
+# nothing.  Drop them once that trace wraps the chunk-level
+# repro.core.batch.select_gmms instead.
 from repro.core.gmm import GaussianMixture, select_gmm  # noqa: F401
 from repro.core.periodogram import candidate_peaks, power_spectrum  # noqa: F401
 from repro.core.permutation import ThresholdCache, permutation_threshold
@@ -465,9 +467,9 @@ class PeriodicityDetector:
 
         The plan's interval mixture is not fitted here:
         :class:`~repro.core.batch.BatchedDetector` fits a whole chunk's
-        mixtures at once and hands each to :meth:`_attach_mixture`.  Those fits draw from the pair's seeded
-        generator first; per-scale permutation draws follow in scale
-        order.
+        mixtures at once and hands each to :meth:`_attach_mixture`.
+        Those fits draw from the pair's seeded generator first;
+        per-scale permutation draws follow in scale order.
         """
         rng = np.random.default_rng(self.config.seed)
         intervals = intervals_from_timestamps(ts)

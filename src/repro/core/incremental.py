@@ -13,12 +13,11 @@ changed.  This module makes per-tick spectral work proportional to the
       Y_k = (X_k + sum_{j<D} (b_j - x_j) * w^{-jk}) * w^{Dk},
       w = exp(2*pi*i / N)
 
-  i.e. one length-``N`` transform of the (usually sparse) delta region
-  plus a per-bin twiddle rotation — never a re-bin or re-transform of
-  the unchanged ``N - D`` interior.  The correction term is evaluated
-  sparsely (a small matvec over the nonzero deltas) when the delta is
-  sparse enough to beat a padded FFT, which it almost always is for
-  binary presence signals.
+  i.e. one length-``N`` transform of the delta region plus a per-bin
+  twiddle rotation — never a re-bin or re-transform of the unchanged
+  ``N - D`` interior.  :func:`slide_states` advances many equal-length
+  states at once: their deltas go through one row-wise rFFT and the
+  rotation, energy check and power spectrum run on the stacked rows.
 
 - Robustness: every ``refresh_every``-th update — and whenever a
   Parseval energy check shows accumulated float error above
@@ -61,6 +60,7 @@ recompute of the same grid-anchored window.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,6 +84,8 @@ __all__ = [
     "PairScreenVerdict",
     "screen_scales",
     "bin_span",
+    "bin_span_rows",
+    "slide_states",
 ]
 
 DAY = 86_400.0
@@ -127,10 +129,11 @@ class IncrementalConfig:
                 "evict_after_ticks must be at least 1")
 
 
-#: Sparse-correction budget: evaluate the delta's DFT as a gather/matvec
-#: over its nonzero entries only while ``nnz * n_bins`` stays below this
-#: multiple of ``N * log2(N)`` — beyond it a zero-padded FFT wins.
-_SPARSE_BUDGET = 0.5
+#: Working-set bound of :func:`slide_states`: states are advanced in
+#: blocks whose stacked windows hold at most this many bins, so the
+#: block's window, coefficient and delta-transform matrices stay a few
+#: MB each whatever the number of pairs.
+SLIDE_BLOCK = 1 << 18
 
 
 class IncrementalSpectralState:
@@ -151,7 +154,7 @@ class IncrementalSpectralState:
     __slots__ = (
         "config", "start_bin", "n", "fast_len", "updates", "refreshes",
         "_window", "_mean", "_coeffs", "_power", "_power_exact",
-        "_since_refresh", "_twiddles", "_roots",
+        "_since_refresh", "_n_ones", "_max_power",
     )
 
     def __init__(
@@ -171,8 +174,6 @@ class IncrementalSpectralState:
         self.updates = 0
         self.refreshes = 0
         self._window = array
-        self._twiddles: Dict[int, np.ndarray] = {}
-        self._roots: Optional[np.ndarray] = None
         self._refresh()
 
     # -- views -------------------------------------------------------------
@@ -211,11 +212,11 @@ class IncrementalSpectralState:
 
     def max_power(self) -> float:
         """The spectrum maximum (the screen's one-number summary)."""
-        return float(self._power.max()) if self._power.size else 0.0
+        return self._max_power
 
     def n_ones(self) -> int:
         """Occupied-slot count (the binary threshold-cache key)."""
-        return int(np.count_nonzero(self._window))
+        return self._n_ones
 
     # -- updates -----------------------------------------------------------
 
@@ -228,40 +229,12 @@ class IncrementalSpectralState:
         applied), ``"refresh"`` (recurrence applied, then the periodic
         or error-bound exact recompute ran), ``"fallback"`` (shift
         exceeded ``max_drift_fraction`` — full recompute), or
-        ``"noop"`` for an empty append.
+        ``"noop"`` for an empty append.  A one-state
+        :func:`slide_states` call.
         """
         new = np.asarray(new_bins, dtype=float)
         require(new.ndim == 1, "new_bins must be 1-D")
-        shift = int(new.size)
-        n = self.n
-        require(shift <= n, "cannot slide by more than the window length")
-        if shift == 0:
-            return "noop"
-        cfg = self.config
-        delta = new - self._window[:shift]
-        # Advance the stored window in place.
-        self._window[: n - shift] = self._window[shift:]
-        self._window[n - shift:] = new
-        self.start_bin += shift
-        self.updates += 1
-        if shift > cfg.max_drift_fraction * n:
-            self._refresh()
-            return "fallback"
-        self._coeffs = (
-            self._coeffs + self._delta_transform(delta)
-        ) * self._twiddle(shift)
-        self._mean += float(delta.sum()) / n
-        self._since_refresh += 1
-        if (
-            self._since_refresh >= cfg.refresh_every
-            or self._parseval_error() > cfg.error_bound
-        ):
-            self._refresh()
-            return "refresh"
-        power = self._coeffs.real ** 2 + self._coeffs.imag ** 2
-        self._power = power[1: n // 2 + 1] / n
-        self._power_exact = False
-        return "slide"
+        return slide_states([self], new[np.newaxis, :])[0]
 
     def replace_window(
         self, window: Sequence[float], start_bin: int
@@ -274,8 +247,6 @@ class IncrementalSpectralState:
         self.start_bin = int(start_bin)
         self.n = int(array.size)
         self.fast_len = int(_fft.next_fast_len(self.n))
-        self._twiddles.clear()
-        self._roots = None
         self._refresh()
 
     # -- internals ---------------------------------------------------------
@@ -288,51 +259,14 @@ class IncrementalSpectralState:
         self._mean = float(self._window.mean())
         self._since_refresh = 0
         self.refreshes += 1
+        self._summarize()
 
-    def _delta_transform(self, delta: np.ndarray) -> np.ndarray:
-        """Length-``N`` rFFT of the delta region (sparse when it pays).
-
-        The sparse path gathers precomputed roots of unity
-        (``w^{-jk} = roots[(j * k) mod N]``) instead of exponentiating
-        per element, so its cost is a fancy-index plus a short matvec.
-        """
-        n = self.n
-        nonzero = np.flatnonzero(delta)
-        if nonzero.size == 0:
-            return 0.0
-        n_bins = n // 2 + 1
-        if nonzero.size * n_bins <= _SPARSE_BUDGET * n * np.log2(n):
-            if self._roots is None:
-                self._roots = np.exp((-2j * np.pi / n) * np.arange(n))
-            k = np.arange(n_bins)
-            basis = self._roots[np.outer(k, nonzero) % n]
-            return basis @ delta[nonzero]
-        return _fft.rfft(delta, n=n)
-
-    def _twiddle(self, shift: int) -> np.ndarray:
-        """``w^{k * shift}`` rotation for the retained coefficients."""
-        cached = self._twiddles.get(shift)
-        if cached is None:
-            k = np.arange(self.n // 2 + 1)
-            cached = np.exp((2j * np.pi * (shift % self.n) / self.n) * k)
-            self._twiddles[shift] = cached
-        return cached
-
-    def _parseval_error(self) -> float:
-        """Relative mismatch between time- and frequency-domain energy.
-
-        Parseval's theorem ties ``sum(x^2)`` to the coefficient
-        energies exactly; the maintained coefficients drift away from
-        it only through accumulated float error, so the mismatch is a
-        cheap O(N) bound on that error.
-        """
-        time_energy = float(np.dot(self._window, self._window))
-        mag2 = self._coeffs.real ** 2 + self._coeffs.imag ** 2
-        freq_energy = float(mag2[0] + 2.0 * mag2[1:].sum())
-        if self.n % 2 == 0:
-            freq_energy -= float(mag2[-1])
-        freq_energy /= self.n
-        return abs(time_energy - freq_energy) / max(time_energy, 1.0)
+    def _summarize(self) -> None:
+        """Cache the screen's two numbers for the current window."""
+        self._n_ones = int(np.count_nonzero(self._window))
+        self._max_power = (
+            float(self._power.max()) if self._power.size else 0.0
+        )
 
     # -- serialization -----------------------------------------------------
 
@@ -372,9 +306,112 @@ class IncrementalSpectralState:
         state._power_exact = bool(power_exact)
         state._mean = float(state._window.mean())
         state._since_refresh = int(since_refresh)
-        state._twiddles = {}
-        state._roots = None
+        state._summarize()
         return state
+
+
+@functools.lru_cache(maxsize=64)
+def _twiddle(n: int, shift: int) -> np.ndarray:
+    """``w^{k * shift}`` rotation for the retained coefficients."""
+    k = np.arange(n // 2 + 1)
+    rotation = np.exp((2j * np.pi * (shift % n) / n) * k)
+    rotation.flags.writeable = False
+    return rotation
+
+
+def slide_states(
+    states: Sequence[IncrementalSpectralState], new_bins: np.ndarray
+) -> List[str]:
+    """Slide equal-length states forward, one row of ``new_bins`` each.
+
+    The batched form of :meth:`IncrementalSpectralState.append_bins`
+    (which is a one-state call of this): every state must have the same
+    window length, and ``new_bins`` is a ``(len(states), shift)``
+    matrix.  Blocks of at most :data:`SLIDE_BLOCK` window bins are
+    stacked; per block the delta regions go through one row-wise rFFT
+    and the twiddle rotation, the Parseval self-check (time- against
+    frequency-domain energy, which drifts apart only through
+    accumulated float error) and the power spectrum run on whole
+    matrices, and each state keeps its rows.  Row-wise transforms and
+    sums equal their one-row forms, so the outcome of a state does not
+    depend on the other states of its call.  Returns one outcome per
+    state, as :meth:`~IncrementalSpectralState.append_bins` does.
+    """
+    new = np.asarray(new_bins, dtype=float)
+    require(
+        new.ndim == 2 and new.shape[0] == len(states),
+        "new_bins must hold one row per state",
+    )
+    if not states:
+        return []
+    n = states[0].n
+    require(
+        all(state.n == n for state in states),
+        "states must share one window length",
+    )
+    shift = int(new.shape[1])
+    require(shift <= n, "cannot slide by more than the window length")
+    if shift == 0:
+        return ["noop"] * len(states)
+    rows = max(1, SLIDE_BLOCK // n)
+    outcomes: List[str] = []
+    for low in range(0, len(states), rows):
+        outcomes.extend(
+            _slide_block(states[low:low + rows], new[low:low + rows])
+        )
+    return outcomes
+
+
+def _slide_block(
+    states: Sequence[IncrementalSpectralState], new: np.ndarray
+) -> List[str]:
+    """One :func:`slide_states` block: stacked rows, one transform."""
+    n = states[0].n
+    shift = new.shape[1]
+    windows = np.stack([state._window for state in states])
+    delta = new - windows[:, :shift]
+    windows[:, : n - shift] = windows[:, shift:]
+    windows[:, n - shift:] = new
+    coeffs = np.stack([state._coeffs for state in states])
+    coeffs += _fft.rfft(delta, n=n, axis=1)
+    coeffs *= _twiddle(n, shift)
+    mag2 = coeffs.real ** 2 + coeffs.imag ** 2
+    time_energy = np.einsum("ij,ij->i", windows, windows)
+    freq_energy = mag2[:, 0] + 2.0 * mag2[:, 1:].sum(axis=1)
+    if n % 2 == 0:
+        freq_energy -= mag2[:, -1]
+    freq_energy /= n
+    errors = np.abs(time_energy - freq_energy) / np.maximum(time_energy, 1.0)
+    power = mag2[:, 1: n // 2 + 1] / n
+    peaks = power.max(axis=1)
+    ones = np.count_nonzero(windows, axis=1)
+    delta_sums = delta.sum(axis=1)
+    outcomes: List[str] = []
+    for row, state in enumerate(states):
+        cfg = state.config
+        state._window = windows[row]
+        state.start_bin += shift
+        state.updates += 1
+        if shift > cfg.max_drift_fraction * n:
+            state._refresh()
+            outcomes.append("fallback")
+            continue
+        state._coeffs = coeffs[row]
+        state._mean += float(delta_sums[row]) / n
+        state._since_refresh += 1
+        if (
+            state._since_refresh >= cfg.refresh_every
+            or errors[row] > cfg.error_bound
+        ):
+            state._refresh()
+            outcomes.append("refresh")
+            continue
+        state._power = power[row]
+        state._power_exact = False
+        state._n_ones = int(ones[row])
+        state._max_power = float(peaks[row])
+        outcomes.append("slide")
+    return outcomes
 
 
 class IncrementalStateMismatch(RuntimeError):
@@ -628,19 +665,41 @@ def bin_span(
     Slot indices are global — ``floor(t / scale)`` — so the bins of an
     overlap region are identical whichever window they were computed
     for (the property the sliding update relies on).  Events outside
-    the span are dropped.
+    the span are dropped.  A one-row :func:`bin_span_rows` call.
+    """
+    return bin_span_rows(
+        [timestamps], scale, from_bin, to_bin, binary=binary
+    )[0]
+
+
+def bin_span_rows(
+    series: Sequence[np.ndarray],
+    scale: float,
+    from_bin: int,
+    to_bin: int,
+    *,
+    binary: bool = True,
+) -> np.ndarray:
+    """:func:`bin_span` of several event series, one row per series.
+
+    All series share the span, so one pass over their concatenated
+    events fills the whole ``(len(series), to_bin - from_bin)`` matrix;
+    each row equals the series' own :func:`bin_span`.
     """
     require(to_bin > from_bin, "to_bin must exceed from_bin")
-    n = to_bin - from_bin
-    ts = np.asarray(timestamps, dtype=float)
-    if ts.size == 0:
-        return np.zeros(n, dtype=float)
+    width = to_bin - from_bin
+    lengths = [np.size(ts) for ts in series]
+    if sum(lengths) == 0:
+        return np.zeros((len(series), width), dtype=float)
+    ts = np.concatenate([np.asarray(ts, dtype=float) for ts in series])
+    rows = np.repeat(np.arange(len(series), dtype=np.int64), lengths)
     indices = np.floor(ts / scale).astype(np.int64) - from_bin
-    indices = indices[(indices >= 0) & (indices < n)]
-    signal = np.bincount(indices, minlength=n).astype(float)
+    inside = (indices >= 0) & (indices < width)
+    flat = rows[inside] * width + indices[inside]
+    signal = np.bincount(flat, minlength=len(series) * width).astype(float)
     if binary:
         np.minimum(signal, 1.0, out=signal)
-    return signal
+    return signal.reshape(len(series), width)
 
 
 # -- the pair screen ----------------------------------------------------------
@@ -677,10 +736,10 @@ class IncrementalSpectralEngine:
     """Day-grid spectral screen with per-pair sliding-DFT states.
 
     One engine serves one detection cadence.  Per tick the caller
-    announces the window (``begin_tick``), then feeds each pair's
-    merged timestamps to :meth:`observe`; the engine slides (or
-    rebuilds) the pair's per-scale states and returns the screen
-    verdict.  Thresholds come from the shared permutation
+    announces the window (``begin_tick``), then feeds every pair's
+    merged timestamps to :meth:`observe_many`; the engine slides (or
+    rebuilds) the pairs' per-scale states and returns their screen
+    verdicts.  Thresholds come from the shared permutation
     :class:`ThresholdCache`, keyed on ``(n_slots, n_ones)`` exactly as
     the cold detector's binary path.
     """
@@ -766,72 +825,91 @@ class IncrementalSpectralEngine:
     def state_key(source: str, destination: str, bins_per_day: int) -> str:
         return f"{source}\x1f{destination}\x1f{bins_per_day}"
 
-    def observe(
-        self, source: str, destination: str, timestamps: np.ndarray
-    ) -> PairScreenVerdict:
-        """Update the pair's states for this tick and screen it.
+    def observe_many(
+        self, pairs: Sequence[Tuple[str, str, np.ndarray]]
+    ) -> List[PairScreenVerdict]:
+        """Update every pair's states for this tick and screen them.
 
-        ``timestamps`` are the pair's events inside the announced
+        ``pairs`` holds ``(source, destination, timestamps)`` triples;
+        the timestamps are the pair's events inside the announced
         window (a superset is fine — out-of-window events are dropped
-        by the grid binning).  Requires :meth:`begin_tick` first.
+        by the grid binning).  Rung by rung, the pairs whose state
+        slides by the same shift are binned and advanced together
+        (:func:`bin_span_rows`, :func:`slide_states`); new pairs and
+        geometry changes rebuild one by one.  Returns one verdict per
+        pair, in order.  Requires :meth:`begin_tick` first.
         """
         require(self._rungs != [] or self._window_days > 0,
-                "begin_tick must be called before observe")
+                "begin_tick must be called before observe_many")
         registry = get_registry()
         if not self._rungs:
             # Window too short for any rung: never screen out.
-            self.screened_in += 1
-            return PairScreenVerdict(
-                passed=True, margin=float("nan"), threshold=float("nan"),
-                scales=(), outcome="noop",
+            self.screened_in += len(pairs)
+            return [
+                PairScreenVerdict(
+                    passed=True, margin=float("nan"),
+                    threshold=float("nan"), scales=(), outcome="noop",
+                )
+                for _ in pairs
+            ]
+        series = [np.asarray(ts, dtype=float) for _, _, ts in pairs]
+        rung_stats: List[List[Tuple[float, float, float]]] = [
+            [] for _ in pairs
+        ]
+        worst = ["noop"] * len(pairs)
+        for scale, bins_per_day in self._rungs:
+            advanced = self._advance_rung(
+                pairs, series, scale, bins_per_day
             )
-        ts = np.asarray(timestamps, dtype=float)
-        best_margin = float("-inf")
-        finest_threshold = float("nan")
-        passed = False
-        worst = "noop"
-        rung_stats: List[Tuple[float, float, float]] = []
-        for rung_index, (scale, bins_per_day) in enumerate(self._rungs):
-            state, outcome = self._advance(
-                source, destination, ts, scale, bins_per_day
+            for index, (state, outcome) in enumerate(advanced):
+                if _OUTCOME_RANK[outcome] > _OUTCOME_RANK[worst[index]]:
+                    worst[index] = outcome
+                threshold = self.threshold_cache.threshold(
+                    state.n, state.n_ones()
+                )
+                rung_stats[index].append(
+                    (scale, state.max_power(), threshold)
+                )
+        scales = tuple(scale for scale, _ in self._rungs)
+        verdicts: List[PairScreenVerdict] = []
+        for stats, outcome in zip(rung_stats, worst):
+            best_margin = float("-inf")
+            passed = False
+            for _scale, max_power, threshold in stats:
+                margin = max_power - threshold
+                if margin > best_margin:
+                    best_margin = margin
+                if max_power > self.config.screen_margin * threshold:
+                    passed = True
+            verdicts.append(
+                PairScreenVerdict(
+                    passed=passed,
+                    margin=(
+                        best_margin if best_margin > float("-inf")
+                        else float("nan")
+                    ),
+                    threshold=stats[0][2],
+                    scales=scales,
+                    outcome=outcome,
+                    rung_stats=tuple(stats),
+                )
             )
-            if _OUTCOME_RANK[outcome] > _OUTCOME_RANK[worst]:
-                worst = outcome
-            threshold = self.threshold_cache.threshold(
-                state.n, state.n_ones()
+        passed_count = sum(1 for verdict in verdicts if verdict.passed)
+        self.screened_in += passed_count
+        self.screened_out += len(verdicts) - passed_count
+        registry.counter("detector.incremental.updates").inc(len(verdicts))
+        if len(verdicts) > passed_count:
+            registry.counter("detector.incremental.screened_out").inc(
+                len(verdicts) - passed_count
             )
-            if rung_index == 0:
-                finest_threshold = threshold
-            max_power = state.max_power()
-            rung_stats.append((scale, max_power, threshold))
-            margin = max_power - threshold
-            if margin > best_margin:
-                best_margin = margin
-            if max_power > self.config.screen_margin * threshold:
-                passed = True
-        registry.counter("detector.incremental.updates").inc()
-        if passed:
-            self.screened_in += 1
-        else:
-            self.screened_out += 1
-            registry.counter("detector.incremental.screened_out").inc()
-        return PairScreenVerdict(
-            passed=passed,
-            margin=(
-                best_margin if best_margin > float("-inf") else float("nan")
-            ),
-            threshold=finest_threshold,
-            scales=tuple(scale for scale, _ in self._rungs),
-            outcome=worst,
-            rung_stats=tuple(rung_stats),
-        )
+        return verdicts
 
     def rung_states(
         self, source: str, destination: str
     ) -> List[Tuple[float, IncrementalSpectralState]]:
         """The pair's per-rung states for this tick, finest first.
 
-        Used by the candidate-probe stage after :meth:`observe`: the
+        Used by the candidate-probe stage after :meth:`observe_many`: the
         maintained window and power spectrum of each rung are exactly
         the ``(signal, spectrum)`` inputs of
         :meth:`~repro.core.detector.PeriodicityDetector.probe_prebinned`.
@@ -846,50 +924,68 @@ class IncrementalSpectralEngine:
                 out.append((scale, state))
         return out
 
-    def _advance(
+    def _advance_rung(
         self,
-        source: str,
-        destination: str,
-        ts: np.ndarray,
+        pairs: Sequence[Tuple[str, str, np.ndarray]],
+        series: Sequence[np.ndarray],
         scale: float,
         bins_per_day: int,
-    ) -> Tuple[IncrementalSpectralState, str]:
-        """Slide (or rebuild) one (pair, scale) state to this tick."""
+    ) -> List[Tuple[IncrementalSpectralState, str]]:
+        """Slide (or rebuild) every pair's state at one rung."""
         registry = get_registry()
         start_bin = self._start_day * bins_per_day
         end_bin = self._end_day * bins_per_day
         n = end_bin - start_bin
-        key = self.state_key(source, destination, bins_per_day)
-        state = self.cache.get(key)
-        if state is not None and state.n == n:
-            shift = start_bin - state.start_bin
-            if shift == 0:
-                # Same window (e.g. a retried tick): state is current.
-                return state, "noop"
-            if 0 < shift <= n:
-                new_bins = bin_span(
-                    ts, scale, state.end_bin, end_bin, binary=True
-                )
-                outcome = state.append_bins(new_bins)
-                if outcome == "refresh":
-                    self.refreshes += 1
-                    registry.counter("detector.incremental.refreshes").inc()
-                    self.slides += 1
-                elif outcome == "fallback":
-                    self.fallbacks += 1
-                    registry.counter("detector.incremental.fallbacks").inc()
-                else:
-                    self.slides += 1
-                return state, outcome
-        # New pair, window-geometry change, or backwards shift: rebuild.
-        window = bin_span(ts, scale, start_bin, end_bin, binary=True)
-        if state is None:
-            state = IncrementalSpectralState(
-                window, start_bin, config=self.config
+        # One (state, outcome) per pair, filled in below.
+        advanced: List = [None] * len(pairs)
+        sliding: Dict[int, List[Tuple[int, IncrementalSpectralState]]] = {}
+        rebuilt = 0
+        for index, (source, destination, _ts) in enumerate(pairs):
+            key = self.state_key(source, destination, bins_per_day)
+            state = self.cache.get(key)
+            if state is not None and state.n == n:
+                shift = start_bin - state.start_bin
+                if shift == 0:
+                    # Same window (e.g. a retried tick): state is current.
+                    advanced[index] = (state, "noop")
+                    continue
+                if 0 < shift <= n:
+                    sliding.setdefault(shift, []).append((index, state))
+                    continue
+            # New pair, window-geometry change, or backwards shift.
+            window = bin_span(
+                series[index], scale, start_bin, end_bin, binary=True
             )
-            self.cache.put(key, state)
-        else:
-            state.replace_window(window, start_bin)
-        self.rebuilds += 1
-        registry.counter("detector.incremental.fallbacks").inc()
-        return state, "rebuild"
+            if state is None:
+                state = IncrementalSpectralState(
+                    window, start_bin, config=self.config
+                )
+                self.cache.put(key, state)
+            else:
+                state.replace_window(window, start_bin)
+            advanced[index] = (state, "rebuild")
+            rebuilt += 1
+        counts = {"slide": 0, "refresh": 0, "fallback": 0}
+        for shift, members in sliding.items():
+            new_bins = bin_span_rows(
+                [series[index] for index, _ in members],
+                scale, end_bin - shift, end_bin,
+            )
+            states = [state for _, state in members]
+            outcomes = slide_states(states, new_bins)
+            for (index, state), outcome in zip(members, outcomes):
+                counts[outcome] += 1
+                advanced[index] = (state, outcome)
+        self.rebuilds += rebuilt
+        self.slides += counts["slide"] + counts["refresh"]
+        self.refreshes += counts["refresh"]
+        self.fallbacks += counts["fallback"]
+        if counts["refresh"]:
+            registry.counter("detector.incremental.refreshes").inc(
+                counts["refresh"]
+            )
+        if counts["fallback"] + rebuilt:
+            registry.counter("detector.incremental.fallbacks").inc(
+                counts["fallback"] + rebuilt
+            )
+        return advanced

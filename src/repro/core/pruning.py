@@ -20,12 +20,12 @@ ACF verification:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.gmm import GaussianMixture
-from repro.utils.stats import one_sample_t_test
+from repro.utils.stats import one_sample_t_tests
 from repro.utils.validation import (
     as_float_array,
     require,
@@ -108,32 +108,101 @@ def t_test_candidate(
       tolerance`` rather than the point value (otherwise exactly-regular
       quantized traces reject their own true period on a sub-second
       mismatch).
+
+    A one-period :func:`t_test_candidates` call.
     """
-    require_positive(period, "period")
+    return t_test_candidates(
+        [period],
+        intervals,
+        alpha=alpha,
+        mixture=mixture,
+        fold=fold,
+        tolerances=[tolerance],
+    )[0]
+
+
+def t_test_candidates(
+    periods: Sequence[float],
+    intervals: Sequence[float],
+    *,
+    alpha: float = 0.05,
+    mixture: Optional[GaussianMixture] = None,
+    fold: bool = True,
+    tolerances: Optional[Sequence[float]] = None,
+) -> List[PruningDecision]:
+    """:func:`t_test_candidate` of several periods on one interval list.
+
+    Periods tested on the same sample (the whole list, or the members
+    of one mixture component) are folded and tested together as the
+    rows of one matrix, and the mixture assignment is computed once;
+    each decision equals its one-period call.
+    """
     require_probability(alpha, "alpha")
-    require(tolerance >= 0, "tolerance must be non-negative")
+    periods = [float(period) for period in periods]
+    for period in periods:
+        require_positive(period, "period")
+    if tolerances is None:
+        tolerances = [0.0] * len(periods)
+    require(len(tolerances) == len(periods),
+            "tolerances must align with periods")
+    tolerance = np.asarray(tolerances, dtype=float)
+    require(bool((tolerance >= 0).all()), "tolerance must be non-negative")
     ivals = as_float_array(intervals, "intervals")
     ivals = ivals[ivals > 0]
     if ivals.size == 0:
-        return PruningDecision(period, False, "no positive intervals")
-    if mixture is not None and mixture.n_components > 1:
+        return [
+            PruningDecision(period, False, "no positive intervals")
+            for period in periods
+        ]
+    # Each period's sample: the members of the mixture component whose
+    # mean is nearest to it (when it has at least two), else every
+    # interval.  Periods sharing a sample are tested together.
+    groups: Dict[int, List[int]] = {}
+    samples: Dict[int, np.ndarray] = {-1: ivals}
+    if mixture is not None and mixture.n_components > 1 and periods:
         means = np.asarray([c.mean for c in mixture.components])
-        target = int(np.argmin(np.abs(means - period)))
         assignment = mixture.assign(ivals)
-        member = ivals[assignment == target]
-        if member.size >= 2:
-            ivals = member
-    if fold:
-        ivals = fold_intervals(ivals, period)
-    # Equivalence band: test against the band edge nearest the sample
-    # mean; a mean inside the band is consistent with H0 by definition.
-    popmean = float(np.clip(ivals.mean(), period - tolerance, period + tolerance))
-    p_value = one_sample_t_test(ivals, popmean)
-    if p_value < alpha:
-        return PruningDecision(
-            period, False, f"t-test rejected (p={p_value:.4g} < {alpha})", p_value
+        for index, period in enumerate(periods):
+            target = int(np.argmin(np.abs(means - period)))
+            if target not in samples:
+                member = ivals[assignment == target]
+                samples[target] = member if member.size >= 2 else ivals
+            groups.setdefault(target, []).append(index)
+    else:
+        groups[-1] = list(range(len(periods)))
+    p_values = np.empty(len(periods))
+    for target, members in groups.items():
+        sample = samples[target]
+        targets = np.asarray([periods[index] for index in members])
+        if fold:
+            rows = fold_intervals(
+                sample[np.newaxis, :], targets[:, np.newaxis]
+            )
+        else:
+            rows = np.broadcast_to(sample, (len(members), sample.size))
+        # Equivalence band: test against the band edge nearest the
+        # sample mean; a mean inside the band is consistent with H0 by
+        # definition.
+        band = tolerance[members]
+        popmean = np.minimum(
+            np.maximum(rows.sum(axis=1) / sample.size, targets - band),
+            targets + band,
         )
-    return PruningDecision(period, True, "ok", p_value)
+        p_values[members] = one_sample_t_tests(rows, popmean)
+    decisions: List[PruningDecision] = []
+    for period, p_value in zip(periods, p_values.tolist()):
+        if p_value < alpha:
+            decisions.append(
+                PruningDecision(
+                    period,
+                    False,
+                    f"t-test rejected (p={p_value:.4g} < {alpha})",
+                    p_value,
+                )
+            )
+        else:
+            decisions.append(PruningDecision(period, True, "ok", p_value))
+    return decisions
 
 
 def prune_sampling_rate(
@@ -206,21 +275,27 @@ def prune_candidates(
         min_cycles=min_cycles,
         min_events=min_events,
     )
-    for index, (period, hf_dec, samp_dec) in enumerate(zip(periods, hf, sampling)):
+    testable: List[int] = []
+    for index, (hf_dec, samp_dec) in enumerate(zip(hf, sampling)):
         if not hf_dec.kept:
             decisions.append(hf_dec)
         elif not samp_dec.kept:
             decisions.append(samp_dec)
         else:
-            tolerance = float(tolerances[index]) if tolerances is not None else 0.0
-            decisions.append(
-                t_test_candidate(
-                    float(period),
-                    ivals,
-                    alpha=alpha,
-                    mixture=mixture,
-                    fold=fold,
-                    tolerance=tolerance,
-                )
-            )
+            decisions.append(hf_dec)  # replaced by the t-test below
+            testable.append(index)
+    if testable:
+        tested = t_test_candidates(
+            [periods[index] for index in testable],
+            ivals,
+            alpha=alpha,
+            mixture=mixture,
+            fold=fold,
+            tolerances=(
+                [float(tolerances[index]) for index in testable]
+                if tolerances is not None else None
+            ),
+        )
+        for index, decision in zip(testable, tested):
+            decisions[index] = decision
     return decisions

@@ -22,6 +22,7 @@ inter-request intervals.  This module provides:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -304,7 +305,10 @@ def merge_rescaled(
     require_positive(time_scale, "time_scale")
     head = summaries[0]
     for other in summaries:
-        if other.pair != head.pair:
+        if (
+            other.source != head.source
+            or other.destination != head.destination
+        ):
             raise ValueError(
                 f"cannot merge different pairs: {other.pair} != {head.pair}"
             )
@@ -318,24 +322,50 @@ def merge_rescaled(
             head if head.time_scale == time_scale
             else rescale(head, time_scale)
         )
-    total = sum(s.event_count for s in summaries)
+    counts = [len(summary.intervals) + 1 for summary in summaries]
+    total = sum(counts)
     if out is not None and out.ndim == 1 and out.size >= total:
         buffer = out[:total]
     else:
         buffer = np.empty(total, dtype=float)
+    # Every summary.timestamps() — 0-prefixed interval cumsum plus the
+    # first timestamp — written into the workspace at once: one row per
+    # summary, its intervals from column 1 on and zeros after them.  A
+    # row-wise cumsum accumulates each row sequentially, exactly as
+    # timestamps() does, and the zero tail is never read back.  Rows
+    # are as wide as the busiest summary, so badly skewed event counts
+    # fall back to one cumsum per summary to keep the grid small.
+    intervals = np.fromiter(
+        itertools.chain.from_iterable(s.intervals for s in summaries),
+        dtype=float,
+        count=total - len(summaries),
+    )
+    firsts = np.array([s.first_timestamp for s in summaries])
+    sizes = np.array(counts)
+    width = int(sizes.max())
+    if len(counts) * width <= 2 * total:
+        columns = np.arange(width)
+        grid = np.zeros((len(counts), width))
+        grid[:, 1:][columns[1:] < sizes[:, np.newaxis]] = intervals
+        np.cumsum(grid, axis=1, out=grid)
+        grid += firsts[:, np.newaxis]
+        buffer[:] = grid[columns < sizes[:, np.newaxis]]
+    else:
+        position = 0
+        consumed = 0
+        for count in counts:
+            buffer[position] = 0.0
+            np.cumsum(
+                intervals[consumed:consumed + count - 1],
+                out=buffer[position + 1:position + count],
+            )
+            position += count
+            consumed += count - 1
+        buffer += np.repeat(firsts, counts)
     position = 0
-    urls: List[str] = []
-    for summary in summaries:
-        count = summary.event_count
-        segment = buffer[position:position + count]
-        # summary.timestamps(), written into the workspace: 0-prefixed
-        # interval cumsum plus the first timestamp.
-        segment[0] = 0.0
-        if count > 1:
-            ivals = np.asarray(summary.intervals, dtype=float)
-            np.cumsum(ivals, out=segment[1:])
-        np.add(segment, summary.first_timestamp, out=segment)
+    for summary, count in zip(summaries, counts):
         if summary.time_scale < time_scale:
+            segment = buffer[position:position + count]
             # rescale(): quantize, then round-trip through the interval
             # representation exactly as merge() re-reads a rescaled
             # summary — diff followed by 0-prefixed cumsum — so the
@@ -349,7 +379,6 @@ def merge_rescaled(
                 segment[0] = 0.0
                 np.cumsum(deltas, out=segment[1:])
                 np.add(segment, first, out=segment)
-        urls.extend(summary.urls)
         position += count
     buffer.sort(kind="stable")
     return ActivitySummary(
@@ -357,6 +386,8 @@ def merge_rescaled(
         destination=head.destination,
         time_scale=time_scale,
         first_timestamp=float(buffer[0]),
-        intervals=tuple(np.diff(buffer).tolist()),
-        urls=tuple(urls),
+        intervals=np.diff(buffer),
+        urls=tuple(
+            itertools.chain.from_iterable(s.urls for s in summaries)
+        ),
     )

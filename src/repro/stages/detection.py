@@ -21,12 +21,15 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Dict,
     Iterable,
     List,
     Optional,
     Sequence,
     Tuple,
 )
+
+import numpy as np
 
 from repro.core.batch import BatchedDetector
 from repro.core.detector import DetectionResult, PeriodicityDetector
@@ -371,18 +374,31 @@ class IncrementalDetection:
             results: List[Optional[DetectionResult]] = [None] * len(summaries)
             survivors: List[int] = []
             with span("detect.incremental.screen"):
+                # (index, detector, timestamps) of the pairs past
+                # the detector's cheap gates, for the engine's screen.
+                screened: List[
+                    Tuple[int, PeriodicityDetector, np.ndarray]
+                ] = []
+                detectors: Dict[float, PeriodicityDetector] = {}
                 for index, summary in enumerate(summaries):
-                    detector = self._detector.for_time_scale(
-                        summary.time_scale
-                    )
+                    detector = detectors.get(summary.time_scale)
+                    if detector is None:
+                        detector = self._detector.for_time_scale(
+                            summary.time_scale
+                        )
+                        detectors[summary.time_scale] = detector
                     ts = summary.timestamps()
                     early, _prepared = detector._screen(ts)
                     if early is not None:
                         results[index] = early
                         continue
-                    verdict = engine.observe(
-                        summary.source, summary.destination, ts
-                    )
+                    screened.append((index, detector, ts))
+                verdicts = engine.observe_many([
+                    (summaries[index].source, summaries[index].destination, ts)
+                    for index, _detector, ts in screened
+                ])
+                for (index, detector, ts), verdict in zip(screened, verdicts):
+                    summary = summaries[index]
                     if not verdict.passed:
                         results[index] = DetectionResult(
                             periodic=False,

@@ -30,21 +30,49 @@ def one_sample_t_test(samples: Iterable[float], popmean: float) -> float:
     - fewer than 2 samples: p = 1.0 (no evidence against the null),
     - zero sample variance: p = 1.0 when the sample mean equals
       ``popmean`` exactly, else p = 0.0.
+
+    A one-row :func:`one_sample_t_tests` call.
     """
     array = as_float_array(samples, "samples")
-    if array.size < 2:
-        return 1.0
-    n = array.size
-    mean = float(array.mean())
-    std = float(array.std(ddof=1))
-    if np.isclose(std, 0.0):
-        return 1.0 if math.isclose(mean, popmean, rel_tol=1e-9,
-                                   abs_tol=1e-9) else 0.0
+    return float(one_sample_t_tests(array[np.newaxis, :], [popmean])[0])
+
+
+def one_sample_t_tests(
+    samples: np.ndarray, popmeans: Sequence[float]
+) -> np.ndarray:
+    """:func:`one_sample_t_test` of each row of ``samples``.
+
+    ``samples`` is a 2-D array with one sample per row (all of one
+    size) and ``popmeans`` the null mean of each row.  Row-wise means
+    and deviations sum each row exactly as the one-row call does, so
+    every p-value equals its :func:`one_sample_t_test`.
+    """
+    rows = np.asarray(samples, dtype=float)
+    require(rows.ndim == 2, "samples must be two-dimensional")
+    popmean = np.asarray(popmeans, dtype=float)
+    require(popmean.shape == (rows.shape[0],),
+            "popmeans must hold one mean per row")
+    n = rows.shape[1]
+    if n < 2 or rows.shape[0] == 0:
+        return np.ones(rows.shape[0])
+    # rows.mean(axis=1) and rows.std(axis=1, ddof=1), spelled out: the
+    # same row sums in the same order, without numpy's per-call
+    # wrapper overhead.
+    mean = rows.sum(axis=1) / n
+    centered = rows - mean[:, np.newaxis]
+    std = np.sqrt((centered * centered).sum(axis=1) / (n - 1))
     # Direct Student-t computation (equivalent to scipy.stats.ttest_1samp
     # but without its per-call dispatch overhead — this sits on the
     # pruning hot path, millions of calls per batch run).
-    t_stat = (mean - popmean) / (std / math.sqrt(n))
-    return float(2.0 * _special.stdtr(n - 1, -abs(t_stat)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_stat = (mean - popmean) / (std / math.sqrt(n))
+    p_values = 2.0 * _special.stdtr(n - 1, -np.abs(t_stat))
+    flat = np.abs(std) <= 1e-8  # np.isclose(std, 0.0)
+    for row in np.flatnonzero(flat):
+        p_values[row] = 1.0 if math.isclose(
+            mean[row], popmean[row], rel_tol=1e-9, abs_tol=1e-9
+        ) else 0.0
+    return p_values
 
 
 def shannon_entropy(symbols: Sequence) -> float:

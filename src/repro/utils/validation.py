@@ -46,11 +46,12 @@ def require_probability(value: float, name: str) -> None:
 
 def as_float_array(values: Iterable[float], name: str) -> np.ndarray:
     """Convert ``values`` to a 1-D float array, rejecting NaN and inf."""
-    array = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
-                       dtype=float)
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        values = list(values)
+    array = np.asarray(values, dtype=float)
     if array.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {array.shape}")
-    if array.size and not np.all(np.isfinite(array)):
+    if array.size and not np.isfinite(array).all():
         raise ValueError(f"{name} must not contain NaN or infinite values")
     return array
 

@@ -5,15 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import incremental
 from repro.core.incremental import (
+    DAY,
     IncrementalConfig,
+    IncrementalSpectralEngine,
     IncrementalSpectralState,
     IncrementalStateCache,
     IncrementalStateMismatch,
     bin_span,
+    bin_span_rows,
     screen_scales,
+    slide_states,
 )
 from repro.core.periodogram import power_spectrum
+from repro.core.permutation import ThresholdCache
 
 
 def _random_bins(rng, size):
@@ -100,7 +106,107 @@ class TestSlidingDftParity:
         np.testing.assert_array_equal(state.window[-3:], np.ones(3))
 
 
+class TestSlideStates:
+    """Sliding many states at once equals sliding each one alone."""
+
+    def _pair_of_copies(self, rng, count, n, config):
+        windows = [_random_bins(rng, n) for _ in range(count)]
+        return (
+            [IncrementalSpectralState(w.copy(), 7, config=config)
+             for w in windows],
+            [IncrementalSpectralState(w.copy(), 7, config=config)
+             for w in windows],
+        )
+
+    @pytest.mark.parametrize("refresh_every", [1, 3, 16])
+    def test_matches_one_state_appends(self, monkeypatch, refresh_every):
+        # A block of three rows splits the seven states unevenly.
+        n = 40
+        monkeypatch.setattr(incremental, "SLIDE_BLOCK", 3 * n)
+        rng = np.random.default_rng(4)
+        config = IncrementalConfig(refresh_every=refresh_every)
+        batched, alone = self._pair_of_copies(rng, 7, n, config)
+        for _ in range(5):
+            new = _random_bins(rng, 7 * 6).reshape(7, 6)
+            outcomes = slide_states(batched, new)
+            assert outcomes == [
+                state.append_bins(row) for state, row in zip(alone, new)
+            ]
+            for got, want in zip(batched, alone):
+                assert got.start_bin == want.start_bin
+                assert got.n_ones() == want.n_ones()
+                assert got.max_power() == want.max_power()
+                assert got.power_exact == want.power_exact
+                np.testing.assert_array_equal(got.window, want.window)
+                np.testing.assert_array_equal(got.power(), want.power())
+
+    def test_large_shift_falls_back_for_every_state(self):
+        rng = np.random.default_rng(5)
+        config = IncrementalConfig(max_drift_fraction=0.25)
+        states, _ = self._pair_of_copies(rng, 3, 40, config)
+        outcomes = slide_states(states, _random_bins(rng, 60).reshape(3, 20))
+        assert outcomes == ["fallback"] * 3
+        for state in states:
+            np.testing.assert_array_equal(
+                state.power(), power_spectrum(state.window)
+            )
+
+    def test_rejects_mixed_window_lengths(self):
+        states = [
+            IncrementalSpectralState(np.ones(16)),
+            IncrementalSpectralState(np.ones(20)),
+        ]
+        with pytest.raises(ValueError):
+            slide_states(states, np.zeros((2, 2)))
+
+
+class TestObserveMany:
+    def _pairs(self, rng, days):
+        pairs = []
+        for index in range(12):
+            if index % 4 == 0:
+                ts = np.arange(0.0, days * DAY, 7200.0 + 600.0 * index)
+            else:
+                ts = np.sort(rng.uniform(0.0, days * DAY, size=8 * days))
+            pairs.append((f"host-{index}", "dest.example", ts))
+        return pairs
+
+    def test_verdicts_do_not_depend_on_the_batch(self):
+        # Feeding the pairs of a tick together or one by one must give
+        # the same screen verdicts, on the rebuild tick and on slides.
+        rng = np.random.default_rng(6)
+        pairs = self._pairs(rng, days=9)
+        together = IncrementalSpectralEngine(
+            ThresholdCache(), time_scale=600.0
+        )
+        alone = IncrementalSpectralEngine(ThresholdCache(), time_scale=600.0)
+        for start_day in range(3):
+            for engine in (together, alone):
+                engine.begin_tick(start_day, start_day + 6)
+            batched = together.observe_many(pairs)
+            single = [alone.observe_many([pair])[0] for pair in pairs]
+            assert batched == single
+        assert together.slides == alone.slides > 0
+        assert together.rebuilds == alone.rebuilds == 12 * len(
+            together.rungs
+        )
+
+
 class TestBinSpan:
+    def test_rows_match_per_event_counts(self):
+        rng = np.random.default_rng(8)
+        series = [
+            rng.uniform(0.0, 3000.0, size=size) for size in (0, 5, 40, 1)
+        ]
+        rows = bin_span_rows(series, 60.0, 10, 45, binary=False)
+        for row, ts in zip(rows, series):
+            expected = np.zeros(35)
+            for t in ts:
+                slot = int(np.floor(t / 60.0)) - 10
+                if 0 <= slot < 35:
+                    expected[slot] += 1.0
+            np.testing.assert_array_equal(row, expected)
+
     def test_absolute_slots_are_window_independent(self):
         ts = np.array([10.0, 95.0, 210.0, 340.0])
         a = bin_span(ts, 60.0, 0, 8)

@@ -1,7 +1,10 @@
 """Unit tests for repro.core.pruning — the paper's step 2 filters."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 from repro.core.gmm import fit_gmm
 from repro.core.pruning import (
@@ -10,6 +13,7 @@ from repro.core.pruning import (
     prune_high_frequency,
     prune_sampling_rate,
     t_test_candidate,
+    t_test_candidates,
 )
 
 
@@ -91,6 +95,80 @@ class TestTTest:
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             t_test_candidate(10.0, [1.0, 2.0], alpha=2.0)
+
+
+def _reference_t_test(period, intervals, *, mixture, fold, tolerance):
+    """One period at a time, on 1-D arrays: the p-value the batched
+    t-tests must reproduce exactly (same arithmetic, same order)."""
+    ivals = np.asarray(intervals, dtype=float)
+    ivals = ivals[ivals > 0]
+    if mixture is not None and mixture.n_components > 1:
+        means = np.asarray([c.mean for c in mixture.components])
+        target = int(np.argmin(np.abs(means - period)))
+        member = ivals[mixture.assign(ivals) == target]
+        if member.size >= 2:
+            ivals = member
+    if fold:
+        ivals = fold_intervals(ivals, period)
+    mean = float(ivals.mean())
+    popmean = float(np.clip(mean, period - tolerance, period + tolerance))
+    std = float(ivals.std(ddof=1))
+    if np.isclose(std, 0.0):
+        return 1.0 if math.isclose(mean, popmean, rel_tol=1e-9,
+                                   abs_tol=1e-9) else 0.0
+    t_stat = (mean - popmean) / (std / math.sqrt(ivals.size))
+    return float(2.0 * special.stdtr(ivals.size - 1, -abs(t_stat)))
+
+
+class TestBatchedTTests:
+    """Testing several periods at once equals testing them one by one."""
+
+    PERIODS = [7.5, 7.0, 300.0, 3600.0, 10800.0, 10_000.0]
+    TOLERANCES = [0.5, 0.0, 2.0, 60.0, 0.0, 300.0]
+
+    def _intervals(self, rng):
+        return np.concatenate([
+            rng.normal(7.5, 0.3, size=300),
+            rng.normal(10800.0, 30.0, size=20),
+            np.zeros(5),
+        ])
+
+    @pytest.mark.parametrize("fold", [True, False])
+    @pytest.mark.parametrize("with_mixture", [True, False])
+    def test_matches_one_period_calls(self, rng, fold, with_mixture):
+        intervals = self._intervals(rng)
+        mixture = (
+            fit_gmm(intervals[intervals > 0], 2) if with_mixture else None
+        )
+        batched = t_test_candidates(
+            self.PERIODS, intervals, mixture=mixture, fold=fold,
+            tolerances=self.TOLERANCES,
+        )
+        single = [
+            t_test_candidate(
+                period, intervals, mixture=mixture, fold=fold,
+                tolerance=tolerance,
+            )
+            for period, tolerance in zip(self.PERIODS, self.TOLERANCES)
+        ]
+        assert batched == single
+        reference = [
+            _reference_t_test(
+                period, intervals, mixture=mixture, fold=fold,
+                tolerance=tolerance,
+            )
+            for period, tolerance in zip(self.PERIODS, self.TOLERANCES)
+        ]
+        assert [d.p_value for d in batched] == reference
+        assert [d.kept for d in batched] == [p >= 0.05 for p in reference]
+
+    def test_no_positive_intervals_prunes_every_period(self):
+        decisions = t_test_candidates([5.0, 10.0], [0.0, 0.0])
+        assert [d.kept for d in decisions] == [False, False]
+
+    def test_rejects_negative_tolerance(self):
+        with pytest.raises(ValueError):
+            t_test_candidates([5.0], [1.0, 2.0], tolerances=[-1.0])
 
 
 class TestSamplingRateFilter:

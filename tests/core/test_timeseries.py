@@ -255,6 +255,21 @@ class TestMergeRescaled:
         # bit-exact check on the interval tuples too.
         assert fused == composed
 
+    def test_skewed_event_counts_match_composed_path(self):
+        # One busy day among near-empty ones makes the padded row grid
+        # too sparse, so the per-summary cumsum path runs instead.
+        busy = self._days(seed=3, n_days=1)[0]
+        quiet = [
+            ActivitySummary.from_timestamps(
+                "mac1", "evil.com", [index * 86_400.0 + 5.0],
+                time_scale=60.0,
+            )
+            for index in range(1, 6)
+        ]
+        days = [busy] + quiet
+        composed = merge([rescale(s, 600.0) for s in days])
+        assert merge_rescaled(days, 600.0) == composed
+
     def test_out_workspace_is_reused_and_result_unchanged(self):
         days = self._days(seed=1)
         workspace = np.empty(1024)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.utils.stats import (
     gzip_compression_ratio,
     one_sample_t_test,
+    one_sample_t_tests,
     percentile_threshold,
     shannon_entropy,
 )
@@ -36,6 +37,40 @@ class TestOneSampleTTest:
 
     def test_empty_is_inconclusive(self):
         assert one_sample_t_test([], 1.0) == 1.0
+
+
+class TestOneSampleTTests:
+    def test_rows_do_not_depend_on_each_other(self, rng):
+        rows = rng.normal(100.0, 5.0, size=(6, 300))
+        rows[2] = 7.0  # zero variance, mean matches its null below
+        rows[3] = 7.0  # zero variance, mean does not
+        popmeans = [100.0, 90.0, 7.0, 8.0, 100.5, 101.0]
+        together = one_sample_t_tests(rows, popmeans)
+        for row, popmean, p_value in zip(rows, popmeans, together):
+            alone = one_sample_t_tests(row[np.newaxis, :], [popmean])[0]
+            assert alone == p_value
+        assert together[2] == 1.0 and together[3] == 0.0
+
+    def test_matches_scipy(self, rng):
+        from scipy import stats
+
+        rows = rng.normal(50.0, 3.0, size=(4, 40))
+        popmeans = [50.0, 49.0, 51.5, 45.0]
+        expected = [
+            stats.ttest_1samp(row, popmean).pvalue
+            for row, popmean in zip(rows, popmeans)
+        ]
+        np.testing.assert_allclose(
+            one_sample_t_tests(rows, popmeans), expected, rtol=1e-9
+        )
+
+    def test_fewer_than_two_columns_are_inconclusive(self):
+        result = one_sample_t_tests(np.ones((3, 1)), [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(result, np.ones(3))
+
+    def test_rejects_misaligned_means(self):
+        with pytest.raises(ValueError):
+            one_sample_t_tests(np.ones((3, 4)), [1.0, 2.0])
 
 
 class TestShannonEntropy:
