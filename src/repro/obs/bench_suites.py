@@ -34,6 +34,8 @@ Seven suites cover the pipeline's cost structure:
   ``peak_tracemalloc_kb`` probe must stay near-flat as the record count
   quadruples — the sub-linear-memory guarantee of the streaming path —
   while the columnar fold must hold a ≥10x events/sec lead over it.
+  ``ingest.columnar_parse_4x`` puts the TSV parser in front of the
+  columnar fold: the whole phase-A path a backfill pays per log.
 
 Workloads are deterministic (fixed seeds) and sized so the micro suite
 finishes in seconds — small enough for a CI smoke job, large enough
@@ -311,14 +313,29 @@ def build_ingestion_suite() -> List[Benchmark]:
       summaries, so events/sec here is the data-plane speedup — the
       tentpole gate compares ``columnar_fold_4x`` against
       ``records_to_summaries_4x``.
+    - ``ingest.columnar_parse_4x`` — the 4x events as a TSV log, written
+      once at build time, parsed by
+      :func:`~repro.sources.columnar.read_log_chunks` and folded: the
+      columnar plane's parse, intern and fold cost end to end.
     """
-    from repro.sources.columnar import records_to_chunks, summaries_from_chunks
-    from repro.sources.proxy import records_to_summaries
+    import shutil
+    import tempfile
+    from pathlib import Path
+
+    from repro.sources.columnar import (
+        read_log_chunks,
+        records_to_chunks,
+        summaries_from_chunks,
+    )
+    from repro.sources.proxy import records_to_summaries, write_log
 
     base = _ingestion_records(1)
     scaled = _ingestion_records(4)
     base_chunks = list(records_to_chunks(base))
     scaled_chunks = list(records_to_chunks(scaled))
+    log_dir = tempfile.mkdtemp(prefix="repro-bench-ingestion-")
+    scaled_log = Path(log_dir) / "scaled.tsv"
+    write_log(scaled, scaled_log)
 
     def run_1x() -> int:
         records_to_summaries(iter(base))
@@ -336,11 +353,20 @@ def build_ingestion_suite() -> List[Benchmark]:
         summaries_from_chunks(scaled_chunks)
         return len(scaled)
 
+    def run_parse_4x() -> int:
+        summaries_from_chunks(read_log_chunks(scaled_log))
+        return len(scaled)
+
     return [
         Benchmark("ingest.records_to_summaries_1x", run_1x),
         Benchmark("ingest.records_to_summaries_4x", run_4x),
         Benchmark("ingest.columnar_fold_1x", run_columnar_1x),
         Benchmark("ingest.columnar_fold_4x", run_columnar_4x),
+        Benchmark(
+            "ingest.columnar_parse_4x",
+            run_parse_4x,
+            cleanup=lambda: shutil.rmtree(log_dir, ignore_errors=True),
+        ),
     ]
 
 

@@ -7,7 +7,11 @@ one Python object per log line.  This module provides the columnar
 alternative to :mod:`repro.sources.proxy`'s object path:
 
 - :class:`StringTable` — append-only string interning, so endpoint and
-  URL columns are small integer ids instead of repeated strings,
+  URL columns are small integer ids instead of repeated strings.  A
+  column is interned by hashing: one ``set`` pass finds the strings
+  not seen before, which take the next ids in sorted order, and one
+  ``fromiter`` pass maps the column to ids; strings are never sorted
+  en masse or copied into fixed-width arrays,
 - :class:`RecordChunk` — a bounded slice of the log as one numpy
   structured array (``timestamp/f8`` plus ``i4`` ids into the chunk's
   :class:`ColumnTables`),
@@ -16,16 +20,20 @@ alternative to :mod:`repro.sources.proxy`'s object path:
   format, object records, and chunks,
 - :class:`ColumnarAccumulator` / :func:`summaries_from_chunks` — the
   vectorized per-pair fold: whole chunks are grouped with one
-  ``argsort`` and per-pair slot histograms are built with
-  ``np.unique``/``searchsorted``-style run-length passes instead of a
-  Python-level loop per event.
+  ``argsort`` and per-pair slot histograms are built with run-length
+  passes instead of a Python-level loop per event.  Each pair's URL
+  sample is held as ``(timestamp, url id)`` arrays in arrival order
+  and only its at most ``max_urls_per_pair`` survivors are decoded to
+  strings, once per pair.
 
 The columnar fold is **bit-identical** to the streaming object path
 (:class:`~repro.sources.proxy.SummaryAccumulator`): timestamps quantize
 through the same float64 expressions, per-slot counts merge to the same
-histograms, and the capped URL sample keeps the same earliest-k
-``(timestamp, arrival)`` observations.  ``tests/sources/test_columnar.py``
-and the 4-way parity suite enforce this.
+histograms, the capped URL sample keeps the same earliest-k
+``(timestamp, arrival)`` observations, and a timestamp that has no
+int64 time slot raises the same :class:`ValueError`.
+``tests/sources/test_columnar.py`` and the 4-way parity suite enforce
+this.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from repro.core.timeseries import ActivitySummary
-from repro.sources.proxy import PairConfig, ProxyLogRecord
+from repro.sources.proxy import PairConfig, ProxyLogRecord, slot_column
 from repro.utils.validation import require, require_positive
 
 __all__ = [
@@ -99,27 +107,24 @@ class StringTable:
             self._values.append(value)
         return ident
 
-    def intern_many(self, values: Iterable[str]) -> np.ndarray:
-        """Intern a column of strings; returns their ids as ``i4``."""
-        intern = self.intern
-        return np.fromiter(
-            (intern(value) for value in values), dtype=np.int32
-        )
-
     def intern_column(self, values: Sequence[str]) -> np.ndarray:
-        """Intern a materialized column; Python work is O(distinct).
+        """Intern a materialized column; returns its ids as ``i4``.
 
-        ``np.unique`` collapses the column at C speed, only the distinct
-        values pass through the Python-level dict, and a small lookup
-        table fans the ids back out — the workhorse of the columnar TSV
-        parser, where a 64k-row batch typically holds a few hundred
-        distinct endpoints.
+        The column is hashed, not sorted or copied into a numpy string
+        array: its distinct values not yet in the table take the next
+        ids in sorted order, then one ``fromiter`` pass looks up every
+        row's id.  Only the new values are sorted — a 64k-row batch of
+        the TSV parser typically adds a few hundred endpoints — and ids
+        depend on the columns a table has seen, not on the row order
+        within a column.
         """
-        uniques, inverse = np.unique(np.asarray(values), return_inverse=True)
-        lut = np.empty(len(uniques), dtype=np.int32)
-        for index, value in enumerate(uniques.tolist()):
-            lut[index] = self.intern(value)
-        return lut[inverse]
+        for value in sorted(set(values).difference(self._ids)):
+            self.intern(value)
+        return np.fromiter(
+            map(self._ids.__getitem__, values),
+            dtype=np.int32,
+            count=len(values),
+        )
 
     def decode(self, ids: np.ndarray) -> List[str]:
         """The strings behind an id array, in order."""
@@ -317,16 +322,25 @@ def _chunk_from_fields(
 
 
 class _ColumnarPairState:
-    """One pair's slot histogram and URL sample, as packed arrays."""
+    """One pair's slot histogram and URL sample, as packed arrays.
 
-    __slots__ = ("slots", "counts", "url_ts", "url_seq", "urls", "max_urls")
+    The URL sample is ``(timestamp, url id)`` arrays in (timestamp,
+    arrival) order; arrival order is array order, which stable sorts
+    keep, so no arrival index is stored.  The ids index ``url_table``,
+    the URL :class:`StringTable` of the chunks that supplied them, and
+    are decoded once, in :meth:`finalize`.
+    """
+
+    __slots__ = (
+        "slots", "counts", "url_ts", "url_ids", "url_table", "max_urls",
+    )
 
     def __init__(self, max_urls: int) -> None:
         self.slots = np.empty(0, dtype=np.int64)
         self.counts = np.empty(0, dtype=np.int64)
         self.url_ts = np.empty(0, dtype=np.float64)
-        self.url_seq = np.empty(0, dtype=np.int64)
-        self.urls: List[str] = []
+        self.url_ids = np.empty(0, dtype=np.int32)
+        self.url_table: Optional[StringTable] = None
         self.max_urls = max_urls
 
     def merge_counts(self, slots: np.ndarray, counts: np.ndarray) -> None:
@@ -353,18 +367,38 @@ class _ColumnarPairState:
         self.counts = np.add.reduceat(weights, starts)
 
     def merge_urls(
-        self, ts: np.ndarray, seq: np.ndarray, urls: List[str]
+        self, ts: np.ndarray, ids: np.ndarray, table: StringTable
     ) -> None:
-        """Keep the ``max_urls`` earliest (timestamp, arrival) URLs."""
-        if self.max_urls <= 0 or not urls:
+        """Keep the ``max_urls`` earliest (timestamp, arrival) URLs.
+
+        ``ts``/``ids`` must be in (timestamp, arrival) order, with
+        arrivals later than any already merged.
+        """
+        if self.url_table is None:
+            self.url_table = table
+        elif table is not self.url_table:
+            # A chunk interned against other tables: re-key both samples
+            # into a table of their own (at most 2 * max_urls strings).
+            own = StringTable()
+            self.url_ids = own.intern_column(
+                self.url_table.decode(self.url_ids)
+            )
+            ids = own.intern_column(table.decode(ids))
+            self.url_table = own
+        room = self.max_urls - self.url_ts.size
+        if not self.url_ts.size or ts[0] >= self.url_ts[-1]:
+            # Every new row sorts after the sample (always so in a
+            # time-ordered stream): at most ``room`` of them join it.
+            if room > 0:
+                self.url_ts = np.concatenate([self.url_ts, ts[:room]])
+                self.url_ids = np.concatenate([self.url_ids, ids[:room]])
             return
         all_ts = np.concatenate([self.url_ts, ts])
-        all_seq = np.concatenate([self.url_seq, seq])
-        all_urls = self.urls + urls
-        keep = np.lexsort((all_seq, all_ts))[: self.max_urls]
+        all_ids = np.concatenate([self.url_ids, ids])
+        # Equal timestamps stay in array order, which is arrival order.
+        keep = np.argsort(all_ts, kind="stable")[: self.max_urls]
         self.url_ts = all_ts[keep]
-        self.url_seq = all_seq[keep]
-        self.urls = [all_urls[int(i)] for i in keep]
+        self.url_ids = all_ids[keep]
 
     def finalize(
         self, source: str, destination: str, time_scale: float
@@ -374,14 +408,14 @@ class _ColumnarPairState:
         quantized = np.repeat(
             self.slots.astype(float) * time_scale, self.counts
         )
-        order = np.lexsort((self.url_seq, self.url_ts))
+        table = self.url_table
         return ActivitySummary(
             source=source,
             destination=destination,
             time_scale=time_scale,
             first_timestamp=float(quantized[0]),
             intervals=np.diff(quantized),
-            urls=tuple(self.urls[i] for i in order.tolist()),
+            urls=() if table is None else tuple(table.decode(self.url_ids)),
         )
 
 
@@ -417,7 +451,6 @@ class ColumnarAccumulator:
         self.pair_config = pair_config
         self._max_urls = max_urls_per_pair if keep_urls else 0
         self._pairs: Dict[Tuple[str, str], _ColumnarPairState] = {}
-        self._sequence = 0
         # domain-id -> registered-domain string, memoized per (table
         # identity, consumed length) so entity aggregation stays
         # vectorizable: the mapping array simply extends as the stream's
@@ -466,9 +499,7 @@ class ColumnarAccumulator:
         ts = chunk.data["timestamp"]
         src_ids, src_table = self._source_column(chunk)
         dst_ids, dst_decode = self._destination_column(chunk)
-        slots = np.floor(ts / self.time_scale).astype(np.int64)
-        seq = self._sequence + np.arange(n, dtype=np.int64)
-        self._sequence += n
+        slots = slot_column(ts, self.time_scale)
 
         # Order the chunk by (pair, slot); run-length boundaries then
         # give every pair's slot histogram as a slice — no per-group
@@ -484,11 +515,12 @@ class ColumnarAccumulator:
             url_order = order
         else:
             order = np.lexsort((slots, keys))
-            # By (pair, timestamp, arrival), so each group's earliest-k
-            # URL sample is its leading slice; group boundaries
-            # coincide with the histogram ordering's (both sort
-            # primarily by key).
-            url_order = np.lexsort((seq, ts, keys)) if max_urls > 0 else order
+            # By (pair, timestamp, arrival) — lexsort is stable, so
+            # equal timestamps keep arrival order — and each group's
+            # earliest-k URL sample is its leading slice; group
+            # boundaries coincide with the histogram ordering's (both
+            # sort primarily by key).
+            url_order = np.lexsort((ts, keys)) if max_urls > 0 else order
         sorted_keys = keys[order]
         sorted_slots = slots[order]
         key_break = sorted_keys[1:] != sorted_keys[:-1]
@@ -504,12 +536,24 @@ class ColumnarAccumulator:
         # Each group's runs are a contiguous range of run_starts, and
         # every group start is itself a run start.
         group_runs = np.searchsorted(run_starts, group_starts)
-        run_bounds = np.append(group_runs, len(run_starts))
-
-        url_ids = chunk.data["url"]
+        run_bounds = np.append(group_runs, len(run_starts)).tolist()
+        if max_urls > 0:
+            # Every group's earliest-k URL candidates, gathered for the
+            # whole chunk at once so each pair takes a slice: candidate
+            # j of a group sits j places after the group's start.
+            takes = np.minimum(np.diff(group_bounds), max_urls)
+            pick_bounds = np.concatenate(([0], np.cumsum(takes)))
+            pick = url_order[
+                np.arange(pick_bounds[-1])
+                + np.repeat(group_starts - pick_bounds[:-1], takes)
+            ]
+            pick_ts = ts[pick]
+            pick_ids = chunk.data["url"][pick]
+            pick_bounds = pick_bounds.tolist()
         url_table = chunk.tables.urls
-        for index in range(len(group_starts)):
-            key_value = int(sorted_keys[group_starts[index]])
+
+        group_keys = sorted_keys[group_starts].tolist()
+        for index, key_value in enumerate(group_keys):
             pair = (
                 src_table[key_value >> 32],
                 dst_decode[key_value & 0xFFFFFFFF],
@@ -520,12 +564,8 @@ class ColumnarAccumulator:
             runs = slice(run_bounds[index], run_bounds[index + 1])
             state.merge_counts(run_slots[runs], run_counts[runs])
             if max_urls > 0:
-                begin = group_bounds[index]
-                end = min(begin + max_urls, group_bounds[index + 1])
-                pick = url_order[begin:end]
-                state.merge_urls(
-                    ts[pick], seq[pick], url_table.decode(url_ids[pick])
-                )
+                urls = slice(pick_bounds[index], pick_bounds[index + 1])
+                state.merge_urls(pick_ts[urls], pick_ids[urls], url_table)
 
     def summaries(self) -> List[ActivitySummary]:
         """Finalize every pair, ordered deterministically by pair."""

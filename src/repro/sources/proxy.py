@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import gzip
 import heapq
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
@@ -40,6 +41,8 @@ __all__ = [
     "SummaryAccumulator",
     "read_log",
     "records_to_summaries",
+    "slot_column",
+    "slot_index",
     "summary_from_observations",
     "write_log",
 ]
@@ -136,6 +139,52 @@ class ProxyLogRecord:
             status=int(parts[5]),
             bytes_sent=int(parts[6]),
         )
+
+
+# Time-slot indices are int64 on both data planes:
+# ``_SLOT_MIN <= slot < _SLOT_END``.
+_SLOT_MIN = -(2**63)
+_SLOT_END = 2**63
+
+
+def _timestamp_error(timestamp: float, time_scale: float) -> ValueError:
+    """The error for a timestamp that has no int64 time slot."""
+    timestamp = float(timestamp)
+    if not math.isfinite(timestamp):
+        return ValueError(f"timestamp {timestamp!r} is not finite")
+    return ValueError(
+        f"timestamp {timestamp!r} is out of range: its slot at "
+        f"time_scale {float(time_scale)!r} does not fit int64"
+    )
+
+
+def slot_index(timestamp: float, time_scale: float) -> int:
+    """The time slot ``floor(timestamp / time_scale)`` of one event.
+
+    Raises :class:`ValueError` naming ``timestamp`` when it is not
+    finite or its slot does not fit int64.
+    """
+    try:
+        slot = math.floor(timestamp / time_scale)
+    except (OverflowError, ValueError):
+        raise _timestamp_error(timestamp, time_scale) from None
+    if not _SLOT_MIN <= slot < _SLOT_END:
+        raise _timestamp_error(timestamp, time_scale)
+    return slot
+
+
+def slot_column(timestamps: np.ndarray, time_scale: float) -> np.ndarray:
+    """:func:`slot_index` of every timestamp in a column, as int64.
+
+    The first timestamp without an int64 slot raises the error
+    :func:`slot_index` raises for it.
+    """
+    slots = np.floor(timestamps / time_scale)
+    # min and max propagate NaN, so two reductions screen the column.
+    if slots.size and not (slots.min() >= _SLOT_MIN and slots.max() < _SLOT_END):
+        fits = (slots >= _SLOT_MIN) & (slots < _SLOT_END)
+        raise _timestamp_error(timestamps[np.argmin(fits)], time_scale)
+    return slots.astype(np.int64)
 
 
 def write_log(
@@ -285,7 +334,7 @@ class SummaryAccumulator:
         state = self._pairs.get(key)
         if state is None:
             state = self._pairs[key] = _PairState(self._max_urls)
-        slot = int(np.floor(timestamp / self.time_scale))
+        slot = slot_index(timestamp, self.time_scale)
         state.observe(slot, timestamp, self._sequence, url)
         self._sequence += 1
 
@@ -355,7 +404,8 @@ def summary_from_observations(
     """
     state = _PairState(max_urls)
     for timestamp, sequence, url in observations:
-        slot = int(np.floor(timestamp / time_scale))
-        state.observe(slot, timestamp, sequence, url)
+        state.observe(
+            slot_index(timestamp, time_scale), timestamp, sequence, url
+        )
     require(state.bins, "observations must not be empty")
     return state.finalize(source, destination, time_scale)

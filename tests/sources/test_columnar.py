@@ -6,8 +6,13 @@ summaries the per-record object path produces — same intervals, same
 first timestamps, same URL samples, same ordering.
 """
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sources.columnar import (
     ColumnTables,
@@ -22,7 +27,10 @@ from repro.sources.columnar import (
 from repro.sources.proxy import (
     PairConfig,
     ProxyLogRecord,
+    read_log,
     records_to_summaries,
+    slot_column,
+    summary_from_observations,
     write_log,
 )
 
@@ -69,8 +77,76 @@ class TestStringTable:
 
     def test_decode_roundtrip(self):
         table = StringTable()
-        ids = table.intern_many(["x", "y", "x"])
-        assert table.decode(np.asarray(ids)) == ["x", "y", "x"]
+        ids = table.intern_column(["x", "y", "x"])
+        assert table.decode(ids) == ["x", "y", "x"]
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            pytest.param([["b", "a", "b", "c"], ["b", "a", "b", "c"]],
+                         id="repeated"),
+            pytest.param([["m", "c", "x", "c"], ["x", "a", "m", "z", "c", "a"]],
+                         id="warm-new-and-known"),
+            pytest.param([[], ["q", "p"], []], id="empty"),
+            pytest.param([["é", "e", "日本", "ß", "z", "Ω", "é"], ["ü", "Ω", "€"]],
+                         id="non-ascii"),
+        ],
+    )
+    def test_intern_column_matches_unique_oracle(self, columns):
+        table = StringTable()
+        oracle: list = []
+        for column in columns:
+            ids = table.intern_column(column)
+            assert ids.dtype == np.int32
+            np.testing.assert_array_equal(ids, unique_intern(oracle, column))
+            assert table.values == oracle
+            assert table.decode(ids) == column
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        columns=st.lists(
+            st.lists(
+                st.text(
+                    st.characters(exclude_characters="\x00"), max_size=4
+                ),
+                max_size=12,
+            ),
+            max_size=4,
+        )
+    )
+    def test_intern_column_matches_unique_oracle_on_any_text(self, columns):
+        # The oracle's fixed-width numpy strings drop trailing NULs
+        # (test_trailing_nul_is_its_own_string), so NUL is left out.
+        table = StringTable()
+        oracle: list = []
+        for column in columns:
+            ids = table.intern_column(column)
+            np.testing.assert_array_equal(ids, unique_intern(oracle, column))
+        assert table.values == oracle
+
+    def test_trailing_nul_is_its_own_string(self):
+        table = StringTable()
+        ids = table.intern_column(["/x\x00", "/x"])
+        assert ids[0] != ids[1]
+        assert table.decode(ids) == ["/x\x00", "/x"]
+
+
+def unique_intern(values, column):
+    """The sort-based interning oracle: ``np.unique``, then a lookup table.
+
+    ``values`` is the oracle table's id -> string list, extended in
+    place; the distinct strings of ``column`` not in it yet are appended
+    in ``np.unique``'s sorted order.
+    """
+    ids = {value: index for index, value in enumerate(values)}
+    uniques, inverse = np.unique(np.asarray(column), return_inverse=True)
+    lut = np.empty(len(uniques), dtype=np.int32)
+    for index, value in enumerate(uniques.tolist()):
+        if value not in ids:
+            ids[value] = len(values)
+            values.append(value)
+        lut[index] = ids[value]
+    return lut[inverse]
 
 
 class TestChunkRoundtrip:
@@ -160,6 +236,175 @@ class TestFoldParity:
 
     def test_empty_stream(self):
         assert summaries_from_chunks([]) == []
+
+    @pytest.mark.parametrize("sorted_times", [True, False])
+    @pytest.mark.parametrize("max_urls", [3, 64])
+    def test_stream_mixing_two_column_tables(self, sorted_times, max_urls):
+        # Alternate chunks interned against two ColumnTables: equal
+        # strings carry different ids, so pairs and URL samples must be
+        # matched by string, not id.
+        records = make_records(1200, sorted_times=sorted_times)
+        tables = (ColumnTables(), ColumnTables())
+        chunks = [
+            RecordChunk.from_records(
+                records[start:start + 100], tables=tables[start // 100 % 2]
+            )
+            for start in range(0, len(records), 100)
+        ]
+        expected = records_to_summaries(records, max_urls_per_pair=max_urls)
+        actual = summaries_from_chunks(chunks, max_urls_per_pair=max_urls)
+        assert actual == expected
+
+    @pytest.mark.parametrize("sorted_times", [True, False])
+    @pytest.mark.parametrize("chunk_size", [1, 7])
+    @pytest.mark.parametrize("max_urls", [1, 3])
+    def test_small_url_caps_across_chunk_sizes(
+        self, max_urls, chunk_size, sorted_times
+    ):
+        # Timestamps rounded to whole minutes tie often, so arrival
+        # order decides which URLs a capped sample keeps.
+        records = [
+            dataclasses.replace(r, timestamp=float(r.timestamp // 60 * 60))
+            for r in make_records(300, sorted_times=sorted_times)
+        ]
+        expected = records_to_summaries(records, max_urls_per_pair=max_urls)
+        actual = summaries_from_chunks(
+            records_to_chunks(records, chunk_size=chunk_size),
+            max_urls_per_pair=max_urls,
+        )
+        assert actual == expected
+
+    def test_long_runs_of_tied_timestamps_keep_arrival_order(self):
+        # One pair, three distinct timestamps, out of order: every
+        # chunk after the first merges into a full 64-URL sample along
+        # runs of ties that only arrival order breaks.
+        times = np.random.default_rng(5).choice([0.0, 60.0, 120.0], size=600)
+        records = [
+            ProxyLogRecord(float(ts), "aa:bb", "10.0.0.1", "c2.example.net",
+                           f"/u{index}")
+            for index, ts in enumerate(times)
+        ]
+        expected = records_to_summaries(records, max_urls_per_pair=64)
+        actual = summaries_from_chunks(
+            records_to_chunks(records, chunk_size=50), max_urls_per_pair=64
+        )
+        assert actual == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.integers(0, 40), st.integers(0, 2), st.integers(0, 2),
+                st.integers(0, 5),
+            ),
+            min_size=1,
+            max_size=50,
+        ),
+        chunk_size=st.integers(1, 9),
+        max_urls=st.integers(0, 4),
+        two_tables=st.booleans(),
+    )
+    def test_any_stream_folds_like_the_record_path(
+        self, events, chunk_size, max_urls, two_tables
+    ):
+        # Few distinct whole-second timestamps: ties, out-of-order
+        # arrivals and shared 10 s slots are common.
+        records = [
+            ProxyLogRecord(
+                float(ts), f"m{src}", "10.0.0.1", f"d{dst}.example", f"/u{url}"
+            )
+            for ts, src, dst, url in events
+        ]
+        tables = (ColumnTables(), ColumnTables())
+        chunks = [
+            RecordChunk.from_records(
+                records[start:start + chunk_size],
+                tables=tables[start // chunk_size % 2 if two_tables else 0],
+            )
+            for start in range(0, len(records), chunk_size)
+        ]
+        config = {"time_scale": 10.0, "max_urls_per_pair": max_urls}
+        expected = records_to_summaries(records, **config)
+        assert summaries_from_chunks(chunks, **config) == expected
+
+    def test_trailing_nul_survives_the_columnar_parse(self, tmp_path):
+        records = [
+            ProxyLogRecord(float(ts), mac, "10.0.0.1", host, url)
+            for ts, mac, host, url in [
+                (0, "aa:bb\x00", "c2.example.net", "/x\x00"),
+                (60, "aa:bb", "c2.example.net", "/x"),
+                (120, "aa:bb\x00", "c2.example.net", "/x"),
+                (180, "aa:bb", "c2.example.net\x00", "/x\x00"),
+                (240, "aa:bb", "c2.example.net", "/x\x00"),
+            ]
+        ]
+        path = tmp_path / "log.tsv"
+        write_log(records, path)
+        expected = records_to_summaries(read_log(path))
+        assert [(s.source, s.destination) for s in expected] == [
+            ("aa:bb", "c2.example.net"),
+            ("aa:bb", "c2.example.net\x00"),
+            ("aa:bb\x00", "c2.example.net"),
+        ]
+        assert summaries_from_chunks(read_log_chunks(path)) == expected
+
+
+class TestHostileTimestamps:
+    """Both planes reject a timestamp without an int64 slot alike."""
+
+    @staticmethod
+    def write(tmp_path, timestamps):
+        path = tmp_path / "log.tsv"
+        path.write_text(
+            "".join(
+                f"{ts}\taa:bb\t10.0.0.1\tc2.example.net\t/x\t200\t0\n"
+                for ts in timestamps
+            )
+        )
+        return path
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("nan", "timestamp nan is not finite"),
+            ("inf", "timestamp inf is not finite"),
+            ("-inf", "timestamp -inf is not finite"),
+            ("1e300", "timestamp 1e+300 is out of range"),
+        ],
+    )
+    def test_both_planes_raise_the_same_error(self, tmp_path, value, message):
+        path = self.write(tmp_path, ["10.0", "20.0", value, "30.0"])
+        with pytest.raises(ValueError, match=re.escape(message)) as record_plane:
+            records_to_summaries(read_log(path))
+        with pytest.raises(ValueError, match=re.escape(message)) as columnar_plane:
+            summaries_from_chunks(read_log_chunks(path, chunk_size=3))
+        assert str(columnar_plane.value) == str(record_plane.value)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            summary_from_observations(
+                "aa:bb", "c2.example.net", [(float(value), 0, "/x")]
+            )
+
+    def test_slot_overflow_depends_on_the_time_scale(self, tmp_path):
+        path = self.write(tmp_path, ["1e10"])
+        message = "its slot at time_scale 1e-10 does not fit int64"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            records_to_summaries(read_log(path), time_scale=1e-10)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            summaries_from_chunks(read_log_chunks(path), time_scale=1e-10)
+        assert summaries_from_chunks(read_log_chunks(path)) == (
+            records_to_summaries(read_log(path))
+        )
+
+    def test_slot_column_of_an_empty_column(self):
+        slots = slot_column(np.empty(0), 60.0)
+        assert slots.dtype == np.int64 and slots.size == 0
+
+    def test_negative_timestamps_are_accepted(self, tmp_path):
+        path = self.write(tmp_path, ["-90.5", "-30.25", "0.0", "45.0"])
+        expected = records_to_summaries(read_log(path), time_scale=60.0)
+        assert expected[0].first_timestamp == -120.0
+        actual = summaries_from_chunks(read_log_chunks(path), time_scale=60.0)
+        assert actual == expected
 
 
 class TestRecordChunk:
