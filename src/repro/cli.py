@@ -70,7 +70,8 @@ from repro.obs import (
     write_telemetry,
 )
 from repro.synthetic.enterprise import EnterpriseConfig, EnterpriseSimulator
-from repro.sources.proxy import read_log, write_log
+from repro.sources.columnar import read_log_chunks
+from repro.sources.proxy import LogFormatError, write_log
 
 logger = logging.getLogger(__name__)
 
@@ -132,12 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--telemetry", type=Path, default=None, metavar="DIR",
         help="collect run telemetry and write report.txt/metrics.jsonl/"
              "metrics.prom into DIR",
-    )
-    pipe.add_argument(
-        "--columnar", action="store_true",
-        help="ingest the log through the columnar chunk parser and "
-             "vectorized fold instead of per-record objects (reports "
-             "are identical either way; markedly faster on large logs)",
     )
     _add_provenance_options(pipe)
 
@@ -222,12 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--status-linger", type=float, default=0.0, metavar="SECONDS",
         help="keep the status service up this long after the run ends "
              "(lets pollers observe the final state)",
-    )
-    runp.add_argument(
-        "--columnar", action="store_true",
-        help="ingest the log through the columnar chunk parser and "
-             "vectorized fold instead of per-record objects (reports "
-             "and checkpoints are identical either way)",
     )
     runp.add_argument(
         "--shared-memory", action="store_true",
@@ -505,15 +494,14 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         ranking_percentile=args.percentile,
         provenance=_provenance_policy(args),
     )
-    if args.columnar:
-        from repro.sources.columnar import read_log_chunks
-
-        chunks = read_log_chunks(args.input)
-        run = lambda: BaywatchPipeline(config).run_chunks(chunks)  # noqa: E731
-    else:
-        records = read_log(args.input)
-        run = lambda: BaywatchPipeline(config).run_records(records)  # noqa: E731
-    report, telemetry_dir = _run_instrumented(args.telemetry, run)
+    chunks = read_log_chunks(args.input)
+    try:
+        report, telemetry_dir = _run_instrumented(
+            args.telemetry, lambda: BaywatchPipeline(config).run_chunks(chunks)
+        )
+    except LogFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.provenance is not None:
         _write_provenance_dir(args.provenance, report)
     print(report.funnel.as_text())
@@ -620,13 +608,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             journal_dir=journal_home,
         )
         with engine:
-            if args.columnar:
-                from repro.sources.columnar import read_log_chunks
-
-                return runner.run_chunks_sharded(
-                    read_log_chunks(args.input), **sharded_kwargs
-                )
-            return runner.run_sharded(read_log(args.input), **sharded_kwargs)
+            return runner.run_chunks_sharded(
+                read_log_chunks(args.input), **sharded_kwargs
+            )
 
     telemetry_dir: Optional[Path] = None
     try:
@@ -641,7 +625,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except IncompleteRunError as exc:
         print(f"run incomplete: {exc}")
         return 3
-    except CheckpointMismatch as exc:
+    except (CheckpointMismatch, LogFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -683,14 +667,18 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_report
 
-    records = read_log(args.input)
+    chunks = read_log_chunks(args.input)
     config = PipelineConfig(
         local_whitelist_threshold=args.tau_p,
         ranking_percentile=args.percentile,
     )
-    pipeline_report, telemetry_dir = _run_instrumented(
-        args.telemetry, lambda: BaywatchPipeline(config).run_records(records)
-    )
+    try:
+        pipeline_report, telemetry_dir = _run_instrumented(
+            args.telemetry, lambda: BaywatchPipeline(config).run_chunks(chunks)
+        )
+    except LogFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     text = render_report(pipeline_report, max_cases=args.max_cases)
     if args.output is not None:
         args.output.write_text(text, encoding="utf-8")

@@ -215,9 +215,10 @@ class BaywatchPipeline:
     accumulates reported destinations, so a destination reported
     yesterday is suppressed (but logged) today.  It composes the shared
     :mod:`repro.stages` objects with an in-process detection executor;
-    record ingestion streams through
-    :func:`repro.sources.proxy.records_to_summaries`, so ``records``
-    may be a lazy iterator of any size.
+    ingestion folds chunk by chunk through
+    :func:`repro.sources.columnar.summaries_from_chunks` (records via
+    :func:`repro.sources.proxy.records_to_summaries`), so ``records``
+    or ``chunks`` may be a lazy iterator of any size.
     """
 
     def __init__(
@@ -289,13 +290,13 @@ class BaywatchPipeline:
     def run_chunks(self, chunks: Iterable[Any]) -> PipelineReport:
         """Run the pipeline on columnar record chunks.
 
-        The zero-copy counterpart of :meth:`run_records`:
         :class:`~repro.sources.columnar.RecordChunk` batches (e.g. from
-        :func:`~repro.sources.columnar.read_log_chunks`) fold into
-        summaries through the vectorized accumulator, producing a
-        report bit-identical to the per-record path over the same
-        events.
+        :func:`~repro.sources.columnar.read_log_chunks`) fold straight
+        into summaries; the report equals :meth:`run_records`'s over
+        the same events.
         """
+        # Looked up at call time, so a wrapper installed on the module
+        # attribute (a layer trace) sees the fold.
         from repro.sources.columnar import summaries_from_chunks
 
         with span("chunks_to_summaries"):

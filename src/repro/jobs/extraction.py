@@ -6,11 +6,12 @@ is the input line number, preserving arrival order across the
 shuffle); the engine's hash partitioner plays the role of the paper's
 ``H(s, d)``.
 
-REDUCE: one pair's observations fold into an
+REDUCE: one pair's observations become an
 :class:`~repro.core.timeseries.ActivitySummary` via
-:func:`repro.sources.proxy.summary_from_observations` — the same
-grouping the in-process streaming ingestion uses, so both front ends
-see bit-identical summaries (capped URL sample included).
+:func:`repro.sources.proxy.summary_from_observations`: a stable sort by
+``(timestamp, sequence)``, then the fold's slot rule and quantization,
+so the summaries (capped URL sample included) are bit-identical to the
+columnar fold's over the same records.
 """
 
 from __future__ import annotations

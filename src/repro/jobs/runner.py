@@ -746,29 +746,25 @@ class BaywatchRunner:
 
         See :meth:`run_summaries_sharded` for the sharding, checkpoint,
         resume, and telemetry (``run_id`` / ``journal_dir``) semantics.
-        Ingestion streams the records through
+        Ingestion folds the records through
         :func:`repro.sources.proxy.records_to_summaries` (``records``
         may be a lazy iterator); extraction and rescaling are cheap and
         deterministic, so a resumed run simply recomputes them from the
         same input.
         """
-        with span("runner.sharded"):
-            with span("extract"):
-                summaries = records_to_summaries(
-                    records, time_scale=self.config.time_scale
-                )
-            if analysis_time_scale is not None:
-                summaries = self.rescale_merge(summaries, analysis_time_scale)
-            return self.run_summaries_sharded(
-                summaries,
-                shard_size=shard_size,
-                checkpoint_dir=checkpoint_dir,
-                resume=resume,
-                max_shards=max_shards,
-                on_shard_complete=on_shard_complete,
-                run_id=run_id,
-                journal_dir=journal_dir,
-            )
+        return self._fold_and_run_sharded(
+            lambda: records_to_summaries(
+                records, time_scale=self.config.time_scale
+            ),
+            analysis_time_scale=analysis_time_scale,
+            shard_size=shard_size,
+            checkpoint_dir=checkpoint_dir,
+            resume=resume,
+            max_shards=max_shards,
+            on_shard_complete=on_shard_complete,
+            run_id=run_id,
+            journal_dir=journal_dir,
+        )
 
     def run_chunks_sharded(
         self,
@@ -785,33 +781,45 @@ class BaywatchRunner:
     ) -> PipelineReport:
         """:meth:`run_sharded` over columnar record chunks.
 
-        Ingestion folds :class:`~repro.sources.columnar.RecordChunk`
-        batches through the vectorized accumulator instead of streaming
-        per-record objects; the resulting summaries — and therefore the
-        shard fingerprint, checkpoints, and final report — are
-        bit-identical to the per-record path over the same events, so a
-        checkpoint written by one ingestion plane resumes under the
-        other.
+        :class:`~repro.sources.columnar.RecordChunk` batches (e.g. from
+        :func:`~repro.sources.columnar.read_log_chunks`) fold straight
+        into summaries.  The summaries — and therefore the shard
+        fingerprint, checkpoints, and final report — equal
+        :meth:`run_sharded`'s over the same events, so a checkpoint
+        written through one entry point resumes through the other.
         """
+        # Looked up at call time, so a wrapper installed on the module
+        # attribute (a layer trace) sees the fold.
         from repro.sources.columnar import summaries_from_chunks
 
+        return self._fold_and_run_sharded(
+            lambda: summaries_from_chunks(
+                chunks, time_scale=self.config.time_scale
+            ),
+            analysis_time_scale=analysis_time_scale,
+            shard_size=shard_size,
+            checkpoint_dir=checkpoint_dir,
+            resume=resume,
+            max_shards=max_shards,
+            on_shard_complete=on_shard_complete,
+            run_id=run_id,
+            journal_dir=journal_dir,
+        )
+
+    def _fold_and_run_sharded(
+        self,
+        fold: Callable[[], List[ActivitySummary]],
+        *,
+        analysis_time_scale: Optional[float],
+        **sharding: Any,
+    ) -> PipelineReport:
+        """The body of :meth:`run_sharded` and :meth:`run_chunks_sharded`."""
         with span("runner.sharded"):
             with span("extract"):
-                summaries = summaries_from_chunks(
-                    chunks, time_scale=self.config.time_scale
-                )
+                summaries = fold()
             if analysis_time_scale is not None:
                 summaries = self.rescale_merge(summaries, analysis_time_scale)
-            return self.run_summaries_sharded(
-                summaries,
-                shard_size=shard_size,
-                checkpoint_dir=checkpoint_dir,
-                resume=resume,
-                max_shards=max_shards,
-                on_shard_complete=on_shard_complete,
-                run_id=run_id,
-                journal_dir=journal_dir,
-            )
+            return self.run_summaries_sharded(summaries, **sharding)
 
     def run_summaries_sharded(
         self,

@@ -11,13 +11,12 @@ summaries, never the raw logs.
 tagged by day, then load any trailing window rescaled and merged per
 pair, without touching raw records again.
 
-Day shards persist as **packed arrays** by default: each ``append_day``
-writes one columnar frame per partition (parallel float/offset arrays
-plus UTF-8 string blobs) instead of one pickle per summary, which is
-both smaller and faster to decode.  The read path is format
-agnostic — stores written by the older pickle codec (or days appended
-under both codecs) load unchanged.  Pass ``codec="pickle"`` to keep
-writing the legacy format.
+Day shards persist as **packed arrays**: each ``append_day`` writes one
+columnar frame per partition (parallel float/offset arrays plus UTF-8
+string blobs) instead of one pickle per summary, which is both smaller
+and faster to decode.  The read path is format agnostic — days written
+as pickles by older versions (or days holding both formats) load
+unchanged.
 """
 
 from __future__ import annotations
@@ -173,34 +172,17 @@ class SummaryPacker(RecordPacker):
 class SummaryStore:
     """Day-indexed persistent storage of per-pair activity summaries."""
 
-    _CODECS = ("packed", "pickle")
-
-    def __init__(
-        self,
-        root: Union[str, Path],
-        *,
-        n_partitions: int = 32,
-        codec: str = "packed",
-    ) -> None:
-        require(
-            codec in self._CODECS,
-            f"codec must be one of {self._CODECS}, got {codec!r}",
-        )
+    def __init__(self, root: Union[str, Path], *, n_partitions: int = 32) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.n_partitions = n_partitions
-        self.codec = codec
         self._packer = SummaryPacker()
 
-    def _day_store(self, day: int, *, for_write: bool = False) -> PartitionedStore:
-        # Reads always carry the packer so a "pickle"-configured store
-        # still loads days written by a packed one; only writes honour
-        # the configured codec.
-        packer = None if (for_write and self.codec != "packed") else self._packer
+    def _day_store(self, day: int) -> PartitionedStore:
         return PartitionedStore(
             self.root / f"day-{day:05d}",
             n_partitions=self.n_partitions,
-            packer=packer,
+            packer=self._packer,
         )
 
     # -- writing ---------------------------------------------------------------
@@ -220,7 +202,7 @@ class SummaryStore:
         double every interval count in later analyses.
         """
         require(day >= 0, "day must be non-negative")
-        store = self._day_store(day, for_write=True)
+        store = self._day_store(day)
         if replace:
             store.clear()
         return store.write(list(summaries), key_of=lambda s: s.pair)

@@ -25,17 +25,12 @@ Seven suites cover the pipeline's cost structure:
   :class:`~repro.stages.IncrementalDetection` on a 30-day, 1k-pair
   window stepped one day per tick.  The committed baseline records the
   warm path >= 8x faster per tick; the CI gate requires >= 5x.
-- ``ingestion`` — both ingestion planes at 1x and 4x the record count
-  over a fixed pair population: streaming record-to-summary grouping
-  (:func:`repro.sources.proxy.records_to_summaries`) against the
-  columnar vectorized fold
-  (:func:`repro.sources.columnar.summaries_from_chunks`).  Because the
-  object-path accumulator keeps per-pair slot counts (not records), the
-  ``peak_tracemalloc_kb`` probe must stay near-flat as the record count
-  quadruples — the sub-linear-memory guarantee of the streaming path —
-  while the columnar fold must hold a ≥10x events/sec lead over it.
-  ``ingest.columnar_parse_4x`` puts the TSV parser in front of the
-  columnar fold: the whole phase-A path a backfill pays per log.
+- ``ingestion`` — the proxy-log fold
+  (:func:`repro.sources.columnar.summaries_from_chunks`) at 1x and 4x
+  the record count over a fixed pair population; extra records land in
+  already-seen time slots, so the fold's per-pair state is the same at
+  both factors.  ``ingest.columnar_parse_4x`` puts the TSV parser in
+  front of the fold: the whole phase-A path a backfill pays per log.
 
 Workloads are deterministic (fixed seeds) and sized so the micro suite
 finishes in seconds — small enough for a CI smoke job, large enough
@@ -272,11 +267,10 @@ def _ingestion_records(factor: int) -> List:
     """``factor`` events per pair per minute over a fixed pair set.
 
     Extra events land inside the *same* one-second time bin as the
-    base event, so the streaming accumulator's state (per-pair slot
-    counts plus a capped URL sample) is identical across factors while
-    the record count scales linearly.  The stream is time-ordered, as a
-    real proxy log is — the shape the columnar fold's single-sort fast
-    path is built for.
+    base event, so the fold's state (per-pair slot counts plus a capped
+    URL sample) is identical across factors while the record count
+    scales linearly.  The stream is time-ordered, as a real proxy log
+    is — the shape the fold's single-sort fast path is built for.
     """
     from repro.sources.proxy import ProxyLogRecord
 
@@ -301,22 +295,15 @@ def _ingestion_records(factor: int) -> List:
 
 
 def build_ingestion_suite() -> List[Benchmark]:
-    """Both ingestion planes at 1x and 4x record counts.
+    """The proxy-log fold at 1x and 4x record counts, and the parser.
 
-    - ``ingest.records_to_summaries_{1x,4x}`` — the per-record object
-      path: one Python-level accumulator update per record (with the
-      ``peak_tracemalloc_kb`` probe guarding its sub-linear memory).
-    - ``ingest.columnar_fold_{1x,4x}`` — the columnar plane folding
-      pre-built :class:`~repro.sources.columnar.RecordChunk` batches
-      through the vectorized accumulator.  Both planes start from an
-      in-memory representation of the same events and produce identical
-      summaries, so events/sec here is the data-plane speedup — the
-      tentpole gate compares ``columnar_fold_4x`` against
-      ``records_to_summaries_4x``.
+    - ``ingest.columnar_fold_{1x,4x}`` — pre-built
+      :class:`~repro.sources.columnar.RecordChunk` batches folded
+      through :func:`~repro.sources.columnar.summaries_from_chunks`.
     - ``ingest.columnar_parse_4x`` — the 4x events as a TSV log, written
       once at build time, parsed by
       :func:`~repro.sources.columnar.read_log_chunks` and folded: the
-      columnar plane's parse, intern and fold cost end to end.
+      parse, intern and fold cost end to end.
     """
     import shutil
     import tempfile
@@ -327,7 +314,7 @@ def build_ingestion_suite() -> List[Benchmark]:
         records_to_chunks,
         summaries_from_chunks,
     )
-    from repro.sources.proxy import records_to_summaries, write_log
+    from repro.sources.proxy import write_log
 
     base = _ingestion_records(1)
     scaled = _ingestion_records(4)
@@ -336,14 +323,6 @@ def build_ingestion_suite() -> List[Benchmark]:
     log_dir = tempfile.mkdtemp(prefix="repro-bench-ingestion-")
     scaled_log = Path(log_dir) / "scaled.tsv"
     write_log(scaled, scaled_log)
-
-    def run_1x() -> int:
-        records_to_summaries(iter(base))
-        return len(base)
-
-    def run_4x() -> int:
-        records_to_summaries(iter(scaled))
-        return len(scaled)
 
     def run_columnar_1x() -> int:
         summaries_from_chunks(base_chunks)
@@ -358,8 +337,6 @@ def build_ingestion_suite() -> List[Benchmark]:
         return len(scaled)
 
     return [
-        Benchmark("ingest.records_to_summaries_1x", run_1x),
-        Benchmark("ingest.records_to_summaries_4x", run_4x),
         Benchmark("ingest.columnar_fold_1x", run_columnar_1x),
         Benchmark("ingest.columnar_fold_4x", run_columnar_4x),
         Benchmark(

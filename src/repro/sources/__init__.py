@@ -1,15 +1,15 @@
 """Log-source adapters feeding the pipeline's ActivitySummary stream.
 
 The core methodology only consumes (source, destination, timestamp)
-triples.  :mod:`repro.sources.proxy` is the primary path — the paper's
-BlueCoat web-proxy logs, with streaming record-to-summary grouping —
-while the DNS and NetFlow modules (paper Section X) adapt resolver
-logs and flow records into the same stream, including the
+triples.  The paper's BlueCoat web-proxy logs are the primary path:
+:mod:`repro.sources.proxy` holds the record format and pair keying,
+and :mod:`repro.sources.columnar` parses logs into numpy chunk arrays
+and folds them into summaries — the only proxy-log fold, which
+:func:`~repro.sources.proxy.records_to_summaries` feeds object
+records through.  The DNS and NetFlow modules (paper Section X) adapt
+resolver logs and flow records into the same stream, including the
 source-specific caveats the paper discusses (DNS caching, NetFlow's
-lack of names/content).  :mod:`repro.sources.columnar` is the
-high-throughput twin of the proxy path: the same logs parsed into
-numpy chunk arrays and folded vectorized, bit-identical to the object
-path.
+lack of names/content).
 """
 
 from repro.sources.columnar import (
@@ -35,9 +35,9 @@ from repro.sources.netflow import (
     resolve_domain,
 )
 from repro.sources.proxy import (
+    LogFormatError,
     PairConfig,
     ProxyLogRecord,
-    SummaryAccumulator,
     read_log,
     records_to_summaries,
     summary_from_observations,
@@ -61,9 +61,9 @@ __all__ = [
     "netflow_records_to_summaries",
     "netflow_view_of_proxy",
     "resolve_domain",
+    "LogFormatError",
     "PairConfig",
     "ProxyLogRecord",
-    "SummaryAccumulator",
     "read_log",
     "records_to_summaries",
     "summary_from_observations",

@@ -1,10 +1,10 @@
-"""Columnar proxy-log chunks: the zero-copy ingestion data plane.
+"""Columnar proxy-log chunks: the one fold from log events to summaries.
 
 The paper's operational story is explicitly big-data (Section VII): a
 13-node Hadoop cluster extracts summaries *once* so later analyses
-never reprocess raw logs.  At that scale the record path cannot afford
-one Python object per log line.  This module provides the columnar
-alternative to :mod:`repro.sources.proxy`'s object path:
+never reprocess raw logs.  At that scale ingestion cannot afford one
+Python object per log line, so every front end folds proxy logs
+through this module:
 
 - :class:`StringTable` — append-only string interning, so endpoint and
   URL columns are small integer ids instead of repeated strings.  A
@@ -14,7 +14,7 @@ alternative to :mod:`repro.sources.proxy`'s object path:
   en masse or copied into fixed-width arrays,
 - :class:`RecordChunk` — a bounded slice of the log as one numpy
   structured array (``timestamp/f8`` plus ``i4`` ids into the chunk's
-  :class:`ColumnTables`),
+  :class:`ColumnTables`); a row's arrival order is its array order,
 - :func:`read_log_chunks` / :func:`records_to_chunks` /
   :func:`chunks_to_records` — the converters between the TSV log
   format, object records, and chunks,
@@ -24,16 +24,14 @@ alternative to :mod:`repro.sources.proxy`'s object path:
   passes instead of a Python-level loop per event.  Each pair's URL
   sample is held as ``(timestamp, url id)`` arrays in arrival order
   and only its at most ``max_urls_per_pair`` survivors are decoded to
-  strings, once per pair.
+  strings, once per pair.  Peak memory is the per-pair state plus one
+  chunk.
 
-The columnar fold is **bit-identical** to the streaming object path
-(:class:`~repro.sources.proxy.SummaryAccumulator`): timestamps quantize
-through the same float64 expressions, per-slot counts merge to the same
-histograms, the capped URL sample keeps the same earliest-k
-``(timestamp, arrival)`` observations, and a timestamp that has no
-int64 time slot raises the same :class:`ValueError`.
-``tests/sources/test_columnar.py`` and the 4-way parity suite enforce
-this.
+:func:`repro.sources.proxy.records_to_summaries` is the adapter for
+object records.  The fold matches materialize-then-group semantics
+(``tests/sources/oracle.py``), and a malformed line or a timestamp
+without an int64 time slot raises
+:class:`~repro.sources.proxy.LogFormatError`.
 """
 
 from __future__ import annotations
@@ -146,28 +144,16 @@ class ColumnTables:
 class RecordChunk:
     """A bounded run of proxy-log records in columnar form.
 
-    ``data`` is a :data:`CHUNK_DTYPE` structured array; ``tables`` maps
-    the id columns back to strings (shared across every chunk of one
-    stream, so ids are stable stream-wide); ``base_sequence`` is the
-    global arrival index of row 0, preserving the arrival order the URL
-    sample tie-breaks on.
+    ``data`` is a :data:`CHUNK_DTYPE` structured array, rows in arrival
+    order; ``tables`` maps the id columns back to strings (shared
+    across every chunk of one stream, so ids are stable stream-wide).
     """
 
     data: np.ndarray
     tables: ColumnTables
-    base_sequence: int = 0
 
     def __len__(self) -> int:
         return int(self.data.shape[0])
-
-    @property
-    def timestamps(self) -> np.ndarray:
-        """The ``f8`` timestamp column (a view, not a copy)."""
-        return self.data["timestamp"]
-
-    def sequences(self) -> np.ndarray:
-        """Global arrival index of every row."""
-        return self.base_sequence + np.arange(len(self), dtype=np.int64)
 
     def to_records(self) -> Iterator[ProxyLogRecord]:
         """Rehydrate object records (the compatibility shim)."""
@@ -189,7 +175,6 @@ class RecordChunk:
         records: Sequence[ProxyLogRecord],
         *,
         tables: Optional[ColumnTables] = None,
-        base_sequence: int = 0,
     ) -> "RecordChunk":
         """Columnarize a materialized batch of object records."""
         tables = tables if tables is not None else ColumnTables()
@@ -207,7 +192,7 @@ class RecordChunk:
         data["url"] = tables.urls.intern_column([r.url for r in records])
         data["status"] = [r.status for r in records]
         data["bytes_sent"] = [r.bytes_sent for r in records]
-        return cls(data=data, tables=tables, base_sequence=base_sequence)
+        return cls(data=data, tables=tables)
 
 
 def records_to_chunks(
@@ -220,19 +205,13 @@ def records_to_chunks(
     require_positive(chunk_size, "chunk_size")
     tables = tables if tables is not None else ColumnTables()
     buffer: List[ProxyLogRecord] = []
-    sequence = 0
     for record in records:
         buffer.append(record)
         if len(buffer) >= chunk_size:
-            yield RecordChunk.from_records(
-                buffer, tables=tables, base_sequence=sequence
-            )
-            sequence += len(buffer)
+            yield RecordChunk.from_records(buffer, tables=tables)
             buffer = []
     if buffer:
-        yield RecordChunk.from_records(
-            buffer, tables=tables, base_sequence=sequence
-        )
+        yield RecordChunk.from_records(buffer, tables=tables)
 
 
 def chunks_to_records(
@@ -251,74 +230,105 @@ def read_log_chunks(
 ) -> Iterator[RecordChunk]:
     """Parse a (possibly gzipped) TSV log straight into columnar chunks.
 
-    The parser never builds :class:`ProxyLogRecord` objects: each batch
-    of lines is split once and written column by column into one
-    structured array, with endpoint/URL strings interned as they are
-    first seen.
+    Each batch of ``chunk_size`` lines is split once and written column
+    by column into one structured array, with endpoint/URL strings
+    interned as they are first seen; no :class:`ProxyLogRecord` is
+    built.  A batch with blank lines is split again line by line,
+    skipping them.  A batch with a line without exactly seven fields or
+    a field that is not a number is parsed again with
+    :meth:`ProxyLogRecord.from_line`, which raises
+    :class:`~repro.sources.proxy.LogFormatError` naming the first bad
+    line.
     """
     require_positive(chunk_size, "chunk_size")
     path = Path(path)
     tables = tables if tables is not None else ColumnTables()
     opener = gzip.open if path.suffix == ".gz" else open
-    sequence = 0
     with opener(path, "rt", encoding="utf-8") as handle:
         while True:
             lines = list(islice(handle, chunk_size))
             if not lines:
                 break
-            fields = _batch_fields(lines)
-            if len(fields) != _N_FIELDS * len(lines):
-                # Blank or malformed lines in this batch: fall back to
-                # the per-line parser, which skips blanks and points at
-                # the offending line.
-                fields = _fields_per_line(lines)
-            chunk = _chunk_from_fields(fields, tables, sequence)
-            sequence += len(chunk)
+            chunk = _parse_batch(lines, tables)
             if len(chunk):
                 yield chunk
 
 
 _N_FIELDS = 7
+#: A well-formed line's fields plus the ``"\n"`` that ends it.
+_STRIDE = _N_FIELDS + 1
 
 
-def _batch_fields(lines: List[str]) -> List[str]:
-    """Flatten a batch of TSV lines into one field list, C-speed.
+def _parse_batch(lines: List[str], tables: ColumnTables) -> RecordChunk:
+    fields = _batch_fields(lines)
+    if fields is None:
+        fields = _fields_per_line(lines)
+    if fields is not None:
+        try:
+            return _chunk_from_fields(fields, tables)
+        except ValueError:
+            pass  # a field that is not a number
+    # A malformed line: the record parser raises naming the first one.
+    return RecordChunk.from_records(
+        [ProxyLogRecord.from_line(line) for line in lines if line.strip()],
+        tables=tables,
+    )
+
+
+def _batch_fields(lines: List[str]) -> Optional[List[str]]:
+    """A batch of TSV lines as one flat field list, or ``None``.
 
     One ``join``/``replace``/``split`` turns the whole batch into a flat
-    field list without touching individual lines from Python; the caller
-    validates the count and falls back to :func:`_fields_per_line` when
-    it does not divide evenly (blank or malformed lines).
+    list without touching individual lines from Python.  Every line end
+    becomes a field of its own, ``"\\n"``, so the batch is well formed
+    exactly when the list holds :data:`_STRIDE` fields per line and
+    every :data:`_STRIDE`-th field is a line end: a line with too many
+    fields cannot make up for one with too few.  ``None`` means the
+    batch holds a blank or malformed line.
     """
     text = "".join(lines)
-    if text.endswith("\n"):
-        text = text[:-1]
-    return text.replace("\n", "\t").split("\t")
+    if not text.endswith("\n"):
+        text += "\n"
+    fields = text.replace("\n", "\t\n\t").split("\t")
+    fields.pop()  # the empty field after the last line end
+    ends = fields[_N_FIELDS::_STRIDE]
+    if len(fields) != _STRIDE * len(lines) or ends.count("\n") != len(ends):
+        return None
+    return fields
 
 
-def _fields_per_line(lines: List[str]) -> List[str]:
-    """Per-line fallback: skip blanks, reject malformed lines."""
+def _fields_per_line(lines: List[str]) -> Optional[List[str]]:
+    """:func:`_batch_fields` line by line, skipping blank lines.
+
+    ``None`` means a line does not hold exactly seven fields.
+    """
     fields: List[str] = []
     for line in lines:
         if not line.strip():
             continue
         parts = line.rstrip("\n").split("\t")
-        require(len(parts) == _N_FIELDS, f"malformed log line: {line!r}")
+        if len(parts) != _N_FIELDS:
+            return None
         fields.extend(parts)
+        fields.append("\n")
     return fields
 
 
-def _chunk_from_fields(
-    fields: List[str], tables: ColumnTables, base_sequence: int
-) -> RecordChunk:
-    data = np.empty(len(fields) // _N_FIELDS, dtype=CHUNK_DTYPE)
-    data["timestamp"] = np.array(fields[0::_N_FIELDS], dtype=np.float64)
-    data["source_mac"] = tables.macs.intern_column(fields[1::_N_FIELDS])
-    data["source_ip"] = tables.ips.intern_column(fields[2::_N_FIELDS])
-    data["destination"] = tables.domains.intern_column(fields[3::_N_FIELDS])
-    data["url"] = tables.urls.intern_column(fields[4::_N_FIELDS])
-    data["status"] = np.array(fields[5::_N_FIELDS], dtype=np.int64)
-    data["bytes_sent"] = np.array(fields[6::_N_FIELDS], dtype=np.int64)
-    return RecordChunk(data=data, tables=tables, base_sequence=base_sequence)
+def _chunk_from_fields(fields: List[str], tables: ColumnTables) -> RecordChunk:
+    """A chunk from :func:`_batch_fields` output.
+
+    The numeric columns convert first, so a :class:`ValueError` from a
+    field that is not a number leaves ``tables`` untouched.
+    """
+    data = np.empty(len(fields) // _STRIDE, dtype=CHUNK_DTYPE)
+    data["timestamp"] = np.array(fields[0::_STRIDE], dtype=np.float64)
+    data["status"] = np.array(fields[5::_STRIDE], dtype=np.int64)
+    data["bytes_sent"] = np.array(fields[6::_STRIDE], dtype=np.int64)
+    data["source_mac"] = tables.macs.intern_column(fields[1::_STRIDE])
+    data["source_ip"] = tables.ips.intern_column(fields[2::_STRIDE])
+    data["destination"] = tables.domains.intern_column(fields[3::_STRIDE])
+    data["url"] = tables.urls.intern_column(fields[4::_STRIDE])
+    return RecordChunk(data=data, tables=tables)
 
 
 class _ColumnarPairState:
@@ -403,8 +413,8 @@ class _ColumnarPairState:
     def finalize(
         self, source: str, destination: str, time_scale: float
     ) -> ActivitySummary:
-        # Same float64 expressions as _PairState.finalize, so the two
-        # data planes produce bit-identical summaries.
+        # The same float64 expression as summary_from_observations, so
+        # the extraction job's reduce builds bit-identical summaries.
         quantized = np.repeat(
             self.slots.astype(float) * time_scale, self.counts
         )
@@ -422,12 +432,11 @@ class _ColumnarPairState:
 class ColumnarAccumulator:
     """Fold columnar chunks into per-pair activity summaries.
 
-    The vectorized sibling of
-    :class:`~repro.sources.proxy.SummaryAccumulator`: whole chunks fold
-    in one pass — slot quantization, pair grouping, and per-slot counts
-    are numpy array operations; Python-level work is one short loop per
-    *distinct pair per chunk*, not per event.  Peak memory stays bounded
-    by per-pair state exactly like the streaming object path.
+    Whole chunks fold in one pass — slot quantization, pair grouping,
+    and per-slot counts are numpy array operations; Python-level work
+    is one short loop per *distinct pair per chunk*, not per event.
+    The state kept between chunks is per pair: a slot histogram and a
+    URL sample of at most ``max_urls_per_pair`` entries.
     """
 
     def __init__(
@@ -586,9 +595,8 @@ def summaries_from_chunks(
 ) -> List[ActivitySummary]:
     """Group a columnar chunk stream into per-pair activity summaries.
 
-    The chunked counterpart of
-    :func:`repro.sources.proxy.records_to_summaries`, producing
-    bit-identical output for the same event stream.
+    Summaries come back ordered by pair; the options are those of
+    :func:`repro.sources.proxy.records_to_summaries`.
     """
     accumulator = ColumnarAccumulator(
         time_scale=time_scale,

@@ -1,51 +1,58 @@
-"""Proxy-log records and streaming summary construction.
+"""Proxy-log records, pair keying and the slot rule.
 
 The paper's raw input is BlueCoat ProxySG access logs stored in HDFS.
-This module owns the proxy-log data path end to end:
+This module owns the proxy-log record format and the adapters around
+the one fold:
 
 - :class:`ProxyLogRecord` — one log line, with TSV (de)serialization
   (:func:`read_log` / :func:`write_log`, gzip-aware),
+- :class:`LogFormatError` — the one error a malformed line, an
+  unparsable number or a timestamp without a time slot raises,
 - :class:`PairConfig` — which endpoint features key a communication
   pair (Table I),
-- :class:`SummaryAccumulator` — *streaming* per-pair accumulation: an
-  ``Iterable[ProxyLogRecord]`` folds incrementally into per-pair state
-  (slot-count histograms plus a capped URL sample), so building
-  :class:`~repro.core.timeseries.ActivitySummary` records never
-  materializes the full record list.  This is the bounded-memory
-  ingestion path shared by :class:`~repro.filtering.BaywatchPipeline`,
-  the sharded :class:`~repro.jobs.BaywatchRunner`, and the CLI,
-- :func:`records_to_summaries` — the grouping helper, now a thin
-  wrapper over the accumulator,
-- :func:`summary_from_observations` — the per-pair fold used by the
-  data-extraction MapReduce job (Section VII-A), so the engine path and
-  the streaming path produce bit-identical summaries.
+- :func:`slot_column` — the slot rule every fold quantizes through,
+- :func:`records_to_summaries` — the adapter for object records: it
+  batches them into columnar chunks and folds them with
+  :func:`repro.sources.columnar.summaries_from_chunks`, the only code
+  that folds proxy-log events into summaries,
+- :func:`summary_from_observations` — the per-pair reduce body of the
+  data-extraction MapReduce job (Section VII-A), which builds the same
+  summary as the fold.
 """
 
 from __future__ import annotations
 
 import gzip
-import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.timeseries import ActivitySummary
-from repro.utils.validation import require, require_positive
+from repro.utils.validation import require
 
 __all__ = [
+    "LogFormatError",
     "PairConfig",
     "ProxyLogRecord",
-    "SummaryAccumulator",
     "read_log",
     "records_to_summaries",
     "slot_column",
-    "slot_index",
     "summary_from_observations",
     "write_log",
 ]
+
+
+class LogFormatError(ValueError):
+    """A proxy log that cannot be folded into summaries.
+
+    Raised for a line without exactly seven tab-separated fields, a
+    numeric field that does not parse (both name the line), and a
+    timestamp that has no int64 time slot (naming the timestamp).
+    """
+
 
 _FIELDS = ("timestamp", "source_mac", "source_ip", "destination", "url", "status", "bytes_sent")
 
@@ -127,57 +134,52 @@ class ProxyLogRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "ProxyLogRecord":
-        """Parse a tab-separated log line."""
+        """Parse a tab-separated log line.
+
+        Raises :class:`LogFormatError` naming the line when it does not
+        hold exactly seven fields or a numeric field does not parse.
+        """
         parts = line.rstrip("\n").split("\t")
-        require(len(parts) == len(_FIELDS), f"malformed log line: {line!r}")
-        return cls(
-            timestamp=float(parts[0]),
-            source_mac=parts[1],
-            source_ip=parts[2],
-            destination=parts[3],
-            url=parts[4],
-            status=int(parts[5]),
-            bytes_sent=int(parts[6]),
-        )
+        if len(parts) != len(_FIELDS):
+            raise LogFormatError(f"malformed log line: {line!r}")
+        try:
+            return cls(
+                timestamp=float(parts[0]),
+                source_mac=parts[1],
+                source_ip=parts[2],
+                destination=parts[3],
+                url=parts[4],
+                status=int(parts[5]),
+                bytes_sent=int(parts[6]),
+            )
+        except ValueError as exc:
+            raise LogFormatError(
+                f"malformed log line: {line!r}: {exc}"
+            ) from None
 
 
-# Time-slot indices are int64 on both data planes:
-# ``_SLOT_MIN <= slot < _SLOT_END``.
+# Time-slot indices are int64: ``_SLOT_MIN <= slot < _SLOT_END``.
 _SLOT_MIN = -(2**63)
 _SLOT_END = 2**63
 
 
-def _timestamp_error(timestamp: float, time_scale: float) -> ValueError:
+def _timestamp_error(timestamp: float, time_scale: float) -> LogFormatError:
     """The error for a timestamp that has no int64 time slot."""
     timestamp = float(timestamp)
     if not math.isfinite(timestamp):
-        return ValueError(f"timestamp {timestamp!r} is not finite")
-    return ValueError(
+        return LogFormatError(f"timestamp {timestamp!r} is not finite")
+    return LogFormatError(
         f"timestamp {timestamp!r} is out of range: its slot at "
         f"time_scale {float(time_scale)!r} does not fit int64"
     )
 
 
-def slot_index(timestamp: float, time_scale: float) -> int:
-    """The time slot ``floor(timestamp / time_scale)`` of one event.
-
-    Raises :class:`ValueError` naming ``timestamp`` when it is not
-    finite or its slot does not fit int64.
-    """
-    try:
-        slot = math.floor(timestamp / time_scale)
-    except (OverflowError, ValueError):
-        raise _timestamp_error(timestamp, time_scale) from None
-    if not _SLOT_MIN <= slot < _SLOT_END:
-        raise _timestamp_error(timestamp, time_scale)
-    return slot
-
-
 def slot_column(timestamps: np.ndarray, time_scale: float) -> np.ndarray:
-    """:func:`slot_index` of every timestamp in a column, as int64.
+    """The time slot ``floor(timestamp / time_scale)`` of every event.
 
-    The first timestamp without an int64 slot raises the error
-    :func:`slot_index` raises for it.
+    The slot rule: slots are int64, and the first timestamp that is not
+    finite or whose slot does not fit int64 raises
+    :class:`LogFormatError` naming it.
     """
     slots = np.floor(timestamps / time_scale)
     # min and max propagate NaN, so two reductions screen the column.
@@ -215,137 +217,6 @@ def read_log(path: Union[str, Path]) -> Iterator[ProxyLogRecord]:
                 yield ProxyLogRecord.from_line(line)
 
 
-class _PairState:
-    """Streaming state of one communication pair.
-
-    Instead of buffering raw records, the accumulator keeps a
-    slot-index -> event-count histogram (the information the quantized
-    interval list is derived from) and a bounded URL sample.  Memory is
-    O(distinct time slots) per pair, so a higher request *rate* over a
-    fixed window costs nothing extra — the property the ingestion bench
-    demonstrates.
-    """
-
-    __slots__ = ("bins", "urls", "max_urls")
-
-    def __init__(self, max_urls: int) -> None:
-        self.bins: Dict[int, int] = {}
-        self.max_urls = max_urls
-        # Max-heap (via negated keys) of the ``max_urls`` earliest
-        # (timestamp, arrival) observations, mirroring the historical
-        # "stable-sort by timestamp, take the first k" behaviour.
-        self.urls: List[Tuple[float, int, str]] = []
-
-    def observe(self, slot: int, timestamp: float, sequence: int,
-                url: Optional[str]) -> None:
-        self.bins[slot] = self.bins.get(slot, 0) + 1
-        if url is None or self.max_urls <= 0:
-            return
-        entry = (-timestamp, -sequence, url)
-        if len(self.urls) < self.max_urls:
-            heapq.heappush(self.urls, entry)
-        elif entry > self.urls[0]:
-            heapq.heapreplace(self.urls, entry)
-
-    def finalize(
-        self, source: str, destination: str, time_scale: float
-    ) -> ActivitySummary:
-        slots = np.fromiter(self.bins.keys(), dtype=np.int64,
-                            count=len(self.bins))
-        counts = np.fromiter(self.bins.values(), dtype=np.int64,
-                             count=len(self.bins))
-        order = np.argsort(slots)
-        quantized = np.repeat(
-            slots[order].astype(float) * time_scale, counts[order]
-        )
-        ordered = sorted(
-            ((-ts, -seq, url) for ts, seq, url in self.urls)
-        )
-        return ActivitySummary(
-            source=source,
-            destination=destination,
-            time_scale=time_scale,
-            first_timestamp=float(quantized[0]),
-            intervals=np.diff(quantized),
-            urls=tuple(url for _ts, _seq, url in ordered),
-        )
-
-
-class SummaryAccumulator:
-    """Fold a record stream into per-pair activity summaries.
-
-    Feed observations one at a time (:meth:`observe_record` /
-    :meth:`observe`) and collect the resulting
-    :class:`~repro.core.timeseries.ActivitySummary` records with
-    :meth:`summaries`.  The output is bit-identical to the historical
-    sort-then-group implementation — timestamps are quantized to
-    ``time_scale`` exactly as
-    :meth:`~repro.core.timeseries.ActivitySummary.from_timestamps`
-    does, and same-slot URL ties resolve in arrival order — but peak
-    memory is bounded by distinct (pair, time slot) combinations rather
-    than by the record count.
-    """
-
-    def __init__(
-        self,
-        *,
-        time_scale: float = 1.0,
-        keep_urls: bool = True,
-        max_urls_per_pair: int = 64,
-        aggregate_entities: bool = False,
-        pair_config: Optional[PairConfig] = None,
-    ) -> None:
-        require_positive(time_scale, "time_scale")
-        require(max_urls_per_pair >= 0, "max_urls_per_pair must be non-negative")
-        if pair_config is None:
-            pair_config = PairConfig(
-                destination_feature=(
-                    "registered_domain" if aggregate_entities else "domain"
-                )
-            )
-        self.time_scale = time_scale
-        self.pair_config = pair_config
-        self._max_urls = max_urls_per_pair if keep_urls else 0
-        self._pairs: Dict[Tuple[str, str], _PairState] = {}
-        self._sequence = 0
-
-    def __len__(self) -> int:
-        """Number of distinct pairs accumulated so far."""
-        return len(self._pairs)
-
-    def observe_record(self, record: ProxyLogRecord) -> None:
-        """Fold one proxy-log record into the per-pair state."""
-        self.observe(
-            self.pair_config.source_of(record),
-            self.pair_config.destination_of(record),
-            record.timestamp,
-            record.url,
-        )
-
-    def observe(
-        self,
-        source: str,
-        destination: str,
-        timestamp: float,
-        url: Optional[str] = None,
-    ) -> None:
-        """Fold one (source, destination, timestamp, url) observation."""
-        key = (source, destination)
-        state = self._pairs.get(key)
-        if state is None:
-            state = self._pairs[key] = _PairState(self._max_urls)
-        slot = slot_index(timestamp, self.time_scale)
-        state.observe(slot, timestamp, self._sequence, url)
-        self._sequence += 1
-
-    def summaries(self) -> List[ActivitySummary]:
-        """Finalize every pair, ordered deterministically by pair."""
-        return [
-            self._pairs[key].finalize(key[0], key[1], self.time_scale)
-            for key in sorted(self._pairs)
-        ]
-
-
 def records_to_summaries(
     records: Iterable[ProxyLogRecord],
     *,
@@ -364,9 +235,12 @@ def records_to_summaries(
     (downstream filters need the popularity signal).
 
     ``records`` may be any iterable — including a lazy generator such
-    as :func:`read_log` — and is consumed in one streaming pass via
-    :class:`SummaryAccumulator`, so peak memory is bounded by the
-    per-pair state, not the record count.
+    as :func:`read_log` — and is consumed in one pass: it is cut into
+    :class:`~repro.sources.columnar.RecordChunk` batches of at most
+    ``chunk_size`` (65,536) records, which
+    :func:`~repro.sources.columnar.summaries_from_chunks` folds one at a
+    time.  Peak memory is therefore the per-pair state plus one chunk,
+    not the record stream.
 
     ``aggregate_entities=True`` is shorthand for a pair config whose
     destination feature is the *registered* domain, so subdomain-fluxing
@@ -374,16 +248,17 @@ def records_to_summaries(
     into one beaconing pair (paper Challenge 2: a destination entity
     has many addresses).
     """
-    accumulator = SummaryAccumulator(
+    # columnar imports this module, so its functions are looked up here.
+    from repro.sources.columnar import records_to_chunks, summaries_from_chunks
+
+    return summaries_from_chunks(
+        records_to_chunks(records),
         time_scale=time_scale,
         keep_urls=keep_urls,
         max_urls_per_pair=max_urls_per_pair,
         aggregate_entities=aggregate_entities,
         pair_config=pair_config,
     )
-    for record in records:
-        accumulator.observe_record(record)
-    return accumulator.summaries()
 
 
 def summary_from_observations(
@@ -394,18 +269,26 @@ def summary_from_observations(
     time_scale: float = 1.0,
     max_urls: int = 64,
 ) -> ActivitySummary:
-    """Fold one pair's ``(timestamp, sequence, url)`` observations.
+    """Build one pair's summary from ``(timestamp, sequence, url)`` rows.
 
     This is the reduce-side body of the data-extraction MapReduce job:
-    ``sequence`` is the record's global arrival index, so URL ties
-    within one time slot resolve in arrival order exactly as the
-    streaming path does — the engine front end and
-    :func:`records_to_summaries` produce identical summaries.
+    ``sequence`` is the record's global arrival index, so after a stable
+    sort by ``(timestamp, sequence)`` the URL sample is the first
+    ``max_urls`` rows, as the fold keeps it.  Timestamps quantize
+    through :func:`slot_column` and the fold's float64 expression, so
+    the engine front end and :func:`records_to_summaries` produce
+    bit-identical summaries and raise the same error for a timestamp
+    without an int64 time slot.
     """
-    state = _PairState(max_urls)
-    for timestamp, sequence, url in observations:
-        state.observe(
-            slot_index(timestamp, time_scale), timestamp, sequence, url
-        )
-    require(state.bins, "observations must not be empty")
-    return state.finalize(source, destination, time_scale)
+    rows = sorted(observations, key=lambda row: (row[0], row[1]))
+    require(rows, "observations must not be empty")
+    timestamps = np.array([row[0] for row in rows], dtype=np.float64)
+    quantized = slot_column(timestamps, time_scale).astype(float) * time_scale
+    return ActivitySummary(
+        source=source,
+        destination=destination,
+        time_scale=time_scale,
+        first_timestamp=float(quantized[0]),
+        intervals=np.diff(quantized),
+        urls=tuple(row[2] for row in rows[:max_urls]),
+    )

@@ -202,15 +202,23 @@ class TestPackedCodec:
         with pytest.raises(ValueError, match="version"):
             unpack_summaries(struct.pack("<HQQ", 99, 0, 0))
 
+    @staticmethod
+    def append_legacy_day(root, day, summaries):
+        """Append a day as older versions wrote it: one pickle per summary."""
+        from repro.mapreduce.store import PartitionedStore
+
+        PartitionedStore(root / f"day-{day:05d}").write(
+            summaries, key_of=lambda s: s.pair
+        )
+
     def test_packed_store_reads_legacy_pickle_day(self, tmp_path):
         """Stores written before the packed codec must load unchanged."""
-        legacy = SummaryStore(tmp_path / "s", codec="pickle")
-        legacy.append_day(0, [day_summary(0)])
+        self.append_legacy_day(tmp_path / "s", 0, [day_summary(0)])
         assert SummaryStore(tmp_path / "s").load_day(0) == [day_summary(0)]
 
     def test_day_appended_under_both_codecs_loads_fully(self, tmp_path):
-        SummaryStore(tmp_path / "s", codec="pickle").append_day(
-            0, [day_summary(0, pair=("mac1", "a.com"))]
+        self.append_legacy_day(
+            tmp_path / "s", 0, [day_summary(0, pair=("mac1", "a.com"))]
         )
         SummaryStore(tmp_path / "s").append_day(
             0, [day_summary(0, pair=("mac2", "b.com"))]
@@ -223,33 +231,26 @@ class TestPackedCodec:
     def test_packed_and_pickle_days_load_identically(self, tmp_path):
         summaries = self.summaries()
         packed = SummaryStore(tmp_path / "p")
-        pickled = SummaryStore(tmp_path / "l", codec="pickle")
         packed.append_day(0, summaries)
-        pickled.append_day(0, summaries)
+        self.append_legacy_day(tmp_path / "l", 0, summaries)
         key = lambda s: s.pair  # noqa: E731
         assert sorted(packed.load_day(0), key=key) == sorted(
-            pickled.load_day(0), key=key
+            SummaryStore(tmp_path / "l").load_day(0), key=key
         )
-
-    def test_invalid_codec_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="codec"):
-            SummaryStore(tmp_path / "s", codec="msgpack")
 
 
 class TestResumedExtractionIdempotency:
     """Interrupt mid-``append_day``, resume with ``replace=True``.
 
-    Whichever ingestion plane produced the summaries — the per-record
-    object path or the columnar fold — a resumed extraction must not
-    double interval counts: the partial day left by the interrupt is
-    cleared before the full day lands.
+    A resumed extraction must not double interval counts: the partial
+    day left by the interrupt is cleared before the full day lands.
     """
 
     @staticmethod
-    def make_records(n=240):
-        from repro.sources.proxy import ProxyLogRecord
+    def summaries():
+        from repro.sources.proxy import ProxyLogRecord, records_to_summaries
 
-        return [
+        records = [
             ProxyLogRecord(
                 timestamp=float(30 * i),
                 source_mac=f"aa:bb:cc:00:00:{i % 3:02x}",
@@ -259,26 +260,12 @@ class TestResumedExtractionIdempotency:
                 status=200,
                 bytes_sent=100,
             )
-            for i in range(n)
+            for i in range(240)
         ]
+        return records_to_summaries(records)
 
-    @staticmethod
-    def summarize(records, plane):
-        if plane == "object":
-            from repro.sources.proxy import records_to_summaries
-
-            return records_to_summaries(records)
-        from repro.sources.columnar import (
-            records_to_chunks,
-            summaries_from_chunks,
-        )
-
-        return summaries_from_chunks(records_to_chunks(records, chunk_size=64))
-
-    @pytest.mark.parametrize("plane", ["object", "columnar"])
-    def test_resume_with_replace_does_not_double_counts(self, store, plane):
-        records = self.make_records()
-        summaries = self.summarize(records, plane)
+    def test_resume_with_replace_does_not_double_counts(self, store):
+        summaries = self.summaries()
         # First attempt dies mid-append: only a prefix of the day's
         # summaries made it to disk before the interrupt.
         store.append_day(0, summaries[: len(summaries) // 2])
@@ -291,26 +278,14 @@ class TestResumedExtractionIdempotency:
             summaries, key=lambda s: s.pair
         )
         total_events = sum(s.event_count for s in loaded)
-        assert total_events == len(records)
+        assert total_events == 240
 
-    @pytest.mark.parametrize("plane", ["object", "columnar"])
-    def test_blind_reappend_would_double_counts(self, store, plane):
+    def test_blind_reappend_would_double_counts(self, store):
         # The hazard replace=True exists to prevent: re-appending an
         # already-ingested day doubles every pair's history.
-        summaries = self.summarize(self.make_records(), plane)
+        summaries = self.summaries()
         store.append_day(0, summaries)
         store.append_day(0, summaries)
         merged = store.load_window(end_day=0, window_days=1)
         doubled = sum(s.event_count for s in merged)
         assert doubled > sum(s.event_count for s in summaries)
-
-    def test_object_and_columnar_days_are_interchangeable(self, tmp_path):
-        records = self.make_records()
-        a = SummaryStore(tmp_path / "a")
-        b = SummaryStore(tmp_path / "b")
-        a.append_day(0, self.summarize(records, "object"))
-        b.append_day(0, self.summarize(records, "columnar"))
-        key = lambda s: s.pair  # noqa: E731
-        assert sorted(a.load_day(0), key=key) == sorted(
-            b.load_day(0), key=key
-        )

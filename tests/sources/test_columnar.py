@@ -1,13 +1,18 @@
-"""Tests for the columnar zero-copy ingestion plane.
+"""Tests for the columnar ingestion plane: the parser and the fold.
 
-The contract under test is *bit-identical parity*: for any event
-stream, the chunked parser + vectorized fold must produce exactly the
-summaries the per-record object path produces — same intervals, same
-first timestamps, same URL samples, same ordering.
+The fold is checked against materialize-then-group semantics
+(:func:`tests.sources.oracle.reference_summaries`): for any event
+stream, chunk size and option set it must produce exactly the oracle's
+summaries — same intervals, same first timestamps, same URL samples,
+same ordering.  The chunk parser is checked against the record parser
+(:func:`repro.sources.proxy.read_log`): same records, or the same error
+naming the same line.
 """
 
 import dataclasses
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from repro.sources.columnar import (
     summaries_from_chunks,
 )
 from repro.sources.proxy import (
+    LogFormatError,
     PairConfig,
     ProxyLogRecord,
     read_log,
@@ -33,6 +39,7 @@ from repro.sources.proxy import (
     summary_from_observations,
     write_log,
 )
+from tests.sources.oracle import reference_summaries
 
 
 def make_records(n=400, *, seed=7, sorted_times=True):
@@ -179,6 +186,60 @@ class TestChunkRoundtrip:
         assert parsed == records
 
 
+class TestMalformedLines:
+    @pytest.mark.parametrize("surplus", [1, 2])
+    def test_field_counts_that_cancel_out_are_rejected(self, tmp_path, surplus):
+        # 8 + 6 or 9 + 5 fields make up 2 x 7: the batch's field total is
+        # right, but the lines after the long one are misaligned.
+        fields = ["10.0", "aa:bb", "10.0.0.1", "c2.example.net", "/x", "200", "0"]
+        good = "\t".join(fields) + "\n"
+        long_line = "\t".join(fields + ["220.000"] * surplus) + "\n"
+        short_line = "\t".join(fields[:5 - surplus] + fields[5:]) + "\n"
+        path = tmp_path / "log.tsv"
+        path.write_text(good + long_line + short_line + good)
+        message = f"malformed log line: {long_line!r}"
+        with pytest.raises(LogFormatError, match=re.escape(message)):
+            list(read_log_chunks(path))
+        with pytest.raises(LogFormatError, match=re.escape(message)):
+            list(read_log(path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lines=st.lists(
+            st.sampled_from([0, 5, 6, 7, 8, 9]).flatmap(
+                lambda n: st.lists(
+                    st.sampled_from(
+                        ["", " ", "7", "-2", "60.5", "1e3", "m1", "a.example"]
+                    ),
+                    min_size=n,
+                    max_size=n,
+                )
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        chunk_size=st.integers(1, 5),
+    )
+    def test_chunk_parser_agrees_with_the_record_parser(self, lines, chunk_size):
+        # Blank lines and lines of 5-9 fields, numbers or not: both
+        # parsers give the same records or the same error naming the
+        # same line.
+        def parse(records):
+            try:
+                return list(records), None
+            except LogFormatError as exc:
+                return None, str(exc)
+
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "log.tsv"
+            path.write_text("".join("\t".join(line) + "\n" for line in lines))
+            by_records = parse(read_log(path))
+            by_chunks = parse(
+                chunks_to_records(read_log_chunks(path, chunk_size=chunk_size))
+            )
+        assert by_chunks == by_records
+
+
 PARITY_CONFIGS = [
     {},
     {"time_scale": 30.0},
@@ -194,7 +255,7 @@ class TestFoldParity:
     @pytest.mark.parametrize("config", PARITY_CONFIGS)
     def test_summaries_bit_identical_to_object_path(self, config):
         records = make_records(400)
-        expected = records_to_summaries(records, **config)
+        expected = reference_summaries(records, **config)
         actual = summaries_from_chunks(
             records_to_chunks(records, chunk_size=113), **config
         )
@@ -202,13 +263,13 @@ class TestFoldParity:
 
     def test_unsorted_stream_parity(self):
         records = make_records(400, sorted_times=False)
-        expected = records_to_summaries(records)
+        expected = reference_summaries(records)
         actual = summaries_from_chunks(records_to_chunks(records, chunk_size=97))
         assert actual == expected
 
     def test_single_chunk_parity(self):
         records = make_records(150)
-        expected = records_to_summaries(records)
+        expected = reference_summaries(records)
         actual = summaries_from_chunks(records_to_chunks(records))
         assert actual == expected
 
@@ -221,7 +282,7 @@ class TestFoldParity:
     )
     def test_pair_config_keying_matches(self, pair_config):
         records = make_records(300)
-        expected = records_to_summaries(records, pair_config=pair_config)
+        expected = reference_summaries(records, pair_config=pair_config)
         actual = summaries_from_chunks(
             records_to_chunks(records, chunk_size=64), pair_config=pair_config
         )
@@ -232,7 +293,7 @@ class TestFoldParity:
         accumulator = ColumnarAccumulator()
         for chunk in records_to_chunks(records, chunk_size=41):
             accumulator.observe_chunk(chunk)
-        assert accumulator.summaries() == records_to_summaries(records)
+        assert accumulator.summaries() == reference_summaries(records)
 
     def test_empty_stream(self):
         assert summaries_from_chunks([]) == []
@@ -251,7 +312,7 @@ class TestFoldParity:
             )
             for start in range(0, len(records), 100)
         ]
-        expected = records_to_summaries(records, max_urls_per_pair=max_urls)
+        expected = reference_summaries(records, max_urls_per_pair=max_urls)
         actual = summaries_from_chunks(chunks, max_urls_per_pair=max_urls)
         assert actual == expected
 
@@ -267,7 +328,7 @@ class TestFoldParity:
             dataclasses.replace(r, timestamp=float(r.timestamp // 60 * 60))
             for r in make_records(300, sorted_times=sorted_times)
         ]
-        expected = records_to_summaries(records, max_urls_per_pair=max_urls)
+        expected = reference_summaries(records, max_urls_per_pair=max_urls)
         actual = summaries_from_chunks(
             records_to_chunks(records, chunk_size=chunk_size),
             max_urls_per_pair=max_urls,
@@ -284,7 +345,7 @@ class TestFoldParity:
                            f"/u{index}")
             for index, ts in enumerate(times)
         ]
-        expected = records_to_summaries(records, max_urls_per_pair=64)
+        expected = reference_summaries(records, max_urls_per_pair=64)
         actual = summaries_from_chunks(
             records_to_chunks(records, chunk_size=50), max_urls_per_pair=64
         )
@@ -324,7 +385,7 @@ class TestFoldParity:
             for start in range(0, len(records), chunk_size)
         ]
         config = {"time_scale": 10.0, "max_urls_per_pair": max_urls}
-        expected = records_to_summaries(records, **config)
+        expected = reference_summaries(records, **config)
         assert summaries_from_chunks(chunks, **config) == expected
 
     def test_trailing_nul_survives_the_columnar_parse(self, tmp_path):
@@ -340,7 +401,7 @@ class TestFoldParity:
         ]
         path = tmp_path / "log.tsv"
         write_log(records, path)
-        expected = records_to_summaries(read_log(path))
+        expected = reference_summaries(read_log(path))
         assert [(s.source, s.destination) for s in expected] == [
             ("aa:bb", "c2.example.net"),
             ("aa:bb", "c2.example.net\x00"),
@@ -350,7 +411,8 @@ class TestFoldParity:
 
 
 class TestHostileTimestamps:
-    """Both planes reject a timestamp without an int64 slot alike."""
+    """Object records, parsed chunks and the extraction reduce reject a
+    timestamp without an int64 slot with one error."""
 
     @staticmethod
     def write(tmp_path, timestamps):
@@ -374,12 +436,12 @@ class TestHostileTimestamps:
     )
     def test_both_planes_raise_the_same_error(self, tmp_path, value, message):
         path = self.write(tmp_path, ["10.0", "20.0", value, "30.0"])
-        with pytest.raises(ValueError, match=re.escape(message)) as record_plane:
+        with pytest.raises(LogFormatError, match=re.escape(message)) as records:
             records_to_summaries(read_log(path))
-        with pytest.raises(ValueError, match=re.escape(message)) as columnar_plane:
+        with pytest.raises(LogFormatError, match=re.escape(message)) as chunks:
             summaries_from_chunks(read_log_chunks(path, chunk_size=3))
-        assert str(columnar_plane.value) == str(record_plane.value)
-        with pytest.raises(ValueError, match=re.escape(message)):
+        assert str(chunks.value) == str(records.value)
+        with pytest.raises(LogFormatError, match=re.escape(message)):
             summary_from_observations(
                 "aa:bb", "c2.example.net", [(float(value), 0, "/x")]
             )
@@ -392,7 +454,7 @@ class TestHostileTimestamps:
         with pytest.raises(ValueError, match=re.escape(message)):
             summaries_from_chunks(read_log_chunks(path), time_scale=1e-10)
         assert summaries_from_chunks(read_log_chunks(path)) == (
-            records_to_summaries(read_log(path))
+            reference_summaries(read_log(path))
         )
 
     def test_slot_column_of_an_empty_column(self):
@@ -401,7 +463,7 @@ class TestHostileTimestamps:
 
     def test_negative_timestamps_are_accepted(self, tmp_path):
         path = self.write(tmp_path, ["-90.5", "-30.25", "0.0", "45.0"])
-        expected = records_to_summaries(read_log(path), time_scale=60.0)
+        expected = reference_summaries(read_log(path), time_scale=60.0)
         assert expected[0].first_timestamp == -120.0
         actual = summaries_from_chunks(read_log_chunks(path), time_scale=60.0)
         assert actual == expected

@@ -263,6 +263,43 @@ class TestReport:
         assert "BAYWATCH daily report" in capsys.readouterr().out
 
 
+def tsv(*lines):
+    return "".join("\t".join(fields) + "\n" for fields in lines)
+
+
+GOOD = ("10.0", "aa:bb", "10.0.0.1", "c2.example.net", "/x", "200", "0")
+LONG = GOOD + ("220.000",)
+NO_STATUS = GOOD[:5] + ("OK", "0")
+HOSTILE_LOGS = {  # name: (log, start of the error line)
+    "short-line": (tsv(GOOD, ("12.5",)), "malformed log line: '12.5\\n'"),
+    "8-plus-6-fields": (
+        tsv(GOOD, LONG, GOOD[:4] + GOOD[5:], GOOD),
+        f"malformed log line: {tsv(LONG)!r}",
+    ),
+    "nan-timestamp": (tsv(GOOD, ("nan",) + GOOD[1:]), "timestamp nan is not finite"),
+    "non-numeric-status": (
+        tsv(GOOD, NO_STATUS),
+        f"malformed log line: {tsv(NO_STATUS)!r}: invalid literal for int()",
+    ),
+}
+
+
+class TestHostileLogs:
+    """A log the fold cannot read ends the run with one line, exit 2."""
+
+    @pytest.mark.parametrize("command", ["run", "pipeline", "report"])
+    @pytest.mark.parametrize("log", sorted(HOSTILE_LOGS))
+    def test_one_line_error(self, tmp_path, capsys, command, log):
+        text, message = HOSTILE_LOGS[log]
+        path = tmp_path / "log.tsv"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 class TestRun:
     def test_sharded_run_end_to_end(self, trace_path, tmp_path, capsys):
         out, _truth = trace_path

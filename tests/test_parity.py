@@ -297,9 +297,8 @@ def test_batched_sharded_run_with_persisted_cache_matches_pipeline(
 
 
 def test_columnar_pipeline_matches_pipeline(records, scorer, pipeline_report):
-    # The columnar ingestion plane feeds the same stage graph through
-    # the vectorized fold; the report must be bit-identical to the
-    # per-record object path.
+    # Chunks and object records reach the same fold through the two
+    # pipeline entry points; the reports must be bit-identical.
     from repro.sources.columnar import records_to_chunks
 
     columnar = BaywatchPipeline(
@@ -338,9 +337,9 @@ def test_columnar_shm_sharded_run_matches_pipeline(
 def test_checkpoint_resumes_across_data_planes(
     records, scorer, pipeline_report, tmp_path
 ):
-    # Both ingestion planes produce bit-identical summaries, so their
-    # sharded-run fingerprints agree: a checkpoint written by the
-    # object plane must resume under the columnar plane (and finish
+    # Records and chunks fold to bit-identical summaries, so the
+    # sharded-run fingerprints agree: a checkpoint written through
+    # run_sharded must resume through run_chunks_sharded (and finish
     # with the canonical report).
     from repro.sources.columnar import records_to_chunks
 
