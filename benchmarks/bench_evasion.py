@@ -68,6 +68,8 @@ def test_evasion_cost(benchmark):
         ("randomness r", "detection rate", "p95 wait / period"),
         [(f"{l:.2f}", f"{rates[l]:.2f}", f"{costs[l]:.2f}") for l in LEVELS],
     )
+    for level in LEVELS:
+        report.metric("detection_rate", rates[level], "ratio", randomness=level)
     evasive = [l for l in LEVELS if rates[l] < 0.5]
     evasion_level = min(evasive) if evasive else None
     report.paper_vs_measured(

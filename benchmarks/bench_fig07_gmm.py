@@ -59,6 +59,9 @@ def test_fig07_gmm_components(benchmark, intervals):
     )
 
     means = sorted(c.mean for c in best.components)
+    for rank, mean in enumerate(means):
+        report.metric("component_mean", mean, "s", rank=rank)
+    report.metric("components", best.n_components, "count")
     report.paper_vs_measured(
         [
             (

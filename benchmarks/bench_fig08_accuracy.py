@@ -66,6 +66,12 @@ def test_fig08_period_sweep(benchmark, sweep_results):
     )
     worst_delta = max(r.delta_d for r in sweep_results.values())
     worst_gamma = max(r.gamma_d for r in sweep_results.values())
+    for period, r in sweep_results.items():
+        report.metric("recall", r.detection_rate, "ratio", period=period)
+        report.metric("period_error", r.delta_d, "ratio", period=period)
+    report.metric("worst_period_error", worst_delta, "ratio")
+    report.metric("worst_miss_rate", worst_gamma, "ratio")
+    report.metric("false_alarm_rate", fa, "ratio")
     report.paper_vs_measured(
         [
             (

@@ -73,6 +73,8 @@ def test_fig10_noise_robustness(benchmark, sweeps):
         ("configuration", "tolerated sigma (s)"),
         [(name, f"{t:.0f}") for name, t in thresholds.items()],
     )
+    for name, tolerated in thresholds.items():
+        report.metric("tolerated_sigma", tolerated, "s", configuration=name)
 
     clean = thresholds["gaussian only"]
     worst = thresholds["+ missing p=0.75"]

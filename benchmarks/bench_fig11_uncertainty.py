@@ -71,6 +71,9 @@ def test_fig11_uncertainty_review(benchmark, case_corpus):
     report.line(f"initial false negatives: {total_fn}")
     report.line(f"reviews to halve FNs:    {half_at}")
     report.line(f"reviews to clear FNs:    {clear_at} of {n_cases}")
+    report.metric("initial_false_negatives", total_fn, "count")
+    report.metric("reviews_to_clear_fn", clear_at, "count", cases=n_cases)
+    report.metric("reviews_to_halve_fn", half_at, "count")
     report.paper_vs_measured(
         [
             (

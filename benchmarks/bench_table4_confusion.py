@@ -44,6 +44,12 @@ def test_table4_confusion_matrix(benchmark, case_corpus):
     report.line()
     report.line("measured:")
     report.line(cm.as_table())
+    report.metric("evaluation_cases", len(eval_cases), "count")
+    for cell in ("tn", "fp", "fn", "tp"):
+        report.metric(cell, getattr(cm, cell), "count")
+    report.metric("accuracy", cm.accuracy, "ratio")
+    report.metric("recall", cm.recall, "ratio")
+    report.metric("false_positive_rate", cm.false_positive_rate, "ratio")
     report.paper_vs_measured(
         [
             (

@@ -68,6 +68,10 @@ def test_table5_long_trace(benchmark, daily_run):
     )
     report.line(f"daily reported-case counts: {daily_counts}")
     report.line(f"total reported destinations: {len(ranked)}")
+    for day, count in enumerate(daily_counts):
+        report.metric("daily_reported_cases", count, "count", day=day)
+    report.metric("reported_destinations", len(ranked), "count")
+    report.metric("precision_at_k", p_at_k, "ratio", k=top_k)
     report.line()
     report.line("top-ranked cases (Table V format):")
     report.table(

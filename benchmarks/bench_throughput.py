@@ -10,6 +10,9 @@ our per-pair costs so regressions are caught:
   must stay well under a second with the threshold cache on.
 """
 
+import statistics
+import time
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,23 @@ from repro.core.permutation import ThresholdCache
 from repro.synthetic import BeaconSpec, browsing_trace
 
 DAY = 86_400.0
+
+
+def _timed(benchmark, fn):
+    """Run ``fn`` under ``benchmark`` and return (result, mean seconds).
+
+    Each call is timed directly: ``benchmark.stats`` is None under
+    ``--benchmark-disable``, where ``fn`` runs exactly once.
+    """
+    seconds = []
+
+    def call():
+        start = time.perf_counter()
+        out = fn()
+        seconds.append(time.perf_counter() - start)
+        return out
+
+    return benchmark(call), statistics.mean(seconds)
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +66,7 @@ def test_throughput_short_pairs(benchmark, detector):
     def run_all():
         return [detector.detect(t).periodic for t in traces]
 
-    benchmark(run_all)
-    stats_mean = benchmark.stats.stats.mean
+    _result, stats_mean = _timed(benchmark, run_all)
     per_pair = stats_mean / max(len(traces), 1)
 
     report = ExperimentReport(
@@ -82,18 +101,17 @@ def test_throughput_dense_beacon(benchmark, detector):
     """The worst single pair: a dense day-long 1 s-granularity beacon."""
     rng = np.random.default_rng(2)
     trace = BeaconSpec(period=60.0, duration=DAY).generate(rng)
-    result = benchmark(lambda: detector.detect(trace))
+    result, mean = _timed(benchmark, lambda: detector.detect(trace))
     report = ExperimentReport(
         "throughput_dense", "Detection cost of the worst dense pair"
     )
     report.metric(
-        "dense_pair_seconds", benchmark.stats.stats.mean, "s",
-        period=60.0, duration=DAY,
+        "dense_pair_seconds", mean, "s", period=60.0, duration=DAY,
     )
     report.table(
         ("quantity", "value"),
-        [("mean detect time", f"{benchmark.stats.stats.mean * 1e3:.1f} ms")],
+        [("mean detect time", f"{mean * 1e3:.1f} ms")],
     )
     report.finish()
     assert result.periodic
-    assert benchmark.stats.stats.mean < 2.0
+    assert mean < 2.0

@@ -34,13 +34,16 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.autocorrelation import autocorrelation, validate_candidate
-# select_gmm and power_spectrum are not called in this module
-# (BatchedDetector in repro.core.batch fits each chunk's mixtures and
-# owns the transforms).  They are imported only so that the targets
-# perfbench/layers.py names here still resolve; wrapping them measures
-# nothing.  Drop them once that trace wraps the chunk-level
-# repro.core.batch.select_gmms instead.
+# autocorrelation, select_gmm and power_spectrum are not called in
+# this module (BatchedDetector in repro.core.batch fits each chunk's
+# mixtures and owns the transforms).  They are imported only so that
+# the targets perfbench/layers.py names here still resolve; wrapping
+# them measures nothing.  Drop them once that trace wraps the
+# chunk-level repro.core.batch functions instead.
+from repro.core.autocorrelation import (  # noqa: F401
+    autocorrelation,
+    validate_candidate,
+)
 from repro.core.gmm import GaussianMixture, select_gmm  # noqa: F401
 from repro.core.periodogram import candidate_peaks, power_spectrum  # noqa: F401
 from repro.core.permutation import ThresholdCache, permutation_threshold
@@ -184,7 +187,7 @@ class _PairPlan:
     gmm_periods: List[float]
     rng: np.random.Generator
     # Provenance accumulators, folded into the DetectionResult by
-    # _finalize; BatchedDetector and probe_prebinned update them.
+    # _finalize; BatchedDetector updates them.
     n_raw: int = 0
     n_pruned: int = 0
     margin: float = float("-inf")
@@ -196,8 +199,7 @@ class _ScaleWork:
 
     Produced by :meth:`PeriodicityDetector._analyze_scale` when at least
     one pruned candidate still needs hill validation; the ACF itself is
-    computed by the caller (as a row of a batched transform, or one
-    transform for a prebinned probe) and handed to
+    computed by the caller as a row of a batched transform and handed to
     :meth:`PeriodicityDetector._verify_scale`.
     """
 
@@ -313,56 +315,6 @@ class PeriodicityDetector:
         return self.for_time_scale(summary.time_scale).detect(
             summary.timestamps()
         )
-
-    def screen_plan(self, timestamps: Sequence[float]) -> _PairPlan:
-        """A pair plan for :meth:`probe_prebinned` — no GMM, no scales.
-
-        Incremental screening maintains binned signals and spectra
-        externally (sliding-DFT states on a fixed day grid) and only
-        needs the pair-level interval statistics to run candidate
-        pruning and ACF verification against them.  Skipping the GMM
-        fit keeps the probe cheap; the full detector re-runs on
-        whatever the probe lets through, so the fit is only ever paid
-        for genuine survivors.
-        """
-        ts = np.asarray(timestamps, dtype=float)
-        duration = float(ts[-1] - ts[0]) if ts.size >= 2 else 0.0
-        intervals = intervals_from_timestamps(ts)
-        return _PairPlan(
-            ts=ts,
-            duration=duration,
-            scales=[],
-            intervals=intervals,
-            positive=intervals[intervals > 0],
-            mixture=None,
-            gmm_periods=[],
-            rng=np.random.default_rng(self.config.seed),
-        )
-
-    def probe_prebinned(
-        self,
-        plan: _PairPlan,
-        scale: float,
-        signal: np.ndarray,
-        spectrum: np.ndarray,
-        threshold: float,
-    ) -> List[CandidatePeriod]:
-        """Steps 2-3 on an externally binned signal and spectrum.
-
-        Runs candidate extraction, pruning, and ACF verification
-        exactly as :class:`~repro.core.batch.BatchedDetector` does per
-        slot, but on a caller-provided ``signal``/``spectrum``/
-        ``threshold`` triple (e.g. a grid-anchored sliding-DFT state)
-        instead of re-binning and re-transforming the timestamps.  Returns the verified
-        candidates at this scale; ``plan`` accumulates the usual
-        provenance counters (``n_raw``, ``n_pruned``).
-        """
-        work = self._analyze_scale(plan, scale, signal, spectrum, threshold)
-        if work is None:
-            return []
-        with get_registry().timer("detector.acf.seconds"):
-            acf = autocorrelation(signal)
-        return self._verify_scale(plan, work, acf)
 
     def for_time_scale(self, time_scale: float) -> "PeriodicityDetector":
         """A detector whose analysis ladder starts at ``time_scale``.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
@@ -24,8 +25,10 @@ from repro.obs.registry import get_registry
 from repro.utils.stats import percentile_threshold
 from repro.utils.validation import as_float_array, require, require_probability
 
-#: Version of the ``ThresholdCache.save`` JSON layout.
-CACHE_FILE_VERSION = 1
+#: Version of the ``ThresholdCache.save`` file: its JSON layout and how
+#: a bucket's threshold is derived (2: k-subset draws at
+#: :func:`bucket_length`; 1 permuted full rows at ``round(ratio ** b)``).
+CACHE_FILE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,43 @@ def permutation_threshold(
     )
 
 
+def binary_shuffles(
+    rng: np.random.Generator, rows: int, n: int, k: int
+) -> np.ndarray:
+    """``rows`` random shuffles of a binary signal of length ``n`` with
+    ``k`` ones: each row's ones sit on a uniformly random ``k``-subset of
+    the ``n`` slots, which is what shuffling such a signal produces."""
+    out = np.zeros((rows, n))
+    for row in out:
+        row[rng.choice(n, k, replace=False)] = 1.0
+    return out
+
+
+def bucket_length(bucket: int, ratio: float) -> int:
+    """Length at which :class:`ThresholdCache` evaluates a length bucket.
+
+    Bucket ``b`` covers lengths from ``ratio ** (b - 1/2)`` up to
+    ``ratio ** (b + 1/2)``.  This is the largest 5-smooth number
+    (``2**a * 3**b * 5**c``, cheap for any FFT) in
+    ``[max(4, ceil(ratio ** (b - 1/2))), round(ratio ** b)]``, or
+    ``max(4, round(ratio ** b))`` when that range holds none.  It does
+    not ask the installed FFT library, so a persisted threshold does
+    not depend on it.
+    """
+    top = max(4, int(round(ratio ** bucket)))
+    low = max(4, math.ceil(ratio ** (bucket - 0.5)))
+    best = 0
+    power5 = 1
+    while power5 <= top:
+        odd = power5
+        while odd <= top:
+            # Largest odd * 2**a that does not exceed top.
+            best = max(best, odd << ((top // odd).bit_length() - 1))
+            odd *= 3
+        power5 *= 5
+    return best if best >= low else top
+
+
 class ThresholdCacheMismatch(ValueError):
     """A persisted cache was produced under different parameters."""
 
@@ -91,9 +131,10 @@ class ThresholdCache:
     its number of ones ``k`` — the threshold is a function of (N, k)
     only.  Large-scale runs (millions of pairs, Section VII) repeat very
     similar (N, k) combinations; this cache buckets both geometrically
-    (default 5% buckets) and computes each bucket's threshold once on a
-    representative synthetic signal.  The approximation error is the
-    bucket width, far below the permutation estimate's own variance.
+    (default 5% buckets) and computes each bucket's threshold once, at
+    the 5-smooth length :func:`bucket_length` picks inside the bucket.
+    The approximation error is the bucket width, far below the
+    permutation estimate's own variance.
 
     Bucket thresholds depend only on the bucket key and the cache's
     parameters (each is derived with a generator seeded from ``seed``),
@@ -181,19 +222,22 @@ class ThresholdCache:
         return value
 
     def _compute(self, key: Tuple[int, int]) -> float:
-        """Derive one bucket's threshold on its representative signal."""
-        rep_n = max(4, int(round(self.ratio ** key[0])))
-        rep_k = min(rep_n, max(1, int(round(self.ratio ** key[1]))))
-        signal = np.zeros(rep_n)
-        signal[:rep_k] = 1.0
-        result = permutation_threshold(
-            signal,
-            permutations=self.permutations,
-            confidence=self.confidence,
-            rng=np.random.default_rng(self.seed),
+        """Derive one bucket's threshold at its evaluation length.
+
+        A shuffled binary signal of length ``n`` with ``k`` ones is a
+        uniformly random ``k``-subset of the ``n`` slots, so each of the
+        ``m`` rows draws that subset directly instead of permuting a
+        full row.  The length is :func:`bucket_length`: a 5-smooth
+        ``n`` inside the bucket, where the rFFT is cheap.
+        """
+        n = bucket_length(key[0], self.ratio)
+        k = min(n, max(1, int(round(self.ratio ** key[1]))))
+        rows = binary_shuffles(
+            np.random.default_rng(self.seed), self.permutations, n, k
         )
-        self._cache[key] = result.threshold
-        return result.threshold
+        value = percentile_threshold(batch_max_power(rows), self.confidence)
+        self._cache[key] = value
+        return value
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -224,6 +268,7 @@ class ThresholdCache:
         The file records the cache parameters (``ratio``,
         ``permutations``, ``confidence``, ``seed``) so :meth:`load`
         can refuse entries derived under a different configuration.
+        The write is atomic (temporary file, then ``os.replace``).
         """
         path = Path(path)
         payload = {
@@ -237,7 +282,11 @@ class ThresholdCache:
                 for key, value in sorted(self._cache.items())
             ],
         }
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        # Written beside the target and renamed into place: a run killed
+        # mid-save leaves the previous file, never a torn one.
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text(json.dumps(payload), encoding="utf-8")
+        os.replace(tmp, path)
         return path
 
     def load(self, path: Union[str, Path]) -> int:
@@ -246,10 +295,21 @@ class ThresholdCache:
         Raises :class:`ThresholdCacheMismatch` when the file was written
         under different parameters (or a different file version) —
         mixing thresholds across configurations would silently change
-        detection results.
+        detection results — and when its content is not a well-formed
+        cache file (truncated, empty, or not this layout).  Nothing is
+        merged unless the whole file is valid.
         """
         path = Path(path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ThresholdCacheMismatch(
+                f"threshold cache {path} is not valid JSON: {exc}"
+            ) from None
+        if not isinstance(payload, dict):
+            raise ThresholdCacheMismatch(
+                f"threshold cache {path} is not a JSON object"
+            )
         if payload.get("version") != CACHE_FILE_VERSION:
             raise ThresholdCacheMismatch(
                 f"threshold cache {path} has file version "
@@ -262,7 +322,18 @@ class ThresholdCache:
                     f"{name}={payload.get(name)!r}, this cache uses "
                     f"{name}={getattr(self, name)!r}; refusing to load"
                 )
-        entries = payload["entries"]
-        for bucket_n, bucket_k, value in entries:
-            self._cache[(int(bucket_n), int(bucket_k))] = float(value)
+        try:
+            entries = {
+                (int(bucket_n), int(bucket_k)): float(value)
+                for bucket_n, bucket_k, value in payload["entries"]
+            }
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ThresholdCacheMismatch(
+                f"threshold cache {path} has malformed entries: {exc!r}"
+            ) from None
+        if not all(math.isfinite(value) for value in entries.values()):
+            raise ThresholdCacheMismatch(
+                f"threshold cache {path} holds a non-finite threshold"
+            )
+        self._cache.update(entries)
         return len(entries)

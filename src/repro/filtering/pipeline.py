@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.detector import DetectorConfig, PeriodicityDetector
@@ -65,24 +64,6 @@ class PipelineConfig:
     min_events: int = 4
     use_threshold_cache: bool = True
     aggregate_entities: bool = False
-    #: Reuse sliding-DFT spectral state across pipeline runs: detection
-    #: screens each pair on incrementally maintained periodograms and
-    #: only screen survivors pay for the full batched detector.  The
-    #: win applies to rolling windows re-run per tick (a 30-day window
-    #: stepped daily); one-shot runs simply pay a state build.  Requires
-    #: ``use_threshold_cache`` and a binary-signal detector — otherwise
-    #: detection silently degrades to the plain in-process path.  Part of
-    #: ``repr`` (and the sharded run fingerprint): warm spectral state
-    #: must never leak into a run configured without it.
-    incremental_detection: bool = False
-    #: Directory the incremental executor persists its warm spectral
-    #: states in (as ``incremental-state.bin``, next to the checkpoint
-    #: files) — typically a run's checkpoint directory.  None keeps the
-    #: states purely in memory.  The persisted cache carries a
-    #: detector-configuration fingerprint, so a stale or incompatible
-    #: file is discarded on load, never trusted.  Excluded from
-    #: ``repr``: where warmth lives on disk does not change reports.
-    incremental_state_dir: Optional[str] = field(default=None, repr=False)
     #: Hand detection workers their pair payloads through a
     #: :class:`~repro.mapreduce.shm.SummaryArena` instead of pickled
     #: summaries.  Only the MapReduce front end consults this (the
@@ -246,26 +227,12 @@ class BaywatchPipeline:
         # The stages module imports leaf filtering modules, so it is
         # imported lazily here to keep the package graph acyclic.
         from repro.stages import (
-            IncrementalDetection,
             InProcessDetection,
             PeriodicityDetectionStage,
             default_stages,
         )
 
-        if self.config.incremental_detection:
-            state_path = None
-            if self.config.incremental_state_dir is not None:
-                from repro.jobs.checkpoint import INCREMENTAL_STATE_FILE
-
-                state_path = (
-                    Path(self.config.incremental_state_dir)
-                    / INCREMENTAL_STATE_FILE
-                )
-            executor = IncrementalDetection(
-                self.detector, state_path=state_path
-            )
-        else:
-            executor = InProcessDetection(self.detector)
+        executor = InProcessDetection(self.detector)
         self._stages = default_stages(PeriodicityDetectionStage(executor))
 
     @property

@@ -24,7 +24,6 @@ from __future__ import annotations
 import logging
 import os
 import time
-from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.detector import DetectionResult
@@ -417,9 +416,6 @@ class BaywatchRunner:
         self.threshold_cache: Optional[ThresholdCache] = (
             ThresholdCache() if self.config.use_threshold_cache else None
         )
-        # Built lazily (and only once) by _detection_executor so warm
-        # sliding-DFT states survive across staged runs.
-        self._incremental_executor: Optional[Any] = None
 
     @property
     def scorer(self) -> DomainScorer:
@@ -695,37 +691,8 @@ class BaywatchRunner:
         return self._run_stage_graph(
             context,
             summaries,
-            PeriodicityDetectionStage(self._detection_executor()),
+            PeriodicityDetectionStage(_EngineDetection(self)),
         )
-
-    def _detection_executor(self) -> Any:
-        """The staged run's detection executor.
-
-        The engine-backed executor by default; with
-        ``config.incremental_detection`` a single
-        :class:`~repro.stages.IncrementalDetection` is kept on the
-        runner so repeated :meth:`run` calls over a rolling window
-        reuse (and, with ``config.incremental_state_dir``, persist —
-        mirroring the threshold cache's checkpoint-directory home) the
-        warm sliding-DFT states.
-        """
-        if not self.config.incremental_detection:
-            return _EngineDetection(self)
-        if self._incremental_executor is None:
-            from repro.stages import IncrementalDetection
-
-            state_path = None
-            if self.config.incremental_state_dir is not None:
-                from repro.jobs.checkpoint import INCREMENTAL_STATE_FILE
-
-                state_path = (
-                    Path(self.config.incremental_state_dir)
-                    / INCREMENTAL_STATE_FILE
-                )
-            self._incremental_executor = IncrementalDetection(
-                state_path=state_path
-            )
-        return self._incremental_executor
 
     # -- sharded, checkpointed execution -------------------------------------
 

@@ -1,6 +1,6 @@
 """Named benchmark suites for ``repro bench``.
 
-Seven suites cover the pipeline's cost structure:
+Six suites cover the pipeline's cost structure:
 
 - ``micro`` — the detector's hot paths in isolation: periodogram DFT
   (scalar and batched), permutation thresholding (cold and through the
@@ -19,12 +19,6 @@ Seven suites cover the pipeline's cost structure:
   MapReduce engine under each local execution backend (serial inline,
   2- and 4-thread pools, a 2-process pool), pricing dispatch overhead
   against the GIL-releasing kernels' thread scaling.
-- ``incremental`` — the rolling-window tick: cold full-window
-  recomputation (fused merge + full batched detector, GMM screen on)
-  against the warm sliding-DFT append path of
-  :class:`~repro.stages.IncrementalDetection` on a 30-day, 1k-pair
-  window stepped one day per tick.  The committed baseline records the
-  warm path >= 8x faster per tick; the CI gate requires >= 5x.
 - ``ingestion`` — the proxy-log fold
   (:func:`repro.sources.columnar.summaries_from_chunks`) at 1x and 4x
   the record count over a fixed pair population; extra records land in
@@ -547,184 +541,6 @@ def build_scalability_suite() -> List[Benchmark]:
     ]
 
 
-def _rolling_window_days(
-    n_pairs: int, n_days: int, *, time_scale: float = 600.0, seed: int = 7
-) -> List[List]:
-    """Per-day per-pair summaries of a rolling-window workload.
-
-    ~3% of pairs beacon with periods ``7200 + 120 * (pair % 17)`` s
-    (jitter sigma 5 s); the rest are sparse noise at 8 events/day.  The
-    shape matches an operator stepping a 30-day window daily: every
-    pair is active every day, so day ``d``'s list holds the pairs in a
-    fixed order.
-    """
-    from repro.core.timeseries import ActivitySummary
-
-    rng = np.random.default_rng(seed)
-    span = n_days * DAY
-    per_pair: List[np.ndarray] = []
-    for pair in range(n_pairs):
-        if pair % 100 < 3:
-            period = 7200.0 + 120.0 * (pair % 17)
-            count = int(span / period) + 1
-            ts = np.cumsum(rng.normal(period, 5.0, size=count))
-            ts = ts[(ts > 0) & (ts < span)]
-        else:
-            # Exactly 8 events per day: uniform-over-span draws leave
-            # the occasional pair-day empty, which would make the pair
-            # set vary across days.
-            offsets = rng.uniform(0, DAY, size=(n_days, 8))
-            ts = np.sort(
-                (offsets + np.arange(n_days)[:, None] * DAY).ravel()
-            )
-        per_pair.append(ts)
-    days: List[List] = []
-    for day in range(n_days):
-        start, end = day * DAY, (day + 1) * DAY
-        entries = []
-        for pair, ts in enumerate(per_pair):
-            chunk = ts[(ts >= start) & (ts < end)]
-            entries.append(
-                ActivitySummary.from_timestamps(
-                    f"host-{pair:04d}",
-                    f"dest-{pair % 53}.example.net",
-                    chunk,
-                    time_scale=time_scale,
-                )
-            )
-        days.append(entries)
-    return days
-
-
-def build_incremental_suite() -> List[Benchmark]:
-    """Cold full-window recompute vs the warm incremental append path.
-
-    A 30-day window over 1k pairs stepped one day per tick — the
-    rolling-window shape :class:`~repro.stages.IncrementalDetection`
-    exists for:
-
-    - ``incremental.cold_recompute`` — one tick the pre-incremental
-      way: fuse-merge the trailing window per pair, then run the full
-      batched detector (default configuration, GMM interval screen
-      *on*, warm shared threshold cache) over every pair.
-    - ``incremental.warm_append_day`` — the same tick through a
-      persistent incremental executor: per-pair sliding-DFT states
-      advance by the new day, the two-stage screen (threshold screen,
-      then candidate probe on the maintained spectra) rejects the
-      non-periodic bulk, and only survivors pay full detection.  The
-      executor is warmed at build time (the tick-0 state build plus one
-      append), so every timed iteration measures the steady state; each
-      iteration slides to a *new* day.  Engine counters (slides,
-      rebuilds, screen hit rate) land in the result's ``metrics``.
-    - ``incremental.state_roundtrip`` — serializing and restoring the
-      warm state cache, the cost a checkpointed run pays per persist.
-
-    The perf-smoke gate requires warm/cold >= 5x on mean tick time (the
-    committed baseline records >= 8x); report parity between the two
-    paths is owned by the executor-parity tests, not this suite.
-    """
-    from repro.core.batch import BatchedDetector
-    from repro.core.detector import DetectorConfig, PeriodicityDetector
-    from repro.core.permutation import ThresholdCache
-    from repro.core.timeseries import merge_rescaled
-    from repro.stages import IncrementalDetection, StageContext
-    from repro.filtering.pipeline import PipelineConfig
-
-    n_pairs, window_days, time_scale = 1000, 30, 600.0
-    total_days = 64  # enough fresh days for warmup + repeats + probes
-    day_summaries = _rolling_window_days(
-        n_pairs, total_days, time_scale=time_scale
-    )
-    config = DetectorConfig(seed=0)  # defaults: GMM screen on
-    warm_cache = ThresholdCache()
-    workspace = np.empty(0, dtype=float)
-
-    def window_summaries(end_day: int) -> List:
-        nonlocal workspace
-        window = day_summaries[end_day - window_days + 1 : end_day + 1]
-        merged = []
-        for group in zip(*window):
-            total = sum(s.event_count for s in group)
-            if workspace.size < total:
-                workspace = np.empty(total, dtype=float)
-            merged.append(
-                merge_rescaled(list(group), time_scale, out=workspace)
-            )
-        return merged
-
-    def run_cold() -> int:
-        summaries = window_summaries(window_days - 1)
-        detector = PeriodicityDetector(config, threshold_cache=warm_cache)
-        BatchedDetector(detector).detect_summaries(summaries)
-        return n_pairs
-
-    pipeline_config = PipelineConfig(
-        detector=config, incremental_detection=True
-    )
-    context = StageContext(config=pipeline_config, threshold_cache=warm_cache)
-    executor = IncrementalDetection()
-    cursor = window_days - 1
-
-    def warm_tick() -> int:
-        nonlocal cursor
-        executor(context, window_summaries(cursor))
-        # Advance while fresh days remain; past the end, re-running the
-        # final day costs a no-op slide, which would *flatter* the
-        # numbers — total_days is sized so timed repeats never get there.
-        cursor = min(cursor + 1, total_days - 1)
-        return n_pairs
-
-    warm_tick()  # tick 0: full state build (the one-time cold cost)
-    warm_tick()  # one append so steady-state timing starts clean
-
-    def engine_metrics() -> Dict[str, float]:
-        engine = executor.engine
-        out = {"pairs": float(n_pairs), "window_days": float(window_days)}
-        if engine is not None:
-            out.update(
-                slides=float(engine.slides),
-                rebuilds=float(engine.rebuilds),
-                refreshes=float(engine.refreshes),
-                fallbacks=float(engine.fallbacks),
-                screened_out=float(engine.screened_out),
-                screened_in=float(engine.screened_in),
-                state_cache_hit_rate=float(engine.hit_rate()),
-            )
-        return out
-
-    def run_roundtrip() -> int:
-        import tempfile
-        from pathlib import Path as _Path
-
-        from repro.core.incremental import IncrementalStateCache
-
-        engine = executor.engine
-        if engine is None:  # pragma: no cover - warmed above
-            return 0
-        with tempfile.TemporaryDirectory() as tmp:
-            path = _Path(tmp) / "incremental-state.bin"
-            engine.cache.save(path)
-            IncrementalStateCache.load(
-                path, fingerprint=engine.cache.fingerprint
-            )
-        return len(engine.cache)
-
-    return [
-        Benchmark(
-            "incremental.cold_recompute",
-            run_cold,
-            metrics=lambda: {
-                "pairs": float(n_pairs),
-                "window_days": float(window_days),
-            },
-        ),
-        Benchmark(
-            "incremental.warm_append_day", warm_tick, metrics=engine_metrics
-        ),
-        Benchmark("incremental.state_roundtrip", run_roundtrip),
-    ]
-
-
 #: Suite name -> builder.  Builders are lazy: heavy imports and workload
 #: construction happen only when a suite is actually requested.
 SUITES: Dict[str, Callable[[], List[Benchmark]]] = {
@@ -734,7 +550,6 @@ SUITES: Dict[str, Callable[[], List[Benchmark]]] = {
     "ingestion": build_ingestion_suite,
     "detection_batch": build_detection_batch_suite,
     "scalability": build_scalability_suite,
-    "incremental": build_incremental_suite,
 }
 
 

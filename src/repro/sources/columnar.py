@@ -45,7 +45,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from repro.core.timeseries import ActivitySummary
-from repro.sources.proxy import PairConfig, ProxyLogRecord, slot_column
+from repro.sources.proxy import (
+    STATUS_BOUND,
+    PairConfig,
+    ProxyLogRecord,
+    slot_column,
+)
 from repro.utils.validation import require, require_positive
 
 __all__ = [
@@ -266,8 +271,8 @@ def _parse_batch(lines: List[str], tables: ColumnTables) -> RecordChunk:
     if fields is not None:
         try:
             return _chunk_from_fields(fields, tables)
-        except ValueError:
-            pass  # a field that is not a number
+        except (ValueError, OverflowError):
+            pass  # a field that is not a number, or out of range
     # A malformed line: the record parser raises naming the first one.
     return RecordChunk.from_records(
         [ProxyLogRecord.from_line(line) for line in lines if line.strip()],
@@ -318,11 +323,18 @@ def _chunk_from_fields(fields: List[str], tables: ColumnTables) -> RecordChunk:
     """A chunk from :func:`_batch_fields` output.
 
     The numeric columns convert first, so a :class:`ValueError` from a
-    field that is not a number leaves ``tables`` untouched.
+    field that is not a number or a status out of the int32 column's
+    range, or an :class:`OverflowError` from a byte count beyond int64,
+    leaves ``tables`` untouched.
     """
     data = np.empty(len(fields) // _STRIDE, dtype=CHUNK_DTYPE)
     data["timestamp"] = np.array(fields[0::_STRIDE], dtype=np.float64)
-    data["status"] = np.array(fields[5::_STRIDE], dtype=np.int64)
+    status = np.array(fields[5::_STRIDE], dtype=np.int64)
+    if status.size and not (
+        -STATUS_BOUND <= status.min() and status.max() < STATUS_BOUND
+    ):
+        raise ValueError("status out of range")
+    data["status"] = status
     data["bytes_sent"] = np.array(fields[6::_STRIDE], dtype=np.int64)
     data["source_mac"] = tables.macs.intern_column(fields[1::_STRIDE])
     data["source_ip"] = tables.ips.intern_column(fields[2::_STRIDE])

@@ -49,10 +49,15 @@ class LogFormatError(ValueError):
     """A proxy log that cannot be folded into summaries.
 
     Raised for a line without exactly seven tab-separated fields, a
-    numeric field that does not parse (both name the line), and a
-    timestamp that has no int64 time slot (naming the timestamp).
+    numeric field that does not parse or a status or byte count out of
+    its column's range (these name the line), and a timestamp that has
+    no int64 time slot (naming the timestamp).
     """
 
+
+#: Statuses are int32 in a columnar chunk: ``-STATUS_BOUND <= status <
+#: STATUS_BOUND``.  Byte counts are int64.
+STATUS_BOUND = 2**31
 
 _FIELDS = ("timestamp", "source_mac", "source_ip", "destination", "url", "status", "bytes_sent")
 
@@ -137,13 +142,14 @@ class ProxyLogRecord:
         """Parse a tab-separated log line.
 
         Raises :class:`LogFormatError` naming the line when it does not
-        hold exactly seven fields or a numeric field does not parse.
+        hold exactly seven fields, a numeric field does not parse, or a
+        status or byte count does not fit its int32 or int64 column.
         """
         parts = line.rstrip("\n").split("\t")
         if len(parts) != len(_FIELDS):
             raise LogFormatError(f"malformed log line: {line!r}")
         try:
-            return cls(
+            record = cls(
                 timestamp=float(parts[0]),
                 source_mac=parts[1],
                 source_ip=parts[2],
@@ -156,6 +162,14 @@ class ProxyLogRecord:
             raise LogFormatError(
                 f"malformed log line: {line!r}: {exc}"
             ) from None
+        for name, bound in (("status", STATUS_BOUND), ("bytes_sent", 2**63)):
+            value = getattr(record, name)
+            if not -bound <= value < bound:
+                raise LogFormatError(
+                    f"malformed log line: {line!r}: {name} {value} is "
+                    f"out of range"
+                )
+        return record
 
 
 # Time-slot indices are int64: ``_SLOT_MIN <= slot < _SLOT_END``.

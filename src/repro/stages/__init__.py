@@ -20,7 +20,6 @@ is never imported from here).  See ``docs/ARCHITECTURE.md``.
 from repro.stages.base import Stage, run_stages
 from repro.stages.context import PopularityIndex, StageContext, build_report
 from repro.stages.detection import (
-    IncrementalDetection,
     InProcessDetection,
     PeriodicityDetectionStage,
     build_case,
@@ -43,7 +42,6 @@ __all__ = [
     "PopularityIndex",
     "StageContext",
     "build_report",
-    "IncrementalDetection",
     "InProcessDetection",
     "PeriodicityDetectionStage",
     "build_case",

@@ -10,6 +10,8 @@ dataclasses carry NaN fields on rejection (``nan != nan`` defeats
 ``==``) while float repr round-trips exactly.
 """
 
+import json
+import math
 import pickle
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import batch
+from repro.core import batch, permutation
 from repro.core.autocorrelation import autocorrelation
 from repro.core.batch import (
     BatchedDetector,
@@ -25,8 +27,14 @@ from repro.core.batch import (
     batch_power_spectra,
 )
 from repro.core.detector import DetectorConfig, PeriodicityDetector
-from repro.core.periodogram import power_spectrum
-from repro.core.permutation import ThresholdCache, ThresholdCacheMismatch
+from repro.core.periodogram import batch_max_power, power_spectrum
+from repro.core.permutation import (
+    CACHE_FILE_VERSION,
+    ThresholdCache,
+    ThresholdCacheMismatch,
+    binary_shuffles,
+    bucket_length,
+)
 from repro.core.timeseries import ActivitySummary
 from repro.obs import MetricsRegistry, scoped_registry
 
@@ -348,12 +356,147 @@ class TestThresholdCacheWarmth:
         source = ThresholdCache()
         source.precompute([(64, 8)])
         path = source.save(tmp_path / "cache.json")
-        payload = path.read_text(encoding="utf-8").replace(
-            '"version": 1', '"version": 99'
+        text = path.read_text(encoding="utf-8")
+        payload = text.replace(
+            f'"version": {CACHE_FILE_VERSION}', '"version": 99'
         )
+        assert payload != text
         path.write_text(payload, encoding="utf-8")
         with pytest.raises(ThresholdCacheMismatch):
             ThresholdCache().load(path)
+
+    def test_load_refuses_a_version_1_file(self, tmp_path):
+        # Version 1 derived buckets at round(ratio ** b) by permuting
+        # full rows; its thresholds must not mix with version 2's.
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({
+            "version": 1, "ratio": 1.05, "permutations": 20,
+            "confidence": 0.95, "seed": 0, "entries": [[85, 43, 12.5]],
+        }), encoding="utf-8")
+        cache = ThresholdCache()
+        with pytest.raises(ThresholdCacheMismatch, match="file version 1"):
+            cache.load(path)
+        assert len(cache) == 0
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"",
+            b'{"version": 2, "ratio": 1.05, "permutations"',
+            b"[]",
+            b'{"version": 2, "ratio": 1.05, "permutations": 20, '
+            b'"confidence": 0.95, "seed": 0}',
+            b'{"version": 2, "ratio": 1.05, "permutations": 20, '
+            b'"confidence": 0.95, "seed": 0, "entries": [[85, 43]]}',
+            b'{"version": 2, "ratio": 1.05, "permutations": 20, '
+            b'"confidence": 0.95, "seed": 0, "entries": [[85, 43, 1.0], '
+            b'["x", 1, 2.0]]}',
+            b'{"version": 2, "ratio": 1.05, "permutations": 20, '
+            b'"confidence": 0.95, "seed": 0, "entries": [[85, 43, null]]}',
+            b'{"version": 2, "ratio": 1.05, "permutations": 20, '
+            b'"confidence": 0.95, "seed": 0, "entries": [[85, 43, NaN]]}',
+            b"\xff\xfe\x00",
+        ],
+        ids=[
+            "empty", "truncated", "top-level-list", "no-entries",
+            "short-entry", "non-numeric-key", "null-threshold",
+            "nan-threshold", "not-utf8",
+        ],
+    )
+    def test_load_refuses_corrupt_files(self, tmp_path, content):
+        path = tmp_path / "cache.json"
+        path.write_bytes(content)
+        cache = ThresholdCache()
+        with pytest.raises(ThresholdCacheMismatch):
+            cache.load(path)
+        assert len(cache) == 0
+
+    def test_save_replaces_the_file_atomically(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.json"
+        first = ThresholdCache()
+        first.precompute([(64, 8)])
+        first.save(path)
+        before = path.read_text(encoding="utf-8")
+        second = ThresholdCache()
+        second.precompute([(64, 8), (1024, 30)])
+
+        def killed(src, dst):
+            raise OSError("killed mid-save")
+
+        monkeypatch.setattr(permutation.os, "replace", killed)
+        with pytest.raises(OSError):
+            second.save(path)
+        assert path.read_text(encoding="utf-8") == before
+        monkeypatch.undo()
+        second.save(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
+        assert ThresholdCache().load(path) == len(second) == 2
+
+    def test_bucket_length_is_5_smooth_inside_the_bucket(self):
+        def is_5_smooth(n):
+            for factor in (2, 3, 5):
+                while n % factor == 0:
+                    n //= factor
+            return n == 1
+
+        ratio = 1.05
+        last_bucket = round(math.log(2**21) / math.log(ratio))
+        fallbacks = []
+        for bucket in range(last_bucket + 1):
+            length = bucket_length(bucket, ratio)
+            top = max(4, round(ratio ** bucket))
+            low = max(4, math.ceil(ratio ** (bucket - 0.5)))
+            if any(is_5_smooth(n) for n in range(low, top + 1)):
+                assert low <= length <= top and is_5_smooth(length)
+                assert not any(
+                    is_5_smooth(n) for n in range(length + 1, top + 1)
+                )
+            else:
+                assert length == top
+                fallbacks.append(bucket)
+        assert fallbacks  # small buckets, e.g. 4.1 to 4.3 slots
+        assert bucket_length(round(math.log(82_398) / math.log(ratio)),
+                             ratio) == 81_920
+
+    def test_every_shape_in_a_bucket_gets_the_same_threshold(self):
+        reference = ThresholdCache()
+        key = reference._key(1_296, 60)
+        shapes = [
+            (n, k)
+            for n in range(1_200, 1_400)
+            for k in range(50, 70)
+            if reference._key(n, k) == key
+        ]
+        assert len(shapes) > 100
+        values = {reference.threshold(n, k) for n, k in shapes}
+        assert len(values) == 1 and reference.misses == 1
+        # A bucket's value does not depend on which shape derived it.
+        for n, k in shapes[:: len(shapes) // 4]:
+            assert ThresholdCache().threshold(n, k) in values
+
+    @pytest.mark.parametrize("n, k", [(1_296, 60), (5_000, 300), (20_736, 800)])
+    def test_subset_draws_match_permuted_rows_in_distribution(self, n, k):
+        # Placing k ones on a random k-subset is a shuffle of the binary
+        # signal: the per-row maximum powers of both samples must pass
+        # a two-sample KS test (fixed seeds, 300 rows each).  Drawing
+        # 10% more ones fails it with p < 1e-13 at every shape here.
+        from scipy.stats import ks_2samp
+
+        rows, block = 300, 50
+        signal = np.zeros(n)
+        signal[:k] = 1.0
+        subset_rng = np.random.default_rng(0)
+        permuted_rng = np.random.default_rng(1)
+        subset, permuted = [], []
+        for _ in range(rows // block):
+            subset.append(batch_max_power(
+                binary_shuffles(subset_rng, block, n, k)
+            ))
+            permuted.append(batch_max_power(
+                permuted_rng.permuted(np.tile(signal, (block, 1)), axis=1)
+            ))
+        result = ks_2samp(np.concatenate(subset), np.concatenate(permuted))
+        assert result.pvalue > 0.01
 
     def test_pickled_cache_stays_warm(self):
         cache = ThresholdCache()

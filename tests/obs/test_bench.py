@@ -279,7 +279,7 @@ class TestSuites:
 
         assert set(suite_names()) == {
             "micro", "pipeline", "mapreduce", "ingestion",
-            "detection_batch", "scalability", "incremental",
+            "detection_batch", "scalability",
         }
         benchmarks = build_suite("micro")
         names = [bench.name for bench in benchmarks]

@@ -203,13 +203,55 @@ class TestMalformedLines:
         with pytest.raises(LogFormatError, match=re.escape(message)):
             list(read_log(path))
 
+    @pytest.mark.parametrize(
+        "status, bytes_sent, name",
+        [
+            ("99999999999", "0", "status"),
+            ("2147483648", "0", "status"),
+            ("-2147483649", "0", "status"),
+            ("200", "99999999999999999999", "bytes_sent"),
+            ("200", "-9223372036854775809", "bytes_sent"),
+        ],
+    )
+    def test_numbers_out_of_column_range_are_rejected(
+        self, tmp_path, status, bytes_sent, name
+    ):
+        # An int32 status column would wrap 99999999999 to 1215752191;
+        # a byte count beyond int64 would end in a raw OverflowError.
+        fields = ["10.0", "aa:bb", "10.0.0.1", "c2.example.net", "/x"]
+        good = "\t".join(fields + ["200", "0"]) + "\n"
+        bad = "\t".join(fields + [status, bytes_sent]) + "\n"
+        path = tmp_path / "log.tsv"
+        path.write_text(good + bad + good)
+        value = status if name == "status" else bytes_sent
+        message = f"malformed log line: {bad!r}: {name} {value} is out of range"
+        with pytest.raises(LogFormatError, match=re.escape(message)):
+            list(read_log_chunks(path))
+        with pytest.raises(LogFormatError, match=re.escape(message)):
+            list(read_log(path))
+
+    def test_numbers_at_the_column_bounds_are_kept(self, tmp_path):
+        fields = ["10.0", "aa:bb", "10.0.0.1", "c2.example.net", "/x"]
+        path = tmp_path / "log.tsv"
+        path.write_text(
+            "\t".join(fields + ["2147483647", "9223372036854775807"]) + "\n"
+            + "\t".join(fields + ["-2147483648", "-9223372036854775808"])
+            + "\n"
+        )
+        parsed = list(chunks_to_records(read_log_chunks(path)))
+        assert parsed == list(read_log(path))
+        assert [(r.status, r.bytes_sent) for r in parsed] == [
+            (2**31 - 1, 2**63 - 1), (-(2**31), -(2**63)),
+        ]
+
     @settings(max_examples=150, deadline=None)
     @given(
         lines=st.lists(
             st.sampled_from([0, 5, 6, 7, 8, 9]).flatmap(
                 lambda n: st.lists(
                     st.sampled_from(
-                        ["", " ", "7", "-2", "60.5", "1e3", "m1", "a.example"]
+                        ["", " ", "7", "-2", "60.5", "1e3", "m1", "a.example",
+                         "99999999999", "99999999999999999999"]
                     ),
                     min_size=n,
                     max_size=n,
@@ -221,9 +263,9 @@ class TestMalformedLines:
         chunk_size=st.integers(1, 5),
     )
     def test_chunk_parser_agrees_with_the_record_parser(self, lines, chunk_size):
-        # Blank lines and lines of 5-9 fields, numbers or not: both
-        # parsers give the same records or the same error naming the
-        # same line.
+        # Blank lines and lines of 5-9 fields, numbers or not, in range
+        # or not: both parsers give the same records or the same error
+        # naming the same line.
         def parse(records):
             try:
                 return list(records), None

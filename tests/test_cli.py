@@ -270,6 +270,8 @@ def tsv(*lines):
 GOOD = ("10.0", "aa:bb", "10.0.0.1", "c2.example.net", "/x", "200", "0")
 LONG = GOOD + ("220.000",)
 NO_STATUS = GOOD[:5] + ("OK", "0")
+HUGE_STATUS = GOOD[:5] + ("99999999999", "0")
+HUGE_BYTES = GOOD[:6] + ("99999999999999999999",)
 HOSTILE_LOGS = {  # name: (log, start of the error line)
     "short-line": (tsv(GOOD, ("12.5",)), "malformed log line: '12.5\\n'"),
     "8-plus-6-fields": (
@@ -280,6 +282,16 @@ HOSTILE_LOGS = {  # name: (log, start of the error line)
     "non-numeric-status": (
         tsv(GOOD, NO_STATUS),
         f"malformed log line: {tsv(NO_STATUS)!r}: invalid literal for int()",
+    ),
+    "status-beyond-int32": (
+        tsv(GOOD, HUGE_STATUS),
+        f"malformed log line: {tsv(HUGE_STATUS)!r}: status 99999999999 is "
+        "out of range",
+    ),
+    "bytes-beyond-int64": (
+        tsv(GOOD, HUGE_BYTES, GOOD),
+        f"malformed log line: {tsv(HUGE_BYTES)!r}: bytes_sent "
+        "99999999999999999999 is out of range",
     ),
 }
 
@@ -332,6 +344,25 @@ class TestRun:
         capsys.readouterr()
         metrics = (tmp_path / "tel" / "metrics.jsonl").read_text()
         assert "mapreduce.shards_resumed" in metrics
+
+    def test_resume_over_a_truncated_threshold_cache(
+        self, trace_path, tmp_path, capsys
+    ):
+        # The cache is saved after every shard; a kill mid-save used to
+        # leave a torn file that crashed --resume with a traceback.
+        out, _truth = trace_path
+        base = ["run", str(out), "--shard-size", "2", "--percentile", "0.5"]
+        assert main(base + ["--checkpoint-dir", str(tmp_path / "whole")]) == 0
+        expected = capsys.readouterr().out
+        ckpt = tmp_path / "ckpt"
+        base += ["--checkpoint-dir", str(ckpt)]
+        assert main(base + ["--max-shards", "1"]) == 3
+        capsys.readouterr()
+        cache = ckpt / "threshold-cache.json"
+        text = cache.read_text(encoding="utf-8")
+        cache.write_text(text[: len(text) // 2], encoding="utf-8")
+        assert main(base + ["--resume"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_resume_with_changed_settings_exits_2(
         self, trace_path, tmp_path, capsys
