@@ -6,10 +6,11 @@ pairs completed in 14 minutes, weekday days with 26 M pairs in 1 h 30 m
 — an 7.9x pair increase costing a 6.4x runtime increase (sub-linear in
 pairs), and the whole 5-month corpus was processed in batch.
 
-At laptop scale we measure the same relationship on the end-to-end
-MapReduce runner: a "weekend" workload vs a "weekday" workload with ~4x
-the connection pairs, plus the parallel-engine behaviour that stands in
-for the cluster.
+At laptop scale we measure the same relationship end to end, through
+the pipeline with periodicity detection on the MapReduce engine: a
+"weekend" workload vs a "weekday" workload with ~4x the connection
+pairs, plus the parallel-engine behaviour that stands in for the
+cluster.
 
 The executor-dispatch side of this experiment is promoted into the CI
 bench harness as ``repro bench --suite scalability``
@@ -26,7 +27,7 @@ import pytest
 
 from benchmarks.common import ExperimentReport, check
 from benchmarks.workloads import DAY, IMPLANT_MIXES, pipeline_config, simulate_window
-from repro.jobs import BaywatchRunner
+from repro.filtering import BaywatchPipeline
 from repro.mapreduce import MapReduceEngine
 
 
@@ -53,9 +54,9 @@ def workloads():
 
 def _run_once(records, n_workers=1):
     engine = MapReduceEngine(n_workers=n_workers, min_parallel_records=16)
-    runner = BaywatchRunner(pipeline_config(0.5), engine=engine)
+    pipeline = BaywatchPipeline(pipeline_config(0.5), engine=engine)
     start = time.perf_counter()
-    report = runner.run(records)
+    report = pipeline.run_records(records)
     elapsed = time.perf_counter() - start
     engine.close()
     pairs = len({(r.source_mac, r.destination) for r in records})

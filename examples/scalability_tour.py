@@ -3,8 +3,9 @@
 
 Shows the Section VII production architecture at laptop scale:
 
-1. each phase as a modular MapReduce job (extract -> popularity ->
-   detect -> rank) over the local engine,
+1. periodicity detection, the costly phase, as a MapReduce job over the
+   local engine, run in shards; extraction, popularity and ranking run
+   in-process,
 2. multi-day operation with rescale-and-merge: per-day extraction at
    1-second granularity, then a weekly coarse-grained pass over merged
    summaries that spots slow beacons invisible in a single day,
@@ -16,8 +17,7 @@ Run:  python examples/scalability_tour.py
 
 import time
 
-from repro.filtering import NoveltyStore, PipelineConfig
-from repro.jobs import BaywatchRunner
+from repro.filtering import BaywatchPipeline, NoveltyStore, PipelineConfig
 from repro.mapreduce import MapReduceEngine
 from repro.synthetic import EnterpriseConfig, EnterpriseSimulator, ImplantSpec
 
@@ -49,20 +49,24 @@ def main() -> None:
 
     print("\n=== daily operation (1 s granularity) ===")
     novelty = NoveltyStore()  # carried across the daily runs
-    runner = BaywatchRunner(pipeline_config, novelty=novelty)
+    pipeline = BaywatchPipeline(
+        pipeline_config, engine=MapReduceEngine(), novelty=novelty
+    )
     for day in range(3):
         start, end = day * DAY, (day + 1) * DAY
         day_records = [r for r in records if start <= r.timestamp < end]
         t0 = time.time()
-        report = runner.run(day_records)
+        report = pipeline.run_records(day_records)
         names = [case.destination for case in report.ranked_cases]
         print(f"  day {day}: {len(day_records):6d} events, "
               f"{time.time() - t0:5.1f} s -> new reports: {names}")
 
     print("\n=== weekly pass: rescale to 60 s, merge, re-detect ===")
-    weekly_runner = BaywatchRunner(pipeline_config)
+    weekly_pipeline = BaywatchPipeline(
+        pipeline_config, engine=MapReduceEngine()
+    )
     t0 = time.time()
-    weekly = weekly_runner.run(records, analysis_time_scale=60.0)
+    weekly = weekly_pipeline.run_records(records, analysis_time_scale=60.0)
     print(f"  {time.time() - t0:.1f} s")
     print(weekly.funnel.as_text())
     slow = [case for case in weekly.ranked_cases
@@ -72,9 +76,11 @@ def main() -> None:
 
     print("\n=== same weekly pass on a 4-worker engine ===")
     with MapReduceEngine(n_workers=4, min_parallel_records=32) as engine:
-        parallel_runner = BaywatchRunner(pipeline_config, engine=engine)
+        parallel_pipeline = BaywatchPipeline(pipeline_config, engine=engine)
         t0 = time.time()
-        parallel = parallel_runner.run(records, analysis_time_scale=60.0)
+        parallel = parallel_pipeline.run_records(
+            records, analysis_time_scale=60.0
+        )
         elapsed = time.time() - t0
     same = {c.destination for c in parallel.ranked_cases} == {
         c.destination for c in weekly.ranked_cases

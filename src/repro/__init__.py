@@ -6,9 +6,9 @@ Public API highlights:
   (DFT + permutation threshold, pruning, ACF verification, GMM
   multi-period analysis),
 - :class:`repro.filtering.BaywatchPipeline` — the 8-step filtering
-  methodology end-to-end,
-- :class:`repro.jobs.BaywatchRunner` — the same methodology as chained
-  MapReduce jobs over :class:`repro.mapreduce.MapReduceEngine`,
+  methodology end-to-end; given a
+  :class:`repro.mapreduce.MapReduceEngine`, it runs periodicity
+  detection as checkpointed MapReduce shards,
 - :mod:`repro.synthetic` — enterprise traffic generation with implanted
   beacons and ground truth,
 - :class:`repro.analysis.Investigator` — bootstrap case classification

@@ -22,9 +22,10 @@ one :class:`~repro.obs.VerdictRecord` per funnel step per kept pair —
 which ``explain``/``audit``/``diff-runs`` read back (see
 ``docs/OBSERVABILITY.md``).
 
-``run`` is the operational front end: the MapReduce-backed runner with
-bounded shards, durable JSONL checkpoints (``--checkpoint-dir`` /
-``--resume``), worker-pool recovery (``--task-timeout``,
+``run`` is the operational mode: the pipeline with periodicity
+detection on the MapReduce engine, in bounded shards with durable JSONL
+checkpoints (``--checkpoint-dir`` / ``--resume``), worker-pool recovery
+(``--task-timeout``,
 ``--max-retries``, ``--retry-backoff``), and quarantine of poison-pill
 pairs (see ``docs/OPERATIONS.md``).  It exits 3 when ``--max-shards``
 stopped the run before every shard completed.  Every sharded run
@@ -59,6 +60,7 @@ from repro.filtering.pipeline import (
     BaywatchPipeline,
     PipelineConfig,
     PipelineReport,
+    check_analysis_time_scale,
 )
 from repro.lm.domains import default_scorer
 from repro.obs import (
@@ -194,7 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     runp.add_argument(
         "--analysis-time-scale", type=float, default=None, metavar="SECONDS",
-        help="rescale summaries to this granularity before detection",
+        help="rescale summaries to this coarser granularity before "
+             "detection (finite, at least the 1 s fold)",
     )
     runp.add_argument(
         "--telemetry", type=Path, default=None, metavar="DIR",
@@ -522,7 +525,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.jobs.checkpoint import CheckpointMismatch
-    from repro.jobs.runner import BaywatchRunner, IncompleteRunError
+    from repro.jobs.runner import IncompleteRunError
     from repro.mapreduce.engine import MapReduceEngine
     from repro.obs import JOURNAL_FILE, StatusServer, new_run_id
 
@@ -532,6 +535,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         use_shared_memory=args.shared_memory,
         provenance=_provenance_policy(args),
     )
+    try:
+        check_analysis_time_scale(args.analysis_time_scale, config.time_scale)
+    except ValueError as exc:
+        print(f"error: --analysis-time-scale: {exc}", file=sys.stderr)
+        return 2
     if args.executor == "shard-queue" and args.checkpoint_dir is None:
         print(
             "error: --executor shard-queue needs --checkpoint-dir (the "
@@ -556,7 +564,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         quarantine=not args.no_quarantine,
         executor=executor,
     )
-    runner = BaywatchRunner(config, engine=engine)
+    pipeline = BaywatchPipeline(config, engine=engine)
     checkpoint_dir = (
         str(args.checkpoint_dir) if args.checkpoint_dir is not None else None
     )
@@ -598,18 +606,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"status service on http://127.0.0.1:{port} (run {run_id})")
 
     def go() -> PipelineReport:
-        sharded_kwargs = dict(
-            analysis_time_scale=args.analysis_time_scale,
-            shard_size=args.shard_size,
-            checkpoint_dir=checkpoint_dir,
-            resume=args.resume,
-            max_shards=args.max_shards,
-            run_id=run_id,
-            journal_dir=journal_home,
-        )
         with engine:
-            return runner.run_chunks_sharded(
-                read_log_chunks(args.input), **sharded_kwargs
+            return pipeline.run_chunks(
+                read_log_chunks(args.input),
+                analysis_time_scale=args.analysis_time_scale,
+                shard_size=args.shard_size,
+                checkpoint_dir=checkpoint_dir,
+                resume=args.resume,
+                max_shards=args.max_shards,
+                run_id=run_id,
+                journal_dir=journal_home,
             )
 
     telemetry_dir: Optional[Path] = None

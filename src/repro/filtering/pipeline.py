@@ -19,11 +19,13 @@ step  filter                           phase
 pipeline reports them as one "periodicity detection" stage of the
 funnel plus the detector's internal rejection reasons.)
 
-The step bodies themselves live in :mod:`repro.stages` — this module's
-:class:`BaywatchPipeline` is the *in-process front end* that composes
-the shared stage instances; the MapReduce front end
-(:class:`~repro.jobs.BaywatchRunner`) composes the same objects, so the
-funnel has exactly one implementation.  See ``docs/ARCHITECTURE.md``.
+The step bodies themselves live in :mod:`repro.stages`; this module's
+:class:`BaywatchPipeline` is the one front end that composes them.
+Ingestion, the whitelists and ranking always run in this process.
+Periodicity detection runs in-process too, unless the pipeline is given
+a :class:`~repro.mapreduce.MapReduceEngine`: then detection runs on the
+engine in bounded, checkpointed shards (:mod:`repro.jobs.runner`).
+Both ways give the same report.  See ``docs/ARCHITECTURE.md``.
 
 Phase (d) — investigation and verification — lives in
 :mod:`repro.analysis`, consuming this pipeline's output.
@@ -32,8 +34,19 @@ Phase (d) — investigation and verification — lives in
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.detector import DetectorConfig, PeriodicityDetector
 from repro.core.permutation import ThresholdCache
@@ -48,6 +61,9 @@ from repro.obs import get_registry, span
 from repro.obs.provenance import ProvenancePolicy, VerdictRecord
 from repro.sources.proxy import ProxyLogRecord, records_to_summaries
 from repro.utils.validation import require, require_probability
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.mapreduce.engine import MapReduceEngine
 
 logger = logging.getLogger(__name__)
 
@@ -66,10 +82,10 @@ class PipelineConfig:
     aggregate_entities: bool = False
     #: Hand detection workers their pair payloads through a
     #: :class:`~repro.mapreduce.shm.SummaryArena` instead of pickled
-    #: summaries.  Only the MapReduce front end consults this (the
-    #: in-process pipeline has no workers); reports are bit-identical
-    #: either way — the knob trades per-task serialization for one
-    #: shared segment per detection batch.
+    #: summaries.  Only engine runs consult this (in-process detection
+    #: has no workers); reports are bit-identical either way — the knob
+    #: trades per-task serialization for one shared segment per
+    #: detection batch.
     use_shared_memory: bool = False
     #: Decision-provenance sampling policy.  None (the default) keeps
     #: every per-pair verdict path disabled at zero overhead; a
@@ -79,15 +95,6 @@ class PipelineConfig:
     #: run fingerprint: a checkpoint cannot silently resume with a
     #: different provenance setting.
     provenance: Optional[ProvenancePolicy] = None
-    #: Execution backend for the MapReduce front end: one of
-    #: ``"serial"``, ``"threads"``, ``"processes"``, ``"shard-queue"``,
-    #: or None to keep the engine's own default.  Deliberately excluded
-    #: from ``repr`` — and therefore from the sharded run fingerprint —
-    #: because every backend produces bit-identical reports: a run
-    #: started under ``processes`` may legitimately resume under
-    #: ``shard-queue``.  Only the MapReduce runner consults this (the
-    #: in-process pipeline has no workers).
-    executor: Optional[str] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         require_probability(
@@ -95,15 +102,52 @@ class PipelineConfig:
         )
         require_probability(self.ranking_percentile, "ranking_percentile")
         require(self.min_events >= 2, "min_events must be at least 2")
-        # Literal tuple rather than an import: the filtering layer must
-        # not depend on the mapreduce layer (repro.mapreduce.executors
-        # re-validates via make_executor when the engine is built).
-        require(
-            self.executor in (None, "serial", "threads", "processes",
-                              "shard-queue"),
-            f"unknown executor {self.executor!r}; known: serial, threads, "
-            "processes, shard-queue",
-        )
+
+
+def check_analysis_time_scale(
+    analysis_time_scale: Optional[float], time_scale: float
+) -> None:
+    """Raise ``ValueError`` for an analysis time scale a run cannot honour.
+
+    Rescaling only coarsens (paper Section VII-B): the value must be a
+    finite number of seconds no finer than the fold's ``time_scale``.
+    None means "analyse at the fold's time scale".
+    """
+    require(
+        analysis_time_scale is None
+        or (math.isfinite(analysis_time_scale)
+            and analysis_time_scale >= time_scale),
+        f"analysis_time_scale must be finite and at least time_scale "
+        f"({time_scale:g} s), got {analysis_time_scale!r}",
+    )
+
+
+def rescale_and_merge(
+    summaries: Iterable[ActivitySummary], time_scale: float
+) -> List[ActivitySummary]:
+    """Rescale every summary to ``time_scale`` and merge each pair's.
+
+    The rescaling-and-merging phase (paper Section VII-B): a pair's
+    summaries merge in order of their first timestamps once rescaled
+    (ties keep input order), so the URL sample stays chronological.
+    The output is sorted by pair.
+    """
+    # Looked up at call time, so a wrapper installed on the module
+    # attribute (a layer trace) sees the merge.
+    from repro.core.timeseries import merge_rescaled
+
+    def rescaled_start(summary: ActivitySummary) -> float:
+        if summary.time_scale >= time_scale:
+            return summary.first_timestamp
+        return math.floor(summary.first_timestamp / time_scale) * time_scale
+
+    groups: Dict[Tuple[str, str], List[ActivitySummary]] = {}
+    for summary in summaries:
+        groups.setdefault(summary.pair, []).append(summary)
+    return [
+        merge_rescaled(sorted(group, key=rescaled_start), time_scale)
+        for _pair, group in sorted(groups.items())
+    ]
 
 
 @dataclass
@@ -195,45 +239,55 @@ class BaywatchPipeline:
     The pipeline is reusable across daily runs: the novelty store
     accumulates reported destinations, so a destination reported
     yesterday is suppressed (but logged) today.  It composes the shared
-    :mod:`repro.stages` objects with an in-process detection executor;
-    ingestion folds chunk by chunk through
+    :mod:`repro.stages` objects; ingestion folds chunk by chunk through
     :func:`repro.sources.columnar.summaries_from_chunks` (records via
     :func:`repro.sources.proxy.records_to_summaries`), so ``records``
     or ``chunks`` may be a lazy iterator of any size.
+
+    Without an ``engine`` every step runs in this process.  With one,
+    periodicity detection — the only phase whose cost needs workers —
+    runs on the engine in bounded shards with optional durable
+    checkpoints, retries and quarantine
+    (:func:`repro.jobs.runner.run_on_engine`); every other step still
+    runs here.  ``detection_job_factory`` (engine runs only) builds the
+    detection job from the keyword arguments of
+    :class:`~repro.jobs.detection.BeaconingDetectionJob` — the seam
+    fault-injection tests hook into.
     """
 
     def __init__(
         self,
         config: Optional[PipelineConfig] = None,
         *,
+        engine: Optional["MapReduceEngine"] = None,
         global_whitelist: Optional[GlobalWhitelist] = None,
         novelty: Optional[NoveltyStore] = None,
         token_filter: Optional[TokenFilter] = None,
         scorer: Optional[DomainScorer] = None,
+        detection_job_factory: Optional[Callable[..., Any]] = None,
     ) -> None:
+        require(
+            detection_job_factory is None or engine is not None,
+            "detection_job_factory needs an engine",
+        )
         self.config = config or PipelineConfig()
+        self.engine = engine
         self.global_whitelist = (
             global_whitelist if global_whitelist is not None else GlobalWhitelist()
         )
         self.novelty = novelty if novelty is not None else NoveltyStore()
         self.token_filter = token_filter if token_filter is not None else TokenFilter()
         self._scorer = scorer
-        self._threshold_cache = (
+        self.detection_job_factory = detection_job_factory
+        # One cache for every run: in-process detection warms it,
+        # engine runs ship it to their workers and persist it next to
+        # the shard checkpoints.
+        self.threshold_cache = (
             ThresholdCache() if self.config.use_threshold_cache else None
         )
         self.detector = PeriodicityDetector(
-            self.config.detector, threshold_cache=self._threshold_cache
+            self.config.detector, threshold_cache=self.threshold_cache
         )
-        # The stages module imports leaf filtering modules, so it is
-        # imported lazily here to keep the package graph acyclic.
-        from repro.stages import (
-            InProcessDetection,
-            PeriodicityDetectionStage,
-            default_stages,
-        )
-
-        executor = InProcessDetection(self.detector)
-        self._stages = default_stages(PeriodicityDetectionStage(executor))
 
     @property
     def scorer(self) -> DomainScorer:
@@ -244,50 +298,100 @@ class BaywatchPipeline:
 
     # -- public API --------------------------------------------------------
 
-    def run_records(self, records: Iterable[ProxyLogRecord]) -> PipelineReport:
-        """Run the pipeline on raw proxy-log records (streamed)."""
-        with span("records_to_summaries"):
-            summaries = records_to_summaries(
-                records,
-                time_scale=self.config.time_scale,
-                aggregate_entities=self.config.aggregate_entities,
-            )
-        return self.run_summaries(summaries)
+    def run_records(
+        self, records: Iterable[ProxyLogRecord], **options: Any
+    ) -> PipelineReport:
+        """Run the pipeline on raw proxy-log records (streamed).
 
-    def run_chunks(self, chunks: Iterable[Any]) -> PipelineReport:
+        ``options`` are those of :meth:`run_summaries`.
+        """
+        return self._run(
+            records, records_to_summaries, "records_to_summaries", **options
+        )
+
+    def run_chunks(
+        self, chunks: Iterable[Any], **options: Any
+    ) -> PipelineReport:
         """Run the pipeline on columnar record chunks.
 
         :class:`~repro.sources.columnar.RecordChunk` batches (e.g. from
         :func:`~repro.sources.columnar.read_log_chunks`) fold straight
         into summaries; the report equals :meth:`run_records`'s over
-        the same events.
+        the same events.  ``options`` are those of :meth:`run_summaries`.
         """
         # Looked up at call time, so a wrapper installed on the module
         # attribute (a layer trace) sees the fold.
         from repro.sources.columnar import summaries_from_chunks
 
-        with span("chunks_to_summaries"):
-            summaries = summaries_from_chunks(
-                chunks,
-                time_scale=self.config.time_scale,
-                aggregate_entities=self.config.aggregate_entities,
-            )
-        return self.run_summaries(summaries)
+        return self._run(
+            chunks, summaries_from_chunks, "chunks_to_summaries", **options
+        )
 
     def run_summaries(
-        self, summaries: Sequence[ActivitySummary]
+        self, summaries: Sequence[ActivitySummary], **options: Any
     ) -> PipelineReport:
-        """Run the pipeline on prebuilt activity summaries."""
-        with span("pipeline"):
-            return self._run_summaries(summaries)
+        """Run the pipeline on prebuilt activity summaries.
 
-    def _run_summaries(
-        self, summaries: Sequence[ActivitySummary]
+        ``analysis_time_scale`` (seconds) rescales every summary to that
+        coarser granularity and merges each pair's summaries before the
+        funnel (see :func:`rescale_and_merge`).  The other keywords need
+        an engine and are those of
+        :func:`repro.jobs.runner.run_on_engine`: ``shard_size``,
+        ``checkpoint_dir``, ``resume``, ``max_shards``, ``run_id`` and
+        ``journal_dir``.
+        """
+        return self._run(summaries, None, "", **options)
+
+    def _run(
+        self,
+        source: Any,
+        fold: Optional[Callable[..., List[ActivitySummary]]],
+        fold_span: str,
+        *,
+        analysis_time_scale: Optional[float] = None,
+        **sharding: Any,
     ) -> PipelineReport:
+        """The body of every run: check, fold, rescale, then the funnel."""
+        if sharding and self.engine is None:
+            raise ValueError(
+                f"{', '.join(sorted(sharding))}: sharding keywords need an "
+                "engine (BaywatchPipeline(engine=...))"
+            )
+        check_analysis_time_scale(analysis_time_scale, self.config.time_scale)
+        summaries = source
+        if fold is not None:
+            with span(fold_span):
+                summaries = fold(
+                    source,
+                    time_scale=self.config.time_scale,
+                    aggregate_entities=self.config.aggregate_entities,
+                )
+        if analysis_time_scale is not None:
+            summaries = rescale_and_merge(summaries, analysis_time_scale)
+        if self.engine is not None:
+            # Imported lazily: the filtering layer does not depend on
+            # the jobs and mapreduce layers at import time.
+            from repro.jobs.runner import run_on_engine
+
+            return run_on_engine(self, summaries, **sharding)
+        from repro.stages import InProcessDetection
+
+        executor = InProcessDetection(self.detector)
+        with span("pipeline"):
+            return self._run_stages(summaries, executor)
+
+    def _run_stages(
+        self, summaries: Sequence[ActivitySummary], executor: Any
+    ) -> PipelineReport:
+        """The 8-step funnel over ``summaries``, detecting via ``executor``."""
+        # The stages module imports leaf filtering modules, so it is
+        # imported lazily here to keep the package graph acyclic.
         from repro.stages import (
+            PeriodicityDetectionStage,
             PopularityIndex,
             StageContext,
             build_report,
+            default_stages,
             run_stages,
         )
 
@@ -303,7 +407,6 @@ class BaywatchPipeline:
             global_whitelist=self.global_whitelist,
             novelty=self.novelty,
             token_filter=self.token_filter,
-            threshold_cache=self._threshold_cache,
             scorer_factory=lambda: self.scorer,
             provenance=recorder,
         )
@@ -313,12 +416,13 @@ class BaywatchPipeline:
             context.popularity.population
         )
 
-        ranked = run_stages(context, self._stages, summaries)
+        stages = default_stages(PeriodicityDetectionStage(executor))
+        ranked = run_stages(context, stages, summaries)
 
         logger.info(
-            "pipeline run: %d pairs in, %d periodic, %d reported "
-            "(population %d)",
+            "pipeline run: %d pairs in, %d periodic, %d reported, "
+            "%d quarantined (population %d)",
             len(summaries), len(context.detected), len(ranked),
-            context.popularity.population,
+            len(context.quarantined), context.popularity.population,
         )
         return build_report(context, ranked)

@@ -1,13 +1,17 @@
-"""The MapReduce formulation of every BAYWATCH phase (Section VII)."""
+"""The MapReduce side of BAYWATCH: detection job, checkpoints, store.
 
-from repro.jobs.records import DetectionCase, detection_case_to_beaconing_case
+Of the paper's Section VII jobs, only periodicity detection runs on the
+engine (:class:`BeaconingDetectionJob`, driven in checkpointed shards by
+:func:`repro.jobs.runner.run_on_engine` when a
+:class:`~repro.filtering.BaywatchPipeline` is given an engine); the
+other phases run in-process.  :class:`SummaryStore` keeps per-day
+summaries for the long-window cadence runs.
+"""
+
+from repro.jobs.records import DetectionCase
 from repro.jobs.checkpoint import CheckpointMismatch, CheckpointStore
-from repro.jobs.extraction import DataExtractionJob
-from repro.jobs.rescaling import RescaleMergeJob
-from repro.jobs.popularity import DestinationPopularityJob, popularity_table
 from repro.jobs.detection import BeaconingDetectionJob
-from repro.jobs.ranking_job import RankingJob
-from repro.jobs.runner import BaywatchRunner, IncompleteRunError
+from repro.jobs.runner import IncompleteRunError
 from repro.jobs.summary_store import (
     SummaryPacker,
     SummaryStore,
@@ -23,13 +27,6 @@ __all__ = [
     "CheckpointMismatch",
     "CheckpointStore",
     "DetectionCase",
-    "detection_case_to_beaconing_case",
-    "DataExtractionJob",
-    "RescaleMergeJob",
-    "DestinationPopularityJob",
-    "popularity_table",
     "BeaconingDetectionJob",
-    "RankingJob",
-    "BaywatchRunner",
     "IncompleteRunError",
 ]

@@ -2,10 +2,11 @@
 
 The paper's Hadoop deployment survives multi-hour batches because every
 task's output is durable: a re-submitted job re-runs only the work that
-was lost.  :class:`CheckpointStore` gives the local MapReduce runner the
-same property — the expensive detection phase is processed in bounded
-shards, each completed shard's output is persisted as one JSONL file
-(atomically: written to a temp file, then renamed), and an interrupted
+was lost.  :class:`CheckpointStore` gives engine runs
+(:func:`repro.jobs.runner.run_on_engine`) the same property — the
+expensive detection phase is processed in bounded shards, each
+completed shard's output is persisted as one JSONL file (atomically:
+written to a temp file, then renamed), and an interrupted
 run restarted with ``resume=True`` re-runs only the shards whose files
 are missing.
 
@@ -19,8 +20,10 @@ Layout of a checkpoint directory::
 The manifest fingerprint covers the survivor pair list and the pipeline
 configuration, so a checkpoint can never be resumed against different
 inputs or settings — mismatches raise instead of silently mixing runs.
-All records are plain JSON (no pickle) so operators can inspect a
-checkpoint with standard tools.
+Shard files without a manifest, and files that do not decode, raise
+:class:`CheckpointMismatch` naming the file rather than resuming from
+them.  All records are plain JSON (no pickle) so operators can inspect
+a checkpoint with standard tools.
 """
 
 from __future__ import annotations
@@ -199,22 +202,19 @@ def case_to_dict(case: DetectionCase) -> Dict[str, Any]:
     return {
         "summary": summary_to_dict(case.summary),
         "detection": detection_to_dict(case.detection),
-        "popularity": case.popularity,
-        "similar_sources": case.similar_sources,
-        "lm_score": case.lm_score,
-        "rank_score": case.rank_score,
     }
 
 
 def case_from_dict(payload: Dict[str, Any]) -> DetectionCase:
-    """Inverse of :func:`case_to_dict`."""
+    """Inverse of :func:`case_to_dict`.
+
+    Other keys are ignored: older checkpoints also carried ranking
+    fields (``popularity``, ``similar_sources``, ``lm_score``,
+    ``rank_score``) that were never set, and still resume.
+    """
     return DetectionCase(
         summary=summary_from_dict(payload["summary"]),
         detection=detection_from_dict(payload["detection"]),
-        popularity=payload["popularity"],
-        similar_sources=payload["similar_sources"],
-        lm_score=payload["lm_score"],
-        rank_score=payload["rank_score"],
     )
 
 
@@ -308,9 +308,17 @@ class CheckpointStore:
 
     def manifest(self) -> Optional[Dict[str, Any]]:
         """The stored manifest, or None when the directory is fresh."""
-        if not self.manifest_path.exists():
+        path = self.manifest_path
+        if not path.exists():
             return None
-        return json.loads(self.manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(manifest.get("fingerprint"), str):
+                raise ValueError("no fingerprint")
+            int(manifest["n_shards"])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise _damaged(path, exc) from exc
+        return manifest
 
     def begin(
         self,
@@ -326,16 +334,23 @@ class CheckpointStore:
         ``resume=True`` keeps shards whose manifest fingerprint matches
         and raises :class:`CheckpointMismatch` otherwise — resuming
         against different inputs or settings must never mix outputs.
+        Shard files without a manifest cannot be checked, so they are
+        refused too.
         """
-        existing = self.manifest()
-        if resume and existing is not None:
-            if existing.get("fingerprint") != fingerprint:
+        if resume:
+            existing = self.manifest()
+            if existing is None and self.completed_shards():
+                raise CheckpointMismatch(
+                    f"checkpoint at {self.root} holds shard files but no "
+                    f"{MANIFEST_FILE}; refusing to resume"
+                )
+            if existing is not None and existing["fingerprint"] != fingerprint:
                 raise CheckpointMismatch(
                     f"checkpoint at {self.root} was written by a different "
                     f"run (inputs, configuration, or shard size changed); "
                     f"refusing to resume"
                 )
-        elif not resume:
+        else:
             self.clear()
         manifest = {
             "version": CHECKPOINT_VERSION,
@@ -412,19 +427,20 @@ class CheckpointStore:
         path = self._shard_path(index)
         cases: List[DetectionCase] = []
         quarantined: List[QuarantinedTask] = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            payload = json.loads(line)
-            kind = payload.pop("type")
-            if kind == "case":
-                cases.append(case_from_dict(payload))
-            elif kind == "quarantine":
-                quarantined.append(quarantine_from_dict(payload))
-            else:
-                raise ValueError(
-                    f"unknown record type {kind!r} in {path}"
-                )
+        try:
+            for line in path.read_text(encoding="utf-8").splitlines():
+                if not line.strip():
+                    continue
+                payload = json.loads(line)
+                kind = payload.pop("type")
+                if kind == "case":
+                    cases.append(case_from_dict(payload))
+                elif kind == "quarantine":
+                    quarantined.append(quarantine_from_dict(payload))
+                else:
+                    raise ValueError(f"unknown record type {kind!r}")
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise _damaged(path, exc) from exc
         return cases, quarantined
 
     # -- provenance --------------------------------------------------------
@@ -452,7 +468,10 @@ class CheckpointStore:
         path = self._provenance_shard_path(index)
         if not path.exists():
             return []
-        return records_from_jsonl(path.read_text(encoding="utf-8"))
+        try:
+            return records_from_jsonl(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise _damaged(path, exc) from exc
 
     # -- quarantine report -------------------------------------------------
 
@@ -468,15 +487,17 @@ class CheckpointStore:
 
     def read_quarantine(self) -> List[QuarantinedTask]:
         """Load the consolidated quarantine report (empty when absent)."""
-        if not self.quarantine_path.exists():
+        path = self.quarantine_path
+        if not path.exists():
             return []
-        return [
-            quarantine_from_dict(json.loads(line))
-            for line in self.quarantine_path.read_text(
-                encoding="utf-8"
-            ).splitlines()
-            if line.strip()
-        ]
+        try:
+            return [
+                quarantine_from_dict(json.loads(line))
+                for line in path.read_text(encoding="utf-8").splitlines()
+                if line.strip()
+            ]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise _damaged(path, exc) from exc
 
     # -- housekeeping ------------------------------------------------------
 
@@ -506,4 +527,16 @@ class CheckpointStore:
 
 
 class CheckpointMismatch(ValueError):
-    """Resume attempted against a checkpoint from a different run."""
+    """Resume attempted against a checkpoint from a different run.
+
+    Also raised for a checkpoint that cannot be trusted: shard files
+    without a manifest, or a file whose content does not decode.
+    """
+
+
+def _damaged(path: Path, exc: Exception) -> CheckpointMismatch:
+    """The error for a checkpoint file whose content does not decode."""
+    problem = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return CheckpointMismatch(
+        f"checkpoint file {path} is damaged ({problem}); refusing to resume"
+    )

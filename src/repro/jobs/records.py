@@ -1,11 +1,8 @@
-"""Record types exchanged between the MapReduce jobs (Section VII).
+"""The record the detection job emits (Section VII-D).
 
-The jobs communicate with plain picklable values:
-
-- raw input: ``(line_number, ProxyLogRecord)`` pairs,
-- after extraction: ``((source, destination), ActivitySummary)``,
-- after detection: ``((source, destination), DetectionCase)``,
-- after ranking: ``(rank_score, DetectionCase)`` sorted descending.
+The engine exchanges plain picklable values: the detection job reads
+``((source, destination), ActivitySummary)`` inputs and emits
+``((source, destination), DetectionCase)`` outputs.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from typing import Tuple
 
 from repro.core.detector import DetectionResult
 from repro.core.timeseries import ActivitySummary
-from repro.filtering.case import BeaconingCase
 
 
 @dataclass(frozen=True)
@@ -23,16 +19,11 @@ class DetectionCase:
     """A detected beaconing pair, as emitted by the detection job.
 
     Mirrors the paper's ``(AS, CP)`` payload: the ActivitySummary plus
-    the CandidatePeriod list, extended with the popularity and
-    language-model indicators computed by the ranking MAP task.
+    the detection result carrying the CandidatePeriod list.
     """
 
     summary: ActivitySummary
     detection: DetectionResult
-    popularity: float = 0.0
-    similar_sources: int = 1
-    lm_score: float = 0.0
-    rank_score: float = 0.0
 
     @property
     def pair(self) -> Tuple[str, str]:
@@ -48,20 +39,3 @@ class DetectionCase:
     def destination(self) -> str:
         """Destination endpoint (domain)."""
         return self.summary.destination
-
-
-def detection_case_to_beaconing_case(case: DetectionCase) -> BeaconingCase:
-    """Bridge the MapReduce record to the filtering-layer case type.
-
-    The two types carry the same fields; this is the one sanctioned
-    crossing point between the job layer's picklable records and the
-    filtering layer's :class:`~repro.filtering.case.BeaconingCase`.
-    """
-    return BeaconingCase(
-        summary=case.summary,
-        detection=case.detection,
-        popularity=case.popularity,
-        similar_sources=case.similar_sources,
-        lm_score=case.lm_score,
-        rank_score=case.rank_score,
-    )

@@ -1,22 +1,17 @@
-"""End-to-end MapReduce orchestration of the BAYWATCH phases.
+"""Periodicity detection on a MapReduce engine, in checkpointed shards.
 
-:class:`BaywatchRunner` is the MapReduce-backed *front end* of the
-8-step funnel: it runs the Section VII extraction/rescale/popularity
-jobs over a :class:`~repro.mapreduce.MapReduceEngine`, then composes
-the same :mod:`repro.stages` objects as the in-process
-:class:`~repro.filtering.BaywatchPipeline` — only the
-periodicity-detection *executor* differs (engine-backed here, sharded
-and checkpointed in :meth:`BaywatchRunner.run_sharded`).  Both front
-ends therefore produce the same
-:class:`~repro.filtering.pipeline.PipelineReport`, funnel rows
-included, and are interchangeable for analysis and benchmarking.
+:class:`~repro.filtering.BaywatchPipeline` is the one front end of the
+8-step funnel.  Given a :class:`~repro.mapreduce.MapReduceEngine`, it
+hands its run to :func:`run_on_engine`: ingestion, the whitelists and
+ranking still run in-process through the shared :mod:`repro.stages`
+objects, and only periodicity detection — the paper's Section VII-D
+job, the one phase whose cost needs workers — runs on the engine.
 
-For production-sized batches, :meth:`BaywatchRunner.run_sharded`
-processes the expensive detection phase in bounded shards with durable
-JSONL checkpoints (see :mod:`repro.jobs.checkpoint`): an interrupted
-run restarted with ``resume=True`` re-runs only the incomplete shards,
-and — with a quarantine-enabled engine — poison-pill pairs end up in
-the report's quarantine list instead of aborting the batch.
+Detection runs in bounded shards with durable JSONL checkpoints (see
+:mod:`repro.jobs.checkpoint`): an interrupted run restarted with
+``resume=True`` re-runs only the incomplete shards, and — with a
+quarantine-enabled engine — poison-pill pairs end up in the report's
+quarantine list instead of aborting the batch.
 """
 
 from __future__ import annotations
@@ -24,23 +19,15 @@ from __future__ import annotations
 import logging
 import os
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.detector import DetectionResult
-from repro.core.permutation import ThresholdCache, ThresholdCacheMismatch
+from repro.core.permutation import ThresholdCacheMismatch
 from repro.core.timeseries import ActivitySummary
-from repro.filtering.novelty import NoveltyStore
-from repro.filtering.pipeline import PipelineConfig, PipelineReport
-from repro.filtering.tokens import TokenFilter
-from repro.filtering.whitelist import GlobalWhitelist
+from repro.filtering.pipeline import PipelineReport
 from repro.jobs.checkpoint import CheckpointStore, run_fingerprint
 from repro.jobs.detection import BeaconingDetectionJob
-from repro.jobs.extraction import DataExtractionJob
-from repro.jobs.popularity import DestinationPopularityJob, popularity_table
-from repro.jobs.ranking_job import RankingJob
 from repro.jobs.records import DetectionCase
-from repro.jobs.rescaling import RescaleMergeJob
-from repro.lm.domains import DomainScorer, default_scorer
 from repro.mapreduce.engine import MapReduceEngine, QuarantinedTask
 from repro.obs.provenance import (
     ProvenanceRecorder,
@@ -59,20 +46,12 @@ from repro.obs import (
     scoped_trace,
     span,
 )
-from repro.sources.proxy import ProxyLogRecord, records_to_summaries
-from repro.stages import (
-    GlobalWhitelistStage,
-    LocalWhitelistStage,
-    MinEventsStage,
-    NoveltyStage,
-    PeriodicityDetectionStage,
-    PopularityIndex,
-    RankingStage,
-    StageContext,
-    TokenFilterStage,
-    build_report,
-    run_stages,
-)
+# Kept importable here: the benchmark's layer trace wraps this name.
+from repro.sources.proxy import records_to_summaries  # noqa: F401
+from repro.stages import StageContext
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.filtering.pipeline import BaywatchPipeline
 
 logger = logging.getLogger(__name__)
 
@@ -128,64 +107,35 @@ def _absorb_detection_provenance(
             recorder.discard(summary.source, summary.destination)
 
 
-class _EngineDetection:
-    """Detection executor running one detection job over the engine."""
-
-    def __init__(self, runner: "BaywatchRunner") -> None:
-        self._runner = runner
-
-    def __call__(
-        self, context: StageContext, summaries: List[ActivitySummary]
-    ) -> Tuple[List[Tuple[ActivitySummary, DetectionResult]], List[Any]]:
-        runner = self._runner
-        recorder = context.provenance
-        if recorder is None:
-            cases = runner._detect_batch(summaries)
-        else:
-            cases = runner._detect_batch(
-                summaries, provenance_pairs=recorder.required_pairs()
-            )
-            _absorb_detection_provenance(
-                recorder, summaries, _detection_records(cases, recorder)
-            )
-            cases = [case for case in cases if case.detection.periodic]
-        return (
-            [(case.summary, case.detection) for case in cases],
-            list(runner.engine.last_quarantine),
-        )
-
-
 class _ShardedDetection:
     """Detection executor running bounded shards with durable checkpoints.
 
-    Implements the sharding loop of
-    :meth:`BaywatchRunner.run_summaries_sharded`: deterministic pair
-    ordering, per-shard engine runs, checkpoint write/read on resume,
-    quarantine collection, and the ``max_shards`` budget (raising
-    :class:`IncompleteRunError` after checkpointing what finished).
+    Implements the sharding loop of :func:`run_on_engine`:
+    deterministic pair ordering, per-shard engine runs, checkpoint
+    write/read on resume, quarantine collection, and the ``max_shards``
+    budget (raising :class:`IncompleteRunError` after checkpointing what
+    finished).
     """
 
     def __init__(
         self,
-        runner: "BaywatchRunner",
+        pipeline: "BaywatchPipeline",
         *,
         shard_size: int,
         checkpoint_dir: Optional[str],
         resume: bool,
         max_shards: Optional[int],
-        on_shard_complete: Optional[Callable[[int, int], None]],
     ) -> None:
-        self._runner = runner
+        self._pipeline = pipeline
         self.shard_size = shard_size
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
         self.max_shards = max_shards
-        self.on_shard_complete = on_shard_complete
 
     def __call__(
         self, context: StageContext, summaries: List[ActivitySummary]
     ) -> Tuple[List[Tuple[ActivitySummary, DetectionResult]], List[Any]]:
-        runner = self._runner
+        pipeline = self._pipeline
         registry = get_registry()
         survivors = sorted(summaries, key=lambda s: s.pair)
         shards = [
@@ -210,7 +160,7 @@ class _ShardedDetection:
             store = CheckpointStore(self.checkpoint_dir)
             fingerprint = run_fingerprint(
                 (s.pair for s in survivors),
-                config_repr=repr(runner.config),
+                config_repr=repr(pipeline.config),
                 shard_size=self.shard_size,
             )
             store.begin(
@@ -224,7 +174,7 @@ class _ShardedDetection:
 
         detected: List[DetectionCase] = []
         quarantined: List[QuarantinedTask] = []
-        engine = runner.engine
+        engine = pipeline.engine
         recorder = context.provenance
         # Near-miss chains must keep full records; computed once — stage
         # records do not change while the detection loop runs.
@@ -279,12 +229,7 @@ class _ShardedDetection:
             started = time.perf_counter()
             try:
                 with span("shard"):
-                    if recorder is None:
-                        cases = runner._detect_batch(shard)
-                    else:
-                        cases = runner._detect_batch(
-                            shard, provenance_pairs=required
-                        )
+                    cases = self._detect_batch(shard, required)
             finally:
                 engine.set_run_context(run_id=engine.run_id)
             shard_quarantine = list(engine.last_quarantine)
@@ -316,8 +261,6 @@ class _ShardedDetection:
                 seconds=round(time.perf_counter() - started, 6),
             )
             processed += 1
-            if self.on_shard_complete is not None:
-                self.on_shard_complete(index, n_shards)
         if resumed:
             logger.info(
                 "resumed %d of %d shards from checkpoint", resumed, n_shards
@@ -332,13 +275,13 @@ class _ShardedDetection:
     def _load_threshold_cache(
         self, store: CheckpointStore, registry
     ) -> None:
-        """Warm the runner's cache from a resumed checkpoint, if present.
+        """Warm the pipeline's cache from a resumed checkpoint, if present.
 
         A parameter mismatch (the file was written under a different
         cache configuration) is logged and skipped rather than fatal:
         warmth is purely a speed-up, never a correctness requirement.
         """
-        cache = self._runner.threshold_cache
+        cache = self._pipeline.threshold_cache
         path = store.threshold_cache_path
         if cache is None or not path.exists():
             return
@@ -362,141 +305,15 @@ class _ShardedDetection:
         run — even after a hard kill — starts from whatever warmth this
         run accumulated.
         """
-        cache = self._runner.threshold_cache
+        cache = self._pipeline.threshold_cache
         if cache is None or len(cache) == 0:
             return
         cache.save(store.threshold_cache_path)
         registry.counter("detector.threshold_cache.persisted").inc()
         journal_emit("cache_persist", buckets=len(cache))
 
-
-class BaywatchRunner:
-    """The MapReduce-backed front end of the 8-step methodology."""
-
-    def __init__(
-        self,
-        config: Optional[PipelineConfig] = None,
-        *,
-        engine: Optional[MapReduceEngine] = None,
-        global_whitelist: Optional[GlobalWhitelist] = None,
-        novelty: Optional[NoveltyStore] = None,
-        token_filter: Optional[TokenFilter] = None,
-        scorer: Optional[DomainScorer] = None,
-        detection_job_factory: Optional[Callable[..., BeaconingDetectionJob]] = None,
-    ) -> None:
-        """``detection_job_factory`` (optional) builds the detection job
-        from the same keyword arguments as
-        :class:`~repro.jobs.detection.BeaconingDetectionJob` — the seam
-        fault-injection tests and custom deployments hook into."""
-        self.config = config or PipelineConfig()
-        if engine is None:
-            if self.config.executor is not None:
-                engine = MapReduceEngine(
-                    n_workers=max(os.cpu_count() or 1, 2),
-                    executor=self.config.executor,
-                )
-            else:
-                engine = MapReduceEngine()
-        self.engine = engine
-        self.global_whitelist = (
-            global_whitelist if global_whitelist is not None else GlobalWhitelist()
-        )
-        self.novelty = novelty if novelty is not None else NoveltyStore()
-        self.token_filter = token_filter if token_filter is not None else TokenFilter()
-        self._scorer = scorer
-        self.detection_job_factory = (
-            detection_job_factory
-            if detection_job_factory is not None
-            else BeaconingDetectionJob
-        )
-        # One threshold cache for the whole runner: every detection job
-        # ships it to the workers (pickled warm), in-process shards warm
-        # it cumulatively, and the sharded mode persists/restores it via
-        # the checkpoint directory.
-        self.threshold_cache: Optional[ThresholdCache] = (
-            ThresholdCache() if self.config.use_threshold_cache else None
-        )
-
-    @property
-    def scorer(self) -> DomainScorer:
-        """The domain LM scorer (built lazily)."""
-        if self._scorer is None:
-            self._scorer = default_scorer()
-        return self._scorer
-
-    # -- phases ------------------------------------------------------------
-
-    def extract(
-        self, records: Iterable[ProxyLogRecord]
-    ) -> List[ActivitySummary]:
-        """Phase A: raw records -> per-pair ActivitySummaries."""
-        with span("extract"):
-            job = DataExtractionJob(time_scale=self.config.time_scale)
-            output = self.engine.run(job, enumerate(records))
-            return [summary for _pair, summary in output]
-
-    def rescale_merge(
-        self, summaries: Iterable[ActivitySummary], new_time_scale: float
-    ) -> List[ActivitySummary]:
-        """Phase B: rescale to a coarser granularity and merge windows."""
-        with span("rescale_merge"):
-            job = RescaleMergeJob(new_time_scale)
-            output = self.engine.run(
-                job, [(summary.pair, summary) for summary in summaries]
-            )
-            return [summary for _pair, summary in output]
-
-    def popularity(
-        self, summaries: List[ActivitySummary]
-    ) -> Tuple[Dict[str, float], Dict[str, int], int]:
-        """Phase C: destination popularity ratios and source counts."""
-        with span("popularity"):
-            job = DestinationPopularityJob()
-            counts = self.engine.run(
-                job, [(summary.pair, summary) for summary in summaries]
-            )
-            population = len({summary.source for summary in summaries})
-            ratios = popularity_table(counts, population)
-            return ratios, dict(counts), population
-
-    def detect(
-        self,
-        summaries: List[ActivitySummary],
-        skip_destinations: frozenset,
-    ) -> List[DetectionCase]:
-        """Phase D: periodicity detection over non-whitelisted pairs."""
-        with span("detect"):
-            return self._detect_batch(
-                summaries, skip_destinations=skip_destinations
-            )
-
-    def _bind_shard_queue(self, checkpoint_dir: Optional[str]) -> None:
-        """Point a shard-queue backend at ``<checkpoint-dir>/queue``.
-
-        The queue lives under the checkpoint directory so the same
-        shared filesystem that carries shard checkpoints also carries
-        tasks, claims, and results for the ``repro worker`` fleet.  A
-        queue already bound (e.g. directly by a test) is left alone;
-        other backends ignore this entirely.
-        """
-        from repro.mapreduce.executors import ShardQueueExecutor
-
-        executor = getattr(self.engine, "executor", None)
-        if not isinstance(executor, ShardQueueExecutor) or executor.bound:
-            return
-        if checkpoint_dir is None:
-            raise ValueError(
-                "the shard-queue executor needs a checkpoint directory to "
-                "host its task queue; pass checkpoint_dir (CLI: "
-                "--checkpoint-dir)"
-            )
-        executor.bind(os.path.join(checkpoint_dir, "queue"))
-
     def _detect_batch(
-        self,
-        summaries: List[ActivitySummary],
-        skip_destinations: frozenset = frozenset(),
-        provenance_pairs: frozenset = frozenset(),
+        self, summaries: List[ActivitySummary], provenance_pairs: frozenset
     ) -> List[DetectionCase]:
         """One detection job over the engine (no span of its own).
 
@@ -517,23 +334,26 @@ class BaywatchRunner:
         already share this interpreter's heap — so the flag degrades to
         plain direct references.
         """
+        pipeline = self._pipeline
+        config = pipeline.config
         kwargs: Dict[str, Any] = {}
-        if self.config.provenance is not None:
-            kwargs["provenance_policy"] = self.config.provenance
+        if config.provenance is not None:
+            kwargs["provenance_policy"] = config.provenance
             kwargs["provenance_pairs"] = frozenset(provenance_pairs)
-        job = self.detection_job_factory(
-            self.config.detector,
-            skip_destinations=skip_destinations,
-            min_events=self.config.min_events,
-            use_threshold_cache=self.config.use_threshold_cache,
-            threshold_cache=self.threshold_cache,
+        factory = pipeline.detection_job_factory or BeaconingDetectionJob
+        job = factory(
+            config.detector,
+            min_events=config.min_events,
+            use_threshold_cache=config.use_threshold_cache,
+            threshold_cache=pipeline.threshold_cache,
             **kwargs,
         )
-        executor = getattr(self.engine, "executor", None)
+        engine = pipeline.engine
+        executor = getattr(engine, "executor", None)
         workers_share_heap = executor is not None and executor.in_process
         arena = None
         if (
-            self.config.use_shared_memory
+            config.use_shared_memory
             and not workers_share_heap
             and summaries
             and hasattr(job, "bind_arena")
@@ -549,349 +369,134 @@ class BaywatchRunner:
         else:
             inputs = [(summary.pair, summary) for summary in summaries]
         try:
-            output = self.engine.run(job, inputs)
+            output = engine.run(job, inputs)
         finally:
             if arena is not None:
                 arena.close()
                 arena.unlink()
         return [case for _pair, case in output]
 
-    def rank(
-        self,
-        cases: List[DetectionCase],
-        popularity: Dict[str, float],
-        similar_sources: Dict[str, int],
-    ) -> List[DetectionCase]:
-        """Phase E: token/novelty filtering, scoring, global ranking.
 
-        A standalone MapReduce counterpart of funnel steps 6-8 (the
-        end-to-end run modes execute those steps through the shared
-        :mod:`repro.stages` objects instead); survivors are recorded in
-        the novelty store.
-        """
-        with span("rank"):
-            lm_scores = {
-                destination: self.scorer.normalized_score(destination)
-                for destination in {case.summary.destination for case in cases}
-            }
-            job = RankingJob(
-                popularity=popularity,
-                similar_sources=similar_sources,
-                lm_scores=lm_scores,
-                reported_destinations=frozenset(self.novelty.reported_destinations),
-                token_filter=self.token_filter,
-                weights=self.config.ranking_weights,
-                percentile=self.config.ranking_percentile,
+def _bind_shard_queue(
+    engine: MapReduceEngine, checkpoint_dir: Optional[str]
+) -> None:
+    """Point a shard-queue backend at ``<checkpoint-dir>/queue``.
+
+    The queue lives under the checkpoint directory so the same shared
+    filesystem that carries shard checkpoints also carries tasks,
+    claims, and results for the ``repro worker`` fleet.  A queue already
+    bound (e.g. directly by a test) is left alone; other backends ignore
+    this entirely.
+    """
+    from repro.mapreduce.executors import ShardQueueExecutor
+
+    executor = getattr(engine, "executor", None)
+    if not isinstance(executor, ShardQueueExecutor) or executor.bound:
+        return
+    if checkpoint_dir is None:
+        raise ValueError(
+            "the shard-queue executor needs a checkpoint directory to "
+            "host its task queue; pass checkpoint_dir (CLI: "
+            "--checkpoint-dir)"
+        )
+    executor.bind(os.path.join(checkpoint_dir, "queue"))
+
+
+def run_on_engine(
+    pipeline: "BaywatchPipeline",
+    summaries: List[ActivitySummary],
+    *,
+    shard_size: int = 256,
+    checkpoint_dir: Optional[str] = None,
+    resume: bool = False,
+    max_shards: Optional[int] = None,
+    run_id: Optional[str] = None,
+    journal_dir: Optional[str] = None,
+) -> PipelineReport:
+    """``pipeline``'s funnel over ``summaries``, detecting on its engine.
+
+    Post-whitelist survivors are ordered deterministically by pair and
+    cut into shards of ``shard_size``; each shard runs the detection
+    job independently and — when ``checkpoint_dir`` is set — lands in
+    one atomically written JSONL file.  A run restarted with
+    ``resume=True`` loads completed shards from disk (counted in
+    ``mapreduce.shards_resumed``) and re-runs only the missing ones,
+    producing a report identical to an uninterrupted run.  Units the
+    engine quarantined (poison-pill pairs) are carried in the report's
+    ``quarantined`` list and in the checkpoint's ``quarantine.jsonl``.
+
+    ``max_shards`` bounds how many *new* shards this invocation may
+    process; when the budget runs out with work remaining,
+    :class:`IncompleteRunError` is raised after checkpointing the
+    finished shards (requires ``checkpoint_dir``).
+
+    Telemetry: each run gets a ``run_id`` (generated when not given),
+    attached to the engine's operator log lines and to every record of
+    the event journal.  The journal — ``events.jsonl`` under
+    ``journal_dir`` (defaulting to ``checkpoint_dir``) — records the
+    run's operational story: run/shard start and finish, funnel
+    stages, retries, quarantines, pool restarts, cache persist/load,
+    worker heartbeats; a resumed run *appends* with a ``resumed``
+    marker so the interrupt/resume history reads as one stream
+    (``repro watch`` and the ``--status-port`` service fold it live).
+    When telemetry is on and no distributed trace is already active, a
+    fresh trace context is installed so worker-side spans come back
+    stitched under this run's ``run`` span (see
+    :mod:`repro.obs.tracing`).
+    """
+    if shard_size < 1:
+        raise ValueError("shard_size must be at least 1")
+    if max_shards is not None and checkpoint_dir is None:
+        raise ValueError(
+            "max_shards without checkpoint_dir would discard the "
+            "completed shards"
+        )
+    engine = pipeline.engine
+    if run_id is None:
+        run_id = new_run_id()
+    _bind_shard_queue(engine, checkpoint_dir)
+    journal: Optional[EventJournal] = None
+    journal_home = journal_dir if journal_dir is not None else checkpoint_dir
+    if journal_home is not None:
+        journal = EventJournal.in_dir(journal_home, run_id=run_id)
+    trace = current_trace()
+    if trace is None and get_registry().enabled:
+        trace = TraceContext(trace_id=new_trace_id(), run_id=run_id)
+    engine.set_run_context(run_id=run_id)
+    try:
+        # The ``run`` span is the trace root: it opens *after* the
+        # trace context is installed, so every later span — the stage
+        # graph here, worker-side spans shipped back by the engine —
+        # stitches into one tree under it.
+        with scoped_journal(journal), scoped_trace(trace), span("run"):
+            detection = _ShardedDetection(
+                pipeline,
+                shard_size=shard_size,
+                checkpoint_dir=checkpoint_dir,
+                resume=resume,
+                max_shards=max_shards,
             )
-            output = self.engine.run(job, [(case.pair, case) for case in cases])
-            ranked = [
-                case for _rank, case in sorted(output, key=lambda kv: kv[0])
-            ]
-            for case in ranked:
-                self.novelty.record(
-                    case.summary.source, case.summary.destination
-                )
-            return ranked
-
-    # -- shared stage plumbing -----------------------------------------------
-
-    def _stage_context(
-        self, summaries: List[ActivitySummary]
-    ) -> StageContext:
-        """Build the stage context: popularity job plus shared components."""
-        _ratios, counts, population = self.popularity(summaries)
-        get_registry().gauge("runner.population_size").set(population)
-        return StageContext(
-            config=self.config,
-            global_whitelist=self.global_whitelist,
-            novelty=self.novelty,
-            token_filter=self.token_filter,
-            popularity=PopularityIndex.from_counts(counts, population),
-            threshold_cache=self.threshold_cache,
-            scorer_factory=lambda: self.scorer,
-            provenance=(
-                ProvenanceRecorder(self.config.provenance)
-                if self.config.provenance is not None
-                else None
-            ),
-        )
-
-    @staticmethod
-    def _pre_stages() -> List[Any]:
-        """Funnel steps 1-2 plus the min-events prefilter."""
-        return [GlobalWhitelistStage(), LocalWhitelistStage(), MinEventsStage()]
-
-    @staticmethod
-    def _post_stages() -> List[Any]:
-        """Funnel steps 6-8."""
-        return [TokenFilterStage(), NoveltyStage(), RankingStage()]
-
-    def whitelist_survivors(
-        self, summaries: List[ActivitySummary]
-    ) -> List[ActivitySummary]:
-        """Steps 1-2 and the min-events prefilter, in-process.
-
-        A convenience for smoke tests and ad-hoc analysis: runs the
-        popularity job plus the shared whitelist stages and returns the
-        pairs that would enter periodicity detection.
-        """
-        context = self._stage_context(summaries)
-        return run_stages(context, self._pre_stages(), summaries)
-
-    def _run_stage_graph(
-        self,
-        context: StageContext,
-        summaries: List[ActivitySummary],
-        detection: PeriodicityDetectionStage,
-        *,
-        detect_span: str = "detect",
-    ) -> PipelineReport:
-        """Whitelists -> detection -> ranking over the shared stages.
-
-        The stages are grouped under the runner's traditional phase
-        spans (``detect``, ``rank``) so phase-level timings stay
-        comparable across releases; the per-stage spans nest inside.
-        """
-        survivors = run_stages(context, self._pre_stages(), summaries)
-        with span(detect_span):
-            cases = run_stages(context, [detection], survivors)
-        with span("rank"):
-            ranked = run_stages(context, self._post_stages(), cases)
-        logger.info(
-            "runner run: %d pairs in, %d periodic, %d reported, "
-            "%d quarantined (population %d)",
-            len(summaries), len(context.detected), len(ranked),
-            len(context.quarantined), context.popularity.population,
-        )
-        return build_report(context, ranked)
-
-    # -- end to end ----------------------------------------------------------
-
-    def run(
-        self,
-        records: Iterable[ProxyLogRecord],
-        *,
-        analysis_time_scale: Optional[float] = None,
-    ) -> PipelineReport:
-        """Run all phases; optionally rescale before detection."""
-        with span("runner"):
-            return self._run(records, analysis_time_scale=analysis_time_scale)
-
-    def _run(
-        self,
-        records: Iterable[ProxyLogRecord],
-        *,
-        analysis_time_scale: Optional[float] = None,
-    ) -> PipelineReport:
-        get_registry().counter("runner.runs").inc()
-        summaries = self.extract(records)
-        if analysis_time_scale is not None:
-            summaries = self.rescale_merge(summaries, analysis_time_scale)
-        context = self._stage_context(summaries)
-        return self._run_stage_graph(
-            context,
-            summaries,
-            PeriodicityDetectionStage(_EngineDetection(self)),
-        )
-
-    # -- sharded, checkpointed execution -------------------------------------
-
-    def run_sharded(
-        self,
-        records: Iterable[ProxyLogRecord],
-        *,
-        analysis_time_scale: Optional[float] = None,
-        shard_size: int = 256,
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = False,
-        max_shards: Optional[int] = None,
-        on_shard_complete: Optional[Callable[[int, int], None]] = None,
-        run_id: Optional[str] = None,
-        journal_dir: Optional[str] = None,
-    ) -> PipelineReport:
-        """Run all phases with the detection phase sharded.
-
-        See :meth:`run_summaries_sharded` for the sharding, checkpoint,
-        resume, and telemetry (``run_id`` / ``journal_dir``) semantics.
-        Ingestion folds the records through
-        :func:`repro.sources.proxy.records_to_summaries` (``records``
-        may be a lazy iterator); extraction and rescaling are cheap and
-        deterministic, so a resumed run simply recomputes them from the
-        same input.
-        """
-        return self._fold_and_run_sharded(
-            lambda: records_to_summaries(
-                records, time_scale=self.config.time_scale
-            ),
-            analysis_time_scale=analysis_time_scale,
-            shard_size=shard_size,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            max_shards=max_shards,
-            on_shard_complete=on_shard_complete,
-            run_id=run_id,
-            journal_dir=journal_dir,
-        )
-
-    def run_chunks_sharded(
-        self,
-        chunks: Iterable[Any],
-        *,
-        analysis_time_scale: Optional[float] = None,
-        shard_size: int = 256,
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = False,
-        max_shards: Optional[int] = None,
-        on_shard_complete: Optional[Callable[[int, int], None]] = None,
-        run_id: Optional[str] = None,
-        journal_dir: Optional[str] = None,
-    ) -> PipelineReport:
-        """:meth:`run_sharded` over columnar record chunks.
-
-        :class:`~repro.sources.columnar.RecordChunk` batches (e.g. from
-        :func:`~repro.sources.columnar.read_log_chunks`) fold straight
-        into summaries.  The summaries — and therefore the shard
-        fingerprint, checkpoints, and final report — equal
-        :meth:`run_sharded`'s over the same events, so a checkpoint
-        written through one entry point resumes through the other.
-        """
-        # Looked up at call time, so a wrapper installed on the module
-        # attribute (a layer trace) sees the fold.
-        from repro.sources.columnar import summaries_from_chunks
-
-        return self._fold_and_run_sharded(
-            lambda: summaries_from_chunks(
-                chunks, time_scale=self.config.time_scale
-            ),
-            analysis_time_scale=analysis_time_scale,
-            shard_size=shard_size,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            max_shards=max_shards,
-            on_shard_complete=on_shard_complete,
-            run_id=run_id,
-            journal_dir=journal_dir,
-        )
-
-    def _fold_and_run_sharded(
-        self,
-        fold: Callable[[], List[ActivitySummary]],
-        *,
-        analysis_time_scale: Optional[float],
-        **sharding: Any,
-    ) -> PipelineReport:
-        """The body of :meth:`run_sharded` and :meth:`run_chunks_sharded`."""
-        with span("runner.sharded"):
-            with span("extract"):
-                summaries = fold()
-            if analysis_time_scale is not None:
-                summaries = self.rescale_merge(summaries, analysis_time_scale)
-            return self.run_summaries_sharded(summaries, **sharding)
-
-    def run_summaries_sharded(
-        self,
-        summaries: List[ActivitySummary],
-        *,
-        shard_size: int = 256,
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = False,
-        max_shards: Optional[int] = None,
-        on_shard_complete: Optional[Callable[[int, int], None]] = None,
-        run_id: Optional[str] = None,
-        journal_dir: Optional[str] = None,
-    ) -> PipelineReport:
-        """Detection in bounded shards with durable checkpoints.
-
-        Post-whitelist survivors are ordered deterministically by pair
-        and cut into shards of ``shard_size``; each shard runs the
-        detection job independently and — when ``checkpoint_dir`` is
-        set — lands in one atomically written JSONL file.  A run
-        restarted with ``resume=True`` loads completed shards from disk
-        (counted in ``mapreduce.shards_resumed``) and re-runs only the
-        missing ones, producing a report identical to an uninterrupted
-        run.  Units the engine quarantined (poison-pill pairs) are
-        carried in the report's ``quarantined`` list and in the
-        checkpoint's ``quarantine.jsonl``.
-
-        ``max_shards`` bounds how many *new* shards this invocation may
-        process; when the budget runs out with work remaining,
-        :class:`IncompleteRunError` is raised after checkpointing the
-        finished shards (requires ``checkpoint_dir``).
-
-        Telemetry: each run gets a ``run_id`` (generated when not
-        given), attached to the engine's operator log lines and to every
-        record of the event journal.  The journal —
-        ``events.jsonl`` under ``journal_dir`` (defaulting to
-        ``checkpoint_dir``) — records the run's operational story:
-        run/shard start and finish, retries, quarantines, pool restarts,
-        cache persist/load, worker heartbeats; a resumed run *appends*
-        with a ``resumed`` marker so the interrupt/resume history reads
-        as one stream (``repro watch`` and the ``--status-port`` service
-        fold it live).  When telemetry is on and no distributed trace is
-        already active, a fresh trace context is installed so
-        worker-side spans come back stitched under this run (see
-        :mod:`repro.obs.tracing`).
-        """
-        if shard_size < 1:
-            raise ValueError("shard_size must be at least 1")
-        if max_shards is not None and checkpoint_dir is None:
-            raise ValueError(
-                "max_shards without checkpoint_dir would discard the "
-                "completed shards"
-            )
-        if run_id is None:
-            run_id = new_run_id()
-        self._bind_shard_queue(checkpoint_dir)
-        journal: Optional[EventJournal] = None
-        journal_home = journal_dir if journal_dir is not None else checkpoint_dir
-        if journal_home is not None:
-            journal = EventJournal.in_dir(journal_home, run_id=run_id)
-        trace = current_trace()
-        if trace is None and get_registry().enabled:
-            trace = TraceContext(trace_id=new_trace_id(), run_id=run_id)
-        self.engine.set_run_context(run_id=run_id)
-        try:
-            # The ``run`` span is the trace root: it opens *after* the
-            # trace context is installed, so every later span — the
-            # stage graph here, worker-side spans shipped back by the
-            # engine — stitches into one tree under it.
-            with scoped_journal(journal), scoped_trace(trace), span("run"):
-                get_registry().counter("runner.runs").inc()
-                context = self._stage_context(summaries)
-                detection = PeriodicityDetectionStage(
-                    _ShardedDetection(
-                        self,
-                        shard_size=shard_size,
-                        checkpoint_dir=checkpoint_dir,
-                        resume=resume,
-                        max_shards=max_shards,
-                        on_shard_complete=on_shard_complete,
-                    )
-                )
-                try:
-                    report = self._run_stage_graph(
-                        context, summaries, detection,
-                        detect_span="detect.sharded",
-                    )
-                except IncompleteRunError as exc:
-                    journal_emit(
-                        "run_suspended",
-                        completed=exc.completed,
-                        total=exc.total,
-                    )
-                    raise
-                if checkpoint_dir is not None and report.provenance:
-                    write_provenance(
-                        CheckpointStore(checkpoint_dir).provenance_path,
-                        report.provenance,
-                    )
+            try:
+                report = pipeline._run_stages(summaries, detection)
+            except IncompleteRunError as exc:
                 journal_emit(
-                    "run_finish",
-                    reported=len(report.ranked_cases),
-                    quarantined=len(report.quarantined) or None,
+                    "run_suspended",
+                    completed=exc.completed,
+                    total=exc.total,
                 )
-                return report
-        finally:
-            self.engine.set_run_context()
-            if journal is not None:
-                journal.close()
+                raise
+            if checkpoint_dir is not None and report.provenance:
+                write_provenance(
+                    CheckpointStore(checkpoint_dir).provenance_path,
+                    report.provenance,
+                )
+            journal_emit(
+                "run_finish",
+                reported=len(report.ranked_cases),
+                quarantined=len(report.quarantined) or None,
+            )
+            return report
+    finally:
+        engine.set_run_context()
+        if journal is not None:
+            journal.close()

@@ -52,8 +52,8 @@ __all__ = [
     "make_executor",
 ]
 
-#: The backends ``make_executor`` (and the CLI ``--executor`` flag, and
-#: ``PipelineConfig.executor``) accept.
+#: The backends ``make_executor`` (and the CLI ``--executor`` flag)
+#: accept.
 EXECUTOR_NAMES: Tuple[str, ...] = (
     "serial",
     "threads",

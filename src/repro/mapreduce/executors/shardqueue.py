@@ -141,8 +141,8 @@ class ShardQueueExecutor(TaskExecutor):
         if self.queue_dir is None:
             raise RuntimeError(
                 "shard-queue executor is not bound to a queue directory; "
-                "run through run_sharded with checkpoint_dir (the runner "
-                "binds <checkpoint-dir>/queue) or call bind() first"
+                "run the pipeline on this engine with checkpoint_dir (the "
+                "run binds <checkpoint-dir>/queue) or call bind() first"
             )
         return os.path.join(self.queue_dir, sub, name)
 

@@ -19,11 +19,14 @@ import logging
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
-from repro.core.timeseries import ActivitySummary, merge, merge_rescaled, rescale
+from repro.core.timeseries import ActivitySummary
 from repro.filtering.novelty import NoveltyStore
-from repro.filtering.pipeline import BaywatchPipeline, PipelineConfig, PipelineReport
+from repro.filtering.pipeline import (
+    BaywatchPipeline,
+    PipelineConfig,
+    PipelineReport,
+    check_analysis_time_scale,
+)
 from repro.jobs.summary_store import SummaryStore
 from repro.obs import get_registry, span
 from repro.sources.columnar import ColumnTables, records_to_chunks, summaries_from_chunks
@@ -73,6 +76,8 @@ class MultiTimescaleOperator:
         require(len(cadences) >= 1, "at least one cadence is required")
         require_positive(chunk_size, "chunk_size")
         self.config = config or PipelineConfig()
+        for cadence in cadences:
+            check_analysis_time_scale(cadence.time_scale, self.config.time_scale)
         self.cadences = cadences
         self.novelty = novelty if novelty is not None else NoveltyStore()
         self.store = store
@@ -87,7 +92,6 @@ class MultiTimescaleOperator:
         # String-interning tables shared across days so the columnar
         # ingest path does not re-intern the same hosts every day.
         self._tables = ColumnTables()
-        self._merge_workspace: Optional[np.ndarray] = None
         self._pipelines: Dict[str, BaywatchPipeline] = {
             cadence.name: BaywatchPipeline(self.config, novelty=self.novelty)
             for cadence in cadences
@@ -99,37 +103,6 @@ class MultiTimescaleOperator:
         """How many days of traffic have been ingested."""
         return self._days_fed
 
-    def _window_summaries(self, cadence: Cadence) -> List[ActivitySummary]:
-        """Rescale and merge the cadence's trailing window of summaries."""
-        window = self._daily_summaries[-cadence.window_days:]
-        grouped: Dict[Tuple[str, str], List[ActivitySummary]] = {}
-        for day in window:
-            for summary in day:
-                grouped.setdefault(summary.pair, []).append(summary)
-        merged: List[ActivitySummary] = []
-        for group in grouped.values():
-            if any(s.time_scale > cadence.time_scale for s in group):
-                # Already-coarser summaries cannot be fused down;
-                # keep the copying composition for this (rare) shape.
-                merged.append(
-                    merge([
-                        rescale(s, cadence.time_scale)
-                        if s.time_scale < cadence.time_scale
-                        else s
-                        for s in group
-                    ])
-                )
-                continue
-            total = sum(s.event_count for s in group)
-            if self._merge_workspace is None or self._merge_workspace.size < total:
-                self._merge_workspace = np.empty(total, dtype=float)
-            merged.append(
-                merge_rescaled(
-                    group, cadence.time_scale, out=self._merge_workspace
-                )
-            )
-        return merged
-
     def ingest_day(
         self, records: Iterable[ProxyLogRecord]
     ) -> List[Tuple[str, PipelineReport]]:
@@ -137,8 +110,8 @@ class MultiTimescaleOperator:
 
         Raw records are extracted into summaries exactly once (the
         paper's no-reprocessing property) through the columnar chunk
-        path; coarser cadences consume fused rescale-merges of the
-        buffered summaries.  When a :class:`SummaryStore` was supplied,
+        path; coarser cadences run the pipeline over the buffered
+        summaries, which it rescales and merges per pair.  When a :class:`SummaryStore` was supplied,
         each day is also persisted (``replace=True``, so re-feeding a
         day after a crash is idempotent) and days older than the
         longest cadence window are evicted.
@@ -165,19 +138,22 @@ class MultiTimescaleOperator:
         for cadence in self.cadences:
             if day_index % cadence.every_days != 0:
                 continue
+            pipeline = self._pipelines[cadence.name]
             with span(f"operations.cadence.{cadence.name}"):
-                window = (
-                    summaries
-                    if cadence.window_days == 1 and cadence.time_scale
-                    == self.config.time_scale
-                    else self._window_summaries(cadence)
-                )
-                report = self._pipelines[cadence.name].run_summaries(window)
+                if cadence.window_days == 1 and cadence.time_scale \
+                        == self.config.time_scale:
+                    report = pipeline.run_summaries(summaries)
+                else:
+                    window = self._daily_summaries[-cadence.window_days:]
+                    report = pipeline.run_summaries(
+                        [s for day in window for s in day],
+                        analysis_time_scale=cadence.time_scale,
+                    )
             registry.counter(f"operations.cadence.{cadence.name}.runs").inc()
             logger.info(
                 "cadence %s fired on day %d: %d pairs in window, "
                 "%d cases reported",
-                cadence.name, day_index, len(window),
+                cadence.name, day_index, report.funnel.steps[0][1],
                 len(report.ranked_cases),
             )
             self.runs.append((cadence.name, day_index, report))

@@ -40,7 +40,6 @@ from repro.sources.proxy import (
     ProxyLogRecord,
     read_log,
     records_to_summaries,
-    summary_from_observations,
     write_log,
 )
 
@@ -66,6 +65,5 @@ __all__ = [
     "ProxyLogRecord",
     "read_log",
     "records_to_summaries",
-    "summary_from_observations",
     "write_log",
 ]

@@ -3,8 +3,8 @@
 The paper's operational story is explicitly big-data (Section VII): a
 13-node Hadoop cluster extracts summaries *once* so later analyses
 never reprocess raw logs.  At that scale ingestion cannot afford one
-Python object per log line, so every front end folds proxy logs
-through this module:
+Python object per log line, so every run folds proxy logs through this
+module:
 
 - :class:`StringTable` — append-only string interning, so endpoint and
   URL columns are small integer ids instead of repeated strings.  A
@@ -425,8 +425,6 @@ class _ColumnarPairState:
     def finalize(
         self, source: str, destination: str, time_scale: float
     ) -> ActivitySummary:
-        # The same float64 expression as summary_from_observations, so
-        # the extraction job's reduce builds bit-identical summaries.
         quantized = np.repeat(
             self.slots.astype(float) * time_scale, self.counts
         )

@@ -14,10 +14,7 @@ the one fold:
 - :func:`records_to_summaries` — the adapter for object records: it
   batches them into columnar chunks and folds them with
   :func:`repro.sources.columnar.summaries_from_chunks`, the only code
-  that folds proxy-log events into summaries,
-- :func:`summary_from_observations` — the per-pair reduce body of the
-  data-extraction MapReduce job (Section VII-A), which builds the same
-  summary as the fold.
+  that folds proxy-log events into summaries.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import gzip
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -40,7 +37,6 @@ __all__ = [
     "read_log",
     "records_to_summaries",
     "slot_column",
-    "summary_from_observations",
     "write_log",
 ]
 
@@ -272,37 +268,4 @@ def records_to_summaries(
         max_urls_per_pair=max_urls_per_pair,
         aggregate_entities=aggregate_entities,
         pair_config=pair_config,
-    )
-
-
-def summary_from_observations(
-    source: str,
-    destination: str,
-    observations: Iterable[Tuple[float, int, str]],
-    *,
-    time_scale: float = 1.0,
-    max_urls: int = 64,
-) -> ActivitySummary:
-    """Build one pair's summary from ``(timestamp, sequence, url)`` rows.
-
-    This is the reduce-side body of the data-extraction MapReduce job:
-    ``sequence`` is the record's global arrival index, so after a stable
-    sort by ``(timestamp, sequence)`` the URL sample is the first
-    ``max_urls`` rows, as the fold keeps it.  Timestamps quantize
-    through :func:`slot_column` and the fold's float64 expression, so
-    the engine front end and :func:`records_to_summaries` produce
-    bit-identical summaries and raise the same error for a timestamp
-    without an int64 time slot.
-    """
-    rows = sorted(observations, key=lambda row: (row[0], row[1]))
-    require(rows, "observations must not be empty")
-    timestamps = np.array([row[0] for row in rows], dtype=np.float64)
-    quantized = slot_column(timestamps, time_scale).astype(float) * time_scale
-    return ActivitySummary(
-        source=source,
-        destination=destination,
-        time_scale=time_scale,
-        first_timestamp=float(quantized[0]),
-        intervals=np.diff(quantized),
-        urls=tuple(row[2] for row in rows[:max_urls]),
     )

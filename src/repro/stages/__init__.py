@@ -1,11 +1,10 @@
 """The shared stage graph of the BAYWATCH 8-step funnel.
 
-One step, one object: the funnel's filtering semantics live here once
-and both front ends — the in-process
-:class:`~repro.filtering.BaywatchPipeline` and the MapReduce-backed
-:class:`~repro.jobs.BaywatchRunner` (including its sharded,
-checkpointed mode) — compose the *same* stage instances over a
-:class:`StageContext`.  :func:`run_stages` provides uniform funnel
+One step, one object: the funnel's filtering semantics live here once,
+and :class:`~repro.filtering.BaywatchPipeline` composes these stage
+instances over a :class:`StageContext` whether detection runs
+in-process or on a MapReduce engine in checkpointed shards.
+:func:`run_stages` provides uniform funnel
 accounting (:class:`~repro.filtering.pipeline.FunnelStats` rows,
 telemetry spans, per-stage counters), and :func:`build_report` turns a
 finished context into the shared
@@ -13,8 +12,8 @@ finished context into the shared
 
 Layering: this package sits between ``repro.filtering`` (whose leaf
 modules — cases, ranking math, whitelists — it builds on) and
-``repro.jobs`` (which supplies distributed detection *executors* but
-is never imported from here).  See ``docs/ARCHITECTURE.md``.
+``repro.jobs`` (which supplies the sharded engine detection *executor*
+but is never imported from here).  See ``docs/ARCHITECTURE.md``.
 """
 
 from repro.stages.base import Stage, run_stages

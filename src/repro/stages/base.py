@@ -8,9 +8,8 @@ in/out counts in the context's
 :class:`~repro.filtering.pipeline.FunnelStats`, timing it under a
 telemetry span named after the stage, and surfacing the counts as
 ``stage.<span_name>.pairs_{in,out}`` counters — so funnel semantics and
-telemetry have exactly one source of truth regardless of which front
-end (:class:`~repro.filtering.BaywatchPipeline` or
-:class:`~repro.jobs.BaywatchRunner`) composed the stages.
+telemetry have exactly one source of truth, wherever
+:class:`~repro.filtering.BaywatchPipeline` runs detection.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ def run_stages(
     """Apply ``stages`` in order, with funnel accounting per step.
 
     Each stage runs under ``span(stage.span_name)`` — nesting beneath
-    whatever span the calling front end opened — and records
+    whatever span the caller opened — and records
     ``(stage.name, n_in, n_out)`` in ``context.funnel``.
     """
     registry = get_registry()

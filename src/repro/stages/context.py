@@ -3,7 +3,6 @@
 :class:`StageContext` carries everything the eight steps consult —
 the :class:`~repro.filtering.pipeline.PipelineConfig`, the global and
 local (popularity) whitelists, the
-:class:`~repro.core.permutation.ThresholdCache`, the
 :class:`~repro.filtering.novelty.NoveltyStore`, the
 :class:`~repro.filtering.tokens.TokenFilter`, and the lazily built
 :class:`~repro.lm.domains.DomainScorer` — plus the run's outputs: the
@@ -11,10 +10,10 @@ local (popularity) whitelists, the
 and any quarantined units.
 
 :class:`PopularityIndex` is the local-whitelist substrate: destination
-popularity as seen by *this run's* summaries, built either in-process
-(:meth:`PopularityIndex.from_summaries`) or from the popularity
-MapReduce job's output tables (:meth:`PopularityIndex.from_counts`).
-Both constructions implement the same rule as
+popularity as seen by *this run's* summaries
+(:meth:`PopularityIndex.from_summaries`), or from precomputed
+distinct-source counts (:meth:`PopularityIndex.from_counts`).  It
+implements the same rule as
 :class:`~repro.filtering.whitelist.LocalWhitelist`: a destination is
 whitelisted when at least ``min_sources`` distinct sources contact it
 and its population fraction exceeds the configured threshold.
@@ -25,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.core.permutation import ThresholdCache
 from repro.filtering.case import BeaconingCase
 from repro.filtering.novelty import NoveltyStore
 from repro.filtering.pipeline import FunnelStats, PipelineConfig, PipelineReport
@@ -70,7 +68,7 @@ class PopularityIndex:
     def from_counts(
         cls, counts: Dict[str, int], population: int
     ) -> "PopularityIndex":
-        """Wrap the popularity MapReduce job's output tables."""
+        """Wrap precomputed distinct-source counts per destination."""
         return cls(counts, population)
 
     def similar_sources(self, destination: str) -> int:
@@ -95,9 +93,9 @@ class PopularityIndex:
 class StageContext:
     """Everything one funnel run reads and writes.
 
-    Front ends build one context per run from their long-lived
-    components (whitelists, novelty store, token filter, scorer,
-    threshold cache) and hand it to
+    The pipeline builds one context per run from its long-lived
+    components (whitelists, novelty store, token filter, scorer) and
+    hands it to
     :func:`~repro.stages.base.run_stages`; the stages leave the run's
     funnel accounting, detected cases, and quarantine list behind on
     the same object.
@@ -107,7 +105,6 @@ class StageContext:
     global_whitelist: GlobalWhitelist = field(default_factory=GlobalWhitelist)
     novelty: NoveltyStore = field(default_factory=NoveltyStore)
     token_filter: TokenFilter = field(default_factory=TokenFilter)
-    threshold_cache: Optional[ThresholdCache] = None
     popularity: PopularityIndex = field(default_factory=PopularityIndex)
     funnel: FunnelStats = field(default_factory=FunnelStats)
     #: Built by the detection stage: every periodic pair, enriched.
@@ -134,9 +131,9 @@ def build_report(
 ) -> PipelineReport:
     """Assemble the run report from a finished context.
 
-    Both front ends produce their :class:`PipelineReport` through this
-    single helper, so report semantics (detected vs. ranked cases,
-    population, quarantine) cannot drift between them.
+    Every run produces its :class:`PipelineReport` through this single
+    helper, so report semantics (detected vs. ranked cases, population,
+    quarantine) cannot drift between detection executors.
     """
     return PipelineReport(
         ranked_cases=list(ranked),

@@ -5,10 +5,10 @@ pruning, ACF verification — run inside
 :class:`~repro.core.batch.BatchedDetector`, the one detection loop.
 The stage itself is execution-agnostic: a pluggable *executor* maps
 surviving summaries to ``(summary, DetectionResult)`` pairs, which lets
-the same stage object run in-process (:class:`InProcessDetection`),
-over a MapReduce engine, or in checkpointed shards — the latter two
-executors live with the runner in :mod:`repro.jobs.runner`, keeping
-this package free of job dependencies.
+the same stage object run in-process (:class:`InProcessDetection`) or
+on a MapReduce engine in checkpointed shards — that executor lives in
+:mod:`repro.jobs.runner`, keeping this package free of job
+dependencies.
 
 :func:`build_case` is the single enrichment point turning a detection
 into a :class:`~repro.filtering.case.BeaconingCase` (popularity,
@@ -23,7 +23,6 @@ from typing import (
     Callable,
     Iterable,
     List,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -191,25 +190,20 @@ def build_case(
 
 
 class InProcessDetection:
-    """Default executor: run the batched detector in this process.
+    """Executor running the batched detector in this process.
 
-    Pass a prebuilt detector to share a warm
-    :class:`~repro.core.permutation.ThresholdCache` across runs;
-    otherwise one is built (once) from the context's config and cache.
+    The detector (and its warm
+    :class:`~repro.core.permutation.ThresholdCache`) is the pipeline's,
+    shared across runs.
     """
 
-    def __init__(self, detector: Optional[PeriodicityDetector] = None) -> None:
+    def __init__(self, detector: PeriodicityDetector) -> None:
         self._detector = detector
 
     def __call__(
         self, context: "StageContext", summaries: List[ActivitySummary]
     ) -> Tuple[List[Tuple[ActivitySummary, DetectionResult]], List[Any]]:
         """Detect every summary; nothing is ever quarantined in-process."""
-        if self._detector is None:
-            self._detector = PeriodicityDetector(
-                context.config.detector,
-                threshold_cache=context.threshold_cache,
-            )
         results = BatchedDetector(self._detector).detect_summaries(summaries)
         if context.provenance is not None:
             record_detection_verdicts(
@@ -237,8 +231,8 @@ class PeriodicityDetectionStage(Stage):
     name = "3-5 periodicity detection"
     span_name = "step3_5_periodicity_detection"
 
-    def __init__(self, executor: Optional[DetectionExecutor] = None) -> None:
-        self.executor = executor if executor is not None else InProcessDetection()
+    def __init__(self, executor: DetectionExecutor) -> None:
+        self.executor = executor
 
     def apply(
         self, context: "StageContext", items: Sequence[ActivitySummary]

@@ -3,9 +3,9 @@
 Steps 1-2 (whitelist analysis) and 6-8 (suspicious indication) as
 :class:`~repro.stages.base.Stage` objects, plus the min-events
 prefilter that sits between the whitelists and periodicity detection.
-Step bodies live *only* here: both front ends compose these instances,
-so a change to one filter's semantics reaches the in-process pipeline,
-the MapReduce runner, and the sharded runner at once.
+Step bodies live *only* here: the pipeline composes these instances
+whichever executor runs detection, so a change to one filter's
+semantics reaches in-process and engine runs at once.
 
 When the context carries a
 :class:`~repro.obs.provenance.ProvenanceRecorder`, every stage also
@@ -13,14 +13,14 @@ emits one :class:`~repro.obs.provenance.VerdictRecord` per pair it
 inspects; with provenance off (the default) each stage keeps its
 original single-comprehension body.
 
-:func:`default_stages` builds the canonical eight-step sequence; front
-ends inject their own detection stage (the step that differs in *where*
+:func:`default_stages` builds the canonical eight-step sequence; the
+pipeline injects its detection stage (the step that differs in *where*
 it executes, never in *what* it computes).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.core.timeseries import ActivitySummary
 from repro.filtering.case import BeaconingCase
@@ -277,20 +277,18 @@ class RankingStage(Stage):
         return ranked
 
 
-def default_stages(
-    detection: Optional[PeriodicityDetectionStage] = None,
-) -> List[Stage]:
+def default_stages(detection: PeriodicityDetectionStage) -> List[Stage]:
     """The canonical 8-step funnel as a stage list.
 
-    ``detection`` substitutes the periodicity-detection stage (steps
-    3-5) — typically to select an executor (in-process, engine-backed,
-    sharded) while every other step stays shared.
+    ``detection`` is the periodicity-detection stage (steps 3-5) with
+    its executor (in-process or sharded on an engine); every other step
+    is shared.
     """
     return [
         GlobalWhitelistStage(),
         LocalWhitelistStage(),
         MinEventsStage(),
-        detection if detection is not None else PeriodicityDetectionStage(),
+        detection,
         TokenFilterStage(),
         NoveltyStage(),
         RankingStage(),

@@ -76,6 +76,42 @@ class TestRunSummaries:
         assert report.population_size == 0
 
 
+class TestRunOptions:
+    def test_rescale_merges_each_pair_in_time_order(self, pipeline):
+        from repro.core.timeseries import merge_rescaled
+        from repro.filtering.pipeline import rescale_and_merge
+
+        days = [
+            ActivitySummary.from_timestamps(
+                "mac1", "xqzwvkpj.com",
+                [day * 86_400.0 + i * 120.0 for i in range(50)],
+                urls=(f"/day{day}",),
+            )
+            for day in range(3)
+        ]
+        other = beacon_summary("mac0", "qqwjzkvx.net")
+        merged = rescale_and_merge([days[2], other, days[0], days[1]], 60.0)
+        assert merged == [
+            merge_rescaled([other], 60.0), merge_rescaled(days, 60.0)
+        ]
+        assert merged[1].urls == ("/day0", "/day1", "/day2")
+        report = pipeline.run_summaries(days[::-1], analysis_time_scale=60.0)
+        [case] = report.detected_cases
+        assert case.summary == merged[1]
+
+    @pytest.mark.parametrize("value", [0.0, -5.0, 0.5, float("nan"),
+                                       float("inf")])
+    def test_analysis_time_scale_it_cannot_honour(self, pipeline, value):
+        with pytest.raises(ValueError, match="analysis_time_scale"):
+            pipeline.run_summaries([], analysis_time_scale=value)
+
+    def test_sharding_keywords_need_an_engine(self, pipeline):
+        with pytest.raises(ValueError, match="checkpoint_dir, shard_size"):
+            pipeline.run_summaries([], shard_size=4, checkpoint_dir="x")
+        with pytest.raises(ValueError, match="engine"):
+            BaywatchPipeline(detection_job_factory=object)
+
+
 class TestOperationsDefaults:
     def test_default_cadences_shape(self):
         from repro.operations import DEFAULT_CADENCES

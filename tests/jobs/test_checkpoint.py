@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from repro.filtering import PipelineConfig
+from repro.filtering import BaywatchPipeline, PipelineConfig
 from repro.jobs import (
-    BaywatchRunner,
     BeaconingDetectionJob,
     CheckpointMismatch,
     CheckpointStore,
@@ -21,24 +20,24 @@ from repro.jobs.checkpoint import (
 )
 from repro.mapreduce import MapReduceEngine
 from repro.mapreduce.engine import QuarantinedTask
-from repro.synthetic import EnterpriseConfig, EnterpriseSimulator, ImplantSpec
+from repro.obs import JOURNAL_FILE, read_events
+from repro.sources.proxy import records_to_summaries
 
 
-@pytest.fixture(scope="module")
-def enterprise():
-    config = EnterpriseConfig(
-        n_hosts=20,
-        n_sites=40,
-        duration=86_400.0 / 4,
-        implants=(ImplantSpec("zbot", "zeus", n_infected=2, period=90.0),),
-        seed=33,
-    )
-    return EnterpriseSimulator(config).generate()
+def engine_pipeline(config):
+    """The pipeline with detection on a serial engine."""
+    return BaywatchPipeline(config, engine=MapReduceEngine())
 
 
-@pytest.fixture(scope="module")
-def pipeline_config():
-    return PipelineConfig(local_whitelist_threshold=0.2, ranking_percentile=0.5)
+def finished_shards(journal_dir, since=0):
+    """``(shard, n_shards)`` of each ``shard_finish`` in the journal."""
+    events = read_events(journal_dir / JOURNAL_FILE)[since:]
+    n_shards = next(e["n_shards"] for e in events if e["event"] == "run_start")
+    return [
+        (event["shard"], n_shards)
+        for event in events
+        if event["event"] == "shard_finish"
+    ]
 
 
 def _report_signature(report):
@@ -58,15 +57,21 @@ def _report_signature(report):
 class TestSerialization:
     def test_detection_case_roundtrip(self, enterprise, pipeline_config):
         records, _truth = enterprise
-        runner = BaywatchRunner(pipeline_config)
-        summaries = runner.extract(records)
-        cases = runner.detect(summaries, frozenset())
+        summaries = records_to_summaries(records)
+        output = MapReduceEngine().run(
+            BeaconingDetectionJob(pipeline_config.detector),
+            [(summary.pair, summary) for summary in summaries],
+        )
+        cases = [case for _pair, case in output]
         assert cases, "fixture produced no detection cases"
+        # Older checkpoints also stored four ranking fields, never set.
+        legacy = dict(
+            popularity=0.0, similar_sources=1, lm_score=0.0, rank_score=0.0
+        )
         for case in cases:
-            restored = case_from_dict(
-                json.loads(json.dumps(case_to_dict(case)))
-            )
-            assert restored == case
+            payload = json.loads(json.dumps(case_to_dict(case)))
+            assert case_from_dict(payload) == case
+            assert case_from_dict({**payload, **legacy}) == case
 
     def test_quarantine_tuple_key_roundtrip(self):
         entry = QuarantinedTask(
@@ -89,8 +94,8 @@ class TestSerialization:
 class TestShardedEquivalence:
     def test_sharded_matches_unsharded(self, enterprise, pipeline_config):
         records, truth = enterprise
-        plain = BaywatchRunner(pipeline_config).run(records)
-        sharded = BaywatchRunner(pipeline_config).run_sharded(
+        plain = BaywatchPipeline(pipeline_config).run_records(records)
+        sharded = engine_pipeline(pipeline_config).run_records(
             records, shard_size=7
         )
         assert _report_signature(sharded) == _report_signature(plain)
@@ -98,18 +103,18 @@ class TestShardedEquivalence:
         assert truth.malicious_destinations <= detected
         assert sharded.quarantined == []
 
-    def test_shard_callback_and_gauge(self, enterprise, pipeline_config):
+    def test_shard_callback_and_gauge(
+        self, enterprise, pipeline_config, tmp_path
+    ):
         from repro.obs import MetricsRegistry, scoped_registry
 
         records, _truth = enterprise
-        completions = []
         registry = MetricsRegistry()
         with scoped_registry(registry):
-            BaywatchRunner(pipeline_config).run_sharded(
-                records,
-                shard_size=7,
-                on_shard_complete=lambda i, n: completions.append((i, n)),
+            engine_pipeline(pipeline_config).run_records(
+                records, shard_size=7, journal_dir=str(tmp_path)
             )
+        completions = finished_shards(tmp_path)
         assert completions, "no shard completions observed"
         n_shards = completions[0][1]
         assert [i for i, _n in completions] == list(range(n_shards))
@@ -118,14 +123,14 @@ class TestShardedEquivalence:
     def test_shard_size_validated(self, enterprise, pipeline_config):
         records, _truth = enterprise
         with pytest.raises(ValueError, match="shard_size"):
-            BaywatchRunner(pipeline_config).run_sharded(records, shard_size=0)
+            engine_pipeline(pipeline_config).run_records(records, shard_size=0)
 
     def test_max_shards_requires_checkpoint_dir(
         self, enterprise, pipeline_config
     ):
         records, _truth = enterprise
         with pytest.raises(ValueError, match="checkpoint_dir"):
-            BaywatchRunner(pipeline_config).run_sharded(records, max_shards=1)
+            engine_pipeline(pipeline_config).run_records(records, max_shards=1)
 
 
 class TestInterruptResume:
@@ -134,12 +139,12 @@ class TestInterruptResume:
     ):
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
-        uninterrupted = BaywatchRunner(pipeline_config).run_sharded(
+        uninterrupted = engine_pipeline(pipeline_config).run_records(
             records, shard_size=5
         )
 
         with pytest.raises(IncompleteRunError) as excinfo:
-            BaywatchRunner(pipeline_config).run_sharded(
+            engine_pipeline(pipeline_config).run_records(
                 records, shard_size=5, checkpoint_dir=str(ckpt), max_shards=2
             )
         assert excinfo.value.completed == 2
@@ -147,14 +152,14 @@ class TestInterruptResume:
         store = CheckpointStore(ckpt)
         assert store.completed_shards() == [0, 1]
 
-        rerun = []
-        resumed = BaywatchRunner(pipeline_config).run_sharded(
+        first_cycle = len(read_events(ckpt / JOURNAL_FILE))
+        resumed = engine_pipeline(pipeline_config).run_records(
             records,
             shard_size=5,
             checkpoint_dir=str(ckpt),
             resume=True,
-            on_shard_complete=lambda i, n: rerun.append(i),
         )
+        rerun = [shard for shard, _n in finished_shards(ckpt, first_cycle)]
         # Only the shards missing from the checkpoint were re-run...
         assert min(rerun) == 2
         # ...and the assembled report is indistinguishable from the
@@ -168,12 +173,12 @@ class TestInterruptResume:
 
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
-        runner = BaywatchRunner(pipeline_config)
-        runner.run_sharded(records, shard_size=5, checkpoint_dir=str(ckpt))
+        runner = engine_pipeline(pipeline_config)
+        runner.run_records(records, shard_size=5, checkpoint_dir=str(ckpt))
 
         registry = MetricsRegistry()
         with scoped_registry(registry):
-            BaywatchRunner(pipeline_config).run_sharded(
+            engine_pipeline(pipeline_config).run_records(
                 records, shard_size=5, checkpoint_dir=str(ckpt), resume=True
             )
         counters = dict(registry.counters())
@@ -186,11 +191,11 @@ class TestInterruptResume:
         treat that shard as incomplete and re-run it."""
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
-        uninterrupted = BaywatchRunner(pipeline_config).run_sharded(
+        uninterrupted = engine_pipeline(pipeline_config).run_records(
             records, shard_size=5
         )
         with pytest.raises(IncompleteRunError):
-            BaywatchRunner(pipeline_config).run_sharded(
+            engine_pipeline(pipeline_config).run_records(
                 records, shard_size=5, checkpoint_dir=str(ckpt), max_shards=2
             )
         # Simulate the kill-mid-write of the next shard.
@@ -198,7 +203,7 @@ class TestInterruptResume:
         store = CheckpointStore(ckpt)
         assert not store.has_shard(2)
 
-        resumed = BaywatchRunner(pipeline_config).run_sharded(
+        resumed = engine_pipeline(pipeline_config).run_records(
             records, shard_size=5, checkpoint_dir=str(ckpt), resume=True
         )
         assert _report_signature(resumed) == _report_signature(uninterrupted)
@@ -209,14 +214,14 @@ class TestInterruptResume:
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
         with pytest.raises(IncompleteRunError):
-            BaywatchRunner(pipeline_config).run_sharded(
+            engine_pipeline(pipeline_config).run_records(
                 records, shard_size=5, checkpoint_dir=str(ckpt), max_shards=1
             )
         changed = PipelineConfig(
             local_whitelist_threshold=0.9, ranking_percentile=0.5
         )
         with pytest.raises(CheckpointMismatch):
-            BaywatchRunner(changed).run_sharded(
+            engine_pipeline(changed).run_records(
                 records, shard_size=5, checkpoint_dir=str(ckpt), resume=True
             )
 
@@ -226,11 +231,11 @@ class TestInterruptResume:
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
         with pytest.raises(IncompleteRunError):
-            BaywatchRunner(pipeline_config).run_sharded(
+            engine_pipeline(pipeline_config).run_records(
                 records, shard_size=5, checkpoint_dir=str(ckpt), max_shards=1
             )
         with pytest.raises(CheckpointMismatch):
-            BaywatchRunner(pipeline_config).run_sharded(
+            engine_pipeline(pipeline_config).run_records(
                 records, shard_size=9, checkpoint_dir=str(ckpt), resume=True
             )
 
@@ -240,12 +245,12 @@ class TestInterruptResume:
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
         with pytest.raises(IncompleteRunError):
-            BaywatchRunner(pipeline_config).run_sharded(
+            engine_pipeline(pipeline_config).run_records(
                 records, shard_size=5, checkpoint_dir=str(ckpt), max_shards=2
             )
         # resume=False (the default) starts over; stale shards vanish
         # and the run completes end to end.
-        report = BaywatchRunner(pipeline_config).run_sharded(
+        report = engine_pipeline(pipeline_config).run_records(
             records, shard_size=5, checkpoint_dir=str(ckpt)
         )
         store = CheckpointStore(ckpt)
@@ -285,10 +290,10 @@ class TestQuarantineEndToEnd:
             )
 
         engine = MapReduceEngine(max_retries=1, quarantine=True)
-        runner = BaywatchRunner(
+        runner = BaywatchPipeline(
             pipeline_config, engine=engine, detection_job_factory=factory
         )
-        report = runner.run_sharded(
+        report = runner.run_records(
             records, shard_size=5, checkpoint_dir=str(ckpt)
         )
 
@@ -314,13 +319,13 @@ class TestQuarantineEndToEnd:
                 *args, poison_destination=victim, **kwargs
             )
 
-        runner = BaywatchRunner(
+        runner = BaywatchPipeline(
             pipeline_config,
             engine=MapReduceEngine(),
             detection_job_factory=factory,
         )
         with pytest.raises(RuntimeError, match="poisoned pair"):
-            runner.run_sharded(records, shard_size=5)
+            runner.run_records(records, shard_size=5)
 
 
 class TestProgress:
@@ -329,9 +334,9 @@ class TestProgress:
     ):
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
-        runner = BaywatchRunner(pipeline_config)
+        runner = engine_pipeline(pipeline_config)
         with pytest.raises(IncompleteRunError):
-            runner.run_sharded(
+            runner.run_records(
                 records, shard_size=5, checkpoint_dir=str(ckpt), max_shards=2
             )
         store = CheckpointStore(str(ckpt))
@@ -342,7 +347,7 @@ class TestProgress:
         assert progress["remaining"] == progress["n_shards"] - 2
         assert progress["fingerprint"]
 
-        BaywatchRunner(pipeline_config).run_sharded(
+        engine_pipeline(pipeline_config).run_records(
             records, shard_size=5, checkpoint_dir=str(ckpt), resume=True
         )
         progress = store.progress()
@@ -365,11 +370,68 @@ class TestProgress:
         """A fresh (non-resume) run clears shards but never the journal."""
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
-        runner = BaywatchRunner(pipeline_config)
-        runner.run_sharded(records, shard_size=5, checkpoint_dir=str(ckpt))
+        runner = engine_pipeline(pipeline_config)
+        runner.run_records(records, shard_size=5, checkpoint_dir=str(ckpt))
         journal = ckpt / "events.jsonl"
         assert journal.exists()
         size_after_first = journal.stat().st_size
         CheckpointStore(str(ckpt)).clear()
         assert journal.exists()
         assert journal.stat().st_size == size_after_first
+
+
+class TestDamagedCheckpoint:
+    """A checkpoint that cannot be trusted is refused, naming the file.
+
+    ``tests/test_cli.py`` resumes damaged shards and manifests end to
+    end; these cover the other readers and the fresh-run path.
+    """
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt")
+        store.begin("fp", n_shards=2, shard_size=1, resume=False)
+        store.write_shard(0, [])
+        store.write_quarantine([
+            QuarantinedTask(phase="map", key=("h", "d"), error="x", attempts=2)
+        ])
+        return store
+
+    def test_intact_store_reads_back(self, store):
+        assert store.read_shard(0) == ([], [])
+        assert store.manifest()["fingerprint"] == "fp"
+        assert [e.key for e in store.read_quarantine()] == [("h", "d")]
+
+    def test_shard_files_without_a_manifest_are_refused(self, store):
+        store.manifest_path.unlink()
+        with pytest.raises(CheckpointMismatch, match="no manifest.json"):
+            store.begin("fp", n_shards=2, shard_size=1, resume=True)
+        # A fresh run clears them instead.
+        store.begin("fp", n_shards=2, shard_size=1, resume=False)
+        assert store.completed_shards() == []
+
+    def test_truncated_manifest(self, store):
+        store.manifest_path.write_text('{"fingerprint": "f', encoding="utf-8")
+        with pytest.raises(
+            CheckpointMismatch, match="manifest.json is damaged"
+        ):
+            store.begin("fp", n_shards=2, shard_size=1, resume=True)
+        store.begin("fp", n_shards=2, shard_size=1, resume=False)
+
+    def test_malformed_provenance_shard(self, store):
+        store._provenance_shard_path(0).write_text(
+            '{"v": 1, "unexpected": true}\n', encoding="utf-8"
+        )
+        with pytest.raises(
+            CheckpointMismatch, match="provenance-00000.jsonl is damaged"
+        ):
+            store.read_provenance_shard(0)
+
+    def test_malformed_quarantine_report(self, store):
+        store.quarantine_path.write_text(
+            '{"phase": "map"}\n', encoding="utf-8"
+        )
+        with pytest.raises(
+            CheckpointMismatch, match="quarantine.jsonl is damaged"
+        ):
+            store.read_quarantine()

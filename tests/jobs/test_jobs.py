@@ -1,105 +1,16 @@
-"""Tests for the individual MapReduce jobs (Section VII)."""
+"""Tests for the periodicity-detection MapReduce job (Section VII-D)."""
 
 import pytest
 
 from repro.core.timeseries import ActivitySummary
-from repro.jobs import (
-    BeaconingDetectionJob,
-    DataExtractionJob,
-    DestinationPopularityJob,
-    RankingJob,
-    RescaleMergeJob,
-    popularity_table,
-)
+from repro.jobs import BeaconingDetectionJob
 from repro.jobs.records import DetectionCase
 from repro.mapreduce import MapReduceEngine
-from repro.synthetic import ProxyLogRecord
 
 
 @pytest.fixture
 def engine():
     return MapReduceEngine()
-
-
-def beacon_records(destination="evil.com", mac="mac1", period=60.0, count=50):
-    return [
-        ProxyLogRecord(i * period, mac, "10.0.0.1", destination, "/gate.php")
-        for i in range(count)
-    ]
-
-
-class TestDataExtractionJob:
-    def test_builds_summaries_per_pair(self, engine):
-        records = beacon_records() + beacon_records("other.com", "mac2")
-        output = engine.run(DataExtractionJob(), enumerate(records))
-        assert len(output) == 2
-        pairs = {pair for pair, _s in output}
-        assert pairs == {("mac1", "evil.com"), ("mac2", "other.com")}
-
-    def test_summary_contents(self, engine):
-        output = engine.run(DataExtractionJob(), enumerate(beacon_records()))
-        _pair, summary = output[0]
-        assert summary.event_count == 50
-        assert summary.intervals[0] == 60.0
-        assert summary.urls[0] == "/gate.php"
-
-    def test_url_cap(self, engine):
-        job = DataExtractionJob(max_urls_per_pair=5)
-        output = engine.run(job, enumerate(beacon_records(count=20)))
-        _pair, summary = output[0]
-        assert len(summary.urls) == 5
-
-    def test_unsorted_timestamps_handled(self, engine):
-        records = list(reversed(beacon_records(count=10)))
-        output = engine.run(DataExtractionJob(), enumerate(records))
-        _pair, summary = output[0]
-        assert all(i >= 0 for i in summary.intervals)
-
-
-class TestRescaleMergeJob:
-    def test_merges_multiple_windows(self, engine):
-        day1 = ActivitySummary.from_timestamps("m", "d", [0.0, 300.0, 600.0])
-        day2 = ActivitySummary.from_timestamps(
-            "m", "d", [86_400.0, 86_700.0, 87_000.0]
-        )
-        output = engine.run(
-            RescaleMergeJob(60.0), [(s.pair, s) for s in (day1, day2)]
-        )
-        assert len(output) == 1
-        _pair, merged = output[0]
-        assert merged.time_scale == 60.0
-        assert merged.event_count == 6
-
-    def test_already_coarse_passes_through(self, engine):
-        coarse = ActivitySummary.from_timestamps(
-            "m", "d", [0.0, 300.0], time_scale=300.0
-        )
-        output = engine.run(RescaleMergeJob(60.0), [(coarse.pair, coarse)])
-        _pair, merged = output[0]
-        assert merged.time_scale == 300.0
-
-
-class TestPopularityJob:
-    def test_counts_distinct_sources(self, engine):
-        summaries = [
-            ActivitySummary.from_timestamps(f"mac{i}", "shared.com", [0.0, 1.0])
-            for i in range(5)
-        ] + [ActivitySummary.from_timestamps("mac0", "rare.com", [0.0, 1.0])]
-        counts = dict(
-            engine.run(
-                DestinationPopularityJob(), [(s.pair, s) for s in summaries]
-            )
-        )
-        assert counts["shared.com"] == 5
-        assert counts["rare.com"] == 1
-
-    def test_popularity_table(self):
-        table = popularity_table([("a.com", 5), ("b.com", 1)], population=10)
-        assert table["a.com"] == 0.5
-        assert table["b.com"] == 0.1
-
-    def test_popularity_table_zero_population(self):
-        assert popularity_table([("a.com", 5)], 0) == {"a.com": 0.0}
 
 
 class TestDetectionJob:
@@ -139,59 +50,3 @@ class TestDetectionJob:
         job._get_detector()
         clone = pickle.loads(pickle.dumps(job))
         assert clone._detector is None
-
-
-class TestRankingJob:
-    def make_case(self, destination, urls=("/gate.php",), period=60.0):
-        summary = ActivitySummary.from_timestamps(
-            "m", destination, [i * period for i in range(50)], urls=urls
-        )
-        from repro.core.detector import CandidatePeriod, DetectionResult
-
-        detection = DetectionResult(
-            periodic=True,
-            candidates=(
-                CandidatePeriod(period, 1 / period, 50.0, 0.9, 0.5),
-            ),
-            power_threshold=5.0,
-            n_events=50,
-            duration=49 * period,
-            time_scale=1.0,
-        )
-        return DetectionCase(summary=summary, detection=detection)
-
-    def job(self, **kwargs):
-        defaults = dict(
-            popularity={"dga1.com": 0.01, "update.com": 0.01},
-            similar_sources={"dga1.com": 1, "update.com": 1},
-            lm_scores={"dga1.com": -3.0, "update.com": -1.0},
-            percentile=0.0,
-        )
-        defaults.update(kwargs)
-        return RankingJob(**defaults)
-
-    def test_ranks_dga_above_benign(self, engine):
-        cases = [self.make_case("update.com"), self.make_case("dga1.com")]
-        output = engine.run(self.job(), [(c.pair, c) for c in cases])
-        ranked = [case.summary.destination for _rank, case in sorted(output)]
-        assert ranked[0] == "dga1.com"
-
-    def test_token_filter_suppresses_updaters(self, engine):
-        cases = [self.make_case("update.com", urls=("/v2/update/check",))]
-        output = engine.run(self.job(), [(c.pair, c) for c in cases])
-        assert output == []
-
-    def test_novelty_suppresses_reported(self, engine):
-        cases = [self.make_case("dga1.com")]
-        job = self.job(reported_destinations=frozenset({"dga1.com"}))
-        assert engine.run(job, [(c.pair, c) for c in cases]) == []
-
-    def test_percentile_cut(self, engine):
-        cases = [self.make_case(f"dga{i}.com") for i in range(10)]
-        job = self.job(
-            popularity={}, similar_sources={},
-            lm_scores={f"dga{i}.com": -3.0 + i * 0.1 for i in range(10)},
-            percentile=0.8,
-        )
-        output = engine.run(job, [(c.pair, c) for c in cases])
-        assert 1 <= len(output) <= 3

@@ -13,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.filtering import PipelineConfig
-from repro.jobs import BaywatchRunner, IncompleteRunError
+from repro.filtering import BaywatchPipeline, PipelineConfig
+from repro.jobs import IncompleteRunError
 from repro.jobs.checkpoint import CheckpointStore
 from repro.lm.domains import default_scorer
+from repro.mapreduce import MapReduceEngine
 from repro.obs import (
     PROVENANCE_FILE,
     ProvenancePolicy,
@@ -51,11 +52,16 @@ def scorer():
     return default_scorer()
 
 
+def engine_pipeline(scorer):
+    """The pipeline with detection on a serial engine."""
+    return BaywatchPipeline(
+        PipelineConfig(**CONFIG), engine=MapReduceEngine(), scorer=scorer
+    )
+
+
 @pytest.fixture(scope="module")
 def uninterrupted(records, scorer):
-    return BaywatchRunner(
-        PipelineConfig(**CONFIG), scorer=scorer
-    ).run_sharded(records, shard_size=4)
+    return engine_pipeline(scorer).run_records(records, shard_size=4)
 
 
 def signature(prov_records):
@@ -68,16 +74,14 @@ def signature(prov_records):
 
 def interrupt(records, scorer, checkpoint):
     with pytest.raises(IncompleteRunError):
-        BaywatchRunner(PipelineConfig(**CONFIG), scorer=scorer).run_sharded(
+        engine_pipeline(scorer).run_records(
             records, shard_size=4, checkpoint_dir=str(checkpoint),
             max_shards=2,
         )
 
 
 def resume(records, scorer, checkpoint):
-    return BaywatchRunner(
-        PipelineConfig(**CONFIG), scorer=scorer
-    ).run_sharded(
+    return engine_pipeline(scorer).run_records(
         records, shard_size=4, checkpoint_dir=str(checkpoint), resume=True
     )
 

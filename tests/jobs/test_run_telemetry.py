@@ -4,8 +4,8 @@ import logging
 
 import pytest
 
-from repro.filtering import PipelineConfig
-from repro.jobs import BaywatchRunner, CheckpointStore, IncompleteRunError
+from repro.filtering import BaywatchPipeline
+from repro.jobs import CheckpointStore, IncompleteRunError
 from repro.mapreduce import MapReduceEngine
 from repro.obs import (
     JOURNAL_FILE,
@@ -19,24 +19,6 @@ from repro.obs import (
     scoped_registry,
     set_trace,
 )
-from repro.synthetic import EnterpriseConfig, EnterpriseSimulator, ImplantSpec
-
-
-@pytest.fixture(scope="module")
-def enterprise():
-    config = EnterpriseConfig(
-        n_hosts=20,
-        n_sites=40,
-        duration=86_400.0 / 4,
-        implants=(ImplantSpec("zbot", "zeus", n_infected=2, period=90.0),),
-        seed=33,
-    )
-    return EnterpriseSimulator(config).generate()
-
-
-@pytest.fixture(scope="module")
-def pipeline_config():
-    return PipelineConfig(local_whitelist_threshold=0.2, ranking_percentile=0.5)
 
 
 @pytest.fixture(autouse=True)
@@ -46,6 +28,13 @@ def _clean_trace_state():
     yield
     clear_spans()
     set_trace(None)
+
+
+def engine_pipeline(config, engine=None):
+    """The pipeline with detection on ``engine`` (a serial one by default)."""
+    return BaywatchPipeline(
+        config, engine=engine if engine is not None else MapReduceEngine()
+    )
 
 
 def _events_of(kind, events):
@@ -58,8 +47,8 @@ class TestJournalOfShardedRun:
     ):
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
-        runner = BaywatchRunner(pipeline_config)
-        runner.run_sharded(
+        runner = engine_pipeline(pipeline_config)
+        runner.run_records(
             records, shard_size=5, checkpoint_dir=str(ckpt), run_id="jrun01"
         )
         events = read_events(ckpt / JOURNAL_FILE)
@@ -84,8 +73,8 @@ class TestJournalOfShardedRun:
     ):
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
-        runner = BaywatchRunner(pipeline_config)
-        runner.run_sharded(records, shard_size=5, checkpoint_dir=str(ckpt))
+        runner = engine_pipeline(pipeline_config)
+        runner.run_records(records, shard_size=5, checkpoint_dir=str(ckpt))
         status = build_status(read_events(ckpt / JOURNAL_FILE))
         progress = CheckpointStore(str(ckpt)).progress()
         assert status["shards"]["total"] == progress["n_shards"]
@@ -98,8 +87,8 @@ class TestJournalOfShardedRun:
     ):
         records, _truth = enterprise
         jdir = tmp_path / "journal-only"
-        runner = BaywatchRunner(pipeline_config)
-        runner.run_sharded(records, shard_size=5, journal_dir=str(jdir))
+        runner = engine_pipeline(pipeline_config)
+        runner.run_records(records, shard_size=5, journal_dir=str(jdir))
         events = read_events(jdir / JOURNAL_FILE)
         assert _events_of("run_finish", events)
 
@@ -107,8 +96,8 @@ class TestJournalOfShardedRun:
         self, enterprise, pipeline_config
     ):
         records, _truth = enterprise
-        runner = BaywatchRunner(pipeline_config)
-        report = runner.run_sharded(records, shard_size=5)
+        runner = engine_pipeline(pipeline_config)
+        report = runner.run_records(records, shard_size=5)
         assert report.ranked_cases  # runs fine, just unjournaled
 
 
@@ -118,9 +107,9 @@ class TestInterruptResumeJournal:
     ):
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
-        runner = BaywatchRunner(pipeline_config)
+        runner = engine_pipeline(pipeline_config)
         with pytest.raises(IncompleteRunError):
-            runner.run_sharded(
+            runner.run_records(
                 records, shard_size=5, checkpoint_dir=str(ckpt),
                 max_shards=2, run_id="cycle1",
             )
@@ -131,8 +120,8 @@ class TestInterruptResumeJournal:
         }
         assert len(finished_first) == 2
 
-        resumed_runner = BaywatchRunner(pipeline_config)
-        resumed_runner.run_sharded(
+        resumed_runner = engine_pipeline(pipeline_config)
+        resumed_runner.run_records(
             records, shard_size=5, checkpoint_dir=str(ckpt),
             resume=True, run_id="cycle2",
         )
@@ -160,12 +149,12 @@ class TestInterruptResumeJournal:
     ):
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
-        runner = BaywatchRunner(pipeline_config)
+        runner = engine_pipeline(pipeline_config)
         with pytest.raises(IncompleteRunError):
-            runner.run_sharded(
+            runner.run_records(
                 records, shard_size=5, checkpoint_dir=str(ckpt), max_shards=1
             )
-        BaywatchRunner(pipeline_config).run_sharded(
+        engine_pipeline(pipeline_config).run_records(
             records, shard_size=5, checkpoint_dir=str(ckpt), resume=True
         )
         events = read_events(ckpt / JOURNAL_FILE)
@@ -182,10 +171,10 @@ class TestDistributedTrace:
         # through the worker pool, so detect spans genuinely run in
         # other processes.
         engine = MapReduceEngine(n_workers=2, min_parallel_records=1)
-        runner = BaywatchRunner(pipeline_config, engine=engine)
+        runner = engine_pipeline(pipeline_config, engine)
         registry = MetricsRegistry()
         with scoped_registry(registry), engine:
-            runner.run_sharded(
+            runner.run_records(
                 records, shard_size=5,
                 checkpoint_dir=str(tmp_path / "ckpt"), run_id="trace01",
             )
@@ -221,8 +210,8 @@ class TestDistributedTrace:
         self, enterprise, pipeline_config, tmp_path
     ):
         records, _truth = enterprise
-        runner = BaywatchRunner(pipeline_config)
-        runner.run_sharded(
+        runner = engine_pipeline(pipeline_config)
+        runner.run_records(
             records, shard_size=5, checkpoint_dir=str(tmp_path / "ckpt")
         )
         assert pending_spans() == []
@@ -233,9 +222,9 @@ class TestDistributedTrace:
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
         engine = MapReduceEngine(n_workers=2, min_parallel_records=1)
-        runner = BaywatchRunner(pipeline_config, engine=engine)
+        runner = engine_pipeline(pipeline_config, engine)
         with engine:
-            runner.run_sharded(
+            runner.run_records(
                 records, shard_size=5, checkpoint_dir=str(ckpt)
             )
         events = read_events(ckpt / JOURNAL_FILE)

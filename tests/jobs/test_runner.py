@@ -1,71 +1,38 @@
-"""Integration tests for the MapReduce-backed runner."""
+"""Integration tests for the pipeline with detection on the engine."""
 
-import pytest
-
-from repro.filtering import BaywatchPipeline, PipelineConfig
-from repro.jobs import BaywatchRunner
+from repro.filtering import BaywatchPipeline
 from repro.mapreduce import MapReduceEngine
-from repro.synthetic import EnterpriseConfig, EnterpriseSimulator, ImplantSpec
 
 
-@pytest.fixture(scope="module")
-def enterprise():
-    config = EnterpriseConfig(
-        n_hosts=20,
-        n_sites=40,
-        duration=86_400.0 / 4,
-        implants=(ImplantSpec("zbot", "zeus", n_infected=2, period=90.0),),
-        seed=33,
-    )
-    return EnterpriseSimulator(config).generate()
-
-
-@pytest.fixture(scope="module")
-def pipeline_config():
-    return PipelineConfig(local_whitelist_threshold=0.2, ranking_percentile=0.5)
+def engine_pipeline(config):
+    """The pipeline with detection on a serial engine."""
+    return BaywatchPipeline(config, engine=MapReduceEngine())
 
 
 class TestRunner:
     def test_finds_malicious(self, enterprise, pipeline_config):
         records, truth = enterprise
-        runner = BaywatchRunner(pipeline_config)
-        report = runner.run(records)
+        report = engine_pipeline(pipeline_config).run_records(records)
         detected = {case.destination for case in report.detected_cases}
         assert truth.malicious_destinations <= detected
 
     def test_agrees_with_in_process_pipeline(self, enterprise, pipeline_config):
         records, _truth = enterprise
-        runner_report = BaywatchRunner(pipeline_config).run(records)
+        engine_report = engine_pipeline(pipeline_config).run_records(records)
         pipeline_report = BaywatchPipeline(pipeline_config).run_records(records)
-        assert {c.destination for c in runner_report.detected_cases} == {
+        assert {c.destination for c in engine_report.detected_cases} == {
             c.destination for c in pipeline_report.detected_cases
         }
-        assert [c.destination for c in runner_report.ranked_cases] == [
+        assert [c.destination for c in engine_report.ranked_cases] == [
             c.destination for c in pipeline_report.ranked_cases
         ]
-
-    def test_phases_run_individually(self, enterprise, pipeline_config):
-        records, _truth = enterprise
-        runner = BaywatchRunner(pipeline_config)
-        summaries = runner.extract(records)
-        assert len(summaries) > 10
-        ratios, counts, population = runner.popularity(summaries)
-        assert population == 20
-        assert all(0.0 <= r <= 1.0 for r in ratios.values())
-
-    def test_rescale_merge_phase(self, enterprise, pipeline_config):
-        records, _truth = enterprise
-        runner = BaywatchRunner(pipeline_config)
-        summaries = runner.extract(records)
-        coarse = runner.rescale_merge(summaries, 60.0)
-        assert len(coarse) == len(summaries)
-        assert all(s.time_scale == 60.0 for s in coarse)
 
     def test_rescaled_run_still_detects(self, enterprise, pipeline_config):
         """Coarse-granularity analysis (the long-window mode) still
         finds a 90 s beacon when analyzed at 30 s resolution."""
         records, truth = enterprise
-        runner = BaywatchRunner(pipeline_config)
-        report = runner.run(records, analysis_time_scale=30.0)
+        report = engine_pipeline(pipeline_config).run_records(
+            records, analysis_time_scale=30.0
+        )
         detected = {case.destination for case in report.detected_cases}
         assert truth.malicious_destinations <= detected

@@ -1,22 +1,23 @@
-"""Edge-path tests for the MapReduce runner."""
+"""Edge-path tests for the pipeline with detection on the engine."""
 
 import pytest
 
-from repro.filtering import PipelineConfig
-from repro.jobs import BaywatchRunner
+from repro.filtering import BaywatchPipeline, PipelineConfig
+from repro.mapreduce import MapReduceEngine
 from repro.synthetic import ProxyLogRecord
 
 
 @pytest.fixture
 def runner():
-    return BaywatchRunner(
-        PipelineConfig(local_whitelist_threshold=0.2, ranking_percentile=0.0)
+    return BaywatchPipeline(
+        PipelineConfig(local_whitelist_threshold=0.2, ranking_percentile=0.0),
+        engine=MapReduceEngine(),
     )
 
 
 class TestRunnerEdges:
     def test_empty_records(self, runner):
-        report = runner.run([])
+        report = runner.run_records([])
         assert report.ranked_cases == []
         assert report.detected_cases == []
         assert report.population_size == 0
@@ -27,7 +28,7 @@ class TestRunnerEdges:
             ProxyLogRecord(float(t), "mac1", "10.0.0.1", "rand.com", "/x")
             for t in timestamps
         ]
-        report = runner.run(records)
+        report = runner.run_records(records)
         assert report.detected_cases == []
 
     def test_all_whitelisted(self, runner):
@@ -35,20 +36,13 @@ class TestRunnerEdges:
             ProxyLogRecord(float(i * 60), "mac1", "10.0.0.1", "google.com", "/")
             for i in range(50)
         ]
-        report = runner.run(records)
+        report = runner.run_records(records)
         assert report.detected_cases == []
         # Funnel records the global-whitelist drop.
         step = dict(
             (name, (i, o)) for name, i, o in report.funnel.steps
         )["1 global whitelist"]
         assert step == (1, 0)
-
-    def test_phase_methods_on_empty(self, runner):
-        assert runner.extract([]) == []
-        ratios, counts, population = runner.popularity([])
-        assert ratios == {} and counts == {} and population == 0
-        assert runner.detect([], frozenset()) == []
-        assert runner.rank([], {}, {}) == []
 
     def test_novelty_across_runs(self, rng):
         from repro.filtering import NoveltyStore
@@ -62,7 +56,11 @@ class TestRunnerEdges:
         config = PipelineConfig(
             local_whitelist_threshold=0.2, ranking_percentile=0.0
         )
-        first = BaywatchRunner(config, novelty=novelty).run(records)
-        second = BaywatchRunner(config, novelty=novelty).run(records)
+        first = BaywatchPipeline(
+            config, engine=MapReduceEngine(), novelty=novelty
+        ).run_records(records)
+        second = BaywatchPipeline(
+            config, engine=MapReduceEngine(), novelty=novelty
+        ).run_records(records)
         assert len(first.ranked_cases) == 1
         assert second.ranked_cases == []

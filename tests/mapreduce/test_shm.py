@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.timeseries import ActivitySummary
-from repro.filtering import PipelineConfig
-from repro.jobs import BaywatchRunner
+from repro.filtering import BaywatchPipeline, PipelineConfig
 from repro.jobs.detection import BeaconingDetectionJob
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.shm import SEGMENT_PREFIX, SummaryArena
@@ -202,11 +201,11 @@ class TestSegmentHygiene:
 
     def test_sharded_shm_run_releases_all_segments(self, trace, tmp_path):
         assert baywatch_segments() == []
-        runner = BaywatchRunner(
+        runner = BaywatchPipeline(
             PipelineConfig(**self.CONFIG),
             engine=MapReduceEngine(n_workers=2, min_parallel_records=4),
         )
-        report = runner.run_sharded(
+        report = runner.run_records(
             trace, shard_size=8, checkpoint_dir=str(tmp_path / "ckpt")
         )
         assert report.population_size > 0
@@ -226,12 +225,12 @@ class TestSegmentHygiene:
             with MapReduceEngine(
                 n_workers=2, min_parallel_records=4, max_retries=2
             ) as engine:
-                runner = BaywatchRunner(
+                runner = BaywatchPipeline(
                     PipelineConfig(**self.CONFIG),
                     engine=engine,
                     detection_job_factory=factory,
                 )
-                report = runner.run_sharded(
+                report = runner.run_records(
                     trace, shard_size=8, checkpoint_dir=str(tmp_path / "ckpt")
                 )
         # With telemetry enabled the sharded run installed a trace
@@ -247,8 +246,12 @@ class TestSegmentHygiene:
 
     def test_shm_report_matches_pickled_payload_report(self, trace):
         plain_config = dict(self.CONFIG, use_shared_memory=False)
-        shm = BaywatchRunner(PipelineConfig(**self.CONFIG)).run(trace)
-        plain = BaywatchRunner(PipelineConfig(**plain_config)).run(trace)
+        shm = BaywatchPipeline(
+            PipelineConfig(**self.CONFIG), engine=MapReduceEngine()
+        ).run_records(trace)
+        plain = BaywatchPipeline(
+            PipelineConfig(**plain_config), engine=MapReduceEngine()
+        ).run_records(trace)
         assert [
             (c.source, c.destination, c.rank_score) for c in shm.ranked_cases
         ] == [

@@ -1,10 +1,11 @@
-"""End-to-end telemetry tests over both pipeline front ends.
+"""End-to-end telemetry tests over both detection executors.
 
 A small synthetic enterprise trace runs through
-:class:`BaywatchPipeline` and :class:`BaywatchRunner` under a scoped
-registry; the resulting funnel report must agree with the run's
-:class:`FunnelStats`, include per-stage wall-clock timings, and carry
-the ThresholdCache hit/miss counters.
+:class:`BaywatchPipeline`, with detection in-process and on a
+:class:`MapReduceEngine`, under a scoped registry; the resulting funnel
+report must agree with the run's :class:`FunnelStats`, include
+per-stage wall-clock timings, and carry the ThresholdCache hit/miss
+counters.
 """
 
 import logging
@@ -13,10 +14,10 @@ import pytest
 
 from repro.filtering import BaywatchPipeline, PipelineConfig
 from repro.filtering.pipeline import FunnelStats
-from repro.jobs import BaywatchRunner
 from repro.mapreduce.engine import MapReduceEngine
 from repro.obs import (
     MetricsRegistry,
+    drain_spans,
     get_registry,
     render_run_report,
     scoped_registry,
@@ -113,9 +114,12 @@ class TestRunnerTelemetry:
             with MapReduceEngine(
                 n_workers=request.param, min_parallel_records=16
             ) as engine:
-                report = BaywatchRunner(
+                report = BaywatchPipeline(
                     PipelineConfig(**CONFIG_KWARGS), engine=engine
-                ).run(records)
+                ).run_records(records)
+        # With telemetry on, an engine run traces itself; leave no span
+        # records behind for later telemetry-export tests.
+        drain_spans()
         return registry, report
 
     def test_funnel_report_matches_funnel_stats(self, run):
@@ -126,11 +130,13 @@ class TestRunnerTelemetry:
         assert "total reduction" in text
 
     def test_jobstats_surfaced_as_counters(self, run):
-        registry, _report = run
+        registry, report = run
         counters = dict(registry.counters())
-        assert counters["mapreduce.DataExtractionJob.output_records"] > 0
         assert counters["mapreduce.BeaconingDetectionJob.input_records"] > 0
-        assert "runner.runs" in counters
+        assert counters["mapreduce.BeaconingDetectionJob.output_records"] == (
+            len(report.detected_cases)
+        )
+        assert counters["pipeline.runs"] == 1
 
     def test_worker_detector_metrics_merged_into_parent(self, run):
         # With n_workers=2 the detection job runs in worker processes;
@@ -143,8 +149,13 @@ class TestRunnerTelemetry:
     def test_phase_spans_recorded(self, run):
         registry, _report = run
         names = {h.name for h in registry.histograms()}
-        for phase in ("extract", "popularity", "detect", "rank"):
-            assert f"span.runner.{phase}.seconds" in names
+        assert "span.records_to_summaries.seconds" in names
+        for phase in (
+            "local_whitelist_build",
+            "step3_5_periodicity_detection.shard",
+            "step8_weighted_ranking",
+        ):
+            assert f"span.run.{phase}.seconds" in names
 
 
 class TestNoOpMode:

@@ -103,6 +103,12 @@ class TestMultiTimescaleOperator:
         with pytest.raises(ValueError):
             MultiTimescaleOperator(cadences=())
 
+    def test_cadence_finer_than_the_fold_is_refused(self):
+        # The fold is 1 s, so a 0.5 s cadence cannot be honoured.
+        fine = Cadence("fine", every_days=1, window_days=2, time_scale=0.5)
+        with pytest.raises(ValueError, match="analysis_time_scale"):
+            MultiTimescaleOperator(cadences=(fine,))
+
 
 def _toy_day(day, period=600.0):
     from repro.sources.proxy import ProxyLogRecord

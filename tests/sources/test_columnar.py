@@ -36,7 +36,6 @@ from repro.sources.proxy import (
     read_log,
     records_to_summaries,
     slot_column,
-    summary_from_observations,
     write_log,
 )
 from tests.sources.oracle import reference_summaries
@@ -483,10 +482,6 @@ class TestHostileTimestamps:
         with pytest.raises(LogFormatError, match=re.escape(message)) as chunks:
             summaries_from_chunks(read_log_chunks(path, chunk_size=3))
         assert str(chunks.value) == str(records.value)
-        with pytest.raises(LogFormatError, match=re.escape(message)):
-            summary_from_observations(
-                "aa:bb", "c2.example.net", [(float(value), 0, "/x")]
-            )
 
     def test_slot_overflow_depends_on_the_time_scale(self, tmp_path):
         path = self.write(tmp_path, ["1e10"])

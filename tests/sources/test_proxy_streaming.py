@@ -1,29 +1,19 @@
-"""The record adapter and the extraction reduce (repro.sources.proxy).
+"""The record adapter (repro.sources.proxy) over the columnar fold.
 
-Both must match materialize-then-group semantics
+It must match materialize-then-group semantics
 (:func:`tests.sources.oracle.reference_summaries`) — same quantized
 intervals, same capped URL sample with arrival-order tie-breaks, same
 deterministic pair ordering — while the fold holds per-pair aggregates
 and one chunk instead of the record stream (sub-linear memory).
 """
 
-import random
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.timeseries import ActivitySummary
-from repro.jobs import DataExtractionJob
-from repro.mapreduce.engine import MapReduceEngine
 from repro.sources.columnar import ColumnarAccumulator, records_to_chunks
-from repro.sources.proxy import (
-    ProxyLogRecord,
-    records_to_summaries,
-    summary_from_observations,
-)
+from repro.sources.proxy import ProxyLogRecord, records_to_summaries
 from tests.sources.oracle import reference_summaries
 
 
@@ -86,60 +76,6 @@ class TestStreamingEquivalence:
         accumulator = fold(mixed_records, 100)
         assert len(accumulator) == 12
         assert len(accumulator.summaries()) == 12
-
-    def test_extraction_job_matches_streaming(self, mixed_records):
-        engine = MapReduceEngine()
-        output = engine.run(
-            DataExtractionJob(time_scale=60.0), enumerate(mixed_records)
-        )
-        job_summaries = sorted((s for _pair, s in output), key=lambda s: s.pair)
-        assert job_summaries == reference_summaries(
-            mixed_records, time_scale=60.0
-        )
-
-    def test_summary_from_observations_matches_from_timestamps(self):
-        observations = [(7.2, 0, "/a"), (1.4, 1, "/b"), (1.4, 2, "/c")]
-        summary = summary_from_observations(
-            "mac", "dest", observations, time_scale=1.0, max_urls=2
-        )
-        expected = ActivitySummary.from_timestamps(
-            "mac", "dest", [1.4, 1.4, 7.2], time_scale=1.0,
-            urls=("/b", "/c"),
-        )
-        assert summary == expected
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        steps=st.lists(st.integers(0, 40), min_size=1, max_size=40),
-        base=st.sampled_from([0.0, -0.0, -5e4, 1.7e9]),
-        time_scale=st.sampled_from([1e-3, 0.25, 1.0, 60.0, 600.0]),
-        max_urls=st.integers(0, 7),
-        seed=st.integers(0, 2**16),
-    )
-    def test_reduce_body_matches_the_oracle_and_the_fold(
-        self, steps, base, time_scale, max_urls, seed
-    ):
-        # Few distinct timestamps, so ties are common; step 0 keeps the
-        # base itself, -0.0 included.  The shuffle is the engine's
-        # shuffle, the sequence numbers arrival order.
-        records = [
-            record(base + step * 0.75 if step else base, url=f"/u{index}")
-            for index, step in enumerate(steps)
-        ]
-        observations = [
-            (rec.timestamp, index, rec.url) for index, rec in enumerate(records)
-        ]
-        random.Random(seed).shuffle(observations)
-        summary = summary_from_observations(
-            "aa:bb", "c2.example.net", observations,
-            time_scale=time_scale, max_urls=max_urls,
-        )
-        config = {"time_scale": time_scale, "max_urls_per_pair": max_urls}
-        assert [summary] == reference_summaries(records, **config)
-        [folded] = records_to_summaries(records, **config)
-        # Bit for bit, as the fold builds it: from_timestamps would keep
-        # the sign of a -0.0 first timestamp, the fold's int slots do not.
-        assert repr(summary) == repr(folded)
 
 
 class TestSubLinearMemory:

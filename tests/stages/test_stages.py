@@ -83,7 +83,8 @@ class TestRunStages:
         assert "span.drop_odd.seconds" in names
 
     def test_default_stage_order_matches_funnel(self):
-        names = [stage.name for stage in default_stages()]
+        detection = PeriodicityDetectionStage(lambda context, items: ([], []))
+        names = [stage.name for stage in default_stages(detection)]
         assert names == [
             "1 global whitelist",
             "2 local whitelist",

@@ -102,3 +102,23 @@ class TestEntityAggregation:
         assert [c.destination for c in report.detected_cases] == [
             "evil-entity.com"
         ]
+
+    @pytest.mark.parametrize("shard_size", [None, 1])
+    def test_engine_run_aggregates_entities(self, flux_records, shard_size):
+        from repro.filtering import BaywatchPipeline, PipelineConfig
+        from repro.mapreduce import MapReduceEngine
+
+        pipeline = BaywatchPipeline(
+            PipelineConfig(
+                local_whitelist_threshold=0.5,
+                ranking_percentile=0.0,
+                aggregate_entities=True,
+            ),
+            engine=MapReduceEngine(),
+        )
+        sharding = {} if shard_size is None else {"shard_size": shard_size}
+        report = pipeline.run_records(flux_records, **sharding)
+        assert report.funnel.steps[0][1] == 1
+        assert [c.destination for c in report.detected_cases] == [
+            "evil-entity.com"
+        ]

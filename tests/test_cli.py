@@ -384,6 +384,75 @@ class TestRun:
         assert code == 2
         assert "refusing to resume" in capsys.readouterr().err
 
+    def test_damaged_checkpoint_exits_2(self, trace_path, tmp_path, capsys):
+        import shutil
+
+        out, _truth = trace_path
+        base = ["run", str(out), "--shard-size", "2", "--percentile", "0.5"]
+        whole = tmp_path / "whole"
+        assert main(base + ["--checkpoint-dir", str(whole)]) == 0
+        capsys.readouterr()
+        shard = next(
+            path.name for path in sorted(whole.glob("shard-*.jsonl"))
+            if '"type": "case"' in path.read_text(encoding="utf-8")
+        )
+
+        def truncate(path):
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text[: len(text) // 2], encoding="utf-8")
+
+        def drop_intervals(path):
+            lines = path.read_text(encoding="utf-8").splitlines()
+            record = json.loads(lines[0])
+            del record["summary"]["intervals_f8"]
+            lines[0] = json.dumps(record)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        forms = {
+            # Without its manifest nothing can tell these shards came
+            # from other settings, so resuming would mix them in.
+            "missing-manifest": (
+                lambda ckpt: (ckpt / "manifest.json").unlink(),
+                ["--tau-p", "0.9"], "holds shard files but no manifest.json",
+            ),
+            "truncated-manifest": (
+                lambda ckpt: truncate(ckpt / "manifest.json"),
+                [], "manifest.json is damaged",
+            ),
+            "truncated-shard": (
+                lambda ckpt: truncate(ckpt / shard), [], f"{shard} is damaged",
+            ),
+            "shard-record-without-intervals": (
+                lambda ckpt: drop_intervals(ckpt / shard),
+                [], "missing field 'intervals'",
+            ),
+        }
+        for name, (damage, extra, message) in forms.items():
+            ckpt = tmp_path / name
+            shutil.copytree(whole, ckpt)
+            damage(ckpt)
+            code = main(base + ["--checkpoint-dir", str(ckpt), "--resume"]
+                        + extra)
+            captured = capsys.readouterr()
+            assert code == 2, name
+            assert captured.err.startswith("error: checkpoint"), name
+            assert message in captured.err, name
+            assert captured.err.count("\n") == 1, name
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "0.5"])
+    def test_analysis_time_scale_it_cannot_honour_exits_2(
+        self, tmp_path, capsys, value
+    ):
+        path = tmp_path / "log.tsv"
+        path.write_text(tsv(*[
+            (f"{60.0 * i}",) + GOOD[1:] for i in range(30)
+        ]))
+        assert main(["run", str(path), "--analysis-time-scale", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --analysis-time-scale")
+        assert captured.err.count("\n") == 1
+
     def test_parallel_run_with_retries(self, trace_path, capsys):
         out, _truth = trace_path
         code = main([

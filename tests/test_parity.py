@@ -1,21 +1,25 @@
-"""Front-end parity: one stage graph, identical reports everywhere.
+"""Executor parity: one stage graph, identical reports everywhere.
 
-The same synthetic enterprise trace runs through every execution mode —
-the in-process :class:`BaywatchPipeline`, the serial
-:class:`BaywatchRunner`, a 2-worker engine, and an
-interrupt-and-resume sharded run — and must produce *identical*
-:class:`PipelineReport` contents: ranked cases, detected cases, funnel
-rows, population, and quarantine list.  This is the acceptance test for
-the shared :mod:`repro.stages` graph: any funnel-semantics fork between
-front ends shows up here as a report mismatch.
+The same synthetic enterprise trace runs through every execution mode
+of :class:`BaywatchPipeline` — in-process detection, a serial engine, a
+2-worker engine, threads, the shard queue, and an interrupt-and-resume
+sharded run — and must produce *identical* :class:`PipelineReport`
+contents: ranked cases, detected cases, funnel rows, population, and
+quarantine list.  Where detection executes is a mechanism, never an
+input: any divergence shows up here as a report mismatch.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.filtering import BaywatchPipeline, PipelineConfig
-from repro.jobs import BaywatchRunner, IncompleteRunError
+from repro.jobs import IncompleteRunError
 from repro.lm.domains import default_scorer
 from repro.mapreduce.engine import MapReduceEngine
+from repro.sources.columnar import read_log_chunks
+from repro.sources.proxy import write_log
+from repro.stages import PeriodicityDetectionStage
 from repro.synthetic import EnterpriseConfig, EnterpriseSimulator, ImplantSpec
 
 CONFIG = dict(local_whitelist_threshold=0.2, ranking_percentile=0.5)
@@ -43,7 +47,7 @@ def scorer():
 
 
 def report_signature(report):
-    """Everything that must agree across front ends, as plain data."""
+    """Everything that must agree across executors, as plain data."""
     return {
         "ranked": [
             (c.source, c.destination, round(c.rank_score, 9))
@@ -72,19 +76,27 @@ def pipeline_report(records, scorer):
     ).run_records(records)
 
 
+def engine_pipeline(config, engine=None, **kwargs):
+    """The pipeline with detection on ``engine`` (a serial one by default)."""
+    return BaywatchPipeline(
+        config, engine=engine if engine is not None else MapReduceEngine(),
+        **kwargs,
+    )
+
+
 def test_serial_runner_matches_pipeline(records, scorer, pipeline_report):
-    runner_report = BaywatchRunner(
+    engine_report = engine_pipeline(
         PipelineConfig(**CONFIG), scorer=scorer
-    ).run(records)
-    assert report_signature(runner_report) == report_signature(pipeline_report)
+    ).run_records(records)
+    assert report_signature(engine_report) == report_signature(pipeline_report)
 
 
 def test_two_worker_engine_matches_pipeline(records, scorer, pipeline_report):
     with MapReduceEngine(n_workers=2, min_parallel_records=16) as engine:
-        runner_report = BaywatchRunner(
-            PipelineConfig(**CONFIG), engine=engine, scorer=scorer
-        ).run(records)
-    assert report_signature(runner_report) == report_signature(pipeline_report)
+        engine_report = engine_pipeline(
+            PipelineConfig(**CONFIG), engine, scorer=scorer
+        ).run_records(records)
+    assert report_signature(engine_report) == report_signature(pipeline_report)
 
 
 def test_thread_engine_matches_pipeline(records, scorer, pipeline_report):
@@ -93,22 +105,10 @@ def test_thread_engine_matches_pipeline(records, scorer, pipeline_report):
     with MapReduceEngine(
         n_workers=2, executor="threads", min_parallel_records=16
     ) as engine:
-        runner_report = BaywatchRunner(
-            PipelineConfig(**CONFIG), engine=engine, scorer=scorer
-        ).run(records)
-    assert report_signature(runner_report) == report_signature(pipeline_report)
-
-
-def test_executor_config_matches_pipeline(records, scorer, pipeline_report):
-    # The PipelineConfig.executor knob alone (no explicit engine) must
-    # select the backend and leave the report untouched.
-    runner = BaywatchRunner(
-        PipelineConfig(**CONFIG, executor="threads"), scorer=scorer
-    )
-    assert runner.engine.executor.name == "threads"
-    with runner.engine:
-        runner_report = runner.run(records)
-    assert report_signature(runner_report) == report_signature(pipeline_report)
+        engine_report = engine_pipeline(
+            PipelineConfig(**CONFIG), engine, scorer=scorer
+        ).run_records(records)
+    assert report_signature(engine_report) == report_signature(pipeline_report)
 
 
 def test_shard_queue_engine_matches_pipeline(
@@ -126,9 +126,9 @@ def test_shard_queue_engine_matches_pipeline(
         with MapReduceEngine(
             n_workers=2, executor=executor, min_parallel_records=16
         ) as engine:
-            report = BaywatchRunner(
-                PipelineConfig(**CONFIG), engine=engine, scorer=scorer
-            ).run_sharded(
+            report = engine_pipeline(
+                PipelineConfig(**CONFIG), engine, scorer=scorer
+            ).run_records(
                 records,
                 shard_size=4,
                 checkpoint_dir=str(tmp_path / "ckpt"),
@@ -145,23 +145,22 @@ def test_processes_checkpoint_resumes_under_shard_queue(
     from repro.mapreduce.testing import WorkerFleet
 
     checkpoint = str(tmp_path / "ckpt")
-    interrupted = BaywatchRunner(
-        PipelineConfig(**CONFIG, executor="processes"), scorer=scorer
-    )
-    with interrupted.engine, pytest.raises(IncompleteRunError):
-        interrupted.run_sharded(
-            records,
-            shard_size=4,
-            checkpoint_dir=checkpoint,
-            max_shards=2,
-        )
-    resumed = BaywatchRunner(
-        PipelineConfig(**CONFIG, executor="shard-queue"), scorer=scorer
-    )
+    with MapReduceEngine(n_workers=2, executor="processes") as engine:
+        with pytest.raises(IncompleteRunError):
+            engine_pipeline(
+                PipelineConfig(**CONFIG), engine, scorer=scorer
+            ).run_records(
+                records,
+                shard_size=4,
+                checkpoint_dir=checkpoint,
+                max_shards=2,
+            )
     queue = str(tmp_path / "ckpt" / "queue")
     with WorkerFleet(queue, 2, claim_ttl=5.0):
-        with resumed.engine:
-            report = resumed.run_sharded(
+        with MapReduceEngine(n_workers=2, executor="shard-queue") as engine:
+            report = engine_pipeline(
+                PipelineConfig(**CONFIG), engine, scorer=scorer
+            ).run_records(
                 records,
                 shard_size=4,
                 checkpoint_dir=checkpoint,
@@ -174,16 +173,16 @@ def test_interrupted_resumed_sharded_run_matches_pipeline(
     records, scorer, pipeline_report, tmp_path
 ):
     checkpoint = str(tmp_path / "ckpt")
-    interrupted = BaywatchRunner(PipelineConfig(**CONFIG), scorer=scorer)
+    interrupted = engine_pipeline(PipelineConfig(**CONFIG), scorer=scorer)
     with pytest.raises(IncompleteRunError):
-        interrupted.run_sharded(
+        interrupted.run_records(
             records,
             shard_size=4,
             checkpoint_dir=checkpoint,
             max_shards=2,
         )
-    resumed = BaywatchRunner(PipelineConfig(**CONFIG), scorer=scorer)
-    report = resumed.run_sharded(
+    resumed = engine_pipeline(PipelineConfig(**CONFIG), scorer=scorer)
+    report = resumed.run_records(
         records,
         shard_size=4,
         checkpoint_dir=checkpoint,
@@ -220,8 +219,8 @@ def test_provenance_verdicts_identical_across_executors(
     records, scorer, tmp_path, sample
 ):
     # The same verdict chains — stage, kept/dropped, reason, near-miss
-    # flag, and governing numbers — must come out of the in-process
-    # pipeline, the serial runner, and an interrupt-and-resumed sharded
+    # flag, and governing numbers — must come out of in-process
+    # detection, a serial engine, and an interrupt-and-resumed sharded
     # run, and survive the JSONL round-trip through the checkpoint
     # directory unchanged.
     from repro.obs import ProvenancePolicy, read_provenance
@@ -235,19 +234,19 @@ def test_provenance_verdicts_identical_across_executors(
     assert base.provenance, "provenance-enabled run recorded nothing"
     base_sig = verdict_signature(base.provenance)
 
-    runner = BaywatchRunner(
+    serial = engine_pipeline(
         PipelineConfig(**config), scorer=scorer
-    ).run(records)
-    assert verdict_signature(runner.provenance) == base_sig
+    ).run_records(records)
+    assert verdict_signature(serial.provenance) == base_sig
 
     checkpoint = str(tmp_path / f"ckpt-{sample}")
     with pytest.raises(IncompleteRunError):
-        BaywatchRunner(PipelineConfig(**config), scorer=scorer).run_sharded(
+        engine_pipeline(PipelineConfig(**config), scorer=scorer).run_records(
             records, shard_size=4, checkpoint_dir=checkpoint, max_shards=2
         )
-    sharded = BaywatchRunner(
+    sharded = engine_pipeline(
         PipelineConfig(**config), scorer=scorer
-    ).run_sharded(
+    ).run_records(
         records, shard_size=4, checkpoint_dir=checkpoint, resume=True
     )
     assert verdict_signature(sharded.provenance) == base_sig
@@ -272,9 +271,9 @@ def test_batched_sharded_run_with_persisted_cache_matches_pipeline(
 
     config = PipelineConfig(**CONFIG)
     checkpoint = str(tmp_path / "ckpt")
-    interrupted = BaywatchRunner(config, scorer=scorer)
+    interrupted = engine_pipeline(config, scorer=scorer)
     with pytest.raises(IncompleteRunError):
-        interrupted.run_sharded(
+        interrupted.run_records(
             records,
             shard_size=4,
             checkpoint_dir=checkpoint,
@@ -286,8 +285,8 @@ def test_batched_sharded_run_with_persisted_cache_matches_pipeline(
     assert cache_path.is_file()
     assert ThresholdCache().load(cache_path) > 0
 
-    resumed = BaywatchRunner(config, scorer=scorer)
-    report = resumed.run_sharded(
+    resumed = engine_pipeline(config, scorer=scorer)
+    report = resumed.run_records(
         records,
         shard_size=4,
         checkpoint_dir=checkpoint,
@@ -318,11 +317,11 @@ def test_columnar_shm_sharded_run_matches_pipeline(
     from repro.sources.columnar import records_to_chunks
 
     with MapReduceEngine(n_workers=2, min_parallel_records=16) as engine:
-        report = BaywatchRunner(
+        report = engine_pipeline(
             PipelineConfig(**CONFIG, use_shared_memory=True),
-            engine=engine,
+            engine,
             scorer=scorer,
-        ).run_chunks_sharded(
+        ).run_chunks(
             records_to_chunks(records, chunk_size=256),
             shard_size=4,
             checkpoint_dir=str(tmp_path / "ckpt"),
@@ -339,21 +338,62 @@ def test_checkpoint_resumes_across_data_planes(
 ):
     # Records and chunks fold to bit-identical summaries, so the
     # sharded-run fingerprints agree: a checkpoint written through
-    # run_sharded must resume through run_chunks_sharded (and finish
-    # with the canonical report).
+    # run_records must resume through run_chunks (and finish with the
+    # canonical report).
     from repro.sources.columnar import records_to_chunks
 
     checkpoint = str(tmp_path / "ckpt")
     with pytest.raises(IncompleteRunError):
-        BaywatchRunner(PipelineConfig(**CONFIG), scorer=scorer).run_sharded(
+        engine_pipeline(PipelineConfig(**CONFIG), scorer=scorer).run_records(
             records, shard_size=4, checkpoint_dir=checkpoint, max_shards=2
         )
-    report = BaywatchRunner(
+    report = engine_pipeline(
         PipelineConfig(**CONFIG), scorer=scorer
-    ).run_chunks_sharded(
+    ).run_chunks(
         records_to_chunks(records, chunk_size=128),
         shard_size=4,
         checkpoint_dir=checkpoint,
         resume=True,
     )
     assert report_signature(report) == report_signature(pipeline_report)
+
+
+@pytest.fixture(scope="module")
+def small_log(records, scorer, tmp_path_factory):
+    """The trace as a proxy log on disk, and its in-process report."""
+    path = tmp_path_factory.mktemp("log") / "proxy.tsv"
+    write_log(records, path)
+    report = BaywatchPipeline(
+        PipelineConfig(**CONFIG), scorer=scorer
+    ).run_chunks(read_log_chunks(path))
+    return path, len(records), report
+
+
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_report_invariant_to_executor_shards_and_chunks(
+    small_log, scorer, data
+):
+    # Input order is left out on purpose: ties in the URL sample break
+    # by arrival order.
+    path, n_records, expected = small_log
+    # Shards cut the pairs that reach detection.
+    n_pairs = dict((name, n) for name, n, _ in expected.funnel.steps)[
+        PeriodicityDetectionStage.name
+    ]
+    chunk_size = data.draw(st.integers(1, n_records), label="chunk_size")
+    sharding = {}
+    engine = None
+    if data.draw(st.booleans(), label="engine"):
+        engine = MapReduceEngine()
+        sharding["shard_size"] = data.draw(
+            st.integers(1, n_pairs), label="shard_size"
+        )
+    report = BaywatchPipeline(
+        PipelineConfig(**CONFIG), engine=engine, scorer=scorer
+    ).run_chunks(read_log_chunks(path, chunk_size=chunk_size), **sharding)
+    assert report_signature(report) == report_signature(expected)
