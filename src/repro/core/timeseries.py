@@ -13,18 +13,18 @@ inter-request intervals.  This module provides:
 - :func:`rescale` / :func:`merge` — the rescaling-and-merging phase
   (paper Section VII-B) that lets long windows be analyzed at coarse
   granularity without reprocessing raw logs,
-- :func:`merge_rescaled` — the fused fast path of the two: the cadence
-  hot loop (weekly/monthly windows re-merged every tick) pays one
-  array pipeline and one output summary instead of an intermediate
-  rescaled :class:`ActivitySummary` — and its interval-tuple
-  conversion — per input day.
+- :class:`SummaryColumns` / :func:`merge_rescaled` — the same phase
+  over columnar rows: every pair of a weekly or monthly window is
+  rescaled and merged in one array pipeline, bit-identical to the
+  composition of the two, with one output summary per pair and no
+  intermediate summary per input day.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -281,113 +281,288 @@ def merge(summaries: Sequence[ActivitySummary]) -> ActivitySummary:
     )
 
 
-def merge_rescaled(
-    summaries: Sequence[ActivitySummary],
-    time_scale: float,
-    *,
-    out: Optional[np.ndarray] = None,
-) -> ActivitySummary:
-    """Fused ``merge([rescale(s, time_scale) for s in summaries])``.
+@dataclass(frozen=True, eq=False)
+class SummaryColumns:
+    """Activity summaries as parallel columns, one row per summary.
 
-    Bit-identical to the copying composition (the floating-point
-    operations run in the same order on the same values) but without
-    materializing a rescaled :class:`ActivitySummary` — and its
-    interval-tuple conversion — per input.  This is the cadence hot
-    loop: a weekly/monthly tick re-merges every pair's trailing window
-    of per-day summaries, so the per-day object churn dominates.
-
-    ``out`` optionally provides a reusable timestamp workspace (a 1-D
-    float array of at least the total event count); when it is missing
-    or too small a fresh buffer is allocated.  The workspace is
-    clobbered.
+    The form the summary store decodes its packed frames into and
+    :func:`merge_rescaled` consumes.  Row ``r`` summarizes the pair
+    ``(sources[r], destinations[r])`` at ``time_scale[r]`` seconds from
+    ``first_timestamp[r]`` on, with the intervals
+    ``intervals[interval_offsets[r]:interval_offsets[r + 1]]`` and the
+    URL sample ``url_table[i]`` for each ``i`` in
+    ``url_ids[url_offsets[r]:url_offsets[r + 1]]``.  ``days``
+    optionally holds the day each row was stored under; error messages
+    name it.
     """
-    require(len(summaries) > 0, "summaries must not be empty")
-    require_positive(time_scale, "time_scale")
-    head = summaries[0]
-    for other in summaries:
-        if (
-            other.source != head.source
-            or other.destination != head.destination
-        ):
-            raise ValueError(
-                f"cannot merge different pairs: {other.pair} != {head.pair}"
-            )
-        if other.time_scale > time_scale:
-            raise ValueError(
-                "cannot rescale to a finer granularity: "
-                f"{time_scale} < {other.time_scale}"
-            )
-    if len(summaries) == 1:
-        return (
-            head if head.time_scale == time_scale
-            else rescale(head, time_scale)
+
+    sources: List[str]
+    destinations: List[str]
+    time_scale: np.ndarray
+    first_timestamp: np.ndarray
+    interval_offsets: np.ndarray
+    intervals: np.ndarray
+    url_offsets: np.ndarray
+    url_ids: np.ndarray
+    url_table: List[str]
+    days: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    @classmethod
+    def from_summaries(
+        cls, summaries: Sequence[ActivitySummary]
+    ) -> "SummaryColumns":
+        """The columns of ``summaries``; URLs get ids in first-seen order."""
+        table: Dict[str, int] = {}
+        url_ids = [
+            table.setdefault(url, len(table))
+            for summary in summaries for url in summary.urls
+        ]
+        return cls(
+            sources=[s.source for s in summaries],
+            destinations=[s.destination for s in summaries],
+            time_scale=np.array([s.time_scale for s in summaries], dtype=float),
+            first_timestamp=np.array(
+                [s.first_timestamp for s in summaries], dtype=float
+            ),
+            interval_offsets=_offsets([len(s.intervals) for s in summaries]),
+            intervals=np.fromiter(
+                itertools.chain.from_iterable(s.intervals for s in summaries),
+                dtype=float,
+            ),
+            url_offsets=_offsets([len(s.urls) for s in summaries]),
+            url_ids=np.array(url_ids, dtype=np.int64),
+            url_table=list(table),
         )
-    counts = [len(summary.intervals) + 1 for summary in summaries]
-    total = sum(counts)
-    if out is not None and out.ndim == 1 and out.size >= total:
-        buffer = out[:total]
-    else:
-        buffer = np.empty(total, dtype=float)
-    # Every summary.timestamps() — 0-prefixed interval cumsum plus the
-    # first timestamp — written into the workspace at once: one row per
-    # summary, its intervals from column 1 on and zeros after them.  A
-    # row-wise cumsum accumulates each row sequentially, exactly as
-    # timestamps() does, and the zero tail is never read back.  Rows
-    # are as wide as the busiest summary, so badly skewed event counts
-    # fall back to one cumsum per summary to keep the grid small.
-    intervals = np.fromiter(
-        itertools.chain.from_iterable(s.intervals for s in summaries),
-        dtype=float,
-        count=total - len(summaries),
-    )
-    firsts = np.array([s.first_timestamp for s in summaries])
-    sizes = np.array(counts)
-    width = int(sizes.max())
-    if len(counts) * width <= 2 * total:
-        columns = np.arange(width)
-        grid = np.zeros((len(counts), width))
-        grid[:, 1:][columns[1:] < sizes[:, np.newaxis]] = intervals
-        np.cumsum(grid, axis=1, out=grid)
-        grid += firsts[:, np.newaxis]
-        buffer[:] = grid[columns < sizes[:, np.newaxis]]
-    else:
-        position = 0
-        consumed = 0
-        for count in counts:
-            buffer[position] = 0.0
-            np.cumsum(
-                intervals[consumed:consumed + count - 1],
-                out=buffer[position + 1:position + count],
+
+    def summaries(self) -> List[ActivitySummary]:
+        """One summary per row, in row order."""
+        table = self.url_table
+        urls = [table[i] for i in self.url_ids.tolist()]
+        bounds = self.interval_offsets.tolist()
+        url_bounds = self.url_offsets.tolist()
+        return [
+            ActivitySummary(
+                source, destination, scale, first,
+                self.intervals[bounds[row]:bounds[row + 1]],
+                tuple(urls[url_bounds[row]:url_bounds[row + 1]]),
             )
-            position += count
-            consumed += count - 1
-        buffer += np.repeat(firsts, counts)
-    position = 0
-    for summary, count in zip(summaries, counts):
-        if summary.time_scale < time_scale:
-            segment = buffer[position:position + count]
-            # rescale(): quantize, then round-trip through the interval
-            # representation exactly as merge() re-reads a rescaled
-            # summary — diff followed by 0-prefixed cumsum — so the
-            # fused result stays bit-identical to the composition.
-            np.divide(segment, time_scale, out=segment)
-            np.floor(segment, out=segment)
-            np.multiply(segment, time_scale, out=segment)
-            if count > 1:
-                deltas = np.diff(segment)
-                first = segment[0]
-                segment[0] = 0.0
-                np.cumsum(deltas, out=segment[1:])
-                np.add(segment, first, out=segment)
-        position += count
-    buffer.sort(kind="stable")
-    return ActivitySummary(
-        source=head.source,
-        destination=head.destination,
-        time_scale=time_scale,
-        first_timestamp=float(buffer[0]),
-        intervals=np.diff(buffer),
-        urls=tuple(
-            itertools.chain.from_iterable(s.urls for s in summaries)
-        ),
-    )
+            for row, (source, destination, scale, first) in enumerate(zip(
+                self.sources, self.destinations,
+                self.time_scale.tolist(), self.first_timestamp.tolist(),
+            ))
+        ]
+
+
+def _offsets(counts: Sequence[int]) -> np.ndarray:
+    """Row offsets ``[0, c0, c0 + c1, ...]`` of ragged rows of ``counts``."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``[starts[r], starts[r] + lengths[r])``, concatenated."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
+
+
+#: float64 adds, subtracts and multiplies whole numbers exactly while
+#: the exact result stays below this magnitude.
+_EXACT_INTEGERS = float(2 ** 53)
+
+
+def _row_sums(
+    values: np.ndarray, bounds: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """``starts[r] + np.cumsum(row r)`` for every row, bit for bit.
+
+    Row ``r`` is ``values[bounds[r]:bounds[r + 1]]``; the values must
+    be non-negative.  When the values and starts are whole numbers and
+    every sum stays below 2**53, all of it is exact, so one running sum
+    over all rows, less each row's base, gives every row's sums.
+    Otherwise rows are laid out on zero-padded grids, one per
+    power-of-two width class so padding at most doubles a class, and
+    each grid is summed along its rows.
+    """
+    if values.size == 0:
+        return np.zeros(0)
+    lengths = np.diff(bounds)
+    if np.array_equal(starts, np.trunc(starts)) and np.array_equal(
+        values, np.trunc(values)
+    ):
+        totals = np.cumsum(values)
+        if totals[-1] + np.abs(starts).max() < _EXACT_INTEGERS:
+            before = bounds[:-1] - 1
+            bases = np.where(before >= 0, totals[before], 0.0) - starts
+            totals -= np.repeat(bases, lengths)
+            return totals
+    out = np.empty_like(values)
+    _, exponents = np.frexp(lengths)  # exponent 0 <=> an empty row
+    for exponent in np.unique(exponents[exponents > 0]).tolist():
+        rows = np.flatnonzero(exponents == exponent)
+        width = 1 << exponent
+        filled = np.arange(width) < lengths[rows][:, np.newaxis]
+        where = _ragged(bounds[rows], lengths[rows])
+        grid = np.zeros((rows.size, width))
+        grid[filled] = values[where]
+        np.cumsum(grid, axis=1, out=grid)
+        out[where] = grid[filled]
+    out += np.repeat(starts, lengths)
+    return out
+
+
+def _on_day(columns: SummaryColumns, row: int) -> str:
+    return "" if columns.days is None else f" on day {int(columns.days[row])}"
+
+
+def merge_rescaled(
+    columns: SummaryColumns, time_scale: Optional[float]
+) -> List[ActivitySummary]:
+    """Rescale every row to ``time_scale`` and merge each pair's rows.
+
+    The rescaling-and-merging phase (paper Section VII-B) as one array
+    pipeline over all rows.  A pair's rows merge in order of their
+    rescaled first timestamps, ties in row order, and each merged
+    summary is bit-identical to ``merge([rescale(s, time_scale) for s
+    in rows])``: every value is computed with the composition's
+    floating-point operations in its order, or exactly where whole
+    numbers allow a shortcut.  ``time_scale=None`` keeps every pair at
+    its stored scale.  Returns one validated summary per pair, sorted
+    by pair.
+
+    Rescaling only coarsens.  A row stored coarser than ``time_scale``,
+    or with ``None`` a pair stored at two scales, raises ``ValueError``
+    naming the pair, the day (when ``columns.days`` is set) and both
+    scales.
+    """
+    n = len(columns)
+    if n == 0:
+        return []
+    if time_scale is not None:
+        require_positive(time_scale, "time_scale")
+    pairs = list(zip(columns.sources, columns.destinations))
+    unique = sorted(set(pairs))
+    rank = {pair: index for index, pair in enumerate(unique)}
+    pair_of = np.fromiter(map(rank.__getitem__, pairs), dtype=np.intp, count=n)
+    scales = columns.time_scale
+    firsts = columns.first_timestamp
+    if time_scale is None:
+        # Each pair stays at its first row's scale, which all its rows
+        # must share.
+        _, head = np.unique(pair_of, return_index=True)
+        mismatched = np.flatnonzero(scales != scales[head][pair_of])
+        if mismatched.size:
+            row = int(mismatched[0])
+            other = int(head[pair_of[row]])
+            raise ValueError(
+                f"cannot merge pair {pairs[row]} across time scales: "
+                f"{scales[other]:g} s{_on_day(columns, other)} and "
+                f"{scales[row]:g} s{_on_day(columns, row)}"
+            )
+        rescaled = np.zeros(n, dtype=bool)
+        start = firsts
+    else:
+        coarser = np.flatnonzero(scales > time_scale)
+        if coarser.size:
+            row = int(coarser[0])
+            raise ValueError(
+                f"cannot rescale pair {pairs[row]}{_on_day(columns, row)} "
+                f"to a finer granularity: {time_scale:g} s < "
+                f"{scales[row]:g} s"
+            )
+        rescaled = scales < time_scale
+        start = np.where(
+            rescaled, np.floor(firsts / time_scale) * time_scale, firsts
+        )
+    # Rows grouped by pair, each pair's in rescaled-start order (lexsort
+    # is stable, so ties keep row order); from here on rows are taken
+    # in this order.
+    order = np.lexsort((start, pair_of))
+    pair_rows = _offsets(np.bincount(pair_of, minlength=len(unique)))
+    alone = (np.diff(pair_rows) == 1)[pair_of[order]]
+    rescaled = rescaled[order]
+    # Every row's timestamps as ActivitySummary.timestamps() computes
+    # them: its first timestamp plus a 0-prefixed running sum of its
+    # intervals.
+    lengths = np.diff(columns.interval_offsets)[order]
+    counts = lengths + 1
+    bounds = _offsets(counts)
+    steps = np.zeros(int(bounds[-1]))
+    is_interval = np.ones(steps.size, dtype=bool)
+    is_interval[bounds[:-1]] = False
+    steps[is_interval] = columns.intervals[
+        _ragged(columns.interval_offsets[order], lengths)
+    ]
+    stamps = _row_sums(steps, bounds, firsts[order])
+    if rescaled.any():
+        # rescale(): quantize to the coarser slots ...
+        picked = None if rescaled.all() else np.repeat(rescaled, counts)
+        quantized = stamps if picked is None else stamps[picked]
+        np.divide(quantized, time_scale, out=quantized)
+        np.floor(quantized, out=quantized)
+        np.multiply(quantized, time_scale, out=quantized)
+        if picked is not None:
+            stamps[picked] = quantized
+        # ... and, where merge() re-reads the rescaled summary, the
+        # round trip through its intervals: diff, then a 0-prefixed
+        # running sum from the quantized first timestamp.  Whole
+        # multiples of a whole time scale in [0, 2**53) come back
+        # unchanged, so the trip only runs for other values.
+        trip = np.flatnonzero(rescaled & ~alone)
+        if trip.size and not (
+            float(time_scale).is_integer()
+            and stamps.min() >= 0
+            and stamps.max() < _EXACT_INTEGERS
+        ):
+            trip_bounds = _offsets(counts[trip])
+            where = _ragged(bounds[trip], counts[trip])
+            quantized = stamps[where]
+            deltas = np.empty_like(quantized)
+            np.subtract(quantized[1:], quantized[:-1], out=deltas[1:])
+            heads = quantized[trip_bounds[:-1]]
+            deltas[trip_bounds[:-1]] = 0.0
+            stamps[where] = _row_sums(deltas, trip_bounds, heads)
+    url_lengths = np.diff(columns.url_offsets)[order]
+    url_bounds = _offsets(url_lengths)
+    urls = np.array(columns.url_table, dtype=object)[
+        columns.url_ids[_ragged(columns.url_offsets[order], url_lengths)]
+    ].tolist()
+    element_bounds = bounds[pair_rows].tolist()
+    url_pair_bounds = url_bounds[pair_rows].tolist()
+    tops = pair_rows.tolist()
+    order_rows = order.tolist()
+    alone = alone.tolist()
+    rescaled = rescaled.tolist()
+    merged: List[ActivitySummary] = []
+    for index, (source, destination) in enumerate(unique):
+        top = tops[index]
+        row = order_rows[top]
+        if alone[top] and not rescaled[top]:
+            # merge() of one summary at its own scale returns it as is.
+            first = firsts[row]
+            intervals = columns.intervals[
+                columns.interval_offsets[row]:columns.interval_offsets[row + 1]
+            ]
+        else:
+            values = stamps[element_bounds[index]:element_bounds[index + 1]]
+            if not alone[top]:
+                values = np.sort(values, kind="stable")
+            first = values[0]
+            intervals = np.diff(values)
+        merged.append(ActivitySummary(
+            source=source,
+            destination=destination,
+            time_scale=float(
+                scales[row] if time_scale is None else time_scale
+            ),
+            first_timestamp=float(first),
+            intervals=intervals,
+            urls=tuple(
+                urls[url_pair_bounds[index]:url_pair_bounds[index + 1]]
+            ),
+        ))
+    return merged

@@ -40,7 +40,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Dict,
     Iterable,
     List,
     Optional,
@@ -130,24 +129,17 @@ def rescale_and_merge(
     The rescaling-and-merging phase (paper Section VII-B): a pair's
     summaries merge in order of their first timestamps once rescaled
     (ties keep input order), so the URL sample stays chronological.
-    The output is sorted by pair.
+    The output is sorted by pair.  This is the summary store's window
+    merge, :func:`~repro.core.timeseries.merge_rescaled`, over
+    in-memory summaries.
     """
     # Looked up at call time, so a wrapper installed on the module
     # attribute (a layer trace) sees the merge.
-    from repro.core.timeseries import merge_rescaled
+    from repro.core.timeseries import SummaryColumns, merge_rescaled
 
-    def rescaled_start(summary: ActivitySummary) -> float:
-        if summary.time_scale >= time_scale:
-            return summary.first_timestamp
-        return math.floor(summary.first_timestamp / time_scale) * time_scale
-
-    groups: Dict[Tuple[str, str], List[ActivitySummary]] = {}
-    for summary in summaries:
-        groups.setdefault(summary.pair, []).append(summary)
-    return [
-        merge_rescaled(sorted(group, key=rescaled_start), time_scale)
-        for _pair, group in sorted(groups.items())
-    ]
+    return merge_rescaled(
+        SummaryColumns.from_summaries(list(summaries)), time_scale
+    )
 
 
 @dataclass

@@ -24,7 +24,7 @@ from repro.mapreduce.executors import (
     run_worker,
 )
 from repro.mapreduce.shm import ArenaHandle, SummaryArena, SummaryView
-from repro.mapreduce.store import PartitionedStore
+from repro.mapreduce.store import CorruptFrameError, PartitionedStore
 
 __all__ = [
     "KeyValue",
@@ -46,5 +46,6 @@ __all__ = [
     "ArenaHandle",
     "SummaryArena",
     "SummaryView",
+    "CorruptFrameError",
     "PartitionedStore",
 ]

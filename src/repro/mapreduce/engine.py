@@ -170,7 +170,7 @@ def _run_task_with_telemetry(
     return (
         result,
         registry.snapshot(),
-        [record.to_dict() for record in drain_spans()],
+        [record.to_dict() for record in drain_spans(registry)],
     )
 
 
@@ -189,8 +189,8 @@ def _run_task_in_thread(
     is a module-level global — swapping it from a worker thread would
     race the parent — so no child registry is installed and nothing is
     shipped back.  The trace context *is* installed (it is
-    thread-local), so spans opened inside the task land in the shared
-    record buffer already stitched under the parent's tree, and the
+    thread-local), so spans opened inside the task land in the parent
+    registry's record buffer already stitched under its tree, and the
     journal gets the same per-task heartbeat the process wrapper emits.
     """
     context = TraceContext(**trace) if trace is not None else None
@@ -800,7 +800,7 @@ class MapReduceEngine:
                 if ship:
                     result, snapshot, worker_spans = outcome
                     registry.merge(snapshot)
-                    record_spans(worker_spans)
+                    record_spans(worker_spans, registry)
                     results[i] = result
                 else:
                     results[i] = outcome

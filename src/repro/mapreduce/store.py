@@ -15,14 +15,19 @@ Two on-disk encodings coexist, distinguished per record frame:
 The read path dispatches on the frame header, so a packed store reads
 partitions written by older pickle-only code (and files that mix both,
 e.g. a day appended before and after an upgrade) without migration.
+A frame that cannot be read raises :class:`CorruptFrameError`, naming
+the partition file and the frame's index in it.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Union
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
 from repro.mapreduce.job import stable_hash
 from repro.utils.validation import require
@@ -32,6 +37,18 @@ from repro.utils.validation import require
 #: disambiguates the two encodings at every record boundary.
 PACKED_MAGIC = b"BAYPACK1"
 _LENGTH = struct.Struct("<Q")
+
+
+class CorruptFrameError(ValueError):
+    """A frame of a partition file that cannot be decoded.
+
+    Raised unlocated by a packer's decoder and re-raised by the store
+    with :meth:`at`, so the message names the file and the frame.
+    """
+
+    def at(self, path: Path, frame: int) -> "CorruptFrameError":
+        """This error, located at frame ``frame`` of ``path``."""
+        return CorruptFrameError(f"{path}, frame {frame}: {self}")
 
 
 class RecordPacker:
@@ -47,7 +64,8 @@ class RecordPacker:
         raise NotImplementedError
 
     def unpack(self, payload: bytes) -> List[Any]:
-        """Inverse of :meth:`pack`."""
+        """Inverse of :meth:`pack`; raises :class:`CorruptFrameError`
+        for a payload it cannot decode."""
         raise NotImplementedError
 
 
@@ -116,37 +134,76 @@ class PartitionedStore:
                 handle.write(payload)
         return count
 
-    def read_partition(self, partition: int) -> Iterator[Any]:
-        """Stream the records of one partition (empty if absent)."""
+    def frames(
+        self,
+        partition: int,
+        decode: Optional[Callable[[memoryview], Any]] = None,
+    ) -> Iterator[Tuple[bool, Any, int]]:
+        """Stream one partition's frames in file order.
+
+        Yields ``(packed, item, size)``: a packed frame's payload as a
+        zero-copy :class:`memoryview`, passed through ``decode`` when
+        given (``packed=True``), or one unpickled record; ``size`` is
+        the bytes the frame takes in the file.  Damaged framing, or a
+        :class:`CorruptFrameError` from ``decode``, raises
+        :class:`CorruptFrameError` naming the file and the frame.
+        """
         require(0 <= partition < self.n_partitions, "partition out of range")
         path = self._path(partition)
-        if not path.exists():
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
             return
-        with path.open("rb") as handle:
-            while True:
-                head = handle.read(len(PACKED_MAGIC))
-                if not head:
-                    break
-                if head == PACKED_MAGIC:
-                    raw = handle.read(_LENGTH.size)
-                    if len(raw) != _LENGTH.size:
-                        raise ValueError(f"truncated packed frame in {path}")
-                    (length,) = _LENGTH.unpack(raw)
-                    payload = handle.read(length)
-                    if len(payload) != length:
-                        raise ValueError(f"truncated packed frame in {path}")
-                    if self.packer is None:
-                        raise ValueError(
-                            f"{path} contains packed frames but this store "
-                            f"has no packer configured to decode them"
-                        )
-                    yield from self.packer.unpack(payload)
-                else:
-                    handle.seek(-len(head), 1)
+        view = memoryview(data)
+        stream = None
+        cursor = index = 0
+        magic = len(PACKED_MAGIC)
+        while cursor < len(data):
+            if PACKED_MAGIC.startswith(data[cursor:cursor + magic]):
+                start = cursor + magic + _LENGTH.size
+                if start > len(data):
+                    raise CorruptFrameError("truncated frame header").at(
+                        path, index)
+                (length,) = _LENGTH.unpack_from(data, cursor + magic)
+                if start + length > len(data):
+                    raise CorruptFrameError(
+                        f"frame of {length} bytes truncated to "
+                        f"{len(data) - start}"
+                    ).at(path, index)
+                item: Any = view[start:start + length]
+                if decode is not None:
                     try:
-                        yield pickle.load(handle)
-                    except EOFError:
-                        break
+                        item = decode(item)
+                    except CorruptFrameError as exc:
+                        raise exc.at(path, index) from None
+                yield True, item, start + length - cursor
+                cursor = start + length
+            else:
+                stream = stream or io.BytesIO(data)
+                stream.seek(cursor)
+                try:
+                    record = pickle.load(stream)
+                except EOFError:
+                    break
+                yield False, record, stream.tell() - cursor
+                cursor = stream.tell()
+            index += 1
+
+    def read_partition(self, partition: int) -> Iterator[Any]:
+        """Stream the records of one partition (empty if absent)."""
+        for packed, item, _size in self.frames(partition, self._unpack):
+            if packed:
+                yield from item
+            else:
+                yield item
+
+    def _unpack(self, payload: memoryview) -> List[Any]:
+        if self.packer is None:
+            raise ValueError(
+                f"{self.root} contains packed frames but this store "
+                f"has no packer configured to decode them"
+            )
+        return self.packer.unpack(bytes(payload))
 
     def read_all(self) -> Iterator[Any]:
         """Stream every record, partition by partition."""

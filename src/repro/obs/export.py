@@ -498,7 +498,7 @@ def write_telemetry(
     profiles = profiling.drain_profiles()
     if profiles:
         outputs[PROFILES_FILE] = profiling.profiles_to_jsonl(profiles)
-    spans = drain_spans()
+    spans = drain_spans(registry)
     if spans:
         outputs[TRACE_FILE] = spans_to_jsonl(spans)
     written: Dict[str, Path] = {}

@@ -189,6 +189,9 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        #: Span records traced while this registry was active (see
+        #: :mod:`repro.obs.tracing`); they live and die with it.
+        self.span_records: List[Any] = []
 
     # -- instruments -------------------------------------------------------
 

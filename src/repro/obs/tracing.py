@@ -32,7 +32,9 @@ that mode only the outermost span of each thread collects.
 Distributed tracing: when a :class:`TraceContext` is active (see
 :func:`start_trace` / :func:`scoped_trace`) every completed span is also
 captured as a :class:`SpanRecord` — span id, parent id, wall-clock start
-and duration, pid — into a bounded module-level buffer.  The MapReduce
+and duration, pid — into a bounded buffer on the registry the span
+recorded into, so a run's records leave with its telemetry and a run
+nobody exports leaves nothing behind.  The MapReduce
 engine ships each worker task's records back with its registry snapshot
 and folds them in via :func:`record_spans`, so worker-side spans carry
 parent links into the engine's span tree; :func:`build_trace_tree`
@@ -220,11 +222,10 @@ def task_trace_payload() -> Optional[Dict[str, Optional[str]]]:
 
 # -- span records -----------------------------------------------------------
 
-#: The buffer keeps at most this many span records per process.
+#: A registry keeps at most this many span records.
 TRACE_SPAN_LIMIT = 20000
 
 _records_lock = threading.Lock()
-_records: List["SpanRecord"] = []
 
 
 @dataclass(frozen=True)
@@ -272,42 +273,59 @@ class SpanRecord:
         )
 
 
-def _capture(record: SpanRecord) -> None:
+def _capture(record: SpanRecord, registry: MetricsRegistry) -> None:
+    if not registry.enabled:
+        return
     with _records_lock:
-        if len(_records) < TRACE_SPAN_LIMIT:
-            _records.append(record)
+        if len(registry.span_records) < TRACE_SPAN_LIMIT:
+            registry.span_records.append(record)
 
 
-def record_spans(records: Iterable[Union[SpanRecord, Dict[str, Any]]]) -> None:
-    """Fold records shipped from another process into this buffer.
+def record_spans(
+    records: Iterable[Union[SpanRecord, Dict[str, Any]]],
+    registry: Optional[MetricsRegistry] = None,
+) -> None:
+    """Fold records shipped from another process into ``registry``.
 
     This is the merge half of cross-worker propagation: the engine calls
     it with the records each worker task drained before returning.
+    ``registry`` defaults to the current one; a disabled registry keeps
+    nothing.
     """
+    target = registry if registry is not None else get_registry()
     for record in records:
         if isinstance(record, dict):
             record = SpanRecord.from_dict(record)
-        _capture(record)
+        _capture(record, target)
 
 
-def pending_spans() -> List[SpanRecord]:
-    """The records captured so far (without clearing them)."""
+def pending_spans(
+    registry: Optional[MetricsRegistry] = None,
+) -> List[SpanRecord]:
+    """The records ``registry`` (default: the current one) holds."""
+    target = registry if registry is not None else get_registry()
+    if not target.enabled:
+        return []
     with _records_lock:
-        return list(_records)
+        return list(target.span_records)
 
 
-def drain_spans() -> List[SpanRecord]:
-    """Return all captured records and clear the buffer."""
+def drain_spans(
+    registry: Optional[MetricsRegistry] = None,
+) -> List[SpanRecord]:
+    """Return and clear the records of ``registry`` (default: current)."""
+    target = registry if registry is not None else get_registry()
+    if not target.enabled:
+        return []
     with _records_lock:
-        drained = list(_records)
-        _records.clear()
+        drained = list(target.span_records)
+        target.span_records.clear()
     return drained
 
 
-def clear_spans() -> None:
-    """Discard all captured records."""
-    with _records_lock:
-        _records.clear()
+def clear_spans(registry: Optional[MetricsRegistry] = None) -> None:
+    """Discard the records of ``registry`` (default: the current one)."""
+    drain_spans(registry)
 
 
 # -- trace tree -------------------------------------------------------------
@@ -470,7 +488,8 @@ class Span:
         registry.histogram(f"span.{self.path}.seconds").observe(self.seconds)
         if self._trace is not None and self.span_id is not None:
             _capture(
-                SpanRecord(
+                registry=registry,
+                record=SpanRecord(
                     trace_id=self._trace.trace_id,
                     span_id=self.span_id,
                     parent_id=self.parent_id,
@@ -481,7 +500,7 @@ class Span:
                     pid=os.getpid(),
                     run_id=self._trace.run_id,
                     error=bool(_exc and _exc[0] is not None),
-                )
+                ),
             )
         stack = _path_stack()
         ids = _id_stack()

@@ -30,6 +30,7 @@ from repro.filtering.pipeline import FunnelStats, PipelineConfig, PipelineReport
 from repro.filtering.tokens import TokenFilter
 from repro.filtering.whitelist import GlobalWhitelist
 from repro.lm.domains import DomainScorer, default_scorer
+from repro.obs import span
 from repro.obs.provenance import ProvenanceRecorder
 
 __all__ = ["PopularityIndex", "StageContext", "build_report"]
@@ -120,9 +121,15 @@ class StageContext:
 
     @property
     def scorer(self) -> DomainScorer:
-        """The domain LM scorer (built lazily via ``scorer_factory``)."""
+        """The domain LM scorer (built lazily via ``scorer_factory``).
+
+        Building it opens an ``lm.train_scorer`` span, so a cold
+        scorer's training shows as its own layer instead of inflating
+        the stage that first asked for a score.
+        """
         if self._scorer is None:
-            self._scorer = self.scorer_factory()
+            with span("lm.train_scorer"):
+                self._scorer = self.scorer_factory()
         return self._scorer
 
 

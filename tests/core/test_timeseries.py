@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.timeseries import (
     ActivitySummary,
+    SummaryColumns,
     bin_series,
     intervals_from_timestamps,
     merge,
@@ -231,8 +232,13 @@ class TestMerge:
         assert merge([a, b]).urls == ("/a", "/b")
 
 
+def merge_rows(summaries, time_scale):
+    """The columnar kernel over in-memory summaries."""
+    return merge_rescaled(SummaryColumns.from_summaries(summaries), time_scale)
+
+
 class TestMergeRescaled:
-    """The fused cadence fast path must equal rescale-then-merge exactly."""
+    """The columnar kernel must equal rescale-then-merge exactly."""
 
     def _days(self, seed=0, n_days=4, time_scale=60.0):
         rng = np.random.default_rng(seed)
@@ -249,15 +255,15 @@ class TestMergeRescaled:
 
     def test_bitwise_matches_composed_path(self):
         days = self._days()
-        fused = merge_rescaled(days, 600.0)
+        [fused] = merge_rows(days, 600.0)
         composed = merge([rescale(s, 600.0) for s in days])
         # Frozen-dataclass equality compares every field, so this is a
         # bit-exact check on the interval tuples too.
         assert fused == composed
 
     def test_skewed_event_counts_match_composed_path(self):
-        # One busy day among near-empty ones makes the padded row grid
-        # too sparse, so the per-summary cumsum path runs instead.
+        # One busy day among near-empty ones: rows of very different
+        # widths land in different grid classes.
         busy = self._days(seed=3, n_days=1)[0]
         quiet = [
             ActivitySummary.from_timestamps(
@@ -268,28 +274,88 @@ class TestMergeRescaled:
         ]
         days = [busy] + quiet
         composed = merge([rescale(s, 600.0) for s in days])
-        assert merge_rescaled(days, 600.0) == composed
+        assert merge_rows(days, 600.0) == [composed]
 
-    def test_out_workspace_is_reused_and_result_unchanged(self):
-        days = self._days(seed=1)
-        workspace = np.empty(1024)
-        fused = merge_rescaled(days, 600.0, out=workspace)
-        assert fused == merge_rescaled(days, 600.0)
+    @pytest.mark.parametrize("time_scale", [0.3, 2.5, 600.0])
+    def test_fractional_values_take_the_exact_slow_paths(self, time_scale):
+        # Sub-second stored scales give fractional intervals (grid
+        # running sums); a fractional target scale forces the interval
+        # round trip.  Both must still match the composition bit for bit.
+        rng = np.random.default_rng(5)
+        days = [
+            ActivitySummary.from_timestamps(
+                "mac1", "evil.com",
+                np.sort(rng.uniform(index * 500.0, (index + 1) * 500.0, 40)),
+                time_scale=0.1, urls=[f"/d{index}"],
+            )
+            for index in range(5)
+        ]
+        composed = merge([rescale(s, time_scale) for s in days])
+        [fused] = merge_rows(days, time_scale)
+        assert fused == composed
+        assert np.array_equal(
+            np.array(fused.intervals).view(np.int64),
+            np.array(composed.intervals).view(np.int64),
+        )
 
-    def test_undersized_workspace_still_correct(self):
-        days = self._days(seed=2)
-        fused = merge_rescaled(days, 600.0, out=np.empty(3))
-        assert fused == merge([rescale(s, 600.0) for s in days])
+    def test_pairs_merge_in_rescaled_start_order_sorted_by_pair(self):
+        days = self._days(n_days=3)
+        other = ActivitySummary.from_timestamps(
+            "mac0", "b.com", [5.0, 65.0], urls=["/b"]
+        )
+        merged = merge_rows([days[2], other, days[0], days[1]], 600.0)
+        assert merged == [
+            rescale(other, 600.0), merge([rescale(s, 600.0) for s in days])
+        ]
+        assert merged[1].urls == ("/d0", "/d1", "/d2")
 
     def test_single_summary_matches_plain_rescale(self):
         day = self._days(n_days=1)[0]
-        assert merge_rescaled([day], 600.0) == rescale(day, 600.0)
+        assert merge_rows([day], 600.0) == [rescale(day, 600.0)]
+
+    def test_single_summary_at_its_own_scale_is_unchanged(self):
+        day = ActivitySummary("s", "d", 1.0, 0.3, (0.1, 0.2), ("/u",))
+        assert merge_rows([day], 1.0) == [day]
+        assert merge_rows([day], None) == [day]
 
     def test_rejects_coarser_inputs(self):
         day = self._days(n_days=1, time_scale=600.0)[0]
         with pytest.raises(ValueError, match="finer"):
-            merge_rescaled([day], 60.0)
+            merge_rows([day], 60.0)
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            merge_rescaled([], 60.0)
+    def test_none_keeps_each_pair_at_its_stored_scale(self):
+        a = self._days(n_days=2, time_scale=60.0)
+        b = ActivitySummary.from_timestamps(
+            "mac2", "c.com", [0.0, 600.0, 1800.0], time_scale=600.0
+        )
+        merged = merge_rows(a + [b], None)
+        assert merged == [merge(a), b]
+
+    def test_none_rejects_a_pair_stored_at_two_scales(self):
+        days = self._days(n_days=1) + self._days(n_days=1, time_scale=600.0)
+        with pytest.raises(
+            ValueError, match=r"\('mac1', 'evil.com'\).*60 s.*600 s"
+        ):
+            merge_rows(days, None)
+
+    def test_empty_columns_merge_to_nothing(self):
+        assert merge_rows([], 60.0) == []
+        assert merge_rows([], None) == []
+
+    def test_validates_the_target_scale(self):
+        with pytest.raises(ValueError, match="time_scale"):
+            merge_rows(self._days(n_days=1), 0.0)
+
+
+class TestSummaryColumns:
+    def test_rows_round_trip_with_shared_url_ids(self):
+        summaries = [
+            ActivitySummary("a", "x", 1.0, 5.0, (1.0, 2.0), ("/u", "/v", "/u")),
+            ActivitySummary("b", "y", 60.0, 0.0, (), ()),
+            ActivitySummary("a", "z", 1.0, 9.0, (0.0,), ("/v",)),
+        ]
+        columns = SummaryColumns.from_summaries(summaries)
+        assert columns.url_table == ["/u", "/v"]
+        assert columns.url_ids.tolist() == [0, 1, 0, 1]
+        assert columns.summaries() == summaries
+

@@ -78,7 +78,7 @@ class TestRunSummaries:
 
 class TestRunOptions:
     def test_rescale_merges_each_pair_in_time_order(self, pipeline):
-        from repro.core.timeseries import merge_rescaled
+        from repro.core.timeseries import merge, rescale
         from repro.filtering.pipeline import rescale_and_merge
 
         days = [
@@ -92,7 +92,7 @@ class TestRunOptions:
         other = beacon_summary("mac0", "qqwjzkvx.net")
         merged = rescale_and_merge([days[2], other, days[0], days[1]], 60.0)
         assert merged == [
-            merge_rescaled([other], 60.0), merge_rescaled(days, 60.0)
+            rescale(other, 60.0), merge([rescale(s, 60.0) for s in days])
         ]
         assert merged[1].urls == ("/day0", "/day1", "/day2")
         report = pipeline.run_summaries(days[::-1], analysis_time_scale=60.0)
@@ -122,3 +122,60 @@ class TestOperationsDefaults:
         assert scales == sorted(scales), "coarser cadence, coarser scale"
         windows = [c.window_days for c in DEFAULT_CADENCES]
         assert windows == sorted(windows)
+
+
+class TestScorerTraining:
+    def _traced(self, summaries, monkeypatch, delay):
+        import time
+
+        from repro.filtering import pipeline as pipeline_module
+        from repro.lm.domains import default_scorer
+        from repro.obs import (
+            MetricsRegistry,
+            pending_spans,
+            scoped_registry,
+            scoped_trace,
+            TraceContext,
+        )
+
+        trained = default_scorer()
+
+        def cold_factory():
+            time.sleep(delay)  # stands in for ~1 s of training
+            return trained
+
+        monkeypatch.setattr(pipeline_module, "default_scorer", cold_factory)
+        registry = MetricsRegistry()
+        with scoped_registry(registry), scoped_trace(TraceContext("t")):
+            report = BaywatchPipeline(
+                PipelineConfig(local_whitelist_threshold=0.5,
+                               ranking_percentile=0.0)
+            ).run_summaries(summaries)
+        return report, pending_spans(registry)
+
+    def test_training_has_its_own_span(self, monkeypatch):
+        delay = 0.3
+        report, records = self._traced(
+            [beacon_summary("mac1", "xqzwvkpj.com")], monkeypatch, delay
+        )
+        assert report.detected_cases
+        [training] = [r for r in records if r.name == "lm.train_scorer"]
+        assert training.seconds >= delay
+        [stage] = [r for r in records
+                   if r.name == "step3_5_periodicity_detection"]
+        assert training.parent_id == stage.span_id
+        children = sum(r.seconds for r in records
+                       if r.parent_id == stage.span_id)
+        assert stage.seconds - children < delay
+
+    def test_a_run_that_detects_nothing_trains_nothing(self, monkeypatch):
+        import numpy as np
+
+        rng = np.random.default_rng(0)
+        noise = ActivitySummary.from_timestamps(
+            "mac2", "www.dailynews-site.com",
+            sorted(rng.uniform(0, 86_400, size=100)),
+        )
+        report, records = self._traced([noise], monkeypatch, 0.0)
+        assert not report.detected_cases
+        assert all(r.name != "lm.train_scorer" for r in records)

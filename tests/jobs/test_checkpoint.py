@@ -106,7 +106,7 @@ class TestShardedEquivalence:
     def test_shard_callback_and_gauge(
         self, enterprise, pipeline_config, tmp_path
     ):
-        from repro.obs import MetricsRegistry, scoped_registry
+        from repro.obs import MetricsRegistry, pending_spans, scoped_registry
 
         records, _truth = enterprise
         registry = MetricsRegistry()
@@ -114,6 +114,9 @@ class TestShardedEquivalence:
             engine_pipeline(pipeline_config).run_records(
                 records, shard_size=7, journal_dir=str(tmp_path)
             )
+        # The run's span records went to its own registry, not to a
+        # process-wide buffer a later run would export.
+        assert pending_spans(registry) and pending_spans() == []
         completions = finished_shards(tmp_path)
         assert completions, "no shard completions observed"
         n_shards = completions[0][1]
@@ -169,7 +172,7 @@ class TestInterruptResume:
     def test_resume_counts_shards_resumed(
         self, enterprise, pipeline_config, tmp_path
     ):
-        from repro.obs import MetricsRegistry, scoped_registry
+        from repro.obs import MetricsRegistry, pending_spans, scoped_registry
 
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
@@ -181,6 +184,7 @@ class TestInterruptResume:
             engine_pipeline(pipeline_config).run_records(
                 records, shard_size=5, checkpoint_dir=str(ckpt), resume=True
             )
+        assert pending_spans(registry) and pending_spans() == []
         counters = dict(registry.counters())
         assert counters["mapreduce.shards_resumed"] >= 1
 

@@ -178,7 +178,7 @@ class TestDistributedTrace:
                 records, shard_size=5,
                 checkpoint_dir=str(tmp_path / "ckpt"), run_id="trace01",
             )
-        spans = pending_spans()
+        spans = pending_spans(registry)
         assert spans
         roots = build_trace_tree(spans)
         assert len(roots) == 1, "all spans must stitch under the run span"
@@ -205,6 +205,28 @@ class TestDistributedTrace:
         text = render_trace_tree(spans)
         assert "trace01" in text
         assert "detect" in text
+
+    def test_unexported_runs_leave_no_records_behind(
+        self, enterprise, pipeline_config, tmp_path
+    ):
+        from repro.obs import TRACE_FILE, spans_from_jsonl, write_telemetry
+
+        records, _truth = enterprise
+        for run_id in ("first", "second"):
+            with scoped_registry(MetricsRegistry()):
+                engine_pipeline(pipeline_config).run_records(
+                    records, shard_size=50, run_id=run_id
+                )
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
+            report = engine_pipeline(pipeline_config).run_records(
+                records, shard_size=50, run_id="third"
+            )
+        written = write_telemetry(tmp_path, registry, funnel=report.funnel)
+        spans = spans_from_jsonl(written[TRACE_FILE].read_text())
+        assert len({record.trace_id for record in spans}) == 1
+        assert {record.run_id for record in spans} == {"third"}
+        assert pending_spans(registry) == []
 
     def test_serial_run_records_no_spans_without_telemetry(
         self, enterprise, pipeline_config, tmp_path

@@ -221,7 +221,7 @@ class TestAtomicTelemetryWrites:
             assert TRACE_FILE in written
             records = spans_from_jsonl(written[TRACE_FILE].read_text())
             assert records[0].name == "traced"
-            assert pending_spans() == []  # drained, not copied
+            assert pending_spans(registry) == []  # drained, not copied
         finally:
             set_trace(None)
             clear_spans()

@@ -88,7 +88,7 @@ class TestSpanCapture:
             with span("outer") as outer:
                 with span("inner") as inner:
                     pass
-        records = {record.name: record for record in pending_spans()}
+        records = {record.name: record for record in pending_spans(registry)}
         assert records["inner"].parent_id == outer.span_id
         assert records["outer"].parent_id is None
         assert records["inner"].span_id == inner.span_id
@@ -102,21 +102,22 @@ class TestSpanCapture:
             start_trace("run")
             with span("engine"):
                 payload = task_trace_payload()
-        clear_spans()
         # Simulate the worker: fresh thread state, installed payload.
-        with scoped_registry(MetricsRegistry()):
+        worker = MetricsRegistry()
+        with scoped_registry(worker):
             with scoped_trace(TraceContext(**payload)):
                 with span("task.reduce"):
                     pass
-        (record,) = drain_spans()
+        (record,) = drain_spans(worker)
         assert record.parent_id == payload["parent_span_id"]
         assert record.trace_id == payload["trace_id"]
 
     def test_no_records_without_trace(self):
-        with scoped_registry(MetricsRegistry()):
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
             with span("untraced"):
                 pass
-        assert pending_spans() == []
+        assert pending_spans(registry) == []
 
     def test_no_records_when_registry_disabled(self):
         start_trace("run")
@@ -126,29 +127,44 @@ class TestSpanCapture:
         assert pending_spans() == []
 
     def test_error_flag_set_on_exception(self):
-        with scoped_registry(MetricsRegistry()):
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
             start_trace("run")
             with pytest.raises(RuntimeError):
                 with span("boom"):
                     raise RuntimeError("x")
-        (record,) = pending_spans()
+        (record,) = pending_spans(registry)
         assert record.error is True
 
     def test_drain_clears_buffer(self):
-        with scoped_registry(MetricsRegistry()):
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
             start_trace("run")
             with span("a"):
                 pass
-        assert len(drain_spans()) == 1
-        assert pending_spans() == []
+            assert len(drain_spans()) == 1
+            assert pending_spans() == []
 
     def test_record_spans_accepts_dicts(self):
         record = SpanRecord(
             trace_id="t", span_id="s", parent_id=None, name="n",
             path="n", start=1.0, seconds=0.5, pid=123,
         )
-        record_spans([record.to_dict()])
-        assert pending_spans() == [record]
+        registry = MetricsRegistry()
+        record_spans([record.to_dict()], registry)
+        assert pending_spans(registry) == [record]
+        record_spans([record.to_dict()], NullRegistry())  # keeps nothing
+
+    def test_records_belong_to_the_registry_they_were_traced_into(self):
+        first, second = MetricsRegistry(), MetricsRegistry()
+        start_trace("run")
+        for registry, name in ((first, "one"), (second, "two")):
+            with scoped_registry(registry):
+                with span(name):
+                    pass
+        assert [r.name for r in pending_spans(first)] == ["one"]
+        assert [r.name for r in drain_spans(second)] == ["two"]
+        assert [r.name for r in pending_spans(first)] == ["one"]
 
 
 def _record(span_id, parent_id, name, start=0.0, **kwargs):
