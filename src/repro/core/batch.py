@@ -12,9 +12,11 @@ amortizes it:
   consumes rows of the shared arrays.
 - :class:`BatchedDetector` drives chunks of pairs through the
   :class:`~repro.core.detector.PeriodicityDetector` seams, replacing
-  the per-pair transforms with the kernels above and fitting every
-  pair's interval mixtures in one :func:`~repro.core.gmm.select_gmms`
-  call per chunk.  Every detection in the package runs through it;
+  the per-pair transforms with the kernels above and fitting, in one
+  :func:`~repro.core.gmm.fit_starts` call per chunk, the interval
+  mixtures of the pairs whose spectrum clears its permutation
+  threshold at some scale (no other pair uses its mixture).  Every
+  detection in the package runs through it;
   ``PeriodicityDetector.detect`` is a one-pair chunk.
 
 Every kernel is bit-for-bit equivalent to its single-signal counterpart
@@ -39,7 +41,7 @@ from repro.core.detector import (
     _PairPlan,
     _ScaleWork,
 )
-from repro.core.gmm import select_gmms
+from repro.core.gmm import MixtureStarts, fit_starts
 from repro.core.timeseries import ActivitySummary
 from repro.obs.registry import get_registry
 from repro.obs.tracing import span
@@ -139,13 +141,21 @@ class _Slot:
     signal: np.ndarray
     spectrum: Optional[np.ndarray] = None
     #: Row maximum of ``spectrum``, computed vectorized per shape group.
-    #: When it does not strictly exceed the permutation threshold,
-    #: ``_analyze_scale`` provably returns None (both DFT peaks and the
-    #: GMM window probe require ``power > threshold``) with no counter
-    #: side effects, so the whole call is skipped.
     spectrum_max: float = 0.0
+    threshold: float = float("nan")
     work: Optional[_ScaleWork] = None
     acf: Optional[np.ndarray] = None
+
+    @property
+    def clears(self) -> bool:
+        """Does the spectrum strictly exceed the permutation threshold?
+
+        When it does not, ``_analyze_scale`` provably returns None (both
+        DFT peaks and the GMM window probe require ``power >
+        threshold``) with no counter side effects, so the call is
+        skipped, and the slot has no use for the pair's mixture.
+        """
+        return self.spectrum_max > self.threshold
 
 
 @dataclass
@@ -155,8 +165,9 @@ class _PairUnit:
     detector: PeriodicityDetector
     result: Optional[DetectionResult] = None  # early rejection
     plan: Optional[_PairPlan] = None
+    #: Initial means of the pair's GMM fits; None when it fits none.
+    starts: Optional[MixtureStarts] = None
     slots: List[_Slot] = field(default_factory=list)
-    thresholds: List[float] = field(default_factory=list)
 
     @property
     def n_slots(self) -> int:
@@ -168,13 +179,18 @@ class BatchedDetector:
     """Multi-pair detection over the shape-grouped kernels.
 
     Wraps a :class:`PeriodicityDetector` and processes pairs in chunks
-    bounded by :data:`SLOT_BUDGET`: per-pair screening, planning, and
-    binning run first, then one EM call fits the interval mixtures of
-    the whole chunk (drawing each pair's initial means from its seeded
-    generator), then all periodograms of a chunk come from shape-grouped
-    batched FFTs, then candidate analysis runs per slot, and finally the
-    surviving slots' ACFs come from one more batched transform before
-    per-pair verification and merging.
+    bounded by :data:`SLOT_BUDGET`, in five phases:
+
+    1. *plan* — per-pair screening, planning and binning, and the draw
+       of each pair's GMM initial means from its seeded generator;
+    2. *spectra* — every periodogram of the chunk from shape-grouped
+       batched FFTs;
+    3. *analyze* — every slot's permutation threshold, then one EM call
+       fitting the mixtures of the pairs with at least one slot above
+       its threshold, then candidate extraction and pruning per slot;
+    4. *acf* — the surviving slots' ACFs from one more batched
+       transform;
+    5. *verify* — per-pair verification and merging.
 
     Results are returned in input order and do not depend on how the
     pairs fall into chunks — chunking changes the transform grouping,
@@ -209,7 +225,7 @@ class BatchedDetector:
         carry: Optional[_PairUnit] = None
         while True:
             with span("detect.batch"):
-                # Phase 1 — screen, plan and bin, then the chunk's GMMs.
+                # Phase 1 — screen, plan, bin and draw GMM initial means.
                 with span("detect.batch.plan"):
                     units, carry = self._plan_chunk(pending, carry)
                 results.extend(self._detect_chunk(units))
@@ -225,10 +241,8 @@ class BatchedDetector:
     ) -> Tuple[List[_PairUnit], Optional[_PairUnit]]:
         """Plan pairs until the next one would overflow the slot budget.
 
-        Returns the chunk, with every pair's interval mixture fitted,
-        and the planned pair that did not fit, which opens the next
-        chunk and is fitted with it (None once ``pending`` is
-        exhausted).
+        Returns the chunk and the planned pair that did not fit, which
+        opens the next chunk (None once ``pending`` is exhausted).
         """
         units = [] if carry is None else [carry]
         n_slots = sum(unit.n_slots for unit in units)
@@ -240,15 +254,13 @@ class BatchedDetector:
                 break
             units.append(unit)
             n_slots += unit.n_slots
-        with span("detect.batch.gmm"):
-            self._fit_mixtures(units)
         return units, carry
 
     @staticmethod
     def _plan_pair(
         detector: PeriodicityDetector, timestamps: Sequence[float]
     ) -> _PairUnit:
-        """Screen, plan, and bin one pair (no random draws yet)."""
+        """Screen, plan, and bin one pair; draw its GMM initial means."""
         get_registry().counter("detector.pairs_total").inc()
         unit = _PairUnit(detector=detector)
         ts = as_sorted_timestamps(timestamps)
@@ -262,27 +274,30 @@ class BatchedDetector:
             signal = detector._bin_at_scale(unit.plan, scale)
             if signal is not None:
                 unit.slots.append(_Slot(scale=scale, signal=signal))
+        unit.starts = detector._mixture_starts(unit.plan)
         return unit
 
     @staticmethod
     def _fit_mixtures(units: List[_PairUnit]) -> None:
-        """Fit every planned pair's interval GMM in one kernel call."""
-        fitted = []
-        for unit in units:
-            if unit.plan is not None:
-                limit = unit.detector._mixture_components(unit.plan)
-                if limit:
-                    fitted.append((unit, limit))
+        """Fit, in one kernel call, the mixtures that analysis can use.
+
+        Only a slot that clears its threshold reads the pair's mixture,
+        so a pair with none keeps no mixture and is counted as skipped.
+        """
+        eligible = [unit for unit in units if unit.starts is not None]
+        fitted = [
+            unit for unit in eligible
+            if any(slot.clears for slot in unit.slots)
+        ]
+        registry = get_registry()
+        registry.counter("detector.gmm.skipped").inc(
+            len(eligible) - len(fitted)
+        )
         if not fitted:
             return
-        selection = select_gmms(
-            [unit.plan.positive for unit, _limit in fitted],
-            [unit.plan.rng for unit, _limit in fitted],
-            max_components=[limit for _unit, limit in fitted],
-        )
-        for (unit, _limit), mixture in zip(fitted, selection.mixtures):
+        selection = fit_starts([unit.starts for unit in fitted])
+        for unit, mixture in zip(fitted, selection.mixtures):
             unit.detector._attach_mixture(unit.plan, mixture)
-        registry = get_registry()
         registry.counter("detector.gmm.fits").inc(selection.fits)
         registry.counter("detector.gmm.iterations").inc(selection.iterations)
         registry.counter("detector.gmm.not_converged").inc(
@@ -301,27 +316,29 @@ class BatchedDetector:
                 [slot for unit in units for slot in unit.slots], registry
             )
 
-        # Phase 3 — thresholds and pre-ACF candidate analysis, in pair
-        # order: the no-cache permutation path draws from the pair's
-        # generator, scale by scale, after its GMM draws.
+        # Phase 3 — thresholds in pair order (the no-cache permutation
+        # path draws from the pair's generator, scale by scale, after
+        # the GMM draws of phase 1), then the mixtures analysis can
+        # use, then pre-ACF candidate analysis of every clearing slot.
         acf_slots: List[_Slot] = []
         with span("detect.batch.analyze"):
             for unit in units:
-                if unit.plan is None:
-                    continue
                 for slot in unit.slots:
-                    threshold = unit.detector._scale_threshold(
+                    slot.threshold = unit.detector._scale_threshold(
                         slot.signal, unit.plan.rng
                     )
-                    unit.thresholds.append(threshold)
-                    margin = slot.spectrum_max - threshold
+                    margin = slot.spectrum_max - slot.threshold
                     if margin > unit.plan.margin:
                         unit.plan.margin = margin
-                    if slot.spectrum_max <= threshold:
+            with span("detect.batch.gmm"):
+                self._fit_mixtures(units)
+            for unit in units:
+                for slot in unit.slots:
+                    if not slot.clears:
                         continue  # nothing can clear the bar; see _Slot
                     slot.work = unit.detector._analyze_scale(
                         unit.plan, slot.scale, slot.signal,
-                        slot.spectrum, threshold,
+                        slot.spectrum, slot.threshold,
                     )
                     if slot.work is not None:
                         acf_slots.append(slot)
@@ -352,8 +369,9 @@ class BatchedDetector:
                                 unit.plan, slot.work, slot.acf
                             )
                         )
+                thresholds = [slot.threshold for slot in unit.slots]
                 result = unit.detector._finalize(
-                    unit.plan, verified, unit.thresholds
+                    unit.plan, verified, thresholds
                 )
                 if result.periodic:
                     registry.counter("detector.pairs_periodic").inc()

@@ -44,7 +44,12 @@ from repro.core.autocorrelation import (  # noqa: F401
     autocorrelation,
     validate_candidate,
 )
-from repro.core.gmm import GaussianMixture, select_gmm  # noqa: F401
+from repro.core.gmm import (  # noqa: F401
+    GaussianMixture,
+    MixtureStarts,
+    draw_starts,
+    select_gmm,
+)
 from repro.core.periodogram import candidate_peaks, power_spectrum  # noqa: F401
 from repro.core.permutation import ThresholdCache, permutation_threshold
 from repro.core.pruning import fold_intervals, prune_candidates
@@ -133,6 +138,11 @@ class DetectionResult:
     duration: float
     time_scale: float
     scales: Tuple[float, ...] = ()
+    #: The BIC-selected interval mixture.  None when the pair has fewer
+    #: than 4 positive intervals, ``use_gmm`` is off, or no analysed
+    #: scale's spectrum clears its permutation threshold: such a pair
+    #: never uses a mixture, so none is fitted (then
+    #: ``spectral_margin > 0`` does not hold).
     mixture: Optional[GaussianMixture] = None
     rejection_reason: str = ""
     #: Machine-readable rejection code for decision provenance (empty
@@ -170,12 +180,14 @@ class _PairPlan:
 
     Built once per pair by :meth:`PeriodicityDetector._plan`, which also
     owns the pair's seeded generator: the GMM's initial means are drawn
-    from it first, then the per-scale permutation draws, so a pair's
-    random stream does not depend on the other pairs of its chunk.
+    from it first (:meth:`PeriodicityDetector._mixture_starts`), then
+    the per-scale permutation draws, so a pair's random stream does not
+    depend on the other pairs of its chunk.
     :class:`~repro.core.batch.BatchedDetector` holds many plans at once
-    while the shared-array kernels run, and fits every plan's mixture in
-    one call (:meth:`PeriodicityDetector._attach_mixture`) when the
-    chunk closes.
+    while the shared-array kernels run.  Once every threshold is known
+    it fits, in one call, the mixtures of the plans with a scale above
+    its threshold (:meth:`PeriodicityDetector._attach_mixture`); the
+    other plans keep ``mixture`` None and no GMM periods.
     """
 
     ts: np.ndarray
@@ -418,10 +430,11 @@ class PeriodicityDetector:
         """Pair-level analysis plan: intervals, useful scales, rng.
 
         The plan's interval mixture is not fitted here:
-        :class:`~repro.core.batch.BatchedDetector` fits a whole chunk's
-        mixtures at once and hands each to :meth:`_attach_mixture`.
-        Those fits draw from the pair's seeded generator first;
-        per-scale permutation draws follow in scale order.
+        :class:`~repro.core.batch.BatchedDetector` draws its initial
+        means from the pair's seeded generator first
+        (:meth:`_mixture_starts`), per-scale permutation draws follow in
+        scale order, and it fits the chunk's mixtures at once and hands
+        each to :meth:`_attach_mixture`.
         """
         rng = np.random.default_rng(self.config.seed)
         intervals = intervals_from_timestamps(ts)
@@ -450,12 +463,17 @@ class PeriodicityDetector:
             rng=rng,
         )
 
-    def _mixture_components(self, plan: _PairPlan) -> int:
-        """Most GMM components to fit for ``plan``; 0 means no GMM."""
+    def _mixture_starts(self, plan: _PairPlan) -> Optional[MixtureStarts]:
+        """The initial means of ``plan``'s GMM fits; None means no GMM.
+
+        Drawn from the pair's generator, ahead of its permutation draws.
+        """
         cfg = self.config
-        if cfg.use_gmm and plan.positive.size >= 4:
-            return cfg.gmm_max_components
-        return 0
+        if not (cfg.use_gmm and plan.positive.size >= 4):
+            return None
+        return draw_starts(
+            plan.positive, plan.rng, max_components=cfg.gmm_max_components
+        )
 
     def _attach_mixture(
         self, plan: _PairPlan, mixture: GaussianMixture

@@ -20,7 +20,11 @@ of fits together: each row is one (sample, component count, restart)
 fit, and a row leaves the active set as soon as its log-likelihood
 converges.  :func:`select_gmms` fits every mixture of a detection chunk
 in one call; :func:`fit_gmm` and :func:`select_gmm` are its one-fit and
-one-sample forms.
+one-sample forms.  It is two steps a caller may also take apart:
+:func:`draw_starts` draws a sample's initial means from its generator,
+and :func:`fit_starts` runs EM from the drawn means of many samples.
+Drawing every sample's means up front keeps each generator's stream
+fixed while the caller fits only the samples it needs.
 """
 
 from __future__ import annotations
@@ -431,30 +435,74 @@ def select_gmms(
     """:func:`select_gmm` for many samples, in one call of the EM kernel.
 
     Sample ``i`` is fitted with 1..``max_components[i]`` components and
-    draws its initial means from ``rngs[i]``, in (component count,
-    restart) order and before any EM runs, so each generator is left in
-    the state a one-sample :func:`select_gmm` call leaves it in.  Ties
-    in BIC go to the earlier (component count, restart) fit.
+    draws its initial means from ``rngs[i]`` (:func:`draw_starts`), so
+    each generator is left in the state a one-sample :func:`select_gmm`
+    call leaves it in; then one :func:`fit_starts` call runs every fit.
     """
-    require(restarts >= 1, "restarts must be at least 1")
     require(
         len(samples) == len(rngs) == len(max_components),
         "samples, rngs and max_components must have equal lengths",
     )
-    prepared: List[_Sample] = []
-    fits: List[Tuple[int, np.ndarray]] = []
-    for index, (values, rng, limit) in enumerate(
-        zip(samples, rngs, max_components)
-    ):
-        require(limit >= 1, "max_components must be at least 1")
-        x = as_float_array(values, "values")
-        require(x.size >= 2, "need at least 2 values to fit a mixture")
-        prepared.append(_Sample.of(x))
-        for k in range(1, min(limit, x.size) + 1):
-            for _ in range(restarts):
-                fits.append((index, _init_means(x, k, rng)))
-    if not fits:
+    return fit_starts([
+        draw_starts(values, rng, max_components=limit, restarts=restarts)
+        for values, rng, limit in zip(samples, rngs, max_components)
+    ])
+
+
+@dataclass(frozen=True)
+class MixtureStarts:
+    """One sample and the initial means of each of its EM fits.
+
+    ``means`` holds one array per (component count, restart) fit, in
+    that order; :func:`fit_starts` runs EM from each.
+    """
+
+    values: np.ndarray
+    means: Tuple[np.ndarray, ...]
+
+
+def draw_starts(
+    values: Sequence[float],
+    rng: np.random.Generator,
+    *,
+    max_components: int,
+    restarts: int = 3,
+) -> MixtureStarts:
+    """The initial means :func:`select_gmm` draws for ``values``.
+
+    1..``max_components`` components (at most one per value),
+    ``restarts`` fits each, drawn from ``rng`` in (component count,
+    restart) order.  No EM runs here.
+    """
+    require(restarts >= 1, "restarts must be at least 1")
+    require(max_components >= 1, "max_components must be at least 1")
+    x = as_float_array(values, "values")
+    require(x.size >= 2, "need at least 2 values to fit a mixture")
+    return MixtureStarts(
+        values=x,
+        means=tuple(
+            _init_means(x, k, rng)
+            for k in range(1, min(max_components, x.size) + 1)
+            for _ in range(restarts)
+        ),
+    )
+
+
+def fit_starts(starts: Sequence[MixtureStarts]) -> MixtureSelection:
+    """EM from every drawn start, in one kernel call; best BIC per sample.
+
+    A fit reads only its own sample, so a sample's mixture does not
+    depend on which other samples share the call.  Ties in BIC go to
+    the earlier (component count, restart) fit.
+    """
+    if not starts:
         return MixtureSelection([], fits=0, iterations=0, not_converged=0)
+    prepared = [_Sample.of(start.values) for start in starts]
+    fits = [
+        (index, means)
+        for index, start in enumerate(starts)
+        for means in start.means
+    ]
     result = _fit_stack(prepared, fits)
 
     best: Dict[int, Tuple[float, int]] = {}

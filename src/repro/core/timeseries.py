@@ -23,6 +23,7 @@ inter-request intervals.  This module provides:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -141,6 +142,12 @@ class ActivitySummary:
     urls: Tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        for name in ("time_scale", "first_timestamp"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"pair {self.pair}: {name} must be finite, got {value!r}"
+                )
         require_positive(self.time_scale, "time_scale")
         ivals = as_float_array(self.intervals, "intervals")
         if np.any(ivals < 0):
@@ -228,7 +235,11 @@ def rescale(summary: ActivitySummary, new_time_scale: float) -> ActivitySummary:
     raw logs.  Rescaling to a finer granularity than the current one is
     rejected: the information is already lost.
     """
-    require_positive(new_time_scale, "new_time_scale")
+    require(
+        0 < new_time_scale < math.inf,
+        f"pair {summary.pair}: new_time_scale must be positive and finite, "
+        f"got {new_time_scale!r}",
+    )
     if new_time_scale < summary.time_scale:
         raise ValueError(
             "cannot rescale to a finer granularity: "
@@ -443,7 +454,10 @@ def merge_rescaled(
     if n == 0:
         return []
     if time_scale is not None:
-        require_positive(time_scale, "time_scale")
+        require(
+            0 < time_scale < math.inf,
+            f"time_scale must be positive and finite, got {time_scale!r}",
+        )
     pairs = list(zip(columns.sources, columns.destinations))
     unique = sorted(set(pairs))
     rank = {pair: index for index, pair in enumerate(unique)}

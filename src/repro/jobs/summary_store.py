@@ -368,10 +368,12 @@ class SummaryStore:
     def _read(self, days: Sequence[int]) -> SummaryColumns:
         """Every row of ``days``, checked, in day, partition and frame order.
 
-        Counts the frames, rows and bytes read.  A damaged frame raises
+        Days the store does not hold are skipped, never created.  Counts
+        the frames, rows and bytes read.  A damaged frame raises
         :class:`~repro.mapreduce.store.CorruptFrameError` naming its
         partition file and index.
         """
+        days = [day for day in days if self.has_day(day)]
         frames: List[_Frame] = []
         frame_days: List[int] = []
         n_frames = size = 0

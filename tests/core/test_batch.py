@@ -27,6 +27,7 @@ from repro.core.batch import (
     batch_power_spectra,
 )
 from repro.core.detector import DetectorConfig, PeriodicityDetector
+from repro.core.gmm import select_gmm
 from repro.core.periodogram import batch_max_power, power_spectrum
 from repro.core.permutation import (
     CACHE_FILE_VERSION,
@@ -35,7 +36,7 @@ from repro.core.permutation import (
     binary_shuffles,
     bucket_length,
 )
-from repro.core.timeseries import ActivitySummary
+from repro.core.timeseries import ActivitySummary, intervals_from_timestamps
 from repro.obs import MetricsRegistry, scoped_registry
 
 DAY = 86_400.0
@@ -161,6 +162,48 @@ def _wide_workload(seed, n_wide=4):
     ]
 
 
+def _mixed_workload(seed, n_pairs=12):
+    """Beacons, bursty browsing, sparse pairs and Conficker-style pairs.
+
+    Enough of each that some pairs clear their permutation threshold at
+    some scale and others at none, on both threshold paths.
+    """
+    rng = np.random.default_rng(seed)
+    summaries = []
+    for index in range(n_pairs):
+        kind = index % 4
+        if kind == 0:  # jittered beacon
+            period = float(rng.uniform(60.0, 600.0))
+            gaps = rng.normal(period, 0.05 * period,
+                              size=int(rng.integers(30, 90)))
+            ts = np.cumsum(gaps.clip(1.0))
+        elif kind == 1:  # bursty browsing: sessions of quick requests
+            starts = rng.uniform(0, DAY / 2, size=int(rng.integers(3, 8)))
+            ts = np.concatenate([
+                start + np.cumsum(
+                    rng.exponential(4.0, size=int(rng.integers(3, 12)))
+                )
+                for start in starts
+            ])
+        elif kind == 2:  # a handful of requests over half a day
+            ts = rng.uniform(0, DAY / 2, size=int(rng.integers(5, 12)))
+        else:  # Conficker-style: bursts 7-8 s apart every ~3 hours
+            sleeps = np.cumsum(
+                rng.normal(3 * 3600.0, 60.0, size=int(rng.integers(4, 7)))
+            )
+            ts = np.concatenate([
+                sleep + np.cumsum(rng.uniform(7.0, 8.0, size=8))
+                for sleep in sleeps
+            ])
+        summaries.append(
+            ActivitySummary.from_timestamps(
+                f"h{index}", f"d{kind}", np.sort(ts),
+                time_scale=float(rng.choice([1.0, 5.0])),
+            )
+        )
+    return summaries
+
+
 def _chunking_runs(detector, summaries, pairs_per_call):
     """``repr``s of the same pairs detected under three chunkings.
 
@@ -191,6 +234,13 @@ def _cached_detector():
     return PeriodicityDetector(
         DetectorConfig(seed=0), threshold_cache=ThresholdCache()
     )
+
+
+def _detector(cached):
+    """The cached detector, or one deriving every threshold per pair."""
+    if cached:
+        return _cached_detector()
+    return PeriodicityDetector(DetectorConfig(seed=0))
 
 
 class TestBatchedDetectorParity:
@@ -270,6 +320,54 @@ class TestBatchedDetectorParity:
         assert all(run == calls for run in others)
 
 
+class TestMixtureContract:
+    """A pair's mixture is fitted exactly where analysis can use it.
+
+    Only a scale whose spectrum clears its permutation threshold reads
+    the mixture, so a pair with no such scale keeps none.  Every fitted
+    mixture is the one a one-pair ``select_gmm`` call gives, on both
+    threshold paths.
+    """
+
+    @pytest.mark.parametrize("cached", [True, False])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_mixture_only_where_a_scale_clears_its_threshold(
+        self, cached, seed
+    ):
+        summaries = _mixed_workload(seed)
+        results = BatchedDetector(_detector(cached)).detect_summaries(
+            summaries
+        )
+        fitted = skipped = 0
+        for summary, result in zip(summaries, results):
+            intervals = intervals_from_timestamps(summary.timestamps())
+            positive = intervals[intervals > 0]
+            if positive.size < 4:
+                assert result.mixture is None
+                continue
+            if not result.spectral_margin > 0:
+                assert result.mixture is None
+                skipped += 1
+                continue
+            fitted += 1
+            # The pair's generator is seeded from the config and the
+            # GMM draws from it first.
+            assert repr(result.mixture) == repr(select_gmm(
+                positive, max_components=4, rng=np.random.default_rng(0)
+            ))
+        assert fitted and skipped
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_results_do_not_depend_on_chunking(self, cached):
+        # Whole results, mixtures included: which pairs share a chunk
+        # decides neither which pairs are fitted nor any other field.
+        summaries = _mixed_workload(seed=2)
+        whole, *others = _chunking_runs(
+            _detector(cached), summaries, len(summaries)
+        )
+        assert all(run == whole for run in others)
+
+
 class TestGmmTelemetry:
     def test_chunk_counts_twelve_fits_per_fitted_pair(self):
         rng = np.random.default_rng(4)
@@ -299,9 +397,54 @@ class TestGmmTelemetry:
         assert 0 <= counters["detector.gmm.not_converged"] <= 12 * len(beacons)
         spans = {histogram.name for histogram in registry.histograms()}
         assert (
-            "span.detect.batch.detect.batch.plan.detect.batch.gmm.seconds"
+            "span.detect.batch.detect.batch.analyze.detect.batch.gmm.seconds"
             in spans
         )
+
+    def test_pairs_no_scale_clears_are_counted_as_skipped(self):
+        rng = np.random.default_rng(0)
+        beacons = [
+            ActivitySummary.from_timestamps(
+                f"h{index}",
+                "beacon",
+                np.cumsum(rng.normal(300.0, 20.0, size=40)),
+                time_scale=1.0,
+            )
+            for index in range(5)
+        ]
+        noise = [
+            ActivitySummary.from_timestamps(
+                f"n{index}", "noise", rng.uniform(0, DAY, size=40)
+            )
+            for index in range(2)
+        ]
+        sparse = [
+            ActivitySummary.from_timestamps(
+                f"s{index}", "sparse", rng.uniform(0, DAY, size=6)
+            )
+            for index in range(2)
+        ]
+        # Planned, but with 3 positive intervals: fits no mixture and is
+        # not counted as skipped either.
+        short = ActivitySummary.from_timestamps(
+            "h9", "short", [0.0, 300.0, 600.0, 900.0]
+        )
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
+            results = BatchedDetector(_cached_detector()).detect_summaries(
+                beacons + noise + sparse + [short]
+            )
+        dead = results[len(beacons):-1]
+        assert all(
+            result.rejection_code == "spectral:power<threshold"
+            and result.mixture is None
+            for result in dead
+        )
+        assert all(result.mixture is not None for result in results[:5])
+        counters = dict(registry.counters())
+        assert counters["detector.batch.batches"] == 1
+        assert counters["detector.gmm.fits"] == 12 * len(beacons)
+        assert counters["detector.gmm.skipped"] == len(dead)
 
 
 class TestThresholdCacheWarmth:

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.gmm import _init_means, fit_gmm, select_gmm, select_gmms
+from repro.core.gmm import (
+    _init_means,
+    draw_starts,
+    fit_gmm,
+    fit_starts,
+    select_gmm,
+    select_gmms,
+)
 
 
 @pytest.fixture
@@ -237,3 +244,13 @@ class TestKernelMatchesPerSampleEm:
         )
         assert together.fits >= together.not_converged >= 0
         assert together.iterations >= together.fits
+        # Fitting only some samples' drawn starts gives those samples
+        # the same mixtures: a fit reads its own sample alone.
+        starts = [
+            draw_starts(x, np.random.default_rng(seed), max_components=4)
+            for seed, x in enumerate(samples)
+        ]
+        subset = fit_starts(starts[::2])
+        assert [repr(m) for m in subset.mixtures] == [
+            repr(m) for m in alone[::2]
+        ]

@@ -1,5 +1,8 @@
 """Unit and property tests for repro.core.timeseries."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +18,10 @@ from repro.core.timeseries import (
     rescale,
     timestamps_from_intervals,
 )
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+NON_FINITE_IDS = ["nan", "inf", "-inf"]
 
 
 class TestIntervalConversions:
@@ -169,6 +176,18 @@ class TestActivitySummary:
         summary = self.make(urls=["/a", "/b"])
         assert summary.urls == ("/a", "/b")
 
+    @pytest.mark.parametrize("name", ["time_scale", "first_timestamp"])
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_scalar_rejected_naming_the_pair(self, name, value):
+        scalars = dict(time_scale=1.0, first_timestamp=0.0)
+        scalars[name] = value
+        with pytest.raises(
+            ValueError, match=rf"pair \('h', 'd'\): {name} must be finite"
+        ):
+            ActivitySummary("h", "d", intervals=(1.0,), **scalars)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            replace(self.make(), **{name: value})
+
 
 class TestRescale:
     def test_rescale_to_coarser(self):
@@ -196,6 +215,18 @@ class TestRescale:
         summary = ActivitySummary.from_timestamps("s", "d", ts)
         coarse = rescale(summary, 300.0)
         assert coarse.event_count == summary.event_count
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_target_scale_rejected(self, value):
+        summary = ActivitySummary.from_timestamps("s", "d", [0.0, 60.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NaN arithmetic first
+            with pytest.raises(
+                ValueError,
+                match=r"pair \('s', 'd'\): new_time_scale must be positive "
+                "and finite",
+            ):
+                rescale(summary, value)
 
 
 class TestMerge:
@@ -252,6 +283,32 @@ class TestMergeRescaled:
             )
             for index in range(n_days)
         ]
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_target_scale_rejected(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match="time_scale must be positive and finite"
+            ):
+                merge_rows(self._days(), value)
+
+    @pytest.mark.parametrize("time_scale", [None, 600.0])
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_first_timestamp_row_rejected(self, time_scale, value):
+        # Columns are not validated themselves (the store's decoder
+        # checks what it reads); the summaries they merge into are.
+        columns = SummaryColumns.from_summaries(self._days(n_days=1))
+        firsts = np.array([value])
+        with pytest.raises(
+            ValueError,
+            match=r"pair \('mac1', 'evil.com'\): first_timestamp must be "
+            "finite",
+        ):
+            with np.errstate(invalid="ignore"):
+                merge_rescaled(
+                    replace(columns, first_timestamp=firsts), time_scale
+                )
 
     def test_bitwise_matches_composed_path(self):
         days = self._days()

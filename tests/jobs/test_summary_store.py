@@ -36,6 +36,16 @@ class TestSummaryStore:
     def test_missing_day_is_empty(self, store):
         assert store.load_day(7) == []
 
+    def test_reading_an_absent_day_does_not_create_it(self, store):
+        store.append_day(0, [day_summary(0)])
+        assert store.load_day(5) == []
+        assert store.days() == [0]
+        assert not store.has_day(5)
+        window = store.load_window(window_days=3)
+        assert [summary.pair for summary in window] == [
+            ("mac1", "evil.com")
+        ]
+
     def test_window_merges_per_pair(self, store):
         for day in range(3):
             store.append_day(day, [day_summary(day)])
