@@ -221,12 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="keep the status service up this long after the run ends "
              "(lets pollers observe the final state)",
     )
-    runp.add_argument(
-        "--shared-memory", action="store_true",
-        help="hand detection workers their pair payloads through a "
-             "shared-memory arena instead of pickled summaries "
-             "(reports are identical either way)",
-    )
     _add_provenance_options(runp)
 
     score = sub.add_parser("score", help="score domains under the 3-gram LM")
@@ -366,8 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--suite", default="micro", metavar="NAME",
-        help="suite to run: micro, pipeline, mapreduce, ingestion, "
-             "detection_batch, scalability, or 'all' (default: micro)",
+        help="suite to run: micro, pipeline, ingestion, detection_batch, "
+             "scalability, or 'all' (default: micro)",
     )
     bench.add_argument("--repeats", type=int, default=5,
                        help="timed iterations per benchmark (default 5)")
@@ -532,7 +526,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = PipelineConfig(
         local_whitelist_threshold=args.tau_p,
         ranking_percentile=args.percentile,
-        use_shared_memory=args.shared_memory,
         provenance=_provenance_policy(args),
     )
     try:

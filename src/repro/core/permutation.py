@@ -139,8 +139,11 @@ class ThresholdCache:
     Bucket thresholds depend only on the bucket key and the cache's
     parameters (each is derived with a generator seeded from ``seed``),
     so warmth is shareable: :meth:`precompute` fills buckets ahead of a
-    run, and :meth:`save`/:meth:`load` persist them as JSON so workers
-    and resumed batches start warm instead of re-deriving every bucket.
+    run, and :meth:`save`/:meth:`load` persist them as JSON so resumed
+    batches start from the saved buckets.  A copy pickled into a worker
+    process warms on its own: the buckets it derives never reach the
+    caller's cache, so an engine run whose shards all ran on process
+    workers saves none of them.
     """
 
     def __init__(

@@ -79,13 +79,6 @@ class PipelineConfig:
     min_events: int = 4
     use_threshold_cache: bool = True
     aggregate_entities: bool = False
-    #: Hand detection workers their pair payloads through a
-    #: :class:`~repro.mapreduce.shm.SummaryArena` instead of pickled
-    #: summaries.  Only engine runs consult this (in-process detection
-    #: has no workers); reports are bit-identical either way — the knob
-    #: trades per-task serialization for one shared segment per
-    #: detection batch.
-    use_shared_memory: bool = False
     #: Decision-provenance sampling policy.  None (the default) keeps
     #: every per-pair verdict path disabled at zero overhead; a
     #: :class:`~repro.obs.provenance.ProvenancePolicy` records full

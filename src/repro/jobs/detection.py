@@ -1,7 +1,8 @@
 """Beaconing-detection MapReduce job (paper Section VII-D).
 
-MAP: separates communication pairs (and drops whitelisted or trivially
-short ones so reduce workers never see them).
+MAP: separates communication pairs and drops trivially short ones, so
+reduce workers never see them (the whitelists already ran in the stage
+graph).
 
 REDUCE: runs the core periodicity-detection algorithm on each pair's
 request history; periodic pairs are emitted as
@@ -34,22 +35,12 @@ class BeaconingDetectionJob(MapReduceJob):
     every bucket from scratch.  The reduce phase runs all pairs of a
     partition through :class:`~repro.core.batch.BatchedDetector`,
     amortizing FFT/ACF dispatch across them.
-
-    **Arena mode** (:meth:`bind_arena`): instead of pickling every
-    summary into every worker task, the caller packs the batch into a
-    :class:`~repro.mapreduce.shm.SummaryArena` and feeds the engine
-    ``(pair, index)`` inputs; workers attach to the shared segment via
-    the handle pickled with the job and resolve indices to zero-copy
-    :class:`~repro.mapreduce.shm.SummaryView` objects.  Results are
-    bit-identical either way — views materialize back into real
-    summaries only for the few cases that ship.
     """
 
     def __init__(
         self,
         detector_config: Optional[DetectorConfig] = None,
         *,
-        skip_destinations: FrozenSet[str] = frozenset(),
         min_events: int = 4,
         use_threshold_cache: bool = True,
         threshold_cache: Optional[ThresholdCache] = None,
@@ -59,7 +50,6 @@ class BeaconingDetectionJob(MapReduceJob):
     ) -> None:
         require(min_events >= 2, "min_events must be at least 2")
         self.detector_config = detector_config or DetectorConfig(seed=0)
-        self.skip_destinations = frozenset(skip_destinations)
         self.min_events = min_events
         self.use_threshold_cache = use_threshold_cache
         self.threshold_cache = threshold_cache
@@ -72,42 +62,6 @@ class BeaconingDetectionJob(MapReduceJob):
         self.provenance_policy = provenance_policy
         self.provenance_pairs = frozenset(provenance_pairs)
         self._detector: Optional[PeriodicityDetector] = None
-        #: Set by :meth:`bind_arena`; a tiny picklable header that rides
-        #: to workers in place of the summary payloads.
-        self.arena_handle = None
-        self._arena = None
-
-    # -- shared-memory arena -----------------------------------------------
-
-    def bind_arena(self, arena) -> None:
-        """Resolve integer inputs against a shared-memory summary arena.
-
-        The caller keeps ownership of the segment (and unlinks it after
-        the run); this job only records the attachment handle and, for
-        in-process execution, reuses the caller's mapping directly.
-        """
-        self._arena = arena
-        self.arena_handle = arena.handle()
-
-    def _get_arena(self):
-        if self._arena is None and self.arena_handle is not None:
-            from repro.mapreduce.shm import SummaryArena
-
-            self._arena = SummaryArena.attach(self.arena_handle)
-        return self._arena
-
-    def _resolve(self, value):
-        """An input value -> something summary-shaped (view or summary)."""
-        if isinstance(value, int):
-            return self._get_arena().view(value)
-        return value
-
-    @staticmethod
-    def _materialize(summary) -> ActivitySummary:
-        """A real :class:`ActivitySummary` for results leaving the worker."""
-        if isinstance(summary, ActivitySummary):
-            return summary
-        return summary.materialize()
 
     def _ships_result(
         self, source: str, destination: str, result: DetectionResult
@@ -142,29 +96,16 @@ class BeaconingDetectionJob(MapReduceJob):
         return self._detector
 
     def __getstate__(self) -> dict:
-        """Drop the per-process detector/arena when pickling to workers.
-
-        The arena *handle* stays in the state — workers re-attach from
-        it — but the mapping itself is process-local.
-        """
+        """Drop the per-process detector when pickling to workers."""
         state = dict(self.__dict__)
         state["_detector"] = None
-        state["_arena"] = None
         return state
 
-    def map(self, key: Any, value: Any) -> Iterator[KeyValue]:
-        """Separate pairs; drop whitelisted and trivially short ones.
-
-        In arena mode ``value`` is an integer index: filters run on the
-        zero-copy view, but the *index* stays the shuffled value so
-        reduce tasks pay no summary serialization either.
-        """
-        summary = self._resolve(value)
-        if summary.destination in self.skip_destinations:
+    def map(self, key: Any, value: ActivitySummary) -> Iterator[KeyValue]:
+        """Separate pairs; drop trivially short ones."""
+        if value.event_count < self.min_events:
             return
-        if summary.event_count < self.min_events:
-            return
-        yield summary.pair, value
+        yield value.pair, value
 
     def reduce(
         self, key: Tuple[str, str], values: Iterable[ActivitySummary]
@@ -186,10 +127,8 @@ class BeaconingDetectionJob(MapReduceJob):
         into single-group units, each of which re-enters here as a
         partition of one group.
         """
-        flat: List[Tuple[Any, Any]] = [
-            (key, self._resolve(value))
-            for key, values in grouped
-            for value in values
+        flat: List[Tuple[Any, ActivitySummary]] = [
+            (key, value) for key, values in grouped for value in values
         ]
         if not flat:
             return
@@ -199,6 +138,4 @@ class BeaconingDetectionJob(MapReduceJob):
             )
         for (key, summary), result in zip(flat, results):
             if self._ships_result(summary.source, summary.destination, result):
-                yield key, DetectionCase(
-                    summary=self._materialize(summary), detection=result
-                )
+                yield key, DetectionCase(summary=summary, detection=result)

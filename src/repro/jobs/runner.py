@@ -323,16 +323,6 @@ class _ShardedDetection:
         verdict chains without re-running detection.  The provenance
         keywords are only passed when the policy is set, keeping custom
         ``detection_job_factory`` seams that predate them working.
-
-        With ``config.use_shared_memory`` the batch is packed into a
-        :class:`~repro.mapreduce.shm.SummaryArena` and the engine sees
-        ``(pair, index)`` inputs; this process owns the segment and
-        always unlinks it on the way out — worker deaths mid-run cannot
-        leak it (workers never own the segment; see
-        :mod:`repro.mapreduce.shm`).  Under an in-process backend
-        (serial, threads) the arena would be pure overhead — workers
-        already share this interpreter's heap — so the flag degrades to
-        plain direct references.
         """
         pipeline = self._pipeline
         config = pipeline.config
@@ -348,32 +338,9 @@ class _ShardedDetection:
             threshold_cache=pipeline.threshold_cache,
             **kwargs,
         )
-        engine = pipeline.engine
-        executor = getattr(engine, "executor", None)
-        workers_share_heap = executor is not None and executor.in_process
-        arena = None
-        if (
-            config.use_shared_memory
-            and not workers_share_heap
-            and summaries
-            and hasattr(job, "bind_arena")
-        ):
-            from repro.mapreduce.shm import SummaryArena
-
-            arena = SummaryArena.pack(summaries)
-            job.bind_arena(arena)
-            inputs = [
-                (summary.pair, index)
-                for index, summary in enumerate(summaries)
-            ]
-        else:
-            inputs = [(summary.pair, summary) for summary in summaries]
-        try:
-            output = engine.run(job, inputs)
-        finally:
-            if arena is not None:
-                arena.close()
-                arena.unlink()
+        output = pipeline.engine.run(
+            job, [(summary.pair, summary) for summary in summaries]
+        )
         return [case for _pair, case in output]
 
 

@@ -314,9 +314,12 @@ class SummaryStore:
         self.n_partitions = n_partitions
         self._packer = SummaryPacker()
 
+    def _day_path(self, day: int) -> Path:
+        return self.root / f"day-{day:05d}"
+
     def _day_store(self, day: int) -> PartitionedStore:
         return PartitionedStore(
-            self.root / f"day-{day:05d}",
+            self._day_path(day),
             n_partitions=self.n_partitions,
             packer=self._packer,
         )
@@ -353,7 +356,7 @@ class SummaryStore:
         directory, so a resume loop probing each day of a long archive
         paid O(days²) in aggregate.)
         """
-        return (self.root / f"day-{day:05d}").exists()
+        return self._day_path(day).exists()
 
     def days(self) -> List[int]:
         """The day indices present in the store, ascending."""
@@ -463,17 +466,18 @@ class SummaryStore:
         ``d - window_days + 1`` so disk usage stays bounded by the
         longest cadence window instead of growing with run length.
         """
-        removed = 0
-        for stored in self.days():
-            if stored < day:
-                self._day_store(stored).clear()
-                # clear() unlinks partition files but keeps the day
-                # directory, which has_day() probes — remove it too.
-                shutil.rmtree(self.root / f"day-{stored:05d}", ignore_errors=True)
-                removed += 1
-        return removed
+        old = [stored for stored in self.days() if stored < day]
+        for stored in old:
+            self._remove_day(stored)
+        return len(old)
 
     def clear(self) -> None:
         """Remove every stored day."""
         for day in self.days():
-            self._day_store(day).clear()
+            self._remove_day(day)
+
+    def _remove_day(self, day: int) -> None:
+        # The whole directory goes: has_day() and days() read its
+        # presence, so an emptied day left behind would still count as
+        # ingested.
+        shutil.rmtree(self._day_path(day))

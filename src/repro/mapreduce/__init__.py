@@ -4,9 +4,9 @@ Same programming model — modular jobs with hash-partitioned shuffles —
 executed behind a pluggable :class:`TaskExecutor` (serial inline,
 worker threads for GIL-releasing kernels, a process pool, or a
 multi-host shard queue drained by ``repro worker`` processes), plus a
-partitioned on-disk store standing in for HDFS and a shared-memory
-arena (:mod:`repro.mapreduce.shm`) that hands process workers
-zero-copy pair payloads instead of pickled summaries.
+partitioned on-disk store standing in for HDFS.  Process and
+shard-queue workers receive their task inputs pickled, as the paper's
+Hadoop tasks receive serialized records.
 """
 
 from repro.mapreduce.job import KeyValue, MapReduceJob, stable_hash
@@ -23,7 +23,6 @@ from repro.mapreduce.executors import (
     make_executor,
     run_worker,
 )
-from repro.mapreduce.shm import ArenaHandle, SummaryArena, SummaryView
 from repro.mapreduce.store import CorruptFrameError, PartitionedStore
 
 __all__ = [
@@ -43,9 +42,6 @@ __all__ = [
     "ThreadPoolTaskExecutor",
     "ProcessPoolTaskExecutor",
     "ShardQueueExecutor",
-    "ArenaHandle",
-    "SummaryArena",
-    "SummaryView",
     "CorruptFrameError",
     "PartitionedStore",
 ]

@@ -852,13 +852,3 @@ class MapReduceEngine:
             phase=phase, attempts=attempts[index], use_pool=in_pool,
         )
         return True
-
-    def chain(
-        self, jobs: Sequence[MapReduceJob], inputs: Iterable[KeyValue]
-    ) -> List[KeyValue]:
-        """Run several jobs back to back, feeding each the previous
-        output — the paper's modularized multi-phase data flow."""
-        current = list(inputs)
-        for job in jobs:
-            current = self.run(job, current)
-        return current

@@ -198,26 +198,25 @@ class ProcessPoolTaskExecutor(TaskExecutor):
         """Kill every worker of the current pool and discard it.
 
         ``shutdown`` alone would wait forever on a hung worker, so each
-        registered worker is SIGKILLed (and reaped) explicitly.  The
-        next :meth:`submit` builds a fresh pool with a fresh roster.
+        registered worker is SIGKILLed first; the shutdown then returns
+        once the pool's own manager thread has reaped them.  They must
+        not be reaped here: ``multiprocessing`` sees a worker's exit only
+        when it reaps it itself, and a worker reaped elsewhere stays
+        "alive" to the manager thread, which then spins forever and
+        hangs the interpreter at exit.  The next :meth:`submit` builds a
+        fresh pool with a fresh roster.
         """
         if self._pool is None:
             return
         pids = self._drain_roster()
-        self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = None
-        self._pid_queue = None
         for pid in pids:
             try:
                 os.kill(pid, signal.SIGKILL)
             except (ProcessLookupError, PermissionError):
                 continue
-        for pid in pids:
-            try:
-                os.waitpid(pid, 0)
-            except (ChildProcessError, OSError):
-                # Already reaped by the pool's own machinery.
-                pass
+        self._pool.shutdown(wait=True, cancel_futures=True)
+        self._pool = None
+        self._pid_queue = None
         self._worker_pids = set()
         logger.warning(
             "process pool killed and discarded (%s): %d worker(s)",

@@ -1,6 +1,6 @@
 """Named benchmark suites for ``repro bench``.
 
-Six suites cover the pipeline's cost structure:
+Five suites cover the pipeline's cost structure:
 
 - ``micro`` — the detector's hot paths in isolation: periodogram DFT
   (scalar and batched), permutation thresholding (cold and through the
@@ -9,9 +9,6 @@ Six suites cover the pipeline's cost structure:
   the per-pair costs that bound "millions of pairs per day".
 - ``pipeline`` — the end-to-end 8-step funnel over one synthetic
   enterprise window (events/sec here is the headline ingest rate).
-- ``mapreduce`` — the local engine's map/shuffle/reduce machinery,
-  serial vs. a 2-worker process pool, isolating dispatch overhead from
-  detector cost.
 - ``detection_batch`` — the batched multi-pair detection loop
   (:mod:`repro.core.batch`) on a seeded 1k-pair workload, with and
   without a warm shared :class:`~repro.core.permutation.ThresholdCache`.
@@ -35,11 +32,10 @@ suite *build* time so iterations measure only the code under test.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.mapreduce.job import MapReduceJob
 from repro.obs.bench import Benchmark
 
 __all__ = ["SUITES", "build_suite", "suite_names"]
@@ -208,52 +204,6 @@ def build_pipeline_suite() -> List[Benchmark]:
     return [
         Benchmark("pipeline.run_records", run_pipeline),
         Benchmark("pipeline.run_records_provenance", run_pipeline_provenance),
-    ]
-
-
-class _PairCountJob(MapReduceJob):
-    """Count events per (source, destination) pair — a shuffle-heavy job.
-
-    Defined at module scope (and over plain tuples) so it pickles into
-    worker processes, exactly as the engine requires.
-    """
-
-    n_partitions = 8
-
-    def map(self, key, value) -> Iterator:
-        source, destination = value
-        yield (source, destination), 1
-
-    def reduce(self, key, values) -> Iterator:
-        yield key, sum(values)
-
-
-def build_mapreduce_suite() -> List[Benchmark]:
-    """Engine scaling: serial vs. a 2-worker pool on the same job."""
-    from repro.mapreduce.engine import MapReduceEngine
-
-    rng = np.random.default_rng(17)
-    inputs = [
-        (index, (f"host{rng.integers(50)}", f"dst{rng.integers(200)}"))
-        for index in range(4000)
-    ]
-    job = _PairCountJob()
-    serial = MapReduceEngine(n_workers=1)
-    parallel = MapReduceEngine(n_workers=2, min_parallel_records=64)
-
-    def run_serial() -> int:
-        serial.run(job, inputs)
-        return len(inputs)
-
-    def run_parallel() -> int:
-        parallel.run(job, inputs)
-        return len(inputs)
-
-    return [
-        Benchmark("mapreduce.serial", run_serial, cleanup=serial.close),
-        Benchmark(
-            "mapreduce.workers2", run_parallel, cleanup=parallel.close
-        ),
     ]
 
 
@@ -546,7 +496,6 @@ def build_scalability_suite() -> List[Benchmark]:
 SUITES: Dict[str, Callable[[], List[Benchmark]]] = {
     "micro": build_micro_suite,
     "pipeline": build_pipeline_suite,
-    "mapreduce": build_mapreduce_suite,
     "ingestion": build_ingestion_suite,
     "detection_batch": build_detection_batch_suite,
     "scalability": build_scalability_suite,

@@ -21,8 +21,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.timeseries import ActivitySummary
 from repro.lm.domains import registered_domain
-from repro.sources.proxy import ProxyLogRecord
-from repro.utils.validation import require, require_positive
+from repro.sources.proxy import LogFormatError, ProxyLogRecord, parse_timestamp
+from repro.utils.validation import require_positive
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,18 @@ class DnsLogRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "DnsLogRecord":
-        """Parse a tab-separated log line."""
+        """Parse a tab-separated log line.
+
+        Raises :class:`~repro.sources.proxy.LogFormatError` naming the
+        line when it does not hold exactly four fields or its timestamp
+        is not a finite number.
+        """
         parts = line.rstrip("\n").split("\t")
-        require(len(parts) == 4, f"malformed DNS log line: {line!r}")
+        malformed = f"malformed DNS log line: {line!r}"
+        if len(parts) != 4:
+            raise LogFormatError(malformed)
         return cls(
-            timestamp=float(parts[0]),
+            timestamp=parse_timestamp(parts[0], malformed),
             client=parts[1],
             qname=parts[2],
             qtype=parts[3],

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from repro.core.timeseries import ActivitySummary
-from repro.sources.proxy import ProxyLogRecord
-from repro.utils.validation import require
+from repro.sources.proxy import LogFormatError, ProxyLogRecord, parse_timestamp
 
 
 @dataclass(frozen=True)
@@ -48,23 +47,40 @@ class NetflowRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "NetflowRecord":
-        """Parse a tab-separated log line."""
+        """Parse a tab-separated log line.
+
+        Raises :class:`~repro.sources.proxy.LogFormatError` naming the
+        line when it does not hold exactly seven fields, its timestamp
+        is not a finite number, or its port, byte or packet count is not
+        an integer.
+        """
         parts = line.rstrip("\n").split("\t")
-        require(len(parts) == 7, f"malformed NetFlow line: {line!r}")
+        malformed = f"malformed NetFlow line: {line!r}"
+        if len(parts) != 7:
+            raise LogFormatError(malformed)
         return cls(
-            timestamp=float(parts[0]),
+            timestamp=parse_timestamp(parts[0], malformed),
             src_ip=parts[1],
             dst_ip=parts[2],
-            dst_port=int(parts[3]),
+            dst_port=_integer(parts[3], "dst_port", malformed),
             protocol=parts[4],
-            bytes_sent=int(parts[5]),
-            packets=int(parts[6]),
+            bytes_sent=_integer(parts[5], "bytes_sent", malformed),
+            packets=_integer(parts[6], "packets", malformed),
         )
 
     @property
     def destination(self) -> str:
         """The pair's destination endpoint, ``ip:port``."""
         return f"{self.dst_ip}:{self.dst_port}"
+
+
+def _integer(text: str, name: str, malformed: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise LogFormatError(
+            f"{malformed}: {name} {text!r} is not an integer"
+        ) from None
 
 
 def netflow_records_to_summaries(

@@ -42,13 +42,27 @@ __all__ = [
 
 
 class LogFormatError(ValueError):
-    """A proxy log that cannot be folded into summaries.
+    """A proxy, DNS or NetFlow log that cannot be folded into summaries.
 
-    Raised for a line without exactly seven tab-separated fields, a
-    numeric field that does not parse or a status or byte count out of
-    its column's range (these name the line), and a timestamp that has
-    no int64 time slot (naming the timestamp).
+    Raised for a line with the wrong number of tab-separated fields, a
+    numeric field that does not parse, a DNS or NetFlow timestamp that
+    is not finite, or a proxy status or byte count out of its column's
+    range (these name the line), and for a proxy timestamp that has no
+    int64 time slot (naming the timestamp).
     """
+
+
+def parse_timestamp(text: str, malformed: str) -> float:
+    """A DNS or NetFlow timestamp; ``malformed`` names the line on error."""
+    try:
+        timestamp = float(text)
+    except ValueError:
+        timestamp = math.nan
+    if not math.isfinite(timestamp):
+        raise LogFormatError(
+            f"{malformed}: timestamp {text!r} is not a finite number"
+        )
+    return timestamp
 
 
 #: Statuses are int32 in a columnar chunk: ``-STATUS_BOUND <= status <

@@ -26,13 +26,6 @@ class TestDetectionJob:
         assert isinstance(case, DetectionCase)
         assert case.detection.dominant_period == pytest.approx(60.0, rel=0.05)
 
-    def test_skips_whitelisted(self, engine):
-        summary = ActivitySummary.from_timestamps(
-            "m", "benign.com", [i * 60.0 for i in range(100)]
-        )
-        job = BeaconingDetectionJob(skip_destinations=frozenset({"benign.com"}))
-        assert engine.run(job, [(summary.pair, summary)]) == []
-
     def test_skips_short_series(self, engine):
         summary = ActivitySummary.from_timestamps("m", "d", [0.0, 60.0, 120.0])
         job = BeaconingDetectionJob(min_events=4)

@@ -86,8 +86,16 @@ class TestSummaryStore:
 
     def test_clear(self, store):
         store.append_day(0, [day_summary(0)])
+        store.append_day(3, [day_summary(3)])
         store.clear()
         assert store.load_day(0) == []
+        assert store.days() == [] and not store.has_day(0) and not store.has_day(3)
+        # A resume loop that skips ingested days re-ingests day 3.
+        store.append_day(3, [day_summary(3)])
+        window = store.load_window(window_days=1)
+        assert [(s.first_timestamp, s.event_count) for s in window] == [
+            (3 * DAY, 20)
+        ]
 
     def test_evict_before_drops_old_days(self, store):
         for day in range(4):

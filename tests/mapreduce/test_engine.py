@@ -19,17 +19,6 @@ class WordCountJob(MapReduceJob):
         yield key, sum(values)
 
 
-class IdentityJob(MapReduceJob):
-    n_partitions = 4
-
-    def map(self, key, value):
-        yield key, value
-
-    def reduce(self, key, values):
-        for value in values:
-            yield key, value
-
-
 LINES = [
     (0, "the quick brown fox"),
     (1, "the lazy dog"),
@@ -60,12 +49,6 @@ class TestSerialEngine:
         a = MapReduceEngine().run(WordCountJob(), LINES)
         b = MapReduceEngine().run(WordCountJob(), LINES)
         assert a == b
-
-    def test_chain(self):
-        output = MapReduceEngine().chain(
-            [IdentityJob(), IdentityJob()], [(1, "a"), (2, "b")]
-        )
-        assert sorted(output) == [(1, "a"), (2, "b")]
 
 
 class TestParallelEngine:

@@ -278,8 +278,8 @@ class TestSuites:
         from repro.obs.bench_suites import build_suite, suite_names
 
         assert set(suite_names()) == {
-            "micro", "pipeline", "mapreduce", "ingestion",
-            "detection_batch", "scalability",
+            "micro", "pipeline", "ingestion", "detection_batch",
+            "scalability",
         }
         benchmarks = build_suite("micro")
         names = [bench.name for bench in benchmarks]

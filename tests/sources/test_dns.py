@@ -9,6 +9,7 @@ from repro.sources.dns import (
     dns_records_to_summaries,
     dns_view_of_proxy,
 )
+from repro.sources.proxy import LogFormatError
 from repro.synthetic import BeaconSpec, ProxyLogRecord
 
 
@@ -23,10 +24,17 @@ class TestDnsRecord:
     def test_roundtrip(self):
         record = DnsLogRecord(1.5, "client1", "www.example.com", "AAAA")
         assert DnsLogRecord.from_line(record.to_line()) == record
+        line = "86399.250\tclient1\tcdn.x.com\tAAAA"
+        assert DnsLogRecord.from_line(line + "\n").to_line() == line
 
     def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            DnsLogRecord.from_line("a\tb")
+        stamps = ("abc", "nan", "inf", "-inf", "")
+        for line in ("a\tb", "1.5\tclient1\tx.com\tA\textra", *(
+            f"{stamp}\tclient1\tx.com\tA" for stamp in stamps
+        )):
+            with pytest.raises(LogFormatError, match="malformed DNS") as info:
+                DnsLogRecord.from_line(line)
+            assert repr(line) in str(info.value)
 
 
 class TestDnsSummaries:

@@ -9,6 +9,7 @@ from repro.sources.netflow import (
     netflow_view_of_proxy,
     resolve_domain,
 )
+from repro.sources.proxy import LogFormatError
 from repro.synthetic import ProxyLogRecord
 
 
@@ -19,18 +20,33 @@ def proxy_beacon(period=60.0, count=200, destination="evil.com"):
     ]
 
 
+def flow_line(index, value):
+    """A well-formed flow line with field ``index`` set to ``value``."""
+    fields = "1.0\t10.0.0.1\t203.0.113.7\t443\ttcp\t512\t4".split("\t")
+    fields[index] = value
+    return "\t".join(fields)
+
+
 class TestNetflowRecord:
     def test_roundtrip(self):
         record = NetflowRecord(1.0, "10.0.0.1", "203.0.113.7", 443, "tcp", 512, 4)
         assert NetflowRecord.from_line(record.to_line()) == record
+        line = flow_line(0, "1.000")
+        assert NetflowRecord.from_line(line + "\n").to_line() == line
 
     def test_destination_endpoint(self):
         record = NetflowRecord(1.0, "10.0.0.1", "203.0.113.7", 8080)
         assert record.destination == "203.0.113.7:8080"
 
     def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            NetflowRecord.from_line("1.0\tonly")
+        bad = {0: ("abc", "nan", "inf", "-inf", ""), 3: ("x", "1.5"),
+               5: ("1.5", "many"), 6: ("1e3", "", "4\textra")}
+        for line in ("1.0\tonly", *(
+            flow_line(index, value) for index in bad for value in bad[index]
+        )):
+            with pytest.raises(LogFormatError, match="malformed NetFlow") as info:
+                NetflowRecord.from_line(line)
+            assert repr(line) in str(info.value)
 
 
 class TestResolveDomain:

@@ -23,6 +23,9 @@ from repro.stages import PeriodicityDetectionStage
 from repro.synthetic import EnterpriseConfig, EnterpriseSimulator, ImplantSpec
 
 CONFIG = dict(local_whitelist_threshold=0.2, ranking_percentile=0.5)
+# Two workers that receive every shard: most shards hold 4 of the 14
+# detection pairs, which any threshold above 4 would run inline.
+WORKERS = dict(n_workers=2, min_parallel_records=1)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +95,7 @@ def test_serial_runner_matches_pipeline(records, scorer, pipeline_report):
 
 
 def test_two_worker_engine_matches_pipeline(records, scorer, pipeline_report):
-    with MapReduceEngine(n_workers=2, min_parallel_records=16) as engine:
+    with MapReduceEngine(**WORKERS) as engine:
         engine_report = engine_pipeline(
             PipelineConfig(**CONFIG), engine, scorer=scorer
         ).run_records(records)
@@ -102,9 +105,7 @@ def test_two_worker_engine_matches_pipeline(records, scorer, pipeline_report):
 def test_thread_engine_matches_pipeline(records, scorer, pipeline_report):
     # Worker threads instead of worker processes: same stage graph, no
     # pickling, still bit-identical output.
-    with MapReduceEngine(
-        n_workers=2, executor="threads", min_parallel_records=16
-    ) as engine:
+    with MapReduceEngine(executor="threads", **WORKERS) as engine:
         engine_report = engine_pipeline(
             PipelineConfig(**CONFIG), engine, scorer=scorer
         ).run_records(records)
@@ -123,9 +124,7 @@ def test_shard_queue_engine_matches_pipeline(
     queue = str(tmp_path / "ckpt" / "queue")
     executor = ShardQueueExecutor(queue, claim_ttl=5.0, poll_interval=0.02)
     with WorkerFleet(queue, 2, claim_ttl=5.0):
-        with MapReduceEngine(
-            n_workers=2, executor=executor, min_parallel_records=16
-        ) as engine:
+        with MapReduceEngine(executor=executor, **WORKERS) as engine:
             report = engine_pipeline(
                 PipelineConfig(**CONFIG), engine, scorer=scorer
             ).run_records(
@@ -145,7 +144,7 @@ def test_processes_checkpoint_resumes_under_shard_queue(
     from repro.mapreduce.testing import WorkerFleet
 
     checkpoint = str(tmp_path / "ckpt")
-    with MapReduceEngine(n_workers=2, executor="processes") as engine:
+    with MapReduceEngine(executor="processes", **WORKERS) as engine:
         with pytest.raises(IncompleteRunError):
             engine_pipeline(
                 PipelineConfig(**CONFIG), engine, scorer=scorer
@@ -157,7 +156,7 @@ def test_processes_checkpoint_resumes_under_shard_queue(
             )
     queue = str(tmp_path / "ckpt" / "queue")
     with WorkerFleet(queue, 2, claim_ttl=5.0):
-        with MapReduceEngine(n_workers=2, executor="shard-queue") as engine:
+        with MapReduceEngine(executor="shard-queue", **WORKERS) as engine:
             report = engine_pipeline(
                 PipelineConfig(**CONFIG), engine, scorer=scorer
             ).run_records(
@@ -309,28 +308,19 @@ def test_columnar_pipeline_matches_pipeline(records, scorer, pipeline_report):
 def test_columnar_shm_sharded_run_matches_pipeline(
     records, scorer, pipeline_report, tmp_path
 ):
-    # Columnar ingestion + shared-memory detection payloads across a
-    # 2-worker engine: still the same report, and no /dev/shm residue.
-    import os
-
-    from repro.mapreduce.shm import SEGMENT_PREFIX
+    # Columnar ingestion with detection on a 2-worker engine, its task
+    # inputs pickled into the worker processes: still the same report.
     from repro.sources.columnar import records_to_chunks
 
-    with MapReduceEngine(n_workers=2, min_parallel_records=16) as engine:
+    with MapReduceEngine(**WORKERS) as engine:
         report = engine_pipeline(
-            PipelineConfig(**CONFIG, use_shared_memory=True),
-            engine,
-            scorer=scorer,
+            PipelineConfig(**CONFIG), engine, scorer=scorer
         ).run_chunks(
             records_to_chunks(records, chunk_size=256),
             shard_size=4,
             checkpoint_dir=str(tmp_path / "ckpt"),
         )
     assert report_signature(report) == report_signature(pipeline_report)
-    if os.path.isdir("/dev/shm"):
-        assert not [
-            n for n in os.listdir("/dev/shm") if n.startswith(SEGMENT_PREFIX)
-        ]
 
 
 def test_checkpoint_resumes_across_data_planes(
