@@ -15,7 +15,7 @@ cluster.
 The executor-dispatch side of this experiment is promoted into the CI
 bench harness as ``repro bench --suite scalability``
 (:func:`repro.obs.bench_suites.build_scalability_suite`): one batched
-detection workload priced under serial / threads / processes, gated in
+detection workload priced under serial / processes, gated in
 perf-smoke against ``BENCH_scalability.json``.  This module keeps the
 paper-facing pairs-vs-runtime experiment; the suite owns the
 backend-vs-backend numbers.

@@ -40,7 +40,9 @@ per-stage metrics and write ``report.txt`` / ``metrics.jsonl`` /
 ``metrics.prom`` (see ``docs/OBSERVABILITY.md``).  ``bench`` writes
 ``BENCH_<suite>.json`` perf reports and, with ``--compare``, renders a
 baseline/candidate delta table and exits non-zero on regressions beyond
-``--tolerance``.  ``-v`` turns on INFO logging, ``-vv`` DEBUG.
+``--tolerance``.  ``-v`` turns on INFO logging, ``-vv`` DEBUG.  A bad
+argument, an input that cannot be opened, or a malformed log ends the
+command with one ``error:`` line on stderr and exit code 2.
 
 Run ``python -m repro <command> --help`` for the options.
 """
@@ -73,9 +75,35 @@ from repro.obs import (
 )
 from repro.synthetic.enterprise import EnterpriseConfig, EnterpriseSimulator
 from repro.sources.columnar import read_log_chunks
-from repro.sources.proxy import LogFormatError, write_log
+from repro.sources.proxy import LogFormatError, parse_timestamp, write_log
 
 logger = logging.getLogger(__name__)
+
+
+class _UsageError(Exception):
+    """A bad argument: :func:`main` prints one ``error:`` line, exit 2."""
+
+
+def _readable(path: Path) -> Path:
+    """``path`` when it opens as a file, else a usage error."""
+    try:
+        with open(path, "rb"):
+            pass
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc.strerror}") from None
+    return path
+
+
+def _non_negative(value: int, option: str) -> None:
+    if value < 0:
+        raise _UsageError(f"{option} must be non-negative, got {value}")
+
+
+def _check_telemetry_dir(telemetry: Optional[Path]) -> None:
+    if telemetry is not None and telemetry.exists() and not telemetry.is_dir():
+        raise _UsageError(
+            f"--telemetry target {telemetry} exists and is not a directory"
+        )
 
 
 def _add_provenance_options(parser: argparse.ArgumentParser) -> None:
@@ -153,9 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="worker processes for the MapReduce engine")
     runp.add_argument(
         "--executor", default=None, metavar="BACKEND",
-        choices=("serial", "threads", "processes", "shard-queue"),
-        help="execution backend: serial, threads (GIL-releasing FFT "
-             "kernels scale in one process), processes (default when "
+        choices=("serial", "processes", "shard-queue"),
+        help="execution backend: serial, processes (default when "
              "--workers > 1), or shard-queue (tasks are drained by "
              "'repro worker' processes sharing --checkpoint-dir)",
     )
@@ -404,11 +431,7 @@ def _run_instrumented(
     """
     if telemetry is None:
         return run(), None
-    if telemetry.exists() and not telemetry.is_dir():
-        raise SystemExit(
-            f"error: --telemetry target {telemetry} exists and is not a "
-            f"directory"
-        )
+    _check_telemetry_dir(telemetry)
     registry = MetricsRegistry()
     with scoped_registry(registry):
         report = run()
@@ -441,15 +464,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    try:
+        config = DetectorConfig(time_scale=args.time_scale, seed=args.seed)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     if str(args.input) == "-":
-        lines = sys.stdin.read().split()
+        source, text = "stdin", sys.stdin.read()
     else:
-        lines = args.input.read_text(encoding="utf-8").split()
-    timestamps = [float(token) for token in lines if token.strip()]
-    detector = PeriodicityDetector(
-        DetectorConfig(time_scale=args.time_scale, seed=args.seed)
-    )
-    result = detector.detect(timestamps)
+        source = str(args.input)
+        text = _readable(args.input).read_text(
+            encoding="utf-8", errors="replace"
+        )
+    timestamps = [parse_timestamp(token, source) for token in text.split()]
+    result = PeriodicityDetector(config).detect(timestamps)
     print(f"events:   {result.n_events}")
     print(f"duration: {result.duration:.1f} s")
     print(f"periodic: {result.periodic}")
@@ -465,42 +492,36 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _provenance_policy(args: argparse.Namespace):
-    """Build the ProvenancePolicy for --provenance, or None without it."""
-    if args.provenance is None:
-        return None
-    from repro.obs import ProvenancePolicy
+def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
+    """The command's PipelineConfig; a value it rejects is a usage error."""
+    provenance = None
+    if getattr(args, "provenance", None) is not None:
+        from repro.obs import ProvenancePolicy
 
+        try:
+            provenance = ProvenancePolicy(
+                sample_early_drops=args.provenance_sample
+            )
+        except ValueError as exc:
+            raise _UsageError(f"--provenance-sample: {exc}") from None
     try:
-        return ProvenancePolicy(sample_early_drops=args.provenance_sample)
-    except ValueError as exc:
-        raise SystemExit(f"error: --provenance-sample: {exc}")
-
-
-def _write_provenance_dir(directory: Path, report: PipelineReport) -> None:
-    from repro.obs import PROVENANCE_FILE, write_provenance
-
-    path = directory / PROVENANCE_FILE
-    write_provenance(path, report.provenance)
-    print(f"wrote {len(report.provenance)} verdict records to {path}")
-
-
-def _cmd_pipeline(args: argparse.Namespace) -> int:
-    config = PipelineConfig(
-        local_whitelist_threshold=args.tau_p,
-        ranking_percentile=args.percentile,
-        provenance=_provenance_policy(args),
-    )
-    chunks = read_log_chunks(args.input)
-    try:
-        report, telemetry_dir = _run_instrumented(
-            args.telemetry, lambda: BaywatchPipeline(config).run_chunks(chunks)
+        return PipelineConfig(
+            local_whitelist_threshold=args.tau_p,
+            ranking_percentile=args.percentile,
+            provenance=provenance,
         )
-    except LogFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
+def _print_ranking(args: argparse.Namespace, report: PipelineReport) -> None:
+    """Write --provenance, then print the funnel and the top ranked cases."""
     if args.provenance is not None:
-        _write_provenance_dir(args.provenance, report)
+        from repro.obs import PROVENANCE_FILE, write_provenance
+
+        path = args.provenance / PROVENANCE_FILE
+        write_provenance(path, report.provenance)
+        print(f"wrote {len(report.provenance)} verdict records to {path}")
     print(report.funnel.as_text())
     print()
     print(f"{'rank':>4s}  {'score':>6s}  {'period':>10s}  {'clients':>7s}  domain")
@@ -510,6 +531,16 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             f"{rank:>4d}  {case.rank_score:>6.2f}  {period:>10s}  "
             f"{case.similar_sources:>7d}  {case.destination}"
         )
+
+
+def _cmd_pipeline(args: argparse.Namespace) -> int:
+    config = _pipeline_config(args)
+    _non_negative(args.top, "--top")
+    chunks = read_log_chunks(_readable(args.input))
+    report, telemetry_dir = _run_instrumented(
+        args.telemetry, lambda: BaywatchPipeline(config).run_chunks(chunks)
+    )
+    _print_ranking(args, report)
     if telemetry_dir is not None:
         print(f"wrote telemetry to {telemetry_dir}")
     return 0
@@ -519,67 +550,62 @@ def _cmd_run(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.jobs.checkpoint import CheckpointMismatch
-    from repro.jobs.runner import IncompleteRunError
+    from repro.jobs.runner import IncompleteRunError, check_sharding
     from repro.mapreduce.engine import MapReduceEngine
+    from repro.mapreduce.executors import make_executor
     from repro.obs import JOURNAL_FILE, StatusServer, new_run_id
 
-    config = PipelineConfig(
-        local_whitelist_threshold=args.tau_p,
-        ranking_percentile=args.percentile,
-        provenance=_provenance_policy(args),
-    )
+    config = _pipeline_config(args)
+    _readable(args.input)
+    _non_negative(args.top, "--top")
     try:
         check_analysis_time_scale(args.analysis_time_scale, config.time_scale)
     except ValueError as exc:
-        print(f"error: --analysis-time-scale: {exc}", file=sys.stderr)
-        return 2
-    if args.executor == "shard-queue" and args.checkpoint_dir is None:
-        print(
-            "error: --executor shard-queue needs --checkpoint-dir (the "
-            "task queue the 'repro worker' fleet drains lives there)",
-            file=sys.stderr,
-        )
-        return 2
-    executor = None
-    if args.executor is not None:
-        from repro.mapreduce.executors import make_executor
-
-        executor = make_executor(
-            args.executor,
-            n_workers=args.workers,
-            claim_ttl=args.claim_ttl,
-        )
-    engine = MapReduceEngine(
-        n_workers=args.workers,
-        max_retries=args.max_retries,
-        task_timeout=args.task_timeout,
-        retry_backoff=args.retry_backoff,
-        quarantine=not args.no_quarantine,
-        executor=executor,
-    )
-    pipeline = BaywatchPipeline(config, engine=engine)
+        raise _UsageError(f"--analysis-time-scale: {exc}") from None
     checkpoint_dir = (
         str(args.checkpoint_dir) if args.checkpoint_dir is not None else None
     )
-    run_id = args.run_id if args.run_id else new_run_id()
     # The journal lives next to the checkpoints when there are any,
     # falling back to the telemetry directory for checkpoint-less runs.
     journal_home = checkpoint_dir or (
         str(args.telemetry) if args.telemetry is not None else None
     )
+    if args.executor == "shard-queue" and checkpoint_dir is None:
+        raise _UsageError(
+            "--executor shard-queue needs --checkpoint-dir (the task "
+            "queue the 'repro worker' fleet drains lives there)"
+        )
     if args.status_port is not None and journal_home is None:
-        print(
-            "error: --status-port needs --checkpoint-dir or --telemetry "
-            "(the event journal lives there)", file=sys.stderr,
+        raise _UsageError(
+            "--status-port needs --checkpoint-dir or --telemetry (the "
+            "event journal lives there)"
         )
-        return 2
-    if args.telemetry is not None and args.telemetry.exists() \
-            and not args.telemetry.is_dir():
-        print(
-            f"error: --telemetry target {args.telemetry} exists and is "
-            f"not a directory", file=sys.stderr,
+    _check_telemetry_dir(args.telemetry)
+    # The library's own checks, run before anything starts.
+    try:
+        check_sharding(
+            args.shard_size, checkpoint_dir,
+            resume=args.resume, max_shards=args.max_shards,
         )
-        return 2
+        executor = None
+        if args.executor is not None:
+            executor = make_executor(
+                args.executor,
+                n_workers=args.workers,
+                claim_ttl=args.claim_ttl,
+            )
+        engine = MapReduceEngine(
+            n_workers=args.workers,
+            max_retries=args.max_retries,
+            task_timeout=args.task_timeout,
+            retry_backoff=args.retry_backoff,
+            quarantine=not args.no_quarantine,
+            executor=executor,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    pipeline = BaywatchPipeline(config, engine=engine)
+    run_id = args.run_id if args.run_id else new_run_id()
 
     # The status service needs the *live* registry (for /metrics), so
     # one is owned here rather than delegating to _run_instrumented; a
@@ -595,7 +621,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             registry=registry,
             port=args.status_port,
         )
-        port = server.start()
+        try:
+            port = server.start()
+        except (OSError, OverflowError) as exc:
+            message = f"--status-port {args.status_port}: {exc}"
+            raise _UsageError(message) from None
         print(f"status service on http://127.0.0.1:{port} (run {run_id})")
 
     def go() -> PipelineReport:
@@ -624,7 +654,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except IncompleteRunError as exc:
         print(f"run incomplete: {exc}")
         return 3
-    except (CheckpointMismatch, LogFormatError) as exc:
+    except CheckpointMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -632,17 +662,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if args.status_linger > 0:
                 _time.sleep(args.status_linger)
             server.stop()
-    if args.provenance is not None:
-        _write_provenance_dir(args.provenance, report)
-    print(report.funnel.as_text())
-    print()
-    print(f"{'rank':>4s}  {'score':>6s}  {'period':>10s}  {'clients':>7s}  domain")
-    for rank, case in enumerate(report.ranked_cases[: args.top], 1):
-        period = f"{case.smallest_period:.1f}s" if case.smallest_period else "-"
-        print(
-            f"{rank:>4d}  {case.rank_score:>6.2f}  {period:>10s}  "
-            f"{case.similar_sources:>7d}  {case.destination}"
-        )
+    _print_ranking(args, report)
     if report.quarantined:
         print()
         print(f"quarantined {len(report.quarantined)} unit(s):")
@@ -666,18 +686,12 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_report
 
-    chunks = read_log_chunks(args.input)
-    config = PipelineConfig(
-        local_whitelist_threshold=args.tau_p,
-        ranking_percentile=args.percentile,
+    config = _pipeline_config(args)
+    _non_negative(args.max_cases, "--max-cases")
+    chunks = read_log_chunks(_readable(args.input))
+    pipeline_report, telemetry_dir = _run_instrumented(
+        args.telemetry, lambda: BaywatchPipeline(config).run_chunks(chunks)
     )
-    try:
-        pipeline_report, telemetry_dir = _run_instrumented(
-            args.telemetry, lambda: BaywatchPipeline(config).run_chunks(chunks)
-        )
-    except LogFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     text = render_report(pipeline_report, max_cases=args.max_cases)
     if args.output is not None:
         args.output.write_text(text, encoding="utf-8")
@@ -771,12 +785,10 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     from repro.obs import JOURNAL_FILE, build_status, read_events, render_status
 
     if args.url is None and args.path is None:
-        print(
-            "error: give the journal path (events.jsonl or its "
-            "directory) or --url of a --status-port service",
-            file=sys.stderr,
+        raise _UsageError(
+            "give the journal path (events.jsonl or its directory) or "
+            "--url of a --status-port service"
         )
-        return 2
 
     def snapshot() -> dict:
         if args.url is not None:
@@ -973,7 +985,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     configure_logging(_LOG_LEVELS.get(args.verbose, logging.DEBUG))
     logger.info("running command %r", args.command)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (_UsageError, LogFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -369,6 +369,29 @@ def _bind_shard_queue(
     executor.bind(os.path.join(checkpoint_dir, "queue"))
 
 
+def check_sharding(
+    shard_size: int,
+    checkpoint_dir: Optional[str],
+    *,
+    resume: bool = False,
+    max_shards: Optional[int] = None,
+) -> None:
+    """Raise ``ValueError`` for sharding settings no run can honour."""
+    if shard_size < 1:
+        raise ValueError("shard_size must be at least 1")
+    if max_shards is not None and max_shards < 0:
+        raise ValueError("max_shards must be non-negative")
+    if checkpoint_dir is None and max_shards is not None:
+        raise ValueError(
+            "max_shards without checkpoint_dir would discard the "
+            "completed shards"
+        )
+    if checkpoint_dir is None and resume:
+        raise ValueError(
+            "resume without checkpoint_dir has no completed shards to reuse"
+        )
+
+
 def run_on_engine(
     pipeline: "BaywatchPipeline",
     summaries: List[ActivitySummary],
@@ -411,13 +434,9 @@ def run_on_engine(
     stitched under this run's ``run`` span (see
     :mod:`repro.obs.tracing`).
     """
-    if shard_size < 1:
-        raise ValueError("shard_size must be at least 1")
-    if max_shards is not None and checkpoint_dir is None:
-        raise ValueError(
-            "max_shards without checkpoint_dir would discard the "
-            "completed shards"
-        )
+    check_sharding(
+        shard_size, checkpoint_dir, resume=resume, max_shards=max_shards
+    )
     engine = pipeline.engine
     if run_id is None:
         run_id = new_run_id()

@@ -1,10 +1,9 @@
 """Local MapReduce substrate (replaces the paper's Hadoop cluster).
 
 Same programming model — modular jobs with hash-partitioned shuffles —
-executed behind a pluggable :class:`TaskExecutor` (serial inline,
-worker threads for GIL-releasing kernels, a process pool, or a
-multi-host shard queue drained by ``repro worker`` processes), plus a
-partitioned on-disk store standing in for HDFS.  Process and
+executed behind a pluggable :class:`TaskExecutor` (serial inline, a
+process pool, or a multi-host shard queue drained by ``repro worker``
+processes), plus a partitioned on-disk store standing in for HDFS.  Process and
 shard-queue workers receive their task inputs pickled, as the paper's
 Hadoop tasks receive serialized records.
 """
@@ -18,7 +17,6 @@ from repro.mapreduce.executors import (
     ShardQueueExecutor,
     TaskExecutor,
     TaskTimeout,
-    ThreadPoolTaskExecutor,
     WorkerCrash,
     make_executor,
     run_worker,
@@ -39,7 +37,6 @@ __all__ = [
     "make_executor",
     "run_worker",
     "SerialExecutor",
-    "ThreadPoolTaskExecutor",
     "ProcessPoolTaskExecutor",
     "ShardQueueExecutor",
     "CorruptFrameError",

@@ -4,9 +4,8 @@ Substitutes the paper's 13-node Hadoop cluster with a faithful local
 model of the same computation: map over input records, shuffle by the
 job's partitioner, group values per key (sorted for determinism), and
 reduce partition by partition.  *Where* tasks run is delegated to a
-:class:`~repro.mapreduce.executors.TaskExecutor` — serial inline,
-worker threads (for the GIL-releasing batched FFT kernels), a process
-pool, or a multi-host shard queue drained by ``repro worker``
+:class:`~repro.mapreduce.executors.TaskExecutor` — serial inline, a
+process pool, or a multi-host shard queue drained by ``repro worker``
 processes; jobs and records must be picklable for the out-of-process
 backends, exactly as Hadoop requires them to be serializable.
 
@@ -16,12 +15,12 @@ failures) and is *executor-agnostic* — every backend inherits it:
 
 - a task that *raises* is retried up to ``max_retries`` times with
   exponential backoff (``retry_backoff``);
-- a task whose worker *dies*
+- a dispatched task whose worker *dies*
   (:class:`~repro.mapreduce.executors.WorkerCrash`) or *hangs*
-  (``task_timeout`` on a backend that can reap) triggers a backend
-  restart and a re-run of the lost tasks, against the same retry
-  budget; on backends that cannot kill a straggler (serial, threads)
-  the deadline downgrades to a warn-and-journal soft breach;
+  (``task_timeout``) triggers a backend restart and a re-run of the
+  lost tasks, against the same retry budget; a task run inline cannot
+  be killed, so there the deadline downgrades to a warn-and-journal
+  soft breach;
 - with ``quarantine=True`` a task that fails every attempt is split
   into its individual records/key-groups, each run in isolation, and
   only the genuinely poisonous units are dropped — recorded as
@@ -174,35 +173,6 @@ def _run_task_with_telemetry(
     )
 
 
-def _run_task_in_thread(
-    func,
-    job: MapReduceJob,
-    task,
-    trace: Optional[Dict[str, Optional[str]]] = None,
-    journal=None,
-    phase: str = "",
-):
-    """In-process counterpart of :func:`_run_task_with_telemetry`.
-
-    Worker *threads* share the parent's metrics registry (its
-    instruments are lock-protected), and the current-registry pointer
-    is a module-level global — swapping it from a worker thread would
-    race the parent — so no child registry is installed and nothing is
-    shipped back.  The trace context *is* installed (it is
-    thread-local), so spans opened inside the task land in the parent
-    registry's record buffer already stitched under its tree, and the
-    journal gets the same per-task heartbeat the process wrapper emits.
-    """
-    context = TraceContext(**trace) if trace is not None else None
-    with scoped_trace(context):
-        if journal is not None:
-            journal.append(
-                "heartbeat", worker=os.getpid(), phase=phase or None
-            )
-        with span(f"task.{phase}" if phase else "task"):
-            return func(job, task)
-
-
 def _chunked(items: Sequence, n_chunks: int) -> List[Sequence]:
     """Split ``items`` into at most ``n_chunks`` contiguous chunks."""
     if not items:
@@ -231,14 +201,13 @@ class MapReduceEngine:
         fail on every attempt re-raise the final exception (unless
         quarantined, below).
     ``task_timeout``
-        Seconds a task may run before it is considered late.  On a
-        backend that reaps (processes, shard-queue) the straggler is
-        presumed hung: the backend restarts — killing it — and the task
-        is retried.  On serial/thread backends nothing can kill a
-        running task, so the breach is *soft*: a WARNING plus a
-        ``task_deadline`` journal event and the
-        ``mapreduce.task_deadline_misses`` counter, then the result is
-        awaited anyway.  ``None`` disables the watchdog.
+        Seconds a task may run before it is considered late.  A
+        dispatched task (processes, shard-queue) is presumed hung: the
+        backend restarts — killing it — and the task is retried.
+        Nothing can kill a task run inline, so there the breach is
+        *soft*: a WARNING plus a ``task_deadline`` journal event and the
+        ``mapreduce.task_deadline_misses`` counter, and the result is
+        kept.  ``None`` disables the watchdog.
     ``retry_backoff``
         Base of the exponential backoff envelope between retry rounds:
         the sleep is drawn uniformly from ``[0, min(max_backoff,
@@ -437,18 +406,14 @@ class MapReduceEngine:
         )
 
     def _note_deadline_miss(
-        self,
-        *,
-        phase: Optional[str],
-        index: Optional[int] = None,
-        elapsed: Optional[float] = None,
+        self, *, phase: Optional[str], elapsed: float
     ) -> None:
-        """Record a soft ``task_timeout`` breach (non-reaping backends).
+        """Record a soft ``task_timeout`` breach of an inline task.
 
-        Nothing can kill the late task, so the contract is
+        Nothing could kill the late task, so the contract is
         warn-and-journal: operators see the breach in the log and the
-        event journal (``task_deadline``) while the run keeps waiting
-        for the genuine result.
+        event journal (``task_deadline``) while the run keeps the
+        genuine result.
         """
         if self.last_stats is not None:
             self.last_stats.task_deadline_misses += 1
@@ -457,17 +422,15 @@ class MapReduceEngine:
             "task_deadline",
             phase=phase or None,
             shard=self.shard,
-            task=index,
-            elapsed=round(elapsed, 6) if elapsed is not None else None,
+            elapsed=round(elapsed, 6),
             timeout=self.task_timeout,
             executor=self.executor.name,
         )
         logger.warning(
-            "%s%s task%s exceeded task_timeout=%.4gs on the %s backend "
+            "%s%s task exceeded task_timeout=%.4gs on the %s backend "
             "(no enforcement point; letting it finish)",
             self._log_ctx(),
             phase or "engine",
-            f" {index}" if index is not None else "",
             self.task_timeout or 0.0,
             self.executor.name,
         )
@@ -517,10 +480,8 @@ class MapReduceEngine:
 
         ``use_pool=True`` isolates on the executor backend (one unit
         per task) so a unit that kills or hangs its worker cannot take
-        the parent down with it; a backend that can reap is restarted
-        after each casualty.  During isolation a deadline is treated as
-        poison on *every* backend — a unit a thread cannot abandon
-        would otherwise wedge the quarantine pass itself.
+        the parent down with it; the backend is restarted after each
+        such casualty.
         """
         outputs: List = []
         for key, unit_task in units:
@@ -533,10 +494,7 @@ class MapReduceEngine:
                 else:
                     outputs.extend(func(job, unit_task))
             except (WorkerCrash, TaskTimeout) as exc:
-                if self.executor.reaps_hung_tasks:
-                    self._restart_pool(
-                        f"isolating poisoned {phase} unit {key!r}"
-                    )
+                self._restart_pool(f"isolating poisoned {phase} unit {key!r}")
                 self._record_quarantine(phase, key, exc, attempts)
             except Exception as exc:
                 self._record_quarantine(phase, key, exc, attempts)
@@ -678,22 +636,6 @@ class MapReduceEngine:
         if stats.task_retries:
             registry.counter(f"{prefix}.task_retries").inc(stats.task_retries)
 
-    def _await_result(self, handle, *, phase: str, index: int):
-        """Await one handle under the engine's deadline policy.
-
-        A :class:`TaskTimeout` from a backend that reaps is re-raised —
-        the task is lost and the caller restarts the backend.  From a
-        non-reaping backend (threads) it is downgraded to a soft
-        breach: warn-and-journal, then block for the real result.
-        """
-        try:
-            return self.executor.result(handle, timeout=self.task_timeout)
-        except TaskTimeout:
-            if self.executor.reaps_hung_tasks:
-                raise
-            self._note_deadline_miss(phase=phase, index=index)
-            return self.executor.result(handle, None)
-
     def _parallel_tasks(
         self, func, job: MapReduceJob, tasks: Sequence, *, phase: str, split
     ) -> List:
@@ -702,35 +644,25 @@ class MapReduceEngine:
         Tasks run in retry *rounds*: every still-pending task is
         submitted, results are collected, and failures carry into the
         next round until their budget is spent.  A worker death
-        (:class:`WorkerCrash`) or hang (``task_timeout`` on a reaping
-        backend) restarts the backend and charges an attempt to the
-        task it was observed on; the other in-flight tasks are re-run
-        without charge, like Hadoop's re-execution of tasks lost with a
-        dead TaskTracker.
+        (:class:`WorkerCrash`) or hang (``task_timeout``) restarts the
+        backend and charges an attempt to the task it was observed on;
+        the other in-flight tasks are re-run without charge, like
+        Hadoop's re-execution of tasks lost with a dead TaskTracker.
 
-        Telemetry crosses the backend boundary in the right way for
-        each backend.  Out-of-process workers run each task under a
-        fresh child registry and ship back a snapshot that is merged
+        Every dispatched task runs in another process.  When the run
+        collects telemetry, traces or journals, each task runs under a
+        fresh child registry and ships back a snapshot that is merged
         here (plus completed span records, stitched under this engine's
         span tree, and per-task journal heartbeats) — the local
         analogue of Hadoop counters flowing to the job tracker.
-        In-process workers (threads) see the parent's lock-protected
-        registry, span buffer, and journal directly, so only the
-        thread-local trace context and the heartbeat need installing.
         """
         registry = get_registry()
         trace_payload = task_trace_payload()
         journal = get_journal()
-        # ``ship``: wrap tasks so workers return (result, registry
-        # snapshot, spans) for the parent to merge.  ``ambient``: wrap
-        # only to install the thread-local trace + heartbeat.
-        ship = not self.executor.in_process and (
+        ship = (
             registry.enabled
             or trace_payload is not None
             or journal is not None
-        )
-        ambient = self.executor.in_process and (
-            trace_payload is not None or journal is not None
         )
         n_tasks = len(tasks)
         results: Dict[int, List] = {}
@@ -742,14 +674,6 @@ class MapReduceEngine:
                 submitted = {
                     i: self.executor.submit(
                         _run_task_with_telemetry, func, job, tasks[i],
-                        trace_payload, journal, phase,
-                    )
-                    for i in pending
-                }
-            elif ambient:
-                submitted = {
-                    i: self.executor.submit(
-                        _run_task_in_thread, func, job, tasks[i],
                         trace_payload, journal, phase,
                     )
                     for i in pending
@@ -768,8 +692,8 @@ class MapReduceEngine:
                     next_pending.append(i)
                     continue
                 try:
-                    outcome = self._await_result(
-                        submitted[i], phase=phase, index=i
+                    outcome = self.executor.result(
+                        submitted[i], timeout=self.task_timeout
                     )
                 except (WorkerCrash, TaskTimeout) as exc:
                     backend_broken = True

@@ -14,7 +14,6 @@ from repro.mapreduce.executors.base import (
 from repro.mapreduce.executors.local import (
     ProcessPoolTaskExecutor,
     SerialExecutor,
-    ThreadPoolTaskExecutor,
 )
 from repro.mapreduce.executors.shardqueue import ShardQueueExecutor, run_worker
 
@@ -25,7 +24,6 @@ __all__ = [
     "WorkerCrash",
     "make_executor",
     "SerialExecutor",
-    "ThreadPoolTaskExecutor",
     "ProcessPoolTaskExecutor",
     "ShardQueueExecutor",
     "run_worker",

@@ -3,14 +3,11 @@
 The paper ran BAYWATCH on a 13-node Hadoop cluster; the engine's job
 here is the *computation* (map/shuffle/reduce, retries, backoff,
 quarantine) while the executor supplies the *mechanism* — where a task
-runs and how a stuck one is put down.  Four backends implement the
+runs and how a stuck one is put down.  Three backends implement the
 protocol:
 
 - :class:`~repro.mapreduce.executors.local.SerialExecutor` — inline,
   zero dispatch overhead, the debugging default;
-- :class:`~repro.mapreduce.executors.local.ThreadPoolTaskExecutor` —
-  worker threads, the right backend for the batched scipy.fft kernels
-  that release the GIL (``workers=`` inside one process);
 - :class:`~repro.mapreduce.executors.local.ProcessPoolTaskExecutor` —
   worker processes, full isolation, hung workers can be reaped;
 - :class:`~repro.mapreduce.executors.shardqueue.ShardQueueExecutor` —
@@ -19,25 +16,14 @@ protocol:
   filesystem) drain by atomic-rename claims.
 
 The engine speaks to all of them through four calls — :meth:`submit`,
-:meth:`result`, :meth:`restart`, :meth:`close` — plus three traits:
-
-``parallelism``
-    How many tasks can genuinely run at once; 1 keeps the engine on its
-    serial inline path.
-``reaps_hung_tasks``
-    Whether :meth:`restart` actually kills a straggler.  When True, a
-    :class:`TaskTimeout` from :meth:`result` is a *hard* failure (the
-    task is presumed lost; the engine restarts the backend and retries
-    it).  When False (serial, threads — nothing can kill a running
-    Python thread), the engine downgrades the deadline to a *soft*
-    breach: warn, journal a ``task_deadline`` event, and let the task
-    finish.
-``in_process``
-    Whether tasks share the caller's interpreter.  In-process backends
-    see the ambient metrics registry / trace / journal directly, so the
-    engine skips the snapshot-shipping wrapper it uses for process and
-    shard-queue workers (swapping the module-global registry from a
-    worker thread would race the parent's).
+:meth:`result`, :meth:`restart`, :meth:`close` — plus one trait,
+``parallelism``: how many tasks can genuinely run at once.  At 1 (or
+for a phase too small to dispatch) the engine runs tasks inline, where
+nothing can kill a late one, so a missed ``task_timeout`` is a *soft*
+breach: warn and journal a ``task_deadline`` event.  Dispatched tasks
+run in other processes, which :meth:`restart` kills, so there a
+:class:`TaskTimeout` is *hard*: the task is presumed lost, the backend
+restarts, and the task is retried.
 """
 
 from __future__ import annotations
@@ -56,7 +42,6 @@ __all__ = [
 #: accept.
 EXECUTOR_NAMES: Tuple[str, ...] = (
     "serial",
-    "threads",
     "processes",
     "shard-queue",
 )
@@ -65,10 +50,8 @@ EXECUTOR_NAMES: Tuple[str, ...] = (
 class TaskTimeout(Exception):
     """A task missed its ``task_timeout`` deadline.
 
-    From a backend with ``reaps_hung_tasks=True`` this means the task is
-    presumed hung and abandoned (the engine restarts the backend and
-    retries).  From a non-reaping backend it is advisory: the engine
-    journals the breach and keeps waiting.
+    The task is presumed hung and abandoned: the engine restarts the
+    backend (killing it) and retries the task.
     """
 
 
@@ -85,7 +68,7 @@ class WorkerCrash(Exception):
 class TaskExecutor:
     """Base class / protocol for engine task backends.
 
-    Subclasses set the class traits and implement :meth:`submit`,
+    Subclasses set ``name`` and ``parallelism`` and implement :meth:`submit`,
     :meth:`result`, :meth:`restart`, and :meth:`close`.  Handles are
     opaque to the engine — a future, a thunk, a task file name.
     """
@@ -94,10 +77,6 @@ class TaskExecutor:
     name: str = "abstract"
     #: Tasks that can truly run concurrently (1 = serial inline path).
     parallelism: int = 1
-    #: True when :meth:`restart` kills stragglers (hard deadlines).
-    reaps_hung_tasks: bool = False
-    #: True when tasks share the caller's interpreter (ambient telemetry).
-    in_process: bool = True
 
     def submit(self, fn: Callable[..., Any], /, *args: Any) -> Any:
         """Schedule ``fn(*args)``; returns an opaque handle."""
@@ -113,14 +92,12 @@ class TaskExecutor:
         raise NotImplementedError
 
     def restart(self, reason: str) -> None:
-        """Tear the backend down — killing stragglers where the backend
-        can — so the next :meth:`submit` starts clean.
+        """Tear the backend down, killing stragglers, so the next
+        :meth:`submit` starts clean.
 
         This is the *public* kill-children contract: the engine calls it
         on crashes and hard timeouts and may immediately resubmit the
-        surviving work.  Backends that cannot kill (threads) discard the
-        pool and leak the stragglers, which is still safe — they hold no
-        engine state.
+        surviving work.
         """
         raise NotImplementedError
 
@@ -153,7 +130,7 @@ def make_executor(
 ) -> TaskExecutor:
     """Build a backend by name (see :data:`EXECUTOR_NAMES`).
 
-    ``n_workers`` sizes the thread/process pools; for the shard queue it
+    ``n_workers`` sizes the process pool; for the shard queue it
     is the *expected* worker-fleet size (used only for the parallelism
     trait — actual workers are whatever ``repro worker`` processes are
     pointed at the queue).  ``queue_dir``/``claim_ttl``/``poll_interval``
@@ -163,14 +140,11 @@ def make_executor(
     from repro.mapreduce.executors.local import (
         ProcessPoolTaskExecutor,
         SerialExecutor,
-        ThreadPoolTaskExecutor,
     )
     from repro.mapreduce.executors.shardqueue import ShardQueueExecutor
 
     if name == "serial":
         return SerialExecutor()
-    if name == "threads":
-        return ThreadPoolTaskExecutor(n_workers)
     if name == "processes":
         return ProcessPoolTaskExecutor(n_workers)
     if name == "shard-queue":

@@ -1,6 +1,6 @@
-"""Single-host executors: serial, thread pool, process pool.
+"""Single-host executors: serial and process pool.
 
-All three live behind the :class:`~repro.mapreduce.executors.base.TaskExecutor`
+Both live behind the :class:`~repro.mapreduce.executors.base.TaskExecutor`
 protocol so the engine's fault tolerance (retry rounds, backoff,
 quarantine, backend restarts) is identical across them; only the
 dispatch mechanism differs.
@@ -12,7 +12,7 @@ import logging
 import multiprocessing
 import os
 import signal
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Optional, Set
@@ -23,7 +23,6 @@ from repro.utils.validation import require
 __all__ = [
     "ProcessPoolTaskExecutor",
     "SerialExecutor",
-    "ThreadPoolTaskExecutor",
 ]
 
 logger = logging.getLogger(__name__)
@@ -40,8 +39,6 @@ class SerialExecutor(TaskExecutor):
 
     name = "serial"
     parallelism = 1
-    reaps_hung_tasks = False
-    in_process = True
 
     def submit(self, fn: Callable[..., Any], /, *args: Any) -> Any:
         return (fn, args)
@@ -55,67 +52,6 @@ class SerialExecutor(TaskExecutor):
 
     def close(self) -> None:
         pass
-
-
-class ThreadPoolTaskExecutor(TaskExecutor):
-    """A ``ThreadPoolExecutor`` backend for GIL-releasing kernels.
-
-    The batched detection path spends its time inside scipy.fft /
-    numpy linalg calls that drop the GIL, so worker *threads* scale
-    it across cores without pickling jobs or records.  Threads cannot
-    be killed: ``reaps_hung_tasks`` is False, a :class:`TaskTimeout`
-    from :meth:`result` is advisory (the engine warns, journals, and
-    keeps waiting), and :meth:`restart` abandons the old pool — the
-    stragglers finish (or leak) harmlessly on daemon threads.
-    """
-
-    name = "threads"
-    reaps_hung_tasks = False
-    in_process = True
-
-    def __init__(self, n_workers: int = 2) -> None:
-        require(n_workers >= 1, "n_workers must be at least 1")
-        self.parallelism = n_workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _get_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.parallelism,
-                thread_name_prefix="mapreduce-task",
-            )
-        return self._pool
-
-    @property
-    def active(self) -> bool:
-        return self._pool is not None
-
-    def submit(self, fn: Callable[..., Any], /, *args: Any) -> Any:
-        return self._get_pool().submit(fn, *args)
-
-    def result(self, handle: Any, timeout: Optional[float] = None) -> Any:
-        try:
-            return handle.result(timeout=timeout)
-        except FuturesTimeout:
-            raise TaskTimeout(
-                f"thread task still running after {timeout}s"
-            ) from None
-
-    def restart(self, reason: str) -> None:
-        """Discard the pool; running threads cannot be killed and are
-        left to drain (they hold no engine state)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-            logger.warning(
-                "thread pool discarded (%s); running threads cannot be "
-                "reaped and will finish in the background", reason,
-            )
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
 
 
 def _register_worker_pid(pid_queue: Any) -> None:
@@ -137,13 +73,10 @@ class ProcessPoolTaskExecutor(TaskExecutor):
     ``ProcessPoolExecutor`` hook) into a ``multiprocessing.SimpleQueue``
     so :meth:`restart` can put hung workers down without touching the
     pool's private ``_processes`` map.  A crash surfaces as
-    :class:`WorkerCrash`, a missed deadline as :class:`TaskTimeout`;
-    both are hard here (``reaps_hung_tasks=True``).
+    :class:`WorkerCrash`, a missed deadline as :class:`TaskTimeout`.
     """
 
     name = "processes"
-    reaps_hung_tasks = True
-    in_process = False
 
     def __init__(self, n_workers: int = 2) -> None:
         require(n_workers >= 1, "n_workers must be at least 1")

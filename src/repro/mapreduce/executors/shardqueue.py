@@ -90,8 +90,6 @@ class ShardQueueExecutor(TaskExecutor):
     """
 
     name = "shard-queue"
-    reaps_hung_tasks = True
-    in_process = False
 
     def __init__(
         self,

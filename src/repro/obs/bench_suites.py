@@ -13,9 +13,9 @@ Five suites cover the pipeline's cost structure:
   (:mod:`repro.core.batch`) on a seeded 1k-pair workload, with and
   without a warm shared :class:`~repro.core.permutation.ThresholdCache`.
 - ``scalability`` — one batched-FFT detection workload through the
-  MapReduce engine under each local execution backend (serial inline,
-  2- and 4-thread pools, a 2-process pool), pricing dispatch overhead
-  against the GIL-releasing kernels' thread scaling.
+  MapReduce engine under each local execution backend (serial inline
+  and a 2-process pool), pricing dispatch overhead against a second
+  core.
 - ``ingestion`` — the proxy-log fold
   (:func:`repro.sources.columnar.summaries_from_chunks`) at 1x and 4x
   the record count over a fixed pair population; extra records land in
@@ -435,14 +435,10 @@ def build_scalability_suite() -> List[Benchmark]:
     through the MapReduce engine under each executor:
 
     - ``scalability.serial`` — the inline baseline;
-    - ``scalability.threads_2`` / ``scalability.threads_4`` — worker
-      threads.  The batched kernels spend their time in scipy.fft and
-      numpy linalg calls that release the GIL, so threads scale them
-      across cores with zero pickling — the perf-smoke gate requires
-      ``threads_2`` to hold ≥1.5x ``serial`` events/sec on multi-core
-      machines;
     - ``scalability.processes_2`` — the process pool, which pays
-      job/summary pickling per task in exchange for full isolation.
+      job/summary pickling per task in exchange for full isolation and
+      a second core; the perf-smoke gate requires it to hold a floor
+      ratio of ``serial`` events/sec on multi-core machines.
 
     Reports across backends are bit-identical (the parity suite owns
     that guarantee); this suite prices the dispatch mechanisms.  The
@@ -485,8 +481,6 @@ def build_scalability_suite() -> List[Benchmark]:
 
     return [
         bench("serial", "serial", 1),
-        bench("threads_2", "threads", 2),
-        bench("threads_4", "threads", 4),
         bench("processes_2", "processes", 2),
     ]
 

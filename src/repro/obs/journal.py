@@ -18,7 +18,9 @@ Durability and concurrency discipline:
   (with a ``resumed`` marker event) instead of truncating it, so the
   full history of interrupt/resume cycles reads as one stream;
 - :func:`read_events` tolerates a torn trailing line (a writer killed
-  mid-append) by skipping undecodable lines instead of raising.
+  mid-append) by skipping undecodable lines instead of raising, and the
+  next append starts a new line first, so the torn line never swallows
+  the next event.
 
 :class:`EventJournal` is picklable (the fd is reopened lazily per
 process), which is how the MapReduce engine ships it into worker
@@ -115,7 +117,7 @@ class EventJournal:
         if self._fd is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fd = os.open(
-                self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+                self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
             )
         return self._fd
 
@@ -124,7 +126,10 @@ class EventJournal:
 
         The record is serialized to a single line and written with one
         ``os.write`` call on an ``O_APPEND`` descriptor — concurrent
-        appenders (worker processes) cannot tear each other's lines.
+        appenders (worker processes) cannot tear each other's lines.  A
+        file that does not end in a newline (a writer killed mid-append)
+        gets one first, in the same write, so the torn line cannot
+        swallow this record.
         """
         record: Dict[str, Any] = {
             "v": JOURNAL_SCHEMA_VERSION,
@@ -139,7 +144,11 @@ class EventJournal:
                 record[key] = _jsonable(value)
         data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
-            os.write(self._ensure_fd(), data)
+            fd = self._ensure_fd()
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                data = b"\n" + data
+            os.write(fd, data)
         return record
 
     def close(self) -> None:

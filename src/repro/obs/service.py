@@ -30,7 +30,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs.export import to_prometheus
@@ -48,6 +48,22 @@ __all__ = [
 STATUS_SCHEMA_VERSION = 1
 
 
+def _number(record: Dict[str, Any], field: str, kind: Callable) -> Any:
+    """``record[field]`` (default 0) converted by ``kind``.
+
+    A value ``kind`` rejects raises ``ValueError`` naming the event, so
+    readers of a damaged journal report one line, not a traceback.
+    """
+    value = record.get(field, 0)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"journal event {record.get('event')!r} has a non-numeric "
+            f"{field!r}: {value!r}"
+        ) from None
+
+
 def build_status(
     events: List[Dict[str, Any]], *, now: Optional[float] = None
 ) -> Dict[str, Any]:
@@ -58,7 +74,8 @@ def build_status(
     ``shard_finish`` or ``shard_resumed`` event names it, regardless of
     how many runs the journal spans.  Throughput and ETA come from the
     ``shard_finish`` events' pair counts and durations; worker liveness
-    from the newest ``heartbeat`` per worker pid.
+    from the newest ``heartbeat`` per worker pid.  A count or duration
+    that is not a number raises ``ValueError`` naming the event.
     """
     # An empty (or not-yet-created) journal folds to state "waiting":
     # a watcher pointed at a run that has not started yet should see
@@ -93,7 +110,7 @@ def build_status(
         if kind == "run_start":
             status["state"] = "running"
             if record.get("n_shards") is not None:
-                status["shards"]["total"] = int(record["n_shards"])
+                status["shards"]["total"] = _number(record, "n_shards", int)
         elif kind == "resumed":
             status["resumed"] = True
         elif kind == "shard_start":
@@ -107,13 +124,12 @@ def build_status(
                 "resumed" if kind == "shard_resumed" else "done"
             )
             if kind == "shard_finish":
-                pairs = int(record.get("pairs", 0))
+                pairs = _number(record, "pairs", int)
                 status["pairs"]["processed"] += pairs
-                status["pairs"]["detected"] += int(record.get("detected", 0))
-                seconds = record.get("seconds")
-                if seconds is not None:
+                status["pairs"]["detected"] += _number(record, "detected", int)
+                if record.get("seconds") is not None:
                     finish_pairs += pairs
-                    finish_seconds += float(seconds)
+                    finish_seconds += _number(record, "seconds", float)
                     finish_count += 1
         elif kind == "heartbeat":
             worker = str(record.get("worker", record.get("pid")))

@@ -11,8 +11,10 @@ phase, a detector step — as a context manager:
 Spans nest: the inner span above is recorded under the dotted path
 ``pipeline.run.step1_global_whitelist``, so the run report's latency
 table shows both the whole and its parts.  Nesting is tracked per
-thread; worker processes start their own stacks and their measurements
-flow back through registry snapshots (see :mod:`repro.obs.registry`).
+thread; worker processes start their own stacks (a forked worker drops
+the stack it inherited), so a dispatched task's spans record paths
+rooted at ``task.map`` / ``task.reduce``, and their measurements flow
+back through registry snapshots (see :mod:`repro.obs.registry`).
 
 Each completed span observes its wall-clock duration into the current
 registry's histogram ``span.<path>.seconds``.  With ``trace_memory=True``
@@ -100,6 +102,21 @@ def _id_stack() -> List[Optional[str]]:
     if stack is None:
         stack = _stack.ids = []
     return stack
+
+
+def _forget_inherited_spans() -> None:
+    """Start a forked child with an empty span stack.
+
+    The child never closes the spans its parent had open at fork time.
+    Kept, they would parent every span a forked worker opens under the
+    span that was open when its pool started, instead of under the
+    ``parent_span_id`` shipped with each task.
+    """
+    _stack.names = []
+    _stack.ids = []
+
+
+os.register_at_fork(after_in_child=_forget_inherited_spans)
 
 
 def current_span_path() -> str:

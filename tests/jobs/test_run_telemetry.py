@@ -144,6 +144,40 @@ class TestInterruptResumeJournal:
         assert status["state"] == "finished"
         assert status["shards"]["done"] == status["shards"]["total"]
 
+    def test_resume_over_a_torn_last_line_keeps_every_event(
+        self, enterprise, pipeline_config, tmp_path
+    ):
+        import shutil
+
+        records, _truth = enterprise
+        ckpt, clean = tmp_path / "ckpt", tmp_path / "clean"
+        with pytest.raises(IncompleteRunError):
+            engine_pipeline(pipeline_config).run_records(
+                records, shard_size=5, checkpoint_dir=str(ckpt),
+                max_shards=2, run_id="cycle1",
+            )
+        shutil.copytree(ckpt, clean)
+        # A writer killed mid-append leaves a torn last line.
+        with (ckpt / JOURNAL_FILE).open("a", encoding="utf-8") as handle:
+            handle.write('{"v": 1, "event": "shard_fin')
+        for directory in (clean, ckpt):
+            engine_pipeline(pipeline_config).run_records(
+                records, shard_size=5, checkpoint_dir=str(directory),
+                resume=True, run_id="cycle2",
+            )
+
+        def resumed_run(directory):
+            return [
+                event["event"]
+                for event in read_events(directory / JOURNAL_FILE)
+                if event.get("run_id") == "cycle2"
+            ]
+
+        assert resumed_run(ckpt) == resumed_run(clean)
+        assert resumed_run(ckpt)[-1] == "run_finish"
+        status = build_status(read_events(ckpt / JOURNAL_FILE))
+        assert status["state"] == "finished"
+
     def test_resume_journals_cache_load(
         self, enterprise, pipeline_config, tmp_path
     ):
@@ -205,6 +239,42 @@ class TestDistributedTrace:
         text = render_trace_tree(spans)
         assert "trace01" in text
         assert "detect" in text
+
+    def test_worker_spans_sit_under_the_shard_that_dispatched_them(
+        self, enterprise, pipeline_config
+    ):
+        records, _truth = enterprise
+        engine = MapReduceEngine(n_workers=2, min_parallel_records=1)
+        registry = MetricsRegistry()
+        with scoped_registry(registry), engine:
+            engine_pipeline(pipeline_config, engine).run_records(
+                records, shard_size=5
+            )
+        spans = pending_spans(registry)
+        by_id = {record.span_id: record for record in spans}
+        shards = [record for record in spans if record.name == "shard"]
+        tasks = [record for record in spans if record.name.startswith("task.")]
+        assert len(shards) >= 2 and tasks
+
+        def ancestors(record):
+            while record.parent_id in by_id:
+                record = by_id[record.parent_id]
+                yield record.span_id
+
+        owners = set()
+        for task in tasks:
+            # Shards run one after another, so the shard whose wall
+            # clock window holds the task's start dispatched it.
+            (dispatcher,) = [
+                shard for shard in shards
+                if shard.start <= task.start <= shard.start + shard.seconds
+            ]
+            assert dispatcher.span_id in set(ancestors(task)), task
+            owners.add(dispatcher.span_id)
+            assert task.path == task.name
+            phase = task.name.split(".")[1]
+            assert by_id[task.parent_id].name == phase
+        assert owners == {shard.span_id for shard in shards}
 
     def test_unexported_runs_leave_no_records_behind(
         self, enterprise, pipeline_config, tmp_path

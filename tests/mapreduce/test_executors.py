@@ -1,9 +1,9 @@
 """Unit tests for the pluggable execution backends.
 
 The engine-level fault matrix lives in ``test_faults.py``; these tests
-pin the :class:`TaskExecutor` contract itself — traits, construction,
-the soft/hard deadline split, and the public kill-children guarantee of
-:meth:`ProcessPoolTaskExecutor.restart`.
+pin the :class:`TaskExecutor` contract itself — parallelism,
+construction, the soft/hard deadline split, and the public
+kill-children guarantee of :meth:`ProcessPoolTaskExecutor.restart`.
 """
 
 import os
@@ -19,7 +19,6 @@ from repro.mapreduce.executors import (
     ShardQueueExecutor,
     TaskExecutor,
     TaskTimeout,
-    ThreadPoolTaskExecutor,
     WorkerCrash,
     make_executor,
 )
@@ -41,7 +40,6 @@ class TestMakeExecutor:
         "name,cls",
         [
             ("serial", SerialExecutor),
-            ("threads", ThreadPoolTaskExecutor),
             ("processes", ProcessPoolTaskExecutor),
             ("shard-queue", ShardQueueExecutor),
         ],
@@ -58,23 +56,10 @@ class TestMakeExecutor:
 
     def test_workers_size_the_parallelism_trait(self):
         assert make_executor("serial").parallelism == 1
-        assert make_executor("threads", n_workers=3).parallelism == 3
-        assert make_executor("processes", n_workers=2).parallelism == 2
+        assert make_executor("processes", n_workers=3).parallelism == 3
         # The shard queue's fleet is external; at least 2 keeps the
         # engine off the serial path even for a lone local worker.
         assert make_executor("shard-queue", n_workers=1).parallelism == 2
-
-    def test_trait_table(self):
-        reaps = {n: make_executor(n).reaps_hung_tasks for n in EXECUTOR_NAMES}
-        in_proc = {n: make_executor(n).in_process for n in EXECUTOR_NAMES}
-        assert reaps == {
-            "serial": False, "threads": False,
-            "processes": True, "shard-queue": True,
-        }
-        assert in_proc == {
-            "serial": True, "threads": True,
-            "processes": False, "shard-queue": False,
-        }
 
 
 class TestEngineConstruction:
@@ -86,8 +71,9 @@ class TestEngineConstruction:
             assert engine.executor.name == "processes"
 
     def test_string_executor_resolved(self):
-        with MapReduceEngine(n_workers=2, executor="threads") as engine:
-            assert isinstance(engine.executor, ThreadPoolTaskExecutor)
+        # The name wins over the n_workers mapping (1 means serial).
+        with MapReduceEngine(n_workers=1, executor="processes") as engine:
+            assert isinstance(engine.executor, ProcessPoolTaskExecutor)
 
     def test_executor_parallelism_raises_worker_floor(self):
         with MapReduceEngine(executor="shard-queue") as engine:
@@ -105,31 +91,6 @@ class TestSerialExecutor:
         assert executor.result(handle) == 42
         assert not executor.active
         executor.restart("noop")
-        executor.close()
-
-
-class TestThreadExecutor:
-    def test_runs_and_reports_active(self):
-        with ThreadPoolTaskExecutor(2) as executor:
-            assert not executor.active
-            handles = [executor.submit(_double, n) for n in range(5)]
-            assert [executor.result(h) for h in handles] == [0, 2, 4, 6, 8]
-            assert executor.active
-
-    def test_deadline_is_soft(self):
-        with ThreadPoolTaskExecutor(1) as executor:
-            handle = executor.submit(_sleep_return, 0.3, "late")
-            with pytest.raises(TaskTimeout):
-                executor.result(handle, timeout=0.02)
-            # The task was never killed: a patient await still wins.
-            assert executor.result(handle, None) == "late"
-
-    def test_restart_discards_pool_without_killing(self):
-        executor = ThreadPoolTaskExecutor(1)
-        executor.submit(_double, 1)
-        executor.restart("test")
-        assert not executor.active
-        assert executor.result(executor.submit(_double, 2)) == 4
         executor.close()
 
 
@@ -175,10 +136,10 @@ class TestProcessExecutor:
 
 
 class TestSoftDeadlineEngine:
-    """serial/threads: a breached ``task_timeout`` warns and journals
-    instead of silently passing (or killing anything)."""
+    """serial: a breached ``task_timeout`` warns and journals instead of
+    silently passing (nothing inline can be killed)."""
 
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_breach_is_counted_and_journalled(
         self, executor, tmp_path, caplog
     ):

@@ -218,7 +218,7 @@ class TestBackoff:
         engine.run(PoisonPillJob(marker, fail_in="reduce"), INPUTS)
 
 
-EXECUTORS = ["serial", "threads", "processes", "shard-queue"]
+EXECUTORS = ["serial", "processes", "shard-queue"]
 
 
 @contextmanager
@@ -275,9 +275,9 @@ class TestFaultMatrix:
                 WorkerKillerJob(marker, kill_times=1), PARALLEL_INPUTS
             )
         assert len(output) == len(PARALLEL_INPUTS)
-        if executor in ("serial", "threads"):
+        if executor == "serial":
             # The kill guard refuses to fire in the coordinator's own
-            # process; in-process backends see a clean run.
+            # process; the inline backend sees a clean run.
             assert engine.last_stats.pool_restarts == 0
         elif executor == "processes":
             # A dead pool worker forces a backend restart.
@@ -290,7 +290,7 @@ class TestFaultMatrix:
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_hanging_task(self, executor, marker, tmp_path):
-        hard = executor in ("processes", "shard-queue")
+        hard = executor != "serial"
         with _engine_for(
             executor,
             tmp_path,
@@ -307,14 +307,14 @@ class TestFaultMatrix:
             )
         assert len(output) == len(PARALLEL_INPUTS)
         if hard:
-            # Reaping backends treat the deadline as fatal: restart,
+            # Dispatched tasks treat the deadline as fatal: restart,
             # then retry the lost task.
             assert engine.last_stats.task_timeouts >= 1
             assert engine.last_stats.pool_restarts >= 1
             assert engine.last_stats.task_deadline_misses == 0
         else:
-            # Non-reaping backends warn-and-journal, then wait the
-            # straggler out — nothing is killed or charged.
+            # Inline tasks warn-and-journal, then keep the straggler's
+            # result — nothing is killed or charged.
             assert engine.last_stats.task_deadline_misses >= 1
             assert engine.last_stats.pool_restarts == 0
             assert engine.last_stats.task_timeouts == 0

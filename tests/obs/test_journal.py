@@ -5,11 +5,18 @@ import os
 import pickle
 import subprocess
 import sys
+import urllib.error
+import urllib.request
 
+import pytest
+
+from repro.cli import main
 from repro.obs import (
     JOURNAL_FILE,
     JOURNAL_SCHEMA_VERSION,
     EventJournal,
+    JournalSchemaError,
+    StatusServer,
     get_journal,
     journal_emit,
     read_events,
@@ -82,6 +89,11 @@ class TestTornLines:
         assert [event["event"] for event in events] == [
             "run_start", "shard_finish",
         ]
+        # The next append starts a new line instead of joining it.
+        journal.append("shard_finish", shard=1)
+        assert [event.get("shard") for event in journal.events()] == [
+            None, 0, 1,
+        ]
 
     def test_blank_and_garbage_lines_are_skipped(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -92,6 +104,74 @@ class TestTornLines:
         events = read_events(path)
         assert len(events) == 1
         assert events[0]["event"] == "ok"
+
+
+def _journal_lines(tmp_path, *lines):
+    """A journal directory whose events.jsonl holds ``lines`` verbatim."""
+    (tmp_path / JOURNAL_FILE).write_text(
+        "".join(line + "\n" for line in lines), encoding="utf-8"
+    )
+    return tmp_path
+
+
+RUN_START = '{"v": 1, "event": "run_start", "run_id": "dmg", "n_shards": 2}'
+SHARD_0 = '{"v": 1, "event": "shard_finish", "shard": 0, "pairs": 8}'
+RUN_FINISH = '{"v": 1, "event": "run_finish"}'
+
+
+class TestDamagedJournal:
+    """``repro watch`` over each kind of damage: skip it or say one line."""
+
+    @pytest.mark.parametrize(
+        "damage", ["garbage {{{", "[1, 2]"], ids=["garbage", "not-an-object"]
+    )
+    def test_undecodable_or_non_object_line_is_skipped(
+        self, tmp_path, capsys, damage
+    ):
+        journal = _journal_lines(
+            tmp_path, RUN_START, damage, SHARD_0, RUN_FINISH
+        )
+        assert len(read_events(journal / JOURNAL_FILE)) == 3
+        assert main(["watch", str(journal), "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "[finished]" in out and "8 processed" in out
+
+    def test_newer_schema_is_refused(self, tmp_path, capsys):
+        journal = _journal_lines(
+            tmp_path, RUN_START, '{"v": 99, "event": "shard_start"}'
+        )
+        with pytest.raises(JournalSchemaError, match="schema v99"):
+            read_events(journal / JOURNAL_FILE)
+        assert main(["watch", str(journal), "--once"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read status: journal")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "line,field",
+        [
+            ('{"event": "shard_finish", "shard": 0, "pairs": null}', "pairs"),
+            ('{"event": "run_start", "n_shards": [1]}', "n_shards"),
+        ],
+        ids=["null-pairs", "list-n_shards"],
+    )
+    def test_wrong_typed_field_is_one_line(
+        self, tmp_path, capsys, line, field
+    ):
+        journal = _journal_lines(tmp_path, RUN_START, line)
+        assert main(["watch", str(journal), "--once"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read status: journal event")
+        assert f"non-numeric {field!r}" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        path = journal / JOURNAL_FILE
+        with StatusServer(journal_path=path, port=0) as server:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(server.url + "/status", timeout=10)
+        assert excinfo.value.code == 500
+        body = excinfo.value.read().decode("utf-8")
+        assert body == "error: " + err.split("cannot read status: ", 1)[1]
 
 
 class TestPickling:

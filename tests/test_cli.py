@@ -311,6 +311,111 @@ class TestHostileLogs:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["run", "pipeline", "report"])
+    @pytest.mark.parametrize(
+        "missing", [True, False], ids=["missing-file", "directory"]
+    )
+    def test_unreadable_input(self, tmp_path, capsys, command, missing):
+        path = tmp_path / "absent.tsv" if missing else tmp_path
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
+BAD_OPTIONS = {  # name: (command and options, start of the error line)
+    "max-shards-without-checkpoint": (
+        ["run", "--max-shards", "2"], "max_shards without checkpoint_dir",
+    ),
+    "zero-shard-size": (
+        ["run", "--shard-size", "0"], "shard_size must be at least 1",
+    ),
+    "zero-workers": (
+        ["run", "--workers", "0"], "n_workers must be at least 1",
+    ),
+    "negative-task-timeout": (
+        ["run", "--task-timeout", "-1"], "task_timeout must be positive",
+    ),
+    "negative-max-retries": (
+        ["run", "--max-retries", "-1"], "max_retries must be non-negative",
+    ),
+    "negative-retry-backoff": (
+        ["run", "--retry-backoff", "-1"], "retry_backoff must be non-negative",
+    ),
+    "port-out-of-range": (
+        ["run", "--status-port", "70000", "--telemetry", "{tmp}/tel"],
+        "--status-port 70000: ",
+    ),
+    "zero-claim-ttl": (
+        ["run", "--executor", "shard-queue", "--checkpoint-dir", "{tmp}/q",
+         "--claim-ttl", "0"],
+        "claim_ttl must be positive",
+    ),
+    "resume-without-checkpoint": (
+        ["run", "--resume"], "resume without checkpoint_dir",
+    ),
+    "negative-top": (["run", "--top", "-1"], "--top must be non-negative"),
+    "pipeline-negative-top": (
+        ["pipeline", "--top", "-1"], "--top must be non-negative",
+    ),
+    "report-negative-max-cases": (
+        ["report", "--max-cases", "-1"], "--max-cases must be non-negative",
+    ),
+    "percentile-above-one": (
+        ["run", "--percentile", "2"], "ranking_percentile must be in",
+    ),
+    "provenance-sample-above-one": (
+        ["run", "--provenance", "{tmp}/p", "--provenance-sample", "2"],
+        "--provenance-sample: ",
+    ),
+    "report-telemetry-is-a-file": (
+        ["report", "--telemetry", "{log}"], "--telemetry target",
+    ),
+    "negative-max-shards": (
+        ["run", "--checkpoint-dir", "{tmp}/c", "--max-shards", "-1"],
+        "max_shards must be non-negative",
+    ),
+    "detect-zero-time-scale": (
+        ["detect", "--time-scale", "0"], "time_scale must be > 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPTIONS))
+def test_bad_option_is_one_line_before_the_run(tmp_path, capsys, case):
+    argv, message = BAD_OPTIONS[case]
+    log = tmp_path / "log.tsv"
+    log.write_text(tsv(GOOD))
+    argv = [arg.format(tmp=tmp_path, log=log) for arg in argv]
+    assert main(argv[:1] + [str(log)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (None, "cannot read "),
+        ("60\n120\nsoon\n", "timestamp 'soon' is not a finite number"),
+        ("60\nnan\n180\n", "timestamp 'nan' is not a finite number"),
+    ],
+    ids=["missing-file", "non-numeric", "nan"],
+)
+def test_bad_detect_input_is_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "ts.txt"
+    if text is not None:
+        path.write_text(text)
+    assert main(["detect", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
 
 class TestRun:
     def test_sharded_run_end_to_end(self, trace_path, tmp_path, capsys):
@@ -461,15 +566,6 @@ class TestRun:
         ])
         assert code == 0
 
-    def test_run_with_threads_executor(self, trace_path, capsys):
-        out, _truth = trace_path
-        code = main([
-            "run", str(out), "--executor", "threads", "--workers", "2",
-            "--shard-size", "8", "--percentile", "0.5",
-        ])
-        assert code == 0
-        assert "periodicity detection" in capsys.readouterr().out
-
     def test_shard_queue_requires_checkpoint_dir(self, trace_path, capsys):
         out, _truth = trace_path
         code = main(["run", str(out), "--executor", "shard-queue"])
@@ -478,8 +574,10 @@ class TestRun:
 
     def test_unknown_executor_rejected(self, trace_path, capsys):
         out, _truth = trace_path
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["run", str(out), "--executor", "mainframe"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'mainframe'" in capsys.readouterr().err
 
 
 class TestWorker:

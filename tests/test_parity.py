@@ -2,8 +2,8 @@
 
 The same synthetic enterprise trace runs through every execution mode
 of :class:`BaywatchPipeline` — in-process detection, a serial engine, a
-2-worker engine, threads, the shard queue, and an interrupt-and-resume
-sharded run — and must produce *identical* :class:`PipelineReport`
+2-worker engine, the shard queue, and an interrupt-and-resume sharded
+run — and must produce *identical* :class:`PipelineReport`
 contents: ranked cases, detected cases, funnel rows, population, and
 quarantine list.  Where detection executes is a mechanism, never an
 input: any divergence shows up here as a report mismatch.
@@ -96,16 +96,6 @@ def test_serial_runner_matches_pipeline(records, scorer, pipeline_report):
 
 def test_two_worker_engine_matches_pipeline(records, scorer, pipeline_report):
     with MapReduceEngine(**WORKERS) as engine:
-        engine_report = engine_pipeline(
-            PipelineConfig(**CONFIG), engine, scorer=scorer
-        ).run_records(records)
-    assert report_signature(engine_report) == report_signature(pipeline_report)
-
-
-def test_thread_engine_matches_pipeline(records, scorer, pipeline_report):
-    # Worker threads instead of worker processes: same stage graph, no
-    # pickling, still bit-identical output.
-    with MapReduceEngine(executor="threads", **WORKERS) as engine:
         engine_report = engine_pipeline(
             PipelineConfig(**CONFIG), engine, scorer=scorer
         ).run_records(records)
