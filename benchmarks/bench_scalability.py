@@ -12,22 +12,28 @@ the pipeline with periodicity detection on the MapReduce engine: a
 pairs, plus the parallel-engine behaviour that stands in for the
 cluster.
 
-The executor-dispatch side of this experiment is promoted into the CI
-bench harness as ``repro bench --suite scalability``
-(:func:`repro.obs.bench_suites.build_scalability_suite`): one batched
-detection workload priced under serial / processes, gated in
-perf-smoke against ``BENCH_scalability.json``.  This module keeps the
-paper-facing pairs-vs-runtime experiment; the suite owns the
-backend-vs-backend numbers.
+The cluster's premise, that another worker adds throughput, is gated
+here too: one 512-pair batched detection job (warm shared threshold
+cache, GMM screen off) runs on the engine inline and on a 2-process
+pool, and on hosts with two or more usable cores the pool must at
+least match the inline path.  A 1-core host prints the ratio and
+skips the assertion.
 """
 
+import os
+import statistics
 import time
 
+import numpy as np
 import pytest
 
 from benchmarks.common import ExperimentReport, check
 from benchmarks.workloads import DAY, IMPLANT_MIXES, pipeline_config, simulate_window
+from repro.core.detector import DetectorConfig
+from repro.core.permutation import ThresholdCache
+from repro.core.timeseries import ActivitySummary
 from repro.filtering import BaywatchPipeline
+from repro.jobs.detection import BeaconingDetectionJob
 from repro.mapreduce import MapReduceEngine
 
 
@@ -123,3 +129,111 @@ def test_scalability_parallel_consistency(benchmark, workloads):
     assert {c.destination for c in serial.detected_cases} == {
         c.destination for c in parallel.detected_cases
     }
+
+
+def _detection_workload(n_pairs, *, beacon_fraction=0.05, seed=42):
+    """Seeded enterprise-shaped pair set: mostly noise, a few beacons.
+
+    Beacon periods span 60-600 s with 3% jitter over one day; noise
+    pairs are sparse uniform traffic.
+    """
+    rng = np.random.default_rng(seed)
+    summaries = []
+    for index in range(n_pairs):
+        if rng.random() < beacon_fraction:
+            period = float(rng.uniform(60.0, 600.0))
+            count = int(DAY / period)
+            ts = np.cumsum(rng.normal(period, period * 0.03, size=count))
+            ts = ts[(ts > 0) & (ts < DAY)]
+        else:
+            ts = np.sort(
+                rng.uniform(0, DAY, size=int(rng.integers(5, 120)))
+            )
+        summaries.append(
+            ActivitySummary.from_timestamps(
+                f"host-{index}", f"dest-{index % 37}", ts, time_scale=30.0
+            )
+        )
+    return summaries
+
+
+def _threshold_grid(summaries, config):
+    """The ``(n_slots, n_ones)`` grid a workload's detection will probe.
+
+    Walks each pair's scale ladder as ``PeriodicityDetector`` does and
+    estimates the binned shape per rung; an estimate only has to land
+    in the right bucket, and any miss fills lazily.
+    """
+    grid = set()
+    for summary in summaries:
+        ts = np.asarray(summary.timestamps())
+        if ts.size < 4 or ts[-1] == ts[0]:
+            continue
+        duration = float(ts[-1] - ts[0])
+        scale = summary.time_scale
+        for _ in range(config.max_scales):
+            n_slots = int(np.floor(duration / scale)) + 1
+            if n_slots < config.min_slots:
+                break
+            grid.add((n_slots, int(min(ts.size, n_slots))))
+            scale *= config.scale_factor
+    return grid
+
+
+def _usable_cores():
+    """Cores this process may run on (its CPU affinity where known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _processes_vs_serial():
+    """``processes_2`` over ``serial`` throughput on one detection job.
+
+    Each arm runs one warmup and three timed runs; the ratio is of the
+    arms' mean seconds.
+    """
+    summaries = _detection_workload(512)
+    config = DetectorConfig(seed=0, use_gmm=False)
+    warm_cache = ThresholdCache()
+    warm_cache.precompute(_threshold_grid(summaries, config))
+    job = BeaconingDetectionJob(
+        config, use_threshold_cache=True, threshold_cache=warm_cache
+    )
+    inputs = [(summary.pair, summary) for summary in summaries]
+
+    def mean_seconds(executor, n_workers):
+        with MapReduceEngine(
+            n_workers=n_workers, executor=executor, min_parallel_records=64
+        ) as engine:
+            engine.run(job, inputs)
+            samples = []
+            for _ in range(3):
+                start = time.perf_counter()
+                engine.run(job, inputs)
+                samples.append(time.perf_counter() - start)
+        return statistics.fmean(samples)
+
+    serial = mean_seconds("serial", 1)
+    return serial / mean_seconds("processes", 2)
+
+
+def test_process_pool_keeps_pace_with_serial(benchmark, capsys):
+    """Two worker processes at least match inline detection.
+
+    The 1.0x floor sits below every ratio measured on a shared 2-CPU
+    VM (1.07x-2.25x over 28 runs of this workload).
+    """
+    ratio = benchmark.pedantic(_processes_vs_serial, rounds=1, iterations=1)
+    cores = _usable_cores()
+    with capsys.disabled():
+        print(f"\nprocesses_2 vs serial throughput: {ratio:.2f}x "
+              f"on {cores} usable core(s)")
+        if cores < 2:
+            print("process-scaling assertion skipped: a second worker "
+                  "process has no second core to run on")
+    if cores >= 2:
+        assert ratio >= 1.0, (
+            f"process backend below the 1.0x floor on {cores} cores: "
+            f"{ratio:.2f}x"
+        )

@@ -4,24 +4,55 @@ Every bench regenerates one table or figure of the paper's evaluation
 (see DESIGN.md section 4).  Results are printed to the terminal and
 appended to ``benchmarks/results/<experiment>.txt`` so EXPERIMENTS.md
 can be cross-checked against a fresh run.  ``finish()`` also writes
-``benchmarks/results/<experiment>.json`` — the same fingerprinted
-envelope as the ``BENCH_*.json`` perf reports (see
-:mod:`repro.obs.bench`), so both trajectories are machine-readable with
-one set of tooling; call :meth:`ExperimentReport.metric` to record the
-numbers worth tracking across runs.
+``benchmarks/results/<experiment>.json``, an envelope stamped with
+:func:`host_fingerprint` so runs from different machines and commits
+say where they came from; call :meth:`ExperimentReport.metric` to
+record the numbers worth tracking across runs.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import platform
+import subprocess
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.obs.bench import SCHEMA_VERSION, host_fingerprint
+#: Version of the ``benchmarks/results/*.json`` layout.
+SCHEMA_VERSION = 1
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+
+def git_sha() -> Optional[str]:
+    """The current git commit SHA, or None outside a work tree."""
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=False,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    sha = proc.stdout.strip()
+    return sha if proc.returncode == 0 and sha else None
+
+
+def host_fingerprint() -> Dict[str, Any]:
+    """Where and on what a result was produced (for comparability)."""
+    return {
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "node": platform.node(),
+        "git_sha": git_sha(),
+    }
 
 
 class ExperimentReport:

@@ -10,11 +10,11 @@ The subcommands cover the operational surface:
 - ``report``   — run the pipeline and emit an analyst report,
 - ``stats``    — render a run report from saved telemetry,
 - ``trace``    — render a distributed trace tree / export Chrome JSON,
+- ``worker``   — drain shard-queue tasks from a run's checkpoint directory,
 - ``watch``    — watch a run's live status (journal or HTTP),
 - ``explain``  — show one pair's verdict chain from saved provenance,
 - ``audit``    — per-stage drop/near-miss analytics from saved provenance,
-- ``diff-runs`` — verdict-level drift between two provenance stores,
-- ``bench``    — run benchmark suites / gate against a baseline.
+- ``diff-runs`` — verdict-level drift between two provenance stores.
 
 ``pipeline`` and ``run`` accept ``--provenance <dir>`` (with
 ``--provenance-sample``) to record per-pair decision provenance —
@@ -37,12 +37,10 @@ HTTP service.
 
 ``pipeline`` and ``report`` accept ``--telemetry <dir>`` to collect
 per-stage metrics and write ``report.txt`` / ``metrics.jsonl`` /
-``metrics.prom`` (see ``docs/OBSERVABILITY.md``).  ``bench`` writes
-``BENCH_<suite>.json`` perf reports and, with ``--compare``, renders a
-baseline/candidate delta table and exits non-zero on regressions beyond
-``--tolerance``.  ``-v`` turns on INFO logging, ``-vv`` DEBUG.  A bad
-argument, an input that cannot be opened, or a malformed log ends the
-command with one ``error:`` line on stderr and exit code 2.
+``metrics.prom`` (see ``docs/OBSERVABILITY.md``).  ``-v`` turns on
+INFO logging, ``-vv`` DEBUG.  A bad argument, an input that cannot be
+opened, or a malformed log ends the command with one ``error:`` line
+on stderr and exit code 2.
 
 Run ``python -m repro <command> --help`` for the options.
 """
@@ -52,6 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -382,42 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit the diff as JSON instead of text",
     )
 
-    bench = sub.add_parser(
-        "bench", help="run perf benchmark suites / compare two reports"
-    )
-    bench.add_argument(
-        "--suite", default="micro", metavar="NAME",
-        help="suite to run: micro, pipeline, ingestion, detection_batch, "
-             "scalability, or 'all' (default: micro)",
-    )
-    bench.add_argument("--repeats", type=int, default=5,
-                       help="timed iterations per benchmark (default 5)")
-    bench.add_argument("--warmup", type=int, default=1,
-                       help="untimed warmup iterations (default 1)")
-    bench.add_argument(
-        "--output-dir", type=Path, default=Path("."), metavar="DIR",
-        help="where BENCH_<suite>.json is written (default: cwd)",
-    )
-    bench.add_argument(
-        "--no-memory", action="store_true",
-        help="skip the tracemalloc peak-allocation probe",
-    )
-    bench.add_argument(
-        "--profile", choices=["cprofile", "tracemalloc"], default=None,
-        help="run one extra profiled iteration per benchmark and attach "
-             "top-N hotspots to the report",
-    )
-    bench.add_argument(
-        "--compare", nargs=2, metavar=("BASELINE", "CANDIDATE"),
-        type=Path, default=None,
-        help="compare two BENCH_*.json files instead of running suites; "
-             "exits 1 on regressions beyond --tolerance",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.10,
-        help="fractional mean-time regression allowed before --compare "
-             "fails (default 0.10)",
-    )
     return parser
 
 
@@ -440,12 +403,15 @@ def _run_instrumented(
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = EnterpriseConfig(
-        n_hosts=args.hosts,
-        n_sites=args.sites,
-        duration=args.hours * 3600.0,
-        seed=args.seed,
-    )
+    try:
+        config = EnterpriseConfig(
+            n_hosts=args.hosts,
+            n_sites=args.sites,
+            duration=args.hours * 3600.0,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     records, truth = EnterpriseSimulator(config).generate()
     count = write_log(records, args.output,
                       compress=args.output.suffix == ".gz")
@@ -789,6 +755,10 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             "give the journal path (events.jsonl or its directory) or "
             "--url of a --status-port service"
         )
+    if not 0 < args.interval < math.inf:
+        raise _UsageError(
+            f"--interval must be finite and positive, got {args.interval}"
+        )
 
     def snapshot() -> dict:
         if args.url is not None:
@@ -880,66 +850,17 @@ def _cmd_diff_runs(args: argparse.Namespace) -> int:
     return 1 if diff["changed"] or diff["only_a"] or diff["only_b"] else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs.bench import (
-        BenchReport,
-        BenchRunner,
-        compare_reports,
-        render_bench_report,
-        render_comparison,
-    )
-
-    if args.compare is not None:
-        reports = []
-        for path in args.compare:
-            try:
-                reports.append(BenchReport.load(path))
-            except (OSError, ValueError, KeyError) as exc:
-                print(f"cannot read bench report {path}: {exc}",
-                      file=sys.stderr)
-                return 1
-        try:
-            comparison = compare_reports(
-                reports[0], reports[1], tolerance=args.tolerance
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(render_comparison(comparison), end="")
-        return 0 if comparison.ok else 1
-
-    from repro.obs.bench_suites import build_suite, suite_names
-
-    names = suite_names() if args.suite == "all" else [args.suite]
-    try:
-        runner = BenchRunner(
-            repeats=args.repeats,
-            warmup=args.warmup,
-            trace_memory=not args.no_memory,
-            profile=args.profile,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for name in names:
-        try:
-            benchmarks = build_suite(name)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 1
-        logger.info("running bench suite %r (%d benchmarks)",
-                    name, len(benchmarks))
-        report = runner.run(name, benchmarks)
-        print(render_bench_report(report), end="")
-        path = report.write(args.output_dir)
-        print(f"wrote {path}")
-    return 0
-
-
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.mapreduce.executors import run_worker
+    from repro.mapreduce.executors.shardqueue import (
+        check_poll_interval,
+        run_worker,
+    )
     from repro.obs.journal import EventJournal
 
+    try:
+        check_poll_interval(args.poll_interval)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     queue_dir = args.checkpoint_dir / "queue"
     journal = EventJournal.in_dir(str(args.checkpoint_dir))
     print(f"worker {os.getpid()} draining {queue_dir}")
@@ -974,7 +895,6 @@ _COMMANDS = {
     "explain": _cmd_explain,
     "audit": _cmd_audit,
     "diff-runs": _cmd_diff_runs,
-    "bench": _cmd_bench,
 }
 
 _LOG_LEVELS = {0: logging.WARNING, 1: logging.INFO}

@@ -33,6 +33,7 @@ that nothing ever reads — harmless, and cleared on :meth:`close`.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import pickle
 import threading
@@ -43,7 +44,7 @@ from repro.mapreduce.executors.base import TaskExecutor, TaskTimeout, WorkerCras
 from repro.obs import journal_emit
 from repro.utils.validation import require
 
-__all__ = ["ShardQueueExecutor", "run_worker"]
+__all__ = ["ShardQueueExecutor", "check_poll_interval", "run_worker"]
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +54,18 @@ CLAIMS_DIR = "claims"
 RESULTS_DIR = "results"
 #: Sentinel file telling idle workers to exit.
 STOP_FILE = "stop"
+
+
+def check_poll_interval(poll_interval: float) -> None:
+    """Raise ``ValueError`` unless ``poll_interval`` is finite and positive.
+
+    Zero would busy-poll an idle queue; a negative, NaN or infinite
+    value would end the first idle wait in ``time.sleep``'s error.
+    """
+    require(
+        0 < poll_interval < math.inf,
+        f"poll_interval must be finite and positive, got {poll_interval!r}",
+    )
 
 
 def _write_atomic(path: str, payload: bytes) -> None:
@@ -102,7 +115,7 @@ class ShardQueueExecutor(TaskExecutor):
     ) -> None:
         require(parallelism >= 1, "parallelism must be at least 1")
         require(claim_ttl > 0, "claim_ttl must be positive")
-        require(poll_interval > 0, "poll_interval must be positive")
+        check_poll_interval(poll_interval)
         self.parallelism = parallelism
         self.claim_ttl = claim_ttl
         self.poll_interval = poll_interval
@@ -309,6 +322,7 @@ def run_worker(
     ``worker_task`` pickups; per-task heartbeats ride inside the
     payload when the coordinating engine has a journal active.
     """
+    check_poll_interval(poll_interval)
     queue_dir = str(queue_dir)
     stop_path = os.path.join(queue_dir, STOP_FILE)
     lease_interval = max(claim_ttl / 4.0, 0.01)

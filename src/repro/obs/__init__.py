@@ -20,10 +20,7 @@ spent.  This package gives the reproduction the same visibility:
   (``/status``, ``/metrics``, ``/events``) behind ``repro run
   --status-port`` and ``repro watch``;
 - :mod:`repro.obs.profiling` — span-level cProfile/tracemalloc hotspot
-  collection (``span(..., profile=...)`` or ``REPRO_PROFILE``);
-- :mod:`repro.obs.bench` / :mod:`repro.obs.bench_suites` — the
-  machine-readable benchmark harness behind ``repro bench``:
-  ``BENCH_<suite>.json`` reports and the regression gate.
+  collection (``span(..., profile=...)`` or ``REPRO_PROFILE``).
 
 Telemetry is **off by default** and free when off: the active registry
 is a shared no-op unless ``REPRO_TELEMETRY=1`` is set or a caller

@@ -14,9 +14,8 @@ or blanket-enable via the ``REPRO_PROFILE`` environment variable
 (``cprofile`` or ``tracemalloc``; ``REPRO_PROFILE_TOPN`` bounds the
 hotspot list, default 10).  Completed profiles accumulate in a small
 module-level store that :func:`repro.obs.export.write_telemetry` drains
-into ``profiles.jsonl`` in the telemetry directory; ``repro stats
---profile`` renders them, and ``repro bench --profile`` uses the same
-collectors for a per-benchmark hotspot pass.
+into ``profiles.jsonl`` in the telemetry directory, and ``repro stats
+--profile`` renders them.
 
 cProfile cannot nest (enabling a second profiler on a thread raises),
 so with blanket profiling only the *outermost* span of each thread
@@ -61,7 +60,7 @@ _cprofile_active = threading.local()
 
 @dataclass(frozen=True)
 class SpanProfile:
-    """Top-N hotspots collected while one span (or benchmark) ran.
+    """Top-N hotspots collected while one span ran.
 
     ``hotspots`` entries are plain dicts so the profile serializes as-is:
     cProfile rows carry ``site``/``calls``/``tottime``/``cumtime``,

@@ -98,6 +98,7 @@ class EnterpriseConfig:
         require(self.n_hosts >= 1, "n_hosts must be at least 1")
         require(self.n_sites >= 1, "n_sites must be at least 1")
         require_positive(self.duration, "duration")
+        require(np.isfinite(self.duration), "duration must be finite")
         require(1 <= self.sites_per_host[0] <= self.sites_per_host[1],
                 "sites_per_host must be an increasing positive range")
         require_positive(self.zipf_exponent, "zipf_exponent")

@@ -149,6 +149,14 @@ class TestQueueProtocol:
         assert run_worker(queue, poll_interval=0.01, idle_exit=0.1) == 0
         assert time.monotonic() - start < 5.0
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
+    def test_poll_interval_must_be_finite_and_positive(self, queue, interval):
+        message = "poll_interval must be finite and positive"
+        with pytest.raises(ValueError, match=message):
+            ShardQueueExecutor(queue, poll_interval=interval)
+        with pytest.raises(ValueError, match=message):
+            run_worker(queue, poll_interval=interval, idle_exit=0.0)
+
 
 INPUTS = ([("ok", 1), (POISON_KEY, 2), ("fine", 3), ("more", 4)]) * 30
 

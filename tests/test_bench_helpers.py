@@ -6,6 +6,7 @@ from benchmarks.common import (
     ExperimentReport,
     ascii_series,
     check,
+    host_fingerprint,
     relative_error,
 )
 
@@ -20,6 +21,14 @@ class TestRelativeError:
     def test_computation(self):
         assert relative_error(110.0, 100.0) == pytest.approx(0.1)
         assert relative_error(90.0, 100.0) == pytest.approx(0.1)
+
+
+class TestHostFingerprint:
+    def test_has_identifying_fields(self):
+        fp = host_fingerprint()
+        assert fp["python"]
+        assert fp["platform"]
+        assert "git_sha" in fp
 
 
 class TestAsciiSeries:

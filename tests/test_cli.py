@@ -171,70 +171,6 @@ class TestTelemetry:
         assert "% hits" in report
 
 
-class TestBench:
-    def test_micro_suite_writes_report(self, tmp_path, capsys):
-        code = main([
-            "bench", "--suite", "micro", "--repeats", "1", "--warmup", "0",
-            "--no-memory", "--output-dir", str(tmp_path),
-        ])
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "bench suite 'micro'" in text
-        assert "wrote" in text
-        payload = json.loads((tmp_path / "BENCH_micro.json").read_text())
-        assert payload["suite"] == "micro"
-        assert payload["schema"] == 1
-        assert payload["fingerprint"]["python"]
-        names = [entry["name"] for entry in payload["results"]]
-        assert "periodogram.power_spectrum" in names
-        for entry in payload["results"]:
-            assert entry["seconds"]["mean"] > 0
-            assert entry["events_per_second"] > 0
-
-    def test_unknown_suite_fails_one_liner(self, tmp_path, capsys):
-        assert main(["bench", "--suite", "nope",
-                     "--output-dir", str(tmp_path)]) == 1
-        assert "unknown bench suite" in capsys.readouterr().err
-
-    def test_compare_pass_and_fail(self, tmp_path, capsys):
-        from repro.obs.bench import BenchReport, BenchResult
-
-        def report(mean):
-            return BenchReport(
-                suite="micro", created=1.0, fingerprint={}, config={},
-                results=[BenchResult(
-                    name="a", repeats=1, warmup=0, events=1,
-                    seconds={"mean": mean, "min": mean, "max": mean,
-                             "total": mean, "p50": mean, "p95": mean},
-                    samples=[mean], events_per_second=1 / mean,
-                )],
-            )
-
-        base = tmp_path / "BENCH_base.json"
-        base.write_text(json.dumps(report(1.0).to_dict()))
-        fast = tmp_path / "BENCH_fast.json"
-        fast.write_text(json.dumps(report(0.9).to_dict()))
-        slow = tmp_path / "BENCH_slow.json"
-        slow.write_text(json.dumps(report(2.0).to_dict()))
-
-        assert main(["bench", "--compare", str(base), str(fast)]) == 0
-        assert "OK" in capsys.readouterr().out
-
-        assert main(["bench", "--compare", str(base), str(slow)]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-        # A generous tolerance lets the same pair pass.
-        assert main(["bench", "--compare", str(base), str(slow),
-                     "--tolerance", "1.5"]) == 0
-
-    def test_compare_unreadable_file_fails_one_liner(self, tmp_path, capsys):
-        good = tmp_path / "BENCH_good.json"
-        good.write_text(json.dumps({"suite": "x", "results": []}))
-        assert main(["bench", "--compare", str(tmp_path / "none.json"),
-                     str(good)]) == 1
-        assert "cannot read bench report" in capsys.readouterr().err
-
-
 class TestScore:
     def test_scores_and_flags(self, capsys):
         assert main(["score", "google.com", "xqzjwkvbblrwpq.com"]) == 0
@@ -379,6 +315,26 @@ BAD_OPTIONS = {  # name: (command and options, start of the error line)
     "detect-zero-time-scale": (
         ["detect", "--time-scale", "0"], "time_scale must be > 0",
     ),
+    "simulate-zero-hosts": (
+        ["simulate", "--hosts", "0"], "n_hosts must be at least 1",
+    ),
+    "simulate-zero-sites": (
+        ["simulate", "--sites", "0"], "n_sites must be at least 1",
+    ),
+    "simulate-negative-hours": (
+        ["simulate", "--hours", "-1"], "duration must be > 0",
+    ),
+    "simulate-infinite-hours": (
+        ["simulate", "--hours", "inf"], "duration must be finite",
+    ),
+    "watch-negative-interval": (
+        ["watch", "--interval", "-1"],
+        "--interval must be finite and positive",
+    ),
+    "watch-nan-interval": (
+        ["watch", "--interval", "nan"],
+        "--interval must be finite and positive",
+    ),
 }
 
 
@@ -394,6 +350,22 @@ def test_bad_option_is_one_line_before_the_run(tmp_path, capsys, case):
     assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("interval", ["0", "-1", "inf"])
+def test_bad_worker_poll_interval_is_one_line(tmp_path, capsys, interval):
+    ckpt = tmp_path / "ckpt"
+    assert main([
+        "worker", "--checkpoint-dir", str(ckpt),
+        "--poll-interval", interval, "--idle-exit", "0",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: poll_interval must be finite and positive, "
+        f"got {float(interval)!r}\n"
+    )
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize(
