@@ -197,9 +197,7 @@ def _processes_vs_serial():
     config = DetectorConfig(seed=0, use_gmm=False)
     warm_cache = ThresholdCache()
     warm_cache.precompute(_threshold_grid(summaries, config))
-    job = BeaconingDetectionJob(
-        config, use_threshold_cache=True, threshold_cache=warm_cache
-    )
+    job = BeaconingDetectionJob(config, threshold_cache=warm_cache)
     inputs = [(summary.pair, summary) for summary in summaries]
 
     def mean_seconds(executor, n_workers):

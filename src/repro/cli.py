@@ -74,7 +74,9 @@ from repro.obs import (
 )
 from repro.synthetic.enterprise import EnterpriseConfig, EnterpriseSimulator
 from repro.sources.columnar import read_log_chunks
-from repro.sources.proxy import LogFormatError, parse_timestamp, write_log
+from repro.sources.proxy import (
+    LogFormatError, has_label, parse_timestamp, write_log,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -642,6 +644,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    for domain in args.domains:
+        if not has_label(domain):
+            raise _UsageError(f"domain {domain!r} has no label")
     scorer = default_scorer()
     for domain, value in scorer.score_many(args.domains):
         marker = "SUSPICIOUS" if scorer.is_suspicious(domain) else ""

@@ -77,7 +77,6 @@ class PipelineConfig:
     ranking_weights: RankingWeights = field(default_factory=RankingWeights)
     time_scale: float = 1.0
     min_events: int = 4
-    use_threshold_cache: bool = True
     aggregate_entities: bool = False
     #: Decision-provenance sampling policy.  None (the default) keeps
     #: every per-pair verdict path disabled at zero overhead; a
@@ -267,9 +266,7 @@ class BaywatchPipeline:
         # One cache for every run: in-process detection warms it,
         # engine runs ship it to their workers and persist it next to
         # the shard checkpoints.
-        self.threshold_cache = (
-            ThresholdCache() if self.config.use_threshold_cache else None
-        )
+        self.threshold_cache = ThresholdCache()
         self.detector = PeriodicityDetector(
             self.config.detector, threshold_cache=self.threshold_cache
         )

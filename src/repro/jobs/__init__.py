@@ -13,14 +13,16 @@ from repro.jobs.checkpoint import CheckpointMismatch, CheckpointStore
 from repro.jobs.detection import BeaconingDetectionJob
 from repro.jobs.runner import IncompleteRunError
 from repro.jobs.summary_store import (
-    SummaryPacker,
+    CorruptFrameError,
+    StoreLayoutError,
     SummaryStore,
     pack_summaries,
     unpack_summaries,
 )
 
 __all__ = [
-    "SummaryPacker",
+    "CorruptFrameError",
+    "StoreLayoutError",
     "SummaryStore",
     "pack_summaries",
     "unpack_summaries",

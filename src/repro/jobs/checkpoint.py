@@ -88,24 +88,15 @@ def summary_to_dict(summary: ActivitySummary) -> Dict[str, Any]:
 
 
 def summary_from_dict(payload: Dict[str, Any]) -> ActivitySummary:
-    """Inverse of :func:`summary_to_dict`.
-
-    Accepts both encodings: packed ``intervals_f8`` and the legacy
-    ``intervals`` float list, so checkpoints written before the packed
-    codec resume unchanged.
-    """
-    if "intervals_f8" in payload:
-        intervals: Any = np.frombuffer(
-            base64.b64decode(payload["intervals_f8"]), dtype="<f8"
-        )
-    else:
-        intervals = tuple(payload["intervals"])
+    """Inverse of :func:`summary_to_dict`."""
     return ActivitySummary(
         source=payload["source"],
         destination=payload["destination"],
         time_scale=payload["time_scale"],
         first_timestamp=payload["first_timestamp"],
-        intervals=intervals,
+        intervals=np.frombuffer(
+            base64.b64decode(payload["intervals_f8"]), dtype="<f8"
+        ),
         urls=tuple(payload["urls"]),
     )
 

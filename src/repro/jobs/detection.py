@@ -32,7 +32,8 @@ class BeaconingDetectionJob(MapReduceJob):
     :class:`~repro.core.permutation.ThresholdCache` to every worker
     (the job is pickled into worker processes, cache included) so
     workers start from shared warm buckets instead of each re-deriving
-    every bucket from scratch.  The reduce phase runs all pairs of a
+    every bucket from scratch; without one, each process starts a cold
+    cache of its own.  The reduce phase runs all pairs of a
     partition through :class:`~repro.core.batch.BatchedDetector`,
     amortizing FFT/ACF dispatch across them.
     """
@@ -42,18 +43,14 @@ class BeaconingDetectionJob(MapReduceJob):
         detector_config: Optional[DetectorConfig] = None,
         *,
         min_events: int = 4,
-        use_threshold_cache: bool = True,
         threshold_cache: Optional[ThresholdCache] = None,
-        n_partitions: int = 32,
         provenance_policy: Optional[ProvenancePolicy] = None,
         provenance_pairs: FrozenSet[Tuple[str, str]] = frozenset(),
     ) -> None:
         require(min_events >= 2, "min_events must be at least 2")
         self.detector_config = detector_config or DetectorConfig(seed=0)
         self.min_events = min_events
-        self.use_threshold_cache = use_threshold_cache
         self.threshold_cache = threshold_cache
-        self.n_partitions = n_partitions
         #: When set, non-periodic results the provenance policy wants
         #: (sampled pairs, detection near-misses, and the explicitly
         #: requested ``provenance_pairs``) are also emitted, so the
@@ -83,15 +80,10 @@ class BeaconingDetectionJob(MapReduceJob):
     def _get_detector(self) -> PeriodicityDetector:
         """Build the detector lazily (once per worker process)."""
         if self._detector is None:
-            cache: Optional[ThresholdCache] = None
-            if self.use_threshold_cache:
-                cache = (
-                    self.threshold_cache
-                    if self.threshold_cache is not None
-                    else ThresholdCache()
-                )
+            cache = self.threshold_cache
             self._detector = PeriodicityDetector(
-                self.detector_config, threshold_cache=cache
+                self.detector_config,
+                threshold_cache=ThresholdCache() if cache is None else cache,
             )
         return self._detector
 

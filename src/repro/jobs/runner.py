@@ -283,7 +283,7 @@ class _ShardedDetection:
         """
         cache = self._pipeline.threshold_cache
         path = store.threshold_cache_path
-        if cache is None or not path.exists():
+        if not path.exists():
             return
         try:
             loaded = cache.load(path)
@@ -306,7 +306,7 @@ class _ShardedDetection:
         run accumulated.
         """
         cache = self._pipeline.threshold_cache
-        if cache is None or len(cache) == 0:
+        if len(cache) == 0:
             return
         cache.save(store.threshold_cache_path)
         registry.counter("detector.threshold_cache.persisted").inc()
@@ -334,7 +334,6 @@ class _ShardedDetection:
         job = factory(
             config.detector,
             min_events=config.min_events,
-            use_threshold_cache=config.use_threshold_cache,
             threshold_cache=pipeline.threshold_cache,
             **kwargs,
         )

@@ -6,38 +6,59 @@ into ActivitySummaries, every later analysis — the weekly and monthly
 passes, re-ranking with new whitelists, retrospective hunts — reads the
 summaries, never the raw logs.
 
-:class:`SummaryStore` provides that layer on top of
-:class:`~repro.mapreduce.PartitionedStore`: append per-window summaries
-tagged by day, then load any trailing window rescaled and merged per
-pair, without touching raw records again.
-
-Day shards persist as **packed frames**: each ``append_day`` writes one
-columnar frame per partition (parallel float/offset arrays, UTF-8
-string blobs and a per-frame dictionary of distinct URLs) instead of
-one pickle per summary, which is both smaller and faster to decode.
-Reads decode frames straight into
+:class:`SummaryStore` keeps one file per day, ``day-NNNNN`` under its
+root, and each ``append_day`` call adds one **packed frame** to it: the
+``BAYPACK1`` magic, the payload's length, then a columnar payload
+(parallel float/offset arrays, UTF-8 string blobs and a per-frame
+dictionary of distinct URLs).  Reads decode frames straight into
 :class:`~repro.core.timeseries.SummaryColumns`, checking every section
 on the way, so a window loads as one set of columns and merges in one
-:func:`~repro.core.timeseries.merge_rescaled` call.  The read path is
-format agnostic: version-1 frames (URLs stored in full) and days
-written as pickles by older versions, alone or mixed with newer frames,
-load unchanged.
+:func:`~repro.core.timeseries.merge_rescaled` call.  A frame that
+cannot be read raises :class:`CorruptFrameError` naming the day file
+and the frame; a day that older versions stored as a directory of
+partition files raises :class:`StoreLayoutError` naming it.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 import struct
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.core.timeseries import ActivitySummary, SummaryColumns, merge_rescaled
-from repro.mapreduce.store import CorruptFrameError, PartitionedStore, RecordPacker
 from repro.obs import get_registry, span
 from repro.utils.validation import require, require_positive
+
+
+class CorruptFrameError(ValueError):
+    """A frame of a day file that cannot be decoded.
+
+    Raised unlocated by the payload decoder and re-raised by the store
+    with :meth:`at`, so the message names the file and the frame.
+    """
+
+    def at(self, path: Path, frame: int) -> "CorruptFrameError":
+        """This error, located at frame ``frame`` of ``path``."""
+        return CorruptFrameError(f"{path}, frame {frame}: {self}")
+
+
+class StoreLayoutError(ValueError):
+    """A day stored as a directory of partition files by older versions."""
+
+
+def _partitioned(path: Path) -> StoreLayoutError:
+    return StoreLayoutError(
+        f"{path} is a directory of partition files, the layout of older "
+        f"versions of the summary store; remove it and re-ingest the day "
+        f"from its raw logs"
+    )
 
 
 def _encode_strings(values: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
@@ -50,13 +71,17 @@ def _encode_strings(values: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
     return offsets, blob
 
 
-#: Packed-payload headers by codec version: the version, the summary
-#: and interval counts, and (version 2) the size of the frame's URL
-#: dictionary.  Every later section length follows from these and the
-#: offset arrays that precede each blob, so a payload parses in one
-#: forward sweep of zero-copy ``np.frombuffer`` views.
+#: Frame header in a day file: this magic, then the payload's length.
+PACKED_MAGIC = b"BAYPACK1"
+_LENGTH = struct.Struct("<Q")
+
+#: Packed-payload header: the version, the summary and interval counts,
+#: and the size of the frame's URL dictionary.  Every later section
+#: length follows from these and the offset arrays that precede each
+#: blob, so a payload parses in one forward sweep of zero-copy
+#: ``np.frombuffer`` views.
 _VERSION = struct.Struct("<H")
-_HEADERS = {1: struct.Struct("<HQQ"), 2: struct.Struct("<HQQQ")}
+_HEADER = struct.Struct("<HQQQ")
 PACK_VERSION = 2
 
 
@@ -84,7 +109,7 @@ def pack_summaries(summaries: Sequence[ActivitySummary]) -> bytes:
         *_encode_strings(columns.url_table),
         columns.url_ids.astype("<u4"),
     ]
-    header = _HEADERS[PACK_VERSION].pack(
+    header = _HEADER.pack(
         PACK_VERSION, len(columns), len(columns.intervals),
         len(columns.url_table),
     )
@@ -102,20 +127,20 @@ class _FrameReader:
         self.payload = payload
         self.cursor = 0
 
-    def header(self) -> Tuple[int, ...]:
+    def header(self) -> Tuple[int, int, int]:
+        """The summary, interval and URL-dictionary counts."""
         if len(self.payload) < _VERSION.size:
             raise CorruptFrameError("payload too short for a version field")
         (version,) = _VERSION.unpack_from(self.payload, 0)
-        layout = _HEADERS.get(version)
-        if layout is None:
+        if version != PACK_VERSION:
             raise CorruptFrameError(
                 f"packed summary payload has version {version}; this "
-                f"program reads versions {sorted(_HEADERS)}"
+                f"program reads version {PACK_VERSION} only"
             )
-        if len(self.payload) < layout.size:
+        if len(self.payload) < _HEADER.size:
             raise CorruptFrameError(f"truncated version-{version} header")
-        self.cursor = layout.size
-        return layout.unpack_from(self.payload, 0)
+        self.cursor = _HEADER.size
+        return _HEADER.unpack_from(self.payload, 0)[1:]
 
     def take(self, dtype: np.dtype, count: int, what: str) -> np.ndarray:
         size = dtype.itemsize * count
@@ -171,7 +196,7 @@ def _parse_frame(payload: Buffer) -> _Frame:
     the rest, once for any number of frames.
     """
     reader = _FrameReader(payload)
-    version, rows, n_intervals, *table = reader.header()
+    rows, n_intervals, n_table = reader.header()
     time_scale = reader.take(_F8, rows, "time scales")
     first_timestamp = reader.take(_F8, rows, "first timestamps")
     interval_offsets = reader.offsets(rows, "interval offsets", n_intervals)
@@ -180,17 +205,13 @@ def _parse_frame(payload: Buffer) -> _Frame:
     n_urls = int(url_offsets[-1])
     sources = reader.strings(rows, "sources")
     destinations = reader.strings(rows, "destinations")
-    if version == 1:
-        urls = reader.strings(n_urls, "URLs")
-        url_ids = np.arange(n_urls)
-    else:
-        urls = reader.strings(table[0], "URL dictionary")
-        url_ids = reader.take(_U4, n_urls, "URL ids")
-        if n_urls and int(url_ids.max()) >= table[0]:
-            raise CorruptFrameError(
-                f"URL id {int(url_ids.max())} is outside the "
-                f"{table[0]}-entry URL dictionary"
-            )
+    urls = reader.strings(n_table, "URL dictionary")
+    url_ids = reader.take(_U4, n_urls, "URL ids")
+    if n_urls and int(url_ids.max()) >= n_table:
+        raise CorruptFrameError(
+            f"URL id {int(url_ids.max())} is outside the "
+            f"{n_table}-entry URL dictionary"
+        )
     if reader.cursor != len(payload):
         raise CorruptFrameError(
             f"{len(payload) - reader.cursor} bytes follow the last section"
@@ -277,52 +298,61 @@ def _columns(frames: Sequence[_Frame]) -> SummaryColumns:
 
 
 def decode_frame(payload: Buffer) -> SummaryColumns:
-    """One packed payload (any version) -> its columns, checked.
+    """One packed payload -> its columns, checked.
 
     Every section must fit the payload, offset arrays must start at 0,
     never decrease and end at their section's size, URL ids must index
     the URL dictionary, time scales must be positive and finite, first
     timestamps finite, intervals finite and non-negative, strings UTF-8,
-    and the payload must be consumed exactly.  Anything else raises
-    :class:`~repro.mapreduce.store.CorruptFrameError`.  Version-1
-    frames store every URL in full; they decode with identity ids.
+    and the payload must be consumed exactly.  Anything else, a version
+    other than :data:`PACK_VERSION` included, raises
+    :class:`CorruptFrameError`.
     """
     return _columns([_parse_frame(payload)])
 
 
 def unpack_summaries(payload: Buffer) -> List[ActivitySummary]:
-    """Inverse of :func:`pack_summaries` (reads version-1 payloads too)."""
+    """Inverse of :func:`pack_summaries`."""
     return decode_frame(payload).summaries()
 
 
-class SummaryPacker(RecordPacker):
-    """Packed-array codec for :class:`ActivitySummary` partitions."""
+def _payloads(path: Path, data: bytes) -> Iterator[memoryview]:
+    """The frames of day file ``path``, holding ``data``, as payload views.
 
-    def pack(self, records: List[ActivitySummary]) -> bytes:
-        return pack_summaries(records)
-
-    def unpack(self, payload: bytes) -> List[ActivitySummary]:
-        return unpack_summaries(payload)
+    Bytes that do not start with :data:`PACKED_MAGIC` (a pickle record
+    among them) and a frame cut off in the file raise
+    :class:`CorruptFrameError` naming the file and the frame.
+    """
+    view = memoryview(data)
+    magic = len(PACKED_MAGIC)
+    cursor = index = 0
+    while cursor < len(data):
+        if not PACKED_MAGIC.startswith(data[cursor:cursor + magic]):
+            raise CorruptFrameError(
+                f"no frame magic at byte {cursor}"
+            ).at(path, index)
+        start = cursor + magic + _LENGTH.size
+        if start > len(data):
+            raise CorruptFrameError("truncated frame header").at(path, index)
+        (length,) = _LENGTH.unpack_from(data, cursor + magic)
+        if start + length > len(data):
+            raise CorruptFrameError(
+                f"frame of {length} bytes truncated to {len(data) - start}"
+            ).at(path, index)
+        yield view[start:start + length]
+        cursor = start + length
+        index += 1
 
 
 class SummaryStore:
     """Day-indexed persistent storage of per-pair activity summaries."""
 
-    def __init__(self, root: Union[str, Path], *, n_partitions: int = 32) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.n_partitions = n_partitions
-        self._packer = SummaryPacker()
 
     def _day_path(self, day: int) -> Path:
         return self.root / f"day-{day:05d}"
-
-    def _day_store(self, day: int) -> PartitionedStore:
-        return PartitionedStore(
-            self._day_path(day),
-            n_partitions=self.n_partitions,
-            packer=self._packer,
-        )
 
     # -- writing ---------------------------------------------------------------
 
@@ -333,28 +363,43 @@ class SummaryStore:
         *,
         replace: bool = False,
     ) -> int:
-        """Persist one day's summaries; returns the count written.
+        """Persist one day's summaries as one frame; returns the count.
 
-        ``replace=True`` clears the day first, making the call
-        idempotent — the mode a checkpointed/resumed extraction must
-        use, since blindly re-appending an already-ingested day would
-        double every interval count in later analyses.
+        ``replace=True`` makes the frame the day's only one, the mode a
+        checkpointed/resumed extraction must use, since blindly
+        re-appending an already-ingested day would double every
+        interval count in later analyses.  The new file is written
+        under a temporary name and renamed into place, so a failure at
+        any point, in ``summaries`` included, leaves the old day or the
+        new one.  An empty ``summaries`` still writes a frame: the day
+        counts as ingested.
         """
         require(day >= 0, "day must be non-negative")
-        store = self._day_store(day)
+        path = self._day_path(day)
+        if path.is_dir():
+            raise _partitioned(path)
+        rows = list(summaries)
+        payload = pack_summaries(rows)
+        frame = PACKED_MAGIC + _LENGTH.pack(len(payload)) + payload
         if replace:
-            store.clear()
-        return store.write(list(summaries), key_of=lambda s: s.pair)
+            staging = path.with_name(path.name + ".tmp")
+            staging.write_bytes(frame)
+            os.replace(staging, path)
+        else:
+            with path.open("ab") as handle:
+                handle.write(frame)
+        return len(rows)
 
     # -- reading ---------------------------------------------------------------
 
     def has_day(self, day: int) -> bool:
         """True when summaries for ``day`` were already ingested.
 
-        A direct path probe: O(1) however many days the store holds.
-        (The previous implementation listed and parsed every day
-        directory, so a resume loop probing each day of a long archive
-        paid O(days²) in aggregate.)
+        A direct path probe: O(1) however many days the store holds, so
+        a resume loop probing each day of a long archive stays linear.
+        A day in the partitioned layout of older versions counts: it is
+        refused when read or appended to, never re-ingested beside
+        itself.
         """
         return self._day_path(day).exists()
 
@@ -369,55 +414,47 @@ class SummaryStore:
         return out
 
     def _read(self, days: Sequence[int]) -> SummaryColumns:
-        """Every row of ``days``, checked, in day, partition and frame order.
+        """Every row of ``days``, checked, in day and frame order.
 
         Days the store does not hold are skipped, never created.  Counts
         the frames, rows and bytes read.  A damaged frame raises
-        :class:`~repro.mapreduce.store.CorruptFrameError` naming its
-        partition file and index.
+        :class:`CorruptFrameError` naming its day file and index, and a
+        day in the partitioned layout :class:`StoreLayoutError`.
         """
-        days = [day for day in days if self.has_day(day)]
         frames: List[_Frame] = []
-        frame_days: List[int] = []
-        n_frames = size = 0
+        located: List[Tuple[int, int]] = []  # each frame's day and index
+        size = 0
         for day in days:
-            store = self._day_store(day)
-            pickled: List[ActivitySummary] = []
-            for partition in range(self.n_partitions):
-                for packed, item, nbytes in store.frames(
-                    partition, _parse_frame
-                ):
-                    n_frames += 1
-                    size += nbytes
-                    if not packed:
-                        pickled.append(item)
-                        continue
-                    if pickled:
-                        # Older days hold one pickle per summary.
-                        frames.append(_parse_frame(pack_summaries(pickled)))
-                        frame_days.append(day)
-                        pickled = []
-                    frames.append(item)
-                    frame_days.append(day)
-            if pickled:
-                frames.append(_parse_frame(pack_summaries(pickled)))
-                frame_days.append(day)
+            path = self._day_path(day)
+            try:
+                data = path.read_bytes()
+            except FileNotFoundError:
+                continue
+            except IsADirectoryError:
+                raise _partitioned(path) from None
+            size += len(data)
+            for index, payload in enumerate(_payloads(path, data)):
+                try:
+                    frames.append(_parse_frame(payload))
+                except CorruptFrameError as exc:
+                    raise exc.at(path, index) from None
+                located.append((day, index))
         try:
             columns = _columns(frames)
         except CorruptFrameError:
-            # Name the damaged frame: decode every frame on its own.
-            for day in days:
-                store = self._day_store(day)
-                for partition in range(self.n_partitions):
-                    for _frame in store.frames(partition, decode_frame):
-                        pass
+            # Name the damaged frame: check every frame on its own.
+            for frame, (day, index) in zip(frames, located):
+                try:
+                    _columns([frame])
+                except CorruptFrameError as exc:
+                    raise exc.at(self._day_path(day), index) from None
             raise
         registry = get_registry()
-        registry.counter("summary_store.frames_read").inc(n_frames)
+        registry.counter("summary_store.frames_read").inc(len(frames))
         registry.counter("summary_store.rows_read").inc(len(columns))
         registry.counter("summary_store.bytes_read").inc(size)
         return replace(columns, days=np.repeat(
-            np.array(frame_days, dtype=np.int64),
+            np.array([day for day, _index in located], dtype=np.int64),
             [len(frame.time_scale) for frame in frames],
         ))
 
@@ -440,7 +477,7 @@ class SummaryStore:
         stored scale.  A row stored coarser than ``time_scale``, or with
         ``None`` a pair stored at two scales, raises ``ValueError``
         naming the pair, the day and both scales, and a damaged frame
-        raises :class:`~repro.mapreduce.store.CorruptFrameError`.  See
+        raises :class:`CorruptFrameError`.  See
         :func:`~repro.core.timeseries.merge_rescaled`.
         """
         require_positive(window_days, "window_days")
@@ -477,7 +514,8 @@ class SummaryStore:
             self._remove_day(day)
 
     def _remove_day(self, day: int) -> None:
-        # The whole directory goes: has_day() and days() read its
-        # presence, so an emptied day left behind would still count as
-        # ingested.
-        shutil.rmtree(self._day_path(day))
+        path = self._day_path(day)
+        if path.is_dir():  # the partitioned layout of older versions
+            shutil.rmtree(path)
+        else:
+            path.unlink()

@@ -3,9 +3,10 @@
 Same programming model — modular jobs with hash-partitioned shuffles —
 executed behind a pluggable :class:`TaskExecutor` (serial inline, a
 process pool, or a multi-host shard queue drained by ``repro worker``
-processes), plus a partitioned on-disk store standing in for HDFS.  Process and
-shard-queue workers receive their task inputs pickled, as the paper's
-Hadoop tasks receive serialized records.
+processes).  Process and shard-queue workers receive their task inputs
+pickled, as the paper's Hadoop tasks receive serialized records.  The
+HDFS stand-in that keeps extracted summaries between runs is
+:class:`repro.jobs.SummaryStore`.
 """
 
 from repro.mapreduce.job import KeyValue, MapReduceJob, stable_hash
@@ -21,7 +22,6 @@ from repro.mapreduce.executors import (
     make_executor,
     run_worker,
 )
-from repro.mapreduce.store import CorruptFrameError, PartitionedStore
 
 __all__ = [
     "KeyValue",
@@ -39,6 +39,4 @@ __all__ = [
     "SerialExecutor",
     "ProcessPoolTaskExecutor",
     "ShardQueueExecutor",
-    "CorruptFrameError",
-    "PartitionedStore",
 ]

@@ -40,7 +40,9 @@ import gzip
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -49,6 +51,7 @@ from repro.sources.proxy import (
     STATUS_BOUND,
     PairConfig,
     ProxyLogRecord,
+    has_label,
     slot_column,
 )
 from repro.utils.validation import require, require_positive
@@ -110,7 +113,11 @@ class StringTable:
             self._values.append(value)
         return ident
 
-    def intern_column(self, values: Sequence[str]) -> np.ndarray:
+    def intern_column(
+        self,
+        values: Sequence[str],
+        accept: Optional[Callable[[str], bool]] = None,
+    ) -> np.ndarray:
         """Intern a materialized column; returns its ids as ``i4``.
 
         The column is hashed, not sorted or copied into a numpy string
@@ -119,9 +126,14 @@ class StringTable:
         row's id.  Only the new values are sorted — a 64k-row batch of
         the TSV parser typically adds a few hundred endpoints — and ids
         depend on the columns a table has seen, not on the row order
-        within a column.
+        within a column.  ``accept`` sees each new value once; when it
+        rejects one, :class:`ValueError` is raised with the table
+        untouched.
         """
-        for value in sorted(set(values).difference(self._ids)):
+        new = sorted(set(values).difference(self._ids))
+        if accept is not None and not all(map(accept, new)):
+            raise ValueError("the column holds a value the table refuses")
+        for value in new:
             self.intern(value)
         return np.fromiter(
             map(self._ids.__getitem__, values),
@@ -239,11 +251,12 @@ def read_log_chunks(
     by column into one structured array, with endpoint/URL strings
     interned as they are first seen; no :class:`ProxyLogRecord` is
     built.  A batch with blank lines is split again line by line,
-    skipping them.  A batch with a line without exactly seven fields or
-    a field that is not a number is parsed again with
-    :meth:`ProxyLogRecord.from_line`, which raises
+    skipping them.  A batch with a line without exactly seven fields, a
+    field that is not a number or a destination without a label is
+    parsed again with :meth:`ProxyLogRecord.from_line`, which raises
     :class:`~repro.sources.proxy.LogFormatError` naming the first bad
-    line.
+    line.  Each distinct destination is checked once, when the stream's
+    tables first intern it.
     """
     require_positive(chunk_size, "chunk_size")
     path = Path(path)
@@ -322,10 +335,11 @@ def _fields_per_line(lines: List[str]) -> Optional[List[str]]:
 def _chunk_from_fields(fields: List[str], tables: ColumnTables) -> RecordChunk:
     """A chunk from :func:`_batch_fields` output.
 
-    The numeric columns convert first, so a :class:`ValueError` from a
-    field that is not a number or a status out of the int32 column's
-    range, or an :class:`OverflowError` from a byte count beyond int64,
-    leaves ``tables`` untouched.
+    The numeric columns convert and the destinations intern first, so a
+    :class:`ValueError` from a field that is not a number, a status out
+    of the int32 column's range or a destination without a label, or an
+    :class:`OverflowError` from a byte count beyond int64, leaves
+    ``tables`` untouched.
     """
     data = np.empty(len(fields) // _STRIDE, dtype=CHUNK_DTYPE)
     data["timestamp"] = np.array(fields[0::_STRIDE], dtype=np.float64)
@@ -336,9 +350,10 @@ def _chunk_from_fields(fields: List[str], tables: ColumnTables) -> RecordChunk:
         raise ValueError("status out of range")
     data["status"] = status
     data["bytes_sent"] = np.array(fields[6::_STRIDE], dtype=np.int64)
+    data["destination"] = tables.domains.intern_column(
+        fields[3::_STRIDE], accept=has_label)
     data["source_mac"] = tables.macs.intern_column(fields[1::_STRIDE])
     data["source_ip"] = tables.ips.intern_column(fields[2::_STRIDE])
-    data["destination"] = tables.domains.intern_column(fields[3::_STRIDE])
     data["url"] = tables.urls.intern_column(fields[4::_STRIDE])
     return RecordChunk(data=data, tables=tables)
 

@@ -7,7 +7,8 @@ the one fold:
 - :class:`ProxyLogRecord` — one log line, with TSV (de)serialization
   (:func:`read_log` / :func:`write_log`, gzip-aware),
 - :class:`LogFormatError` — the one error a malformed line, an
-  unparsable number or a timestamp without a time slot raises,
+  unparsable number, a destination without a label or a timestamp
+  without a time slot raises,
 - :class:`PairConfig` — which endpoint features key a communication
   pair (Table I),
 - :func:`slot_column` — the slot rule every fold quantizes through,
@@ -34,6 +35,7 @@ __all__ = [
     "LogFormatError",
     "PairConfig",
     "ProxyLogRecord",
+    "has_label",
     "read_log",
     "records_to_summaries",
     "slot_column",
@@ -46,10 +48,18 @@ class LogFormatError(ValueError):
 
     Raised for a line with the wrong number of tab-separated fields, a
     numeric field that does not parse, a DNS or NetFlow timestamp that
-    is not finite, or a proxy status or byte count out of its column's
-    range (these name the line), and for a proxy timestamp that has no
-    int64 time slot (naming the timestamp).
+    is not finite, a proxy status or byte count out of its column's
+    range, or a proxy destination without a label (these name the
+    line), and for a proxy timestamp that has no int64 time slot
+    (naming the timestamp).
     """
+
+
+def has_label(name: str) -> bool:
+    """True when domain ``name`` holds a character other than dots and
+    whitespace: an empty, all-dot or all-whitespace name has no label
+    to key a pair on or to score."""
+    return bool(name.replace(".", "").strip())
 
 
 def parse_timestamp(text: str, malformed: str) -> float:
@@ -152,8 +162,9 @@ class ProxyLogRecord:
         """Parse a tab-separated log line.
 
         Raises :class:`LogFormatError` naming the line when it does not
-        hold exactly seven fields, a numeric field does not parse, or a
-        status or byte count does not fit its int32 or int64 column.
+        hold exactly seven fields, a numeric field does not parse, a
+        status or byte count does not fit its int32 or int64 column, or
+        the destination has no label (see :func:`has_label`).
         """
         parts = line.rstrip("\n").split("\t")
         if len(parts) != len(_FIELDS):
@@ -179,6 +190,11 @@ class ProxyLogRecord:
                     f"malformed log line: {line!r}: {name} {value} is "
                     f"out of range"
                 )
+        if not has_label(record.destination):
+            raise LogFormatError(
+                f"malformed log line: {line!r}: destination "
+                f"{record.destination!r} has no label"
+            )
         return record
 
 

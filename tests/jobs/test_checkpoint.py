@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.timeseries import ActivitySummary
 from repro.filtering import BaywatchPipeline, PipelineConfig
 from repro.jobs import (
     BeaconingDetectionJob,
@@ -17,6 +18,7 @@ from repro.jobs.checkpoint import (
     quarantine_from_dict,
     quarantine_to_dict,
     run_fingerprint,
+    summary_to_dict,
 )
 from repro.mapreduce import MapReduceEngine
 from repro.mapreduce.engine import QuarantinedTask
@@ -421,6 +423,24 @@ class TestDamagedCheckpoint:
         ):
             store.begin("fp", n_shards=2, shard_size=1, resume=True)
         store.begin("fp", n_shards=2, shard_size=1, resume=False)
+
+    def test_float_list_intervals_are_refused(self, store):
+        # The interval encoding that came before intervals_f8.
+        summary = summary_to_dict(
+            ActivitySummary.from_timestamps("mac1", "a.com", [0.0, 60.0, 120.0])
+        )
+        del summary["intervals_f8"]
+        summary["intervals"] = [60.0, 60.0]
+        path = store._shard_path(0)
+        path.write_text(json.dumps(
+            {"type": "case", "summary": summary, "detection": {}}
+        ) + "\n", encoding="utf-8")
+        with pytest.raises(CheckpointMismatch) as caught:
+            store.read_shard(0)
+        assert str(caught.value) == (
+            f"checkpoint file {path} is damaged (missing field "
+            f"'intervals_f8'); refusing to resume"
+        )
 
     def test_malformed_provenance_shard(self, store):
         store._provenance_shard_path(0).write_text(

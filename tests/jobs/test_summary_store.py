@@ -168,6 +168,23 @@ class TestSummaryStore:
         assert len(loaded) == 1
         assert loaded[0].event_count == 20
 
+    def test_failed_replace_keeps_the_previous_day(self, store):
+        def interrupted():
+            yield day_summary(0, pair=("mac2", "b.com"))
+            raise RuntimeError("extraction died")
+
+        store.append_day(0, [day_summary(0)])
+        with pytest.raises(RuntimeError, match="extraction died"):
+            store.append_day(0, interrupted(), replace=True)
+        assert store.has_day(0)
+        assert store.load_day(0) == [day_summary(0)]
+        assert [path.name for path in store.root.iterdir()] == ["day-00000"]
+
+    def test_empty_day_counts_as_ingested(self, store):
+        assert store.append_day(4, []) == 0
+        assert store.has_day(4) and store.days() == [4]
+        assert store.load_day(4) == [] and store.load_window() == []
+
     def test_append_without_replace_accumulates(self, store):
         store.append_day(0, [day_summary(0, pair=("mac1", "a.com"))])
         store.append_day(0, [day_summary(0, pair=("mac2", "b.com"))])
@@ -178,7 +195,7 @@ class TestSummaryStore:
             store.append_day(-1, [day_summary(0)])
 
     def test_has_day_does_not_scan_the_day_listing(self, store, monkeypatch):
-        """The probe must stay O(1): no enumeration of every day dir."""
+        """The probe must stay O(1): no enumeration of every day."""
         store.append_day(0, [day_summary(0)])
         monkeypatch.setattr(
             store, "days",
@@ -219,42 +236,6 @@ class TestPackedCodec:
 
         with pytest.raises(ValueError, match="version"):
             unpack_summaries(struct.pack("<HQQ", 99, 0, 0))
-
-    @staticmethod
-    def append_legacy_day(root, day, summaries):
-        """Append a day as older versions wrote it: one pickle per summary."""
-        from repro.mapreduce.store import PartitionedStore
-
-        PartitionedStore(root / f"day-{day:05d}").write(
-            summaries, key_of=lambda s: s.pair
-        )
-
-    def test_packed_store_reads_legacy_pickle_day(self, tmp_path):
-        """Stores written before the packed codec must load unchanged."""
-        self.append_legacy_day(tmp_path / "s", 0, [day_summary(0)])
-        assert SummaryStore(tmp_path / "s").load_day(0) == [day_summary(0)]
-
-    def test_day_appended_under_both_codecs_loads_fully(self, tmp_path):
-        self.append_legacy_day(
-            tmp_path / "s", 0, [day_summary(0, pair=("mac1", "a.com"))]
-        )
-        SummaryStore(tmp_path / "s").append_day(
-            0, [day_summary(0, pair=("mac2", "b.com"))]
-        )
-        loaded = SummaryStore(tmp_path / "s").load_day(0)
-        assert sorted(s.pair for s in loaded) == [
-            ("mac1", "a.com"), ("mac2", "b.com"),
-        ]
-
-    def test_packed_and_pickle_days_load_identically(self, tmp_path):
-        summaries = self.summaries()
-        packed = SummaryStore(tmp_path / "p")
-        packed.append_day(0, summaries)
-        self.append_legacy_day(tmp_path / "l", 0, summaries)
-        key = lambda s: s.pair  # noqa: E731
-        assert sorted(packed.load_day(0), key=key) == sorted(
-            SummaryStore(tmp_path / "l").load_day(0), key=key
-        )
 
 
 class TestResumedExtractionIdempotency:

@@ -1,8 +1,8 @@
-"""The summary store's columnar read: formats, damage, scales, answers."""
+"""The summary store's columnar read: format, layout, damage, scales, answers."""
 
+import pickle
 import struct
 import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,18 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.timeseries import ActivitySummary, merge, rescale
-from repro.jobs import SummaryStore
+from repro.jobs import CorruptFrameError, StoreLayoutError, SummaryStore
 from repro.jobs.summary_store import (
     PACK_VERSION,
-    SummaryPacker,
+    PACKED_MAGIC,
     decode_frame,
     pack_summaries,
-)
-from repro.mapreduce.store import (
-    PACKED_MAGIC,
-    CorruptFrameError,
-    PartitionedStore,
-    RecordPacker,
 )
 from repro.obs import MetricsRegistry, scoped_registry
 
@@ -29,8 +23,8 @@ DAY = 86_400.0
 
 
 def pack_v1(summaries):
-    """A version-1 frame payload, byte for byte as version 1 wrote it:
-    every URL stored in full, no URL dictionary."""
+    """A version-1 frame payload, byte for byte as older versions wrote
+    it: every URL stored in full, no URL dictionary."""
 
     def strings(values):
         encoded = [value.encode("utf-8") for value in values]
@@ -55,22 +49,6 @@ def pack_v1(summaries):
         strings([s.destination for s in summaries]),
         strings([url for s in summaries for url in s.urls]),
     ])
-
-
-class V1Packer(RecordPacker):
-    def pack(self, records):
-        return pack_v1(records)
-
-
-def append_as(root, day, summaries, encoding, n_partitions):
-    """Append one day's summaries in ``encoding``: v2, v1 or pickle."""
-    if encoding == "v2":
-        SummaryStore(root, n_partitions=n_partitions).append_day(day, summaries)
-        return
-    packer = V1Packer() if encoding == "v1" else None
-    PartitionedStore(
-        Path(root) / f"day-{day:05d}", n_partitions=n_partitions, packer=packer
-    ).write(list(summaries), key_of=lambda s: s.pair)
 
 
 def summary(source, destination, first, gaps, scale=1.0, urls=()):
@@ -101,34 +79,56 @@ class TestVersions:
                 for i in range(10)]
         assert len(pack_summaries(rows)) < 0.7 * len(pack_v1(rows))
 
-    def test_version_1_frames_decode_with_identity_ids(self):
-        columns = decode_frame(pack_v1(SAMPLE))
-        assert columns.url_ids.tolist() == [0, 1, 2, 3]
-        assert columns.summaries() == SAMPLE
+    def test_version_1_payloads_are_refused(self, tmp_path):
+        with pytest.raises(CorruptFrameError, match="version 1;"):
+            decode_frame(pack_v1(SAMPLE))
+        write_frames(tmp_path / "day-00000", [GOOD, pack_v1(SAMPLE)])
+        with pytest.raises(CorruptFrameError) as caught:
+            SummaryStore(tmp_path).load_day(0)
+        assert str(caught.value).startswith(
+            f"{tmp_path / 'day-00000'}, frame 1: packed summary payload has "
+            f"version 1;"
+        )
 
-    @pytest.mark.parametrize("encoding", ["v1", "v2", "pickle"])
-    def test_every_encoding_loads_to_identical_summaries(
-        self, tmp_path, encoding
-    ):
-        days = {
-            day: [
-                summary("mac1", "a.com", day * DAY, [60, 0, 120],
-                        urls=(f"/d{day}",)),
-                summary("mac2", "c.com", day * DAY + 5, [30] * 4),
-            ]
-            for day in range(3)
-        }
-        for day, rows in days.items():
-            append_as(tmp_path / encoding, day, rows, encoding, 4)
-            append_as(tmp_path / "ref", day, rows, "v2", 4)
-        store = SummaryStore(tmp_path / encoding, n_partitions=4)
-        for day, rows in days.items():
-            assert sorted(store.load_day(day), key=lambda s: s.pair) == rows
-        reference = SummaryStore(tmp_path / "ref", n_partitions=4)
-        for time_scale in (None, 1.0, 60.0):
-            assert store.load_window(
-                window_days=3, time_scale=time_scale
-            ) == reference.load_window(window_days=3, time_scale=time_scale)
+
+class TestLayout:
+    def test_a_day_is_one_file_with_one_frame_per_append(self, tmp_path):
+        store = SummaryStore(tmp_path)
+        store.append_day(0, SAMPLE[:2])
+        store.append_day(0, SAMPLE[2:])
+        store.append_day(0, [])
+        assert [p.name for p in tmp_path.iterdir()] == ["day-00000"]
+        data = (tmp_path / "day-00000").read_bytes()
+        assert data.count(PACKED_MAGIC) == 3
+        assert store.load_day(0) == SAMPLE
+
+    def test_partitioned_day_is_refused_naming_its_directory(self, tmp_path):
+        # Older versions stored a day as a directory of hash partitions.
+        day = tmp_path / "day-00002"
+        write_frames(day / "part-00007.pkl", [GOOD])
+        (day / "part-00011.pkl").write_bytes(pickle.dumps(SAMPLE[0]))
+        store = SummaryStore(tmp_path)
+        store.append_day(3, SAMPLE)
+        assert store.has_day(2) and store.days() == [2, 3]
+        for call in (lambda: store.load_day(2),
+                     lambda: store.load_window(window_days=2),
+                     lambda: store.append_day(2, SAMPLE),
+                     lambda: store.append_day(2, SAMPLE, replace=True)):
+            with pytest.raises(StoreLayoutError) as caught:
+                call()
+            assert str(caught.value).startswith(f"{day} is a directory")
+        assert len(store.load_window(window_days=1)) == len(SAMPLE)
+        assert store.evict_before(3) == 1
+        assert store.days() == [3] and not day.exists()
+
+    def test_pickle_record_is_not_a_frame(self, tmp_path):
+        (tmp_path / "day-00000").write_bytes(pickle.dumps(SAMPLE[0]))
+        with pytest.raises(CorruptFrameError) as caught:
+            SummaryStore(tmp_path).load_day(0)
+        assert type(caught.value) is CorruptFrameError
+        assert str(caught.value) == (
+            f"{tmp_path / 'day-00000'}, frame 0: no frame magic at byte 0"
+        )
 
 
 class TestScales:
@@ -238,7 +238,7 @@ CORRUPTIONS = {
 
 
 def write_frames(path, payloads):
-    """A partition file holding exactly ``payloads``, framed."""
+    """A file holding exactly ``payloads``, framed."""
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(b"".join(
         PACKED_MAGIC + struct.pack("<Q", len(p)) + p for p in payloads
@@ -260,9 +260,9 @@ class TestCorruptFrames:
     def test_load_day_and_load_window_name_file_and_frame(
         self, tmp_path, case
     ):
-        part = tmp_path / "day-00003" / "part-00000.pkl"
+        part = tmp_path / "day-00003"
         write_frames(part, [GOOD, CORRUPTIONS[case]])
-        store = SummaryStore(tmp_path, n_partitions=1)
+        store = SummaryStore(tmp_path)
         for read in (lambda: store.load_day(3),
                      lambda: store.load_window(window_days=1),
                      lambda: store.load_window(window_days=1,
@@ -273,25 +273,18 @@ class TestCorruptFrames:
             assert str(part) in str(caught.value)
             assert "frame 1" in str(caught.value)
 
-    def test_packer_reads_name_the_frame_too(self, tmp_path):
-        write_frames(tmp_path / "part-00000.pkl", [CORRUPTIONS["NaN interval"]])
-        store = PartitionedStore(tmp_path, n_partitions=1,
-                                 packer=SummaryPacker())
-        with pytest.raises(CorruptFrameError, match="frame 0: intervals"):
-            list(store.read_all())
-
     def test_cut_off_frame_header_is_a_truncated_frame(self, tmp_path):
-        part = tmp_path / "day-00000" / "part-00000.pkl"
+        part = tmp_path / "day-00000"
         write_frames(part, [GOOD])
         part.write_bytes(part.read_bytes() + PACKED_MAGIC[:5])
-        store = SummaryStore(tmp_path, n_partitions=1)
+        store = SummaryStore(tmp_path)
         with pytest.raises(CorruptFrameError, match="frame 1: truncated"):
             store.load_day(0)
 
 
 class TestTelemetry:
     def test_load_window_spans_and_counters(self, tmp_path):
-        store = SummaryStore(tmp_path, n_partitions=2)
+        store = SummaryStore(tmp_path)
         for day in range(2):
             store.append_day(day, SAMPLE)
         registry = MetricsRegistry()
@@ -300,9 +293,9 @@ class TestTelemetry:
         assert len(merged) == 3
         counters = dict(registry.counters())
         assert counters["summary_store.rows_read"] == 6
-        assert 2 <= counters["summary_store.frames_read"] <= 4
+        assert counters["summary_store.frames_read"] == 2
         assert counters["summary_store.bytes_read"] == sum(
-            path.stat().st_size for path in tmp_path.rglob("part-*.pkl")
+            path.stat().st_size for path in tmp_path.glob("day-*")
         )
         names = {h.name for h in registry.histograms()}
         for path in ("summary_store.load_window",
@@ -336,8 +329,7 @@ def stores(draw):
     for day in range(n_days):
         for _ in range(draw(st.integers(0, 3))):  # 0: an empty day
             rows = draw(st.lists(stored_summary(day), min_size=1, max_size=5))
-            encoding = draw(st.sampled_from(["v1", "v2", "pickle"]))
-            writes.append((day, encoding, rows))
+            writes.append((day, rows))
     return n_days, writes
 
 
@@ -346,7 +338,7 @@ def reference(writes, days, time_scale):
     rescaled-start order, ties in stored order (None: the pair's own
     scale); or the ValueError that load_window must raise."""
     groups = {}
-    for day, _encoding, rows in writes:
+    for day, rows in writes:
         if day in days:
             for row in rows:
                 groups.setdefault(row.pair, []).append(row)
@@ -383,13 +375,12 @@ def test_window_equals_rescale_then_merge(data, layout):
     window_days = data.draw(st.integers(1, 4), label="window_days")
     time_scale = data.draw(st.sampled_from([None, 0.5, 1.0, 7.0, 60.0, 600.0]),
                            label="time_scale")
-    n_partitions = data.draw(st.sampled_from([1, 3]), label="n_partitions")
     with tempfile.TemporaryDirectory() as root:
-        for day, encoding, rows in writes:
-            append_as(root, day, rows, encoding, n_partitions)
-        store = SummaryStore(root, n_partitions=n_partitions)
+        store = SummaryStore(root)
+        for day, rows in writes:
+            store.append_day(day, rows)
         for day in store.days():
-            stored = [row for d, _e, rows in writes if d == day for row in rows]
+            stored = [row for d, rows in writes if d == day for row in rows]
             key = lambda s: s.pair  # noqa: E731 - stable: keeps write order
             assert bits(sorted(store.load_day(day), key=key)) == bits(
                 sorted(stored, key=key))

@@ -33,6 +33,7 @@ from repro.sources.proxy import (
     LogFormatError,
     PairConfig,
     ProxyLogRecord,
+    has_label,
     read_log,
     records_to_summaries,
     slot_column,
@@ -80,6 +81,16 @@ class TestStringTable:
         # Ids may differ between the two tables; decoded values must not.
         assert two.decode(ids) == one.decode(np.asarray(expected))
         assert two.decode(ids) == column
+
+    def test_intern_column_checks_each_new_value_once(self):
+        checked = []
+        table = StringTable(["a.com"])
+        table.intern_column(["a.com", "c.com", "b.com", "c.com"],
+                            accept=lambda value: not checked.append(value))
+        assert checked == ["b.com", "c.com"]
+        with pytest.raises(ValueError):
+            table.intern_column(["d.com", "."], accept=has_label)
+        assert table.values == ["a.com", "b.com", "c.com"]
 
     def test_decode_roundtrip(self):
         table = StringTable()
@@ -224,6 +235,25 @@ class TestMalformedLines:
         path.write_text(good + bad + good)
         value = status if name == "status" else bytes_sent
         message = f"malformed log line: {bad!r}: {name} {value} is out of range"
+        with pytest.raises(LogFormatError, match=re.escape(message)):
+            list(read_log_chunks(path))
+        with pytest.raises(LogFormatError, match=re.escape(message)):
+            list(read_log(path))
+
+    @pytest.mark.parametrize("destination", ["", ".", "...", " ", " . "])
+    def test_destinations_without_a_label_are_rejected(
+        self, tmp_path, destination
+    ):
+        # Such a pair used to reach detection and end the run in LM
+        # scoring: "text must not be empty".
+        fields = ["10.0", "aa:bb", "10.0.0.1", "c2.example.net", "/x",
+                  "200", "0"]
+        good = "\t".join(fields) + "\n"
+        bad = good.replace("c2.example.net", destination)
+        path = tmp_path / "log.tsv"
+        path.write_text(good + bad + good)
+        message = (f"malformed log line: {bad!r}: destination "
+                   f"{destination!r} has no label")
         with pytest.raises(LogFormatError, match=re.escape(message)):
             list(read_log_chunks(path))
         with pytest.raises(LogFormatError, match=re.escape(message)):

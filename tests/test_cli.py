@@ -178,6 +178,13 @@ class TestScore:
         assert "SUSPICIOUS" in text
         assert "google.com" in text
 
+    @pytest.mark.parametrize("name", ["", ".", "..", " ", " . "])
+    def test_a_name_without_a_label_is_one_line(self, capsys, name):
+        assert main(["score", "google.com", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: domain {name!r} has no label\n"
+        assert captured.out == ""
+
 
 class TestReport:
     def test_analyst_report_to_file(self, trace_path, tmp_path, capsys):
@@ -208,6 +215,7 @@ LONG = GOOD + ("220.000",)
 NO_STATUS = GOOD[:5] + ("OK", "0")
 HUGE_STATUS = GOOD[:5] + ("99999999999", "0")
 HUGE_BYTES = GOOD[:6] + ("99999999999999999999",)
+DOT_DESTINATION = GOOD[:3] + (".",) + GOOD[4:]
 HOSTILE_LOGS = {  # name: (log, start of the error line)
     "short-line": (tsv(GOOD, ("12.5",)), "malformed log line: '12.5\\n'"),
     "8-plus-6-fields": (
@@ -229,6 +237,11 @@ HOSTILE_LOGS = {  # name: (log, start of the error line)
         f"malformed log line: {tsv(HUGE_BYTES)!r}: bytes_sent "
         "99999999999999999999 is out of range",
     ),
+    "dot-destination": (
+        tsv(GOOD, DOT_DESTINATION),
+        f"malformed log line: {tsv(DOT_DESTINATION)!r}: destination '.' "
+        "has no label",
+    ),
 }
 
 
@@ -246,6 +259,26 @@ class TestHostileLogs:
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    def test_beacon_to_a_dot_destination_stops_before_detection(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.core.batch import BatchedDetector
+
+        beacon = [(f"{60.0 * i:.1f}",) + DOT_DESTINATION[1:]
+                  for i in range(200)]
+        path = tmp_path / "log.tsv"
+        path.write_text(tsv(*beacon))
+        monkeypatch.setattr(
+            BatchedDetector, "detect_summaries",
+            lambda *args: pytest.fail("detection started"),
+        )
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: malformed log line: {tsv(beacon[0])!r}: destination "
+            "'.' has no label\n"
+        )
 
     @pytest.mark.parametrize("command", ["run", "pipeline", "report"])
     @pytest.mark.parametrize(
@@ -501,7 +534,7 @@ class TestRun:
             ),
             "shard-record-without-intervals": (
                 lambda ckpt: drop_intervals(ckpt / shard),
-                [], "missing field 'intervals'",
+                [], "missing field 'intervals_f8'",
             ),
         }
         for name, (damage, extra, message) in forms.items():
