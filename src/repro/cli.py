@@ -4,8 +4,8 @@ The subcommands cover the operational surface:
 
 - ``simulate`` — generate a labelled synthetic enterprise trace,
 - ``detect``   — run the core detector on a timestamp list,
-- ``pipeline`` — run the 8-step methodology over a proxy log,
-- ``run``      — fault-tolerant sharded batch run (checkpoint/resume),
+- ``run``      — run the 8-step methodology over a proxy log, in
+  fault-tolerant shards (checkpoint/resume),
 - ``score``    — score domain names under the language model,
 - ``report``   — run the pipeline and emit an analyst report,
 - ``stats``    — render a run report from saved telemetry,
@@ -16,7 +16,7 @@ The subcommands cover the operational surface:
 - ``audit``    — per-stage drop/near-miss analytics from saved provenance,
 - ``diff-runs`` — verdict-level drift between two provenance stores.
 
-``pipeline`` and ``run`` accept ``--provenance <dir>`` (with
+``run`` accepts ``--provenance <dir>`` (with
 ``--provenance-sample``) to record per-pair decision provenance —
 one :class:`~repro.obs.VerdictRecord` per funnel step per kept pair —
 which ``explain``/``audit``/``diff-runs`` read back (see
@@ -25,17 +25,17 @@ which ``explain``/``audit``/``diff-runs`` read back (see
 ``run`` is the operational mode: the pipeline with periodicity
 detection on the MapReduce engine, in bounded shards with durable JSONL
 checkpoints (``--checkpoint-dir`` / ``--resume``), worker-pool recovery
-(``--task-timeout``,
-``--max-retries``, ``--retry-backoff``), and quarantine of poison-pill
-pairs (see ``docs/OPERATIONS.md``).  It exits 3 when ``--max-shards``
-stopped the run before every shard completed.  Every sharded run
+(``--task-timeout``, ``--max-retries``, ``--retry-backoff``), and
+quarantine of poison-pill pairs (see ``docs/OPERATIONS.md``).  It
+exits 3 when ``--max-shards`` stopped the run before every shard
+completed.  Every sharded run
 journals its progress to ``events.jsonl`` in the checkpoint (or
 telemetry) directory; ``--status-port N`` additionally serves
 ``/status``, ``/metrics``, and ``/events`` over HTTP for the duration
 of the run, and ``repro watch`` follows either the journal file or the
 HTTP service.
 
-``pipeline`` and ``report`` accept ``--telemetry <dir>`` to collect
+``run`` and ``report`` accept ``--telemetry <dir>`` to collect
 per-stage metrics and write ``report.txt`` / ``metrics.jsonl`` /
 ``metrics.prom`` (see ``docs/OBSERVABILITY.md``).  ``-v`` turns on
 INFO logging, ``-vv`` DEBUG.  A bad argument, an input that cannot be
@@ -54,7 +54,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.detector import DetectorConfig, PeriodicityDetector
 from repro.filtering.pipeline import (
@@ -107,21 +107,6 @@ def _check_telemetry_dir(telemetry: Optional[Path]) -> None:
         )
 
 
-def _add_provenance_options(parser: argparse.ArgumentParser) -> None:
-    """Shared ``--provenance`` flags for ``pipeline`` and ``run``."""
-    parser.add_argument(
-        "--provenance", type=Path, default=None, metavar="DIR",
-        help="record per-pair verdict chains and write provenance.jsonl "
-             "into DIR (read it back with repro explain/audit/diff-runs)",
-    )
-    parser.add_argument(
-        "--provenance-sample", type=float, default=0.05, metavar="RATE",
-        help="fraction of early-dropped pairs that keep full verdict "
-             "chains; survivors and near-misses are always recorded "
-             "(default 0.05)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -152,24 +137,10 @@ def _build_parser() -> argparse.ArgumentParser:
     det.add_argument("--time-scale", type=float, default=1.0)
     det.add_argument("--seed", type=int, default=0)
 
-    pipe = sub.add_parser("pipeline", help="run the 8-step pipeline on a proxy log")
-    pipe.add_argument("input", type=Path, help="proxy log (TSV; .gz ok)")
-    pipe.add_argument("--tau-p", type=float, default=0.01,
-                      help="local whitelist popularity threshold")
-    pipe.add_argument("--percentile", type=float, default=0.9,
-                      help="ranking score percentile to report")
-    pipe.add_argument("--top", type=int, default=20,
-                      help="print at most this many ranked cases")
-    pipe.add_argument(
-        "--telemetry", type=Path, default=None, metavar="DIR",
-        help="collect run telemetry and write report.txt/metrics.jsonl/"
-             "metrics.prom into DIR",
-    )
-    _add_provenance_options(pipe)
-
     runp = sub.add_parser(
         "run",
-        help="fault-tolerant sharded batch run with checkpoint/resume",
+        help="run the 8-step pipeline on a proxy log, in fault-tolerant "
+             "shards with checkpoint/resume",
     )
     runp.add_argument("input", type=Path, help="proxy log (TSV; .gz ok)")
     runp.add_argument("--tau-p", type=float, default=0.01,
@@ -249,7 +220,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="keep the status service up this long after the run ends "
              "(lets pollers observe the final state)",
     )
-    _add_provenance_options(runp)
+    runp.add_argument(
+        "--provenance", type=Path, default=None, metavar="DIR",
+        help="record per-pair verdict chains and write provenance.jsonl "
+             "into DIR (read it back with repro explain/audit/diff-runs)",
+    )
+    runp.add_argument(
+        "--provenance-sample", type=float, default=0.05, metavar="RATE",
+        help="fraction of early-dropped pairs that keep full verdict "
+             "chains; survivors and near-misses are always recorded "
+             "(default 0.05)",
+    )
 
     score = sub.add_parser("score", help="score domains under the 3-gram LM")
     score.add_argument("domains", nargs="+", help="domain names to score")
@@ -499,19 +480,6 @@ def _print_ranking(args: argparse.Namespace, report: PipelineReport) -> None:
             f"{rank:>4d}  {case.rank_score:>6.2f}  {period:>10s}  "
             f"{case.similar_sources:>7d}  {case.destination}"
         )
-
-
-def _cmd_pipeline(args: argparse.Namespace) -> int:
-    config = _pipeline_config(args)
-    _non_negative(args.top, "--top")
-    chunks = read_log_chunks(_readable(args.input))
-    report, telemetry_dir = _run_instrumented(
-        args.telemetry, lambda: BaywatchPipeline(config).run_chunks(chunks)
-    )
-    _print_ranking(args, report)
-    if telemetry_dir is not None:
-        print(f"wrote telemetry to {telemetry_dir}")
-    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -889,7 +857,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "detect": _cmd_detect,
-    "pipeline": _cmd_pipeline,
     "run": _cmd_run,
     "worker": _cmd_worker,
     "score": _cmd_score,

@@ -1,11 +1,9 @@
 """Beaconing-detection MapReduce job (paper Section VII-D).
 
-MAP: separates communication pairs and drops trivially short ones, so
-reduce workers never see them (the whitelists already ran in the stage
-graph).
-
-REDUCE: runs the core periodicity-detection algorithm on each pair's
-request history; periodic pairs are emitted as
+Its input is the pair summaries that survived the whitelists and the
+``min_events`` prefilter of the stage graph, keyed by pair.  REDUCE
+runs the core periodicity-detection algorithm on each pair's request
+history; periodic pairs are emitted as
 :class:`~repro.jobs.records.DetectionCase` records carrying the
 CandidatePeriod list for the ranking and investigation phases.
 """
@@ -22,7 +20,6 @@ from repro.jobs.records import DetectionCase
 from repro.mapreduce.job import KeyValue, MapReduceJob
 from repro.obs import span
 from repro.obs.provenance import ProvenancePolicy
-from repro.utils.validation import require
 
 
 class BeaconingDetectionJob(MapReduceJob):
@@ -42,14 +39,11 @@ class BeaconingDetectionJob(MapReduceJob):
         self,
         detector_config: Optional[DetectorConfig] = None,
         *,
-        min_events: int = 4,
         threshold_cache: Optional[ThresholdCache] = None,
         provenance_policy: Optional[ProvenancePolicy] = None,
         provenance_pairs: FrozenSet[Tuple[str, str]] = frozenset(),
     ) -> None:
-        require(min_events >= 2, "min_events must be at least 2")
         self.detector_config = detector_config or DetectorConfig(seed=0)
-        self.min_events = min_events
         self.threshold_cache = threshold_cache
         #: When set, non-periodic results the provenance policy wants
         #: (sampled pairs, detection near-misses, and the explicitly
@@ -92,12 +86,6 @@ class BeaconingDetectionJob(MapReduceJob):
         state = dict(self.__dict__)
         state["_detector"] = None
         return state
-
-    def map(self, key: Any, value: ActivitySummary) -> Iterator[KeyValue]:
-        """Separate pairs; drop trivially short ones."""
-        if value.event_count < self.min_events:
-            return
-        yield value.pair, value
 
     def reduce(
         self, key: Tuple[str, str], values: Iterable[ActivitySummary]

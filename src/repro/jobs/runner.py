@@ -333,7 +333,6 @@ class _ShardedDetection:
         factory = pipeline.detection_job_factory or BeaconingDetectionJob
         job = factory(
             config.detector,
-            min_events=config.min_events,
             threshold_cache=pipeline.threshold_cache,
             **kwargs,
         )

@@ -1,16 +1,16 @@
 """Local MapReduce substrate (replaces the paper's Hadoop cluster).
 
-Same programming model — modular jobs with hash-partitioned shuffles —
-executed behind a pluggable :class:`TaskExecutor` (serial inline, a
-process pool, or a multi-host shard queue drained by ``repro worker``
-processes).  Process and shard-queue workers receive their task inputs
-pickled, as the paper's Hadoop tasks receive serialized records.  The
-HDFS stand-in that keeps extracted summaries between runs is
-:class:`repro.jobs.SummaryStore`.
+Jobs reduce keyed records grouped by a hash partitioner — the reduce
+side of the paper's Hadoop jobs — in one task loop behind a pluggable
+:class:`TaskExecutor` (serial inline, a process pool, or a multi-host
+shard queue drained by ``repro worker`` processes).  Process and
+shard-queue workers receive their task inputs pickled, as the paper's
+Hadoop tasks receive serialized records.  The HDFS stand-in that keeps
+extracted summaries between runs is :class:`repro.jobs.SummaryStore`.
 """
 
 from repro.mapreduce.job import KeyValue, MapReduceJob, stable_hash
-from repro.mapreduce.engine import JobStats, MapReduceEngine, QuarantinedTask
+from repro.mapreduce.engine import MapReduceEngine, QuarantinedTask
 from repro.mapreduce.executors import (
     EXECUTOR_NAMES,
     ProcessPoolTaskExecutor,
@@ -27,7 +27,6 @@ __all__ = [
     "KeyValue",
     "MapReduceJob",
     "stable_hash",
-    "JobStats",
     "MapReduceEngine",
     "QuarantinedTask",
     "EXECUTOR_NAMES",

@@ -1,29 +1,32 @@
 """Local MapReduce engine over pluggable execution backends.
 
-Substitutes the paper's 13-node Hadoop cluster with a faithful local
-model of the same computation: map over input records, shuffle by the
-job's partitioner, group values per key (sorted for determinism), and
-reduce partition by partition.  *Where* tasks run is delegated to a
-:class:`~repro.mapreduce.executors.TaskExecutor` — serial inline, a
-process pool, or a multi-host shard queue drained by ``repro worker``
-processes; jobs and records must be picklable for the out-of-process
-backends, exactly as Hadoop requires them to be serializable.
+Substitutes the paper's 13-node Hadoop cluster with a local model of
+the part BAYWATCH distributes, the reduce tasks of its detection job
+(paper Section VII-D): group the keyed input records by the job's
+partitioner (values in input order, keys sorted by ``repr`` for
+determinism) and reduce partition by partition.  *Where* tasks run is
+delegated to a :class:`~repro.mapreduce.executors.TaskExecutor` —
+serial inline, a process pool, or a multi-host shard queue drained by
+``repro worker`` processes; jobs and records must be picklable for the
+out-of-process backends, exactly as Hadoop requires them to be
+serializable.
 
 Fault tolerance mirrors Hadoop's task-level story (paper Section VII: a
 multi-hour batch over millions of pairs must survive individual task
-failures) and is *executor-agnostic* — every backend inherits it:
+failures).  One task loop carries it on every backend:
 
-- a task that *raises* is retried up to ``max_retries`` times with
-  exponential backoff (``retry_backoff``);
+- partitions run in retry *rounds*: a task that *raises* is retried in
+  the next round, up to ``max_retries`` times, with one exponential
+  backoff (``retry_backoff``) before each round that follows a failure;
 - a dispatched task whose worker *dies*
   (:class:`~repro.mapreduce.executors.WorkerCrash`) or *hangs*
   (``task_timeout``) triggers a backend restart and a re-run of the
   lost tasks, against the same retry budget; a task run inline cannot
   be killed, so there the deadline downgrades to a warn-and-journal
   soft breach;
-- with ``quarantine=True`` a task that fails every attempt is split
-  into its individual records/key-groups, each run in isolation, and
-  only the genuinely poisonous units are dropped — recorded as
+- with ``quarantine=True`` a partition that fails every attempt is
+  split into its key groups, each run in isolation, and only the
+  genuinely poisonous groups are dropped — recorded as
   :class:`QuarantinedTask` entries in :attr:`MapReduceEngine.last_quarantine`
   — so a single poison-pill pair degrades the batch instead of
   aborting it.
@@ -35,19 +38,11 @@ import logging
 import os
 import random
 import time
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.mapreduce.executors import (
+    SerialExecutor,
     TaskExecutor,
     TaskTimeout,
     WorkerCrash,
@@ -71,32 +66,25 @@ from repro.utils.validation import require
 
 logger = logging.getLogger(__name__)
 
+#: Cap, in seconds, of the exponential retry-backoff envelope.
+MAX_BACKOFF = 30.0
 
-@dataclass
-class JobStats:
-    """Counters of one job execution (for the scalability benches)."""
+#: Runs the tasks of a job too small to dispatch, and the isolated
+#: units of a partition that failed without taking its worker down.
+_INLINE = SerialExecutor()
 
-    input_records: int = 0
-    mapped_records: int = 0
-    distinct_keys: int = 0
-    output_records: int = 0
-    partitions_used: int = 0
-    task_retries: int = 0
-    pool_restarts: int = 0
-    task_timeouts: int = 0
-    task_deadline_misses: int = 0
-    tasks_quarantined: int = 0
+Partition = List[Tuple[Any, List[Any]]]
 
 
 @dataclass(frozen=True)
 class QuarantinedTask:
-    """One input unit dropped after exhausting every retry.
+    """One key group dropped after exhausting every retry.
 
-    ``phase`` is ``"map"`` or ``"reduce"``; ``key`` is the input record
-    key (map) or the shuffle group key (reduce); ``error`` is the repr
-    of the final exception.  The engine collects these in
-    :attr:`MapReduceEngine.last_quarantine` so callers (the sharded
-    runner, the run report) can surface them instead of losing them.
+    ``phase`` is always ``"reduce"``; ``key`` is the group key;
+    ``error`` is the repr of the final exception.  The engine collects
+    these in :attr:`MapReduceEngine.last_quarantine` so callers (the
+    sharded runner, the run report) can surface them instead of losing
+    them.
     """
 
     phase: str
@@ -105,43 +93,18 @@ class QuarantinedTask:
     attempts: int
 
 
-def _map_chunk(job: MapReduceJob, chunk: Sequence[KeyValue]) -> List[Tuple[int, KeyValue]]:
-    """Map a chunk of inputs; tags each output with its partition."""
-    out: List[Tuple[int, KeyValue]] = []
-    for key, value in chunk:
-        for out_key, out_value in job.map(key, value):
-            out.append((job.partition(out_key), (out_key, out_value)))
-    return out
-
-
-def _reduce_partition(
-    job: MapReduceJob, grouped: List[Tuple[Any, List[Any]]]
-) -> List[KeyValue]:
+def _reduce_partition(job: MapReduceJob, grouped: Partition) -> List[KeyValue]:
     """Reduce all key groups of one partition (via the job's hook)."""
     return list(job.reduce_partition(grouped))
 
 
-def _split_map_chunk(chunk: Sequence[KeyValue]) -> List[Tuple[Any, List]]:
-    """One (key, single-record chunk) unit per input record."""
-    return [(key, [(key, value)]) for key, value in chunk]
-
-
-def _split_reduce_partition(
-    grouped: List[Tuple[Any, List[Any]]]
-) -> List[Tuple[Any, List]]:
-    """One (key, single-group partition) unit per key group."""
-    return [(key, [(key, values)]) for key, values in grouped]
-
-
 def _run_task_with_telemetry(
-    func,
     job: MapReduceJob,
-    task,
+    grouped: Partition,
     trace: Optional[Dict[str, Optional[str]]] = None,
     journal=None,
-    phase: str = "",
 ):
-    """Run one worker task under a fresh child registry.
+    """Reduce one partition under a fresh child registry.
 
     Executed inside a worker process when the parent collects telemetry
     (or journals, or traces): the child registry captures everything the
@@ -151,7 +114,7 @@ def _run_task_with_telemetry(
     tracker.
 
     ``trace`` is the parent's :func:`repro.obs.task_trace_payload`: the
-    worker installs it, opens a ``task.<phase>`` span around the task,
+    worker installs it, opens a ``task.reduce`` span around the task,
     and ships the completed span records back so the parent can stitch
     them under its own span tree.  ``journal`` (an
     :class:`~repro.obs.journal.EventJournal`, picklable by path) gets a
@@ -161,24 +124,14 @@ def _run_task_with_telemetry(
     context = TraceContext(**trace) if trace is not None else None
     with scoped_registry(registry), scoped_trace(context):
         if journal is not None:
-            journal.append(
-                "heartbeat", worker=os.getpid(), phase=phase or None
-            )
-        with span(f"task.{phase}" if phase else "task"):
-            result = func(job, task)
+            journal.append("heartbeat", worker=os.getpid(), phase="reduce")
+        with span("task.reduce"):
+            result = _reduce_partition(job, grouped)
     return (
         result,
         registry.snapshot(),
         [record.to_dict() for record in drain_spans(registry)],
     )
-
-
-def _chunked(items: Sequence, n_chunks: int) -> List[Sequence]:
-    """Split ``items`` into at most ``n_chunks`` contiguous chunks."""
-    if not items:
-        return []
-    size = max(1, (len(items) + n_chunks - 1) // n_chunks)
-    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 class MapReduceEngine:
@@ -189,17 +142,18 @@ class MapReduceEngine:
     :class:`~repro.mapreduce.executors.TaskExecutor` instance, or None
     for the legacy mapping — ``"processes"`` when ``n_workers > 1``,
     ``"serial"`` otherwise.  Backend resources are created lazily and
-    reused across runs (workers are where Hadoop's task JVMs would be);
-    phases too small to amortize dispatch overhead
-    (< ``min_parallel_records`` inputs) fall back to serial execution.
+    reused across runs (workers are where Hadoop's task JVMs would be).
+    A job runs its tasks inline when the backend's ``parallelism`` is 1
+    or the job has fewer than ``min_parallel_records`` input records,
+    too few to amortize dispatch.
 
     Fault-tolerance knobs (all executor-agnostic):
 
     ``max_retries``
-        Re-runs a failed map chunk or reduce partition, the local
-        analogue of Hadoop's task-level fault tolerance.  Tasks that
-        fail on every attempt re-raise the final exception (unless
-        quarantined, below).
+        Re-runs a failed reduce partition, the local analogue of
+        Hadoop's task-level fault tolerance.  Tasks that fail on every
+        attempt re-raise the final exception (unless quarantined,
+        below).
     ``task_timeout``
         Seconds a task may run before it is considered late.  A
         dispatched task (processes, shard-queue) is presumed hung: the
@@ -210,7 +164,7 @@ class MapReduceEngine:
         kept.  ``None`` disables the watchdog.
     ``retry_backoff``
         Base of the exponential backoff envelope between retry rounds:
-        the sleep is drawn uniformly from ``[0, min(max_backoff,
+        the sleep is drawn uniformly from ``[0, min(MAX_BACKOFF,
         retry_backoff * 2**(round - 1))]`` (full jitter), so engines
         that fail together — many shards hitting one sick worker host
         or store — don't retry in lockstep waves.  0 disables sleeping
@@ -218,11 +172,10 @@ class MapReduceEngine:
         reproducible delays under test; each slept delay is also
         journalled as a ``backoff`` event.
     ``quarantine``
-        When a task exhausts its retries, split it into individual
-        records/key-groups, run each in isolation, and drop only the
-        failing units — each recorded in :attr:`last_quarantine` — so
-        poison-pill inputs degrade the output instead of aborting the
-        batch.
+        When a partition exhausts its retries, split it into its key
+        groups, run each in isolation, and drop only the failing groups
+        — each recorded in :attr:`last_quarantine` — so poison-pill
+        inputs degrade the output instead of aborting the batch.
     """
 
     def __init__(
@@ -234,7 +187,6 @@ class MapReduceEngine:
         max_retries: int = 0,
         task_timeout: Optional[float] = None,
         retry_backoff: float = 0.0,
-        max_backoff: float = 30.0,
         backoff_seed: Optional[int] = None,
         quarantine: bool = False,
     ) -> None:
@@ -250,13 +202,11 @@ class MapReduceEngine:
         self.max_retries = max_retries
         self.task_timeout = task_timeout
         self.retry_backoff = retry_backoff
-        self.max_backoff = max_backoff
         # Per-engine jitter RNG: seeding it (tests) makes the slept
         # delays a reproducible sequence; the default seeds from system
         # entropy so sibling engines draw independent jitter.
         self._backoff_rng = random.Random(backoff_seed)
         self.quarantine = quarantine
-        self.last_stats: Optional[JobStats] = None
         self.last_quarantine: List[QuarantinedTask] = []
         # Operator-log/journal correlation context, set by the sharded
         # runner (see set_run_context): WARNING lines about retries,
@@ -300,60 +250,11 @@ class MapReduceEngine:
             parts.append(f"shard {self.shard}")
         return "[" + " ".join(parts) + "] " if parts else ""
 
-    # -- retry / backoff machinery -----------------------------------------
-
-    def _attempt(
-        self,
-        func,
-        *args,
-        retries_left: Optional[int] = None,
-        phase: Optional[str] = None,
-    ):
-        """Run a task serially, retrying up to the remaining budget.
-
-        The budget is passed explicitly (default: the full
-        ``max_retries``) so concurrent or nested runs never share
-        mutable retry state.  Inline execution has no enforcement point
-        for ``task_timeout``, so a breach is detected after the fact
-        and reported as a soft deadline miss (warn + journal) instead
-        of being silently ignored.
-        """
-        budget = self.max_retries if retries_left is None else retries_left
-        failures = 0
-        while True:
-            try:
-                started = time.monotonic()
-                result = func(*args)
-                elapsed = time.monotonic() - started
-                if (
-                    self.task_timeout is not None
-                    and elapsed > self.task_timeout
-                ):
-                    self._note_deadline_miss(phase=phase, elapsed=elapsed)
-                return result
-            except Exception as exc:
-                failures += 1
-                if failures > budget:
-                    raise
-                logger.warning(
-                    "%stask %s failed (attempt %d of %d): %s; retrying",
-                    self._log_ctx(),
-                    getattr(func, "__name__", str(func)),
-                    failures,
-                    budget + 1,
-                    exc,
-                )
-                self._note_retry()
-                self._backoff(failures)
-
-    def _note_retry(self, phase: Optional[str] = None) -> None:
-        if self.last_stats is not None:
-            self.last_stats.task_retries += 1
-        get_registry().counter("mapreduce.task_retries").inc()
-        journal_emit("retry", phase=phase, shard=self.shard)
+    # -- backoff, restarts, deadlines -----------------------------------------
 
     def _backoff(self, failures: int) -> None:
-        """Sleep before the next retry: exponential envelope, full jitter.
+        """Sleep before the next retry round: exponential envelope, full
+        jitter.
 
         The old fixed ``base * 2**(round-1)`` schedule made every
         engine that failed at the same moment (the common case — one
@@ -365,9 +266,7 @@ class MapReduceEngine:
         """
         if self.retry_backoff <= 0:
             return
-        envelope = min(
-            self.max_backoff, self.retry_backoff * (2 ** (failures - 1))
-        )
+        envelope = min(MAX_BACKOFF, self.retry_backoff * (2 ** (failures - 1)))
         delay = self._backoff_rng.uniform(0.0, envelope)
         journal_emit(
             "backoff",
@@ -378,25 +277,21 @@ class MapReduceEngine:
         )
         self._sleep(delay)
 
-    # -- backend lifecycle ---------------------------------------------------
-
     def _restart_pool(self, reason: str) -> None:
         """Restart the backend (killing stragglers where it can) and
         count the restart.
 
         The kill-children mechanics live behind
         :meth:`~repro.mapreduce.executors.TaskExecutor.restart` — a
-        public, per-backend contract — while the accounting (stats,
-        counter, journal event, operator log line) stays here so every
-        backend reports restarts identically.
+        public, per-backend contract — while the accounting (counter,
+        journal event, operator log line) stays here so every backend
+        reports restarts identically.
         """
         self.executor.restart(reason)
         logger.warning(
             "%s%s backend restarted: %s",
             self._log_ctx(), self.executor.name, reason,
         )
-        if self.last_stats is not None:
-            self.last_stats.pool_restarts += 1
         get_registry().counter("mapreduce.pool_restarts").inc()
         journal_emit(
             "pool_restart",
@@ -405,9 +300,7 @@ class MapReduceEngine:
             executor=self.executor.name,
         )
 
-    def _note_deadline_miss(
-        self, *, phase: Optional[str], elapsed: float
-    ) -> None:
+    def _note_deadline_miss(self, elapsed: float) -> None:
         """Record a soft ``task_timeout`` breach of an inline task.
 
         Nothing could kill the late task, so the contract is
@@ -415,24 +308,19 @@ class MapReduceEngine:
         event journal (``task_deadline``) while the run keeps the
         genuine result.
         """
-        if self.last_stats is not None:
-            self.last_stats.task_deadline_misses += 1
         get_registry().counter("mapreduce.task_deadline_misses").inc()
         journal_emit(
             "task_deadline",
-            phase=phase or None,
+            phase="reduce",
             shard=self.shard,
             elapsed=round(elapsed, 6),
             timeout=self.task_timeout,
             executor=self.executor.name,
         )
         logger.warning(
-            "%s%s task exceeded task_timeout=%.4gs on the %s backend "
+            "%sreduce task exceeded task_timeout=%.4gs on the %s backend "
             "(no enforcement point; letting it finish)",
-            self._log_ctx(),
-            phase or "engine",
-            self.task_timeout or 0.0,
-            self.executor.name,
+            self._log_ctx(), self.task_timeout or 0.0, self.executor.name,
         )
 
     def close(self) -> None:
@@ -448,241 +336,148 @@ class MapReduceEngine:
     # -- quarantine --------------------------------------------------------
 
     def _record_quarantine(
-        self, phase: str, key: Any, exc: BaseException, attempts: int
+        self, key: Any, exc: BaseException, attempts: int
     ) -> None:
         entry = QuarantinedTask(
-            phase=phase, key=key, error=repr(exc), attempts=attempts
+            phase="reduce", key=key, error=repr(exc), attempts=attempts
         )
         self.last_quarantine.append(entry)
-        if self.last_stats is not None:
-            self.last_stats.tasks_quarantined += 1
         get_registry().counter("mapreduce.tasks_quarantined").inc()
         journal_emit(
-            "quarantine", phase=phase, key=key, shard=self.shard,
+            "quarantine", phase="reduce", key=key, shard=self.shard,
             attempts=attempts,
         )
         logger.error(
-            "%squarantined %s unit %r after %d attempts: %s",
-            self._log_ctx(), phase, key, attempts, entry.error,
+            "%squarantined reduce unit %r after %d attempts: %s",
+            self._log_ctx(), key, attempts, entry.error,
         )
 
     def _isolate_units(
         self,
-        func,
         job: MapReduceJob,
-        units: List[Tuple[Any, Any]],
+        grouped: Partition,
         *,
-        phase: str,
         attempts: int,
-        use_pool: bool,
-    ) -> List:
-        """Run each unit of an exhausted task alone; quarantine failures.
+        executor: TaskExecutor,
+    ) -> List[KeyValue]:
+        """Run each key group of an exhausted partition alone on
+        ``executor``; quarantine the groups that fail.
 
-        ``use_pool=True`` isolates on the executor backend (one unit
-        per task) so a unit that kills or hangs its worker cannot take
-        the parent down with it; the backend is restarted after each
-        such casualty.
+        A partition whose task killed or hung its worker is isolated on
+        the backend (one group per task), so a group that takes its
+        worker down cannot take the caller with it; the backend is
+        restarted after each such casualty.  Any other partition is
+        isolated inline.
         """
-        outputs: List = []
-        for key, unit_task in units:
+        outputs: List[KeyValue] = []
+        for key, values in grouped:
             try:
-                if use_pool:
-                    handle = self.executor.submit(func, job, unit_task)
-                    outputs.extend(
-                        self.executor.result(handle, timeout=self.task_timeout)
-                    )
-                else:
-                    outputs.extend(func(job, unit_task))
+                unit = [(key, values)]
+                handle = executor.submit(_reduce_partition, job, unit)
+                outputs.extend(
+                    executor.result(handle, timeout=self.task_timeout)
+                )
             except (WorkerCrash, TaskTimeout) as exc:
-                self._restart_pool(f"isolating poisoned {phase} unit {key!r}")
-                self._record_quarantine(phase, key, exc, attempts)
+                self._restart_pool(f"isolating poisoned reduce unit {key!r}")
+                self._record_quarantine(key, exc, attempts)
             except Exception as exc:
-                self._record_quarantine(phase, key, exc, attempts)
+                self._record_quarantine(key, exc, attempts)
         return outputs
-
-    def _run_task(
-        self,
-        func,
-        job: MapReduceJob,
-        task,
-        *,
-        phase: str,
-        split,
-        retries_left: Optional[int] = None,
-    ) -> List:
-        """Serial task execution with retries and optional quarantine."""
-        try:
-            return self._attempt(
-                func, job, task, retries_left=retries_left, phase=phase
-            )
-        except Exception as exc:
-            if not self.quarantine:
-                raise
-            budget = self.max_retries if retries_left is None else retries_left
-            logger.warning(
-                "%s%s task failed all %d attempts (%s); isolating its "
-                "%d units", self._log_ctx(), phase, budget + 1, exc,
-                len(split(task)),
-            )
-            return self._isolate_units(
-                func, job, split(task),
-                phase=phase, attempts=budget + 1, use_pool=False,
-            )
 
     # -- execution ---------------------------------------------------------
 
     def run(
         self, job: MapReduceJob, inputs: Iterable[KeyValue]
     ) -> List[KeyValue]:
-        """Run ``job`` over ``inputs``; returns the reduce output.
+        """Run ``job`` over the keyed records ``inputs``; returns the
+        reduce output.
 
         Output records are ordered deterministically (by partition, then
         by sorted key within the partition) regardless of worker count.
         Units quarantined during this run are in :attr:`last_quarantine`.
         """
         records = list(inputs)
-        stats = JobStats(input_records=len(records))
-        self.last_stats = stats
         self.last_quarantine = []
         job_name = type(job).__name__
-        parallel = (
-            self.executor.parallelism > 1
-            and len(records) >= self.min_parallel_records
+        inline = (
+            self.executor.parallelism == 1
+            or len(records) < self.min_parallel_records
         )
-
         with span(f"mapreduce.{job_name}"):
-            # -- map phase ---------------------------------------------------
-            with span("map"):
-                if not parallel:
-                    chunks = (
-                        _chunked(records, max(1, len(records) // 64))
-                        if self.max_retries or self.quarantine
-                        else [records]
-                    )
-                    tagged = [
-                        item
-                        for chunk in chunks
-                        for item in self._run_task(
-                            _map_chunk, job, chunk,
-                            phase="map", split=_split_map_chunk,
-                        )
-                    ]
-                else:
-                    chunks = _chunked(records, self.n_workers * 4)
-                    results = self._parallel_tasks(
-                        _map_chunk, job, chunks,
-                        phase="map", split=_split_map_chunk,
-                    )
-                    tagged = [item for chunk_out in results for item in chunk_out]
-            stats.mapped_records = len(tagged)
-
-            # -- shuffle: partition -> key -> [values] -------------------------
-            with span("shuffle"):
-                partitions: Dict[int, Dict[Any, List[Any]]] = {}
-                for partition, (key, value) in tagged:
-                    partitions.setdefault(partition, {}).setdefault(
-                        key, []
-                    ).append(value)
-                stats.distinct_keys = sum(len(p) for p in partitions.values())
-                stats.partitions_used = len(partitions)
-
-                grouped_per_partition: List[List[Tuple[Any, List[Any]]]] = [
-                    sorted(partitions[p].items(), key=lambda item: repr(item[0]))
-                    for p in sorted(partitions)
-                ]
-
-            # -- reduce phase ---------------------------------------------------
+            partitions: Dict[int, Dict[Any, List[Any]]] = {}
+            for key, value in records:
+                partitions.setdefault(job.partition(key), {}).setdefault(
+                    key, []
+                ).append(value)
+            tasks = [
+                sorted(partitions[p].items(), key=lambda item: repr(item[0]))
+                for p in sorted(partitions)
+            ]
             with span("reduce"):
-                if not parallel or len(grouped_per_partition) <= 1:
-                    output: List[KeyValue] = []
-                    for grouped in grouped_per_partition:
-                        output.extend(
-                            self._run_task(
-                                _reduce_partition, job, grouped,
-                                phase="reduce",
-                                split=_split_reduce_partition,
-                            )
-                        )
-                else:
-                    results = self._parallel_tasks(
-                        _reduce_partition, job, grouped_per_partition,
-                        phase="reduce", split=_split_reduce_partition,
-                    )
-                    output = [item for part in results for item in part]
+                results = self._run_tasks(job, tasks, inline=inline)
+        output = [item for part in results for item in part]
 
-        stats.output_records = len(output)
-        self._record_stats(job_name, stats)
+        registry = get_registry()
+        if registry.enabled:
+            prefix = f"mapreduce.{job_name}"
+            registry.counter(f"{prefix}.input_records").inc(len(records))
+            registry.counter(f"{prefix}.output_records").inc(len(output))
+            registry.gauge(f"{prefix}.partitions_used").set(len(tasks))
+            registry.gauge("mapreduce.n_workers").set(self.n_workers)
         logger.debug(
-            "job %s: %d in, %d mapped, %d keys, %d out (%d retries, "
-            "%d quarantined)",
-            job_name, stats.input_records, stats.mapped_records,
-            stats.distinct_keys, stats.output_records, stats.task_retries,
-            stats.tasks_quarantined,
+            "job %s: %d in, %d partitions, %d out (%d quarantined)",
+            job_name, len(records), len(tasks), len(output),
+            len(self.last_quarantine),
         )
         return output
 
-    def _record_stats(self, job_name: str, stats: JobStats) -> None:
-        """Surface :class:`JobStats` into the run's metrics registry."""
-        registry = get_registry()
-        if not registry.enabled:
-            return
-        prefix = f"mapreduce.{job_name}"
-        registry.counter(f"{prefix}.input_records").inc(stats.input_records)
-        registry.counter(f"{prefix}.mapped_records").inc(stats.mapped_records)
-        registry.counter(f"{prefix}.distinct_keys").inc(stats.distinct_keys)
-        registry.counter(f"{prefix}.output_records").inc(stats.output_records)
-        registry.gauge(f"{prefix}.partitions_used").set(stats.partitions_used)
-        registry.gauge("mapreduce.n_workers").set(self.n_workers)
-        if stats.task_retries:
-            registry.counter(f"{prefix}.task_retries").inc(stats.task_retries)
+    def _run_tasks(
+        self, job: MapReduceJob, tasks: List[Partition], *, inline: bool
+    ) -> List[List[KeyValue]]:
+        """Reduce every partition in retry rounds; survive lost workers.
 
-    def _parallel_tasks(
-        self, func, job: MapReduceJob, tasks: Sequence, *, phase: str, split
-    ) -> List:
-        """Dispatch tasks on the executor; survive failed/lost workers.
+        Every still-pending task is submitted, results are collected,
+        and failures carry into the next round until their budget is
+        spent.  A worker death (:class:`WorkerCrash`) or hang
+        (``task_timeout``) restarts the backend and charges an attempt
+        to the task it was observed on; the other in-flight tasks are
+        re-run without charge, like Hadoop's re-execution of tasks lost
+        with a dead TaskTracker.
 
-        Tasks run in retry *rounds*: every still-pending task is
-        submitted, results are collected, and failures carry into the
-        next round until their budget is spent.  A worker death
-        (:class:`WorkerCrash`) or hang (``task_timeout``) restarts the
-        backend and charges an attempt to the task it was observed on;
-        the other in-flight tasks are re-run without charge, like
-        Hadoop's re-execution of tasks lost with a dead TaskTracker.
-
-        Every dispatched task runs in another process.  When the run
-        collects telemetry, traces or journals, each task runs under a
-        fresh child registry and ships back a snapshot that is merged
-        here (plus completed span records, stitched under this engine's
-        span tree, and per-task journal heartbeats) — the local
-        analogue of Hadoop counters flowing to the job tracker.
+        ``inline`` tasks run in the caller through a
+        :class:`~repro.mapreduce.executors.SerialExecutor`, under the
+        caller's registry, trace and journal.  Dispatched tasks run on
+        the backend in other processes; when the run collects
+        telemetry, traces or journals, each runs under a fresh child
+        registry and ships back a snapshot that is merged here (plus
+        completed span records, stitched under this engine's span
+        tree, and per-task journal heartbeats).
         """
+        executor = _INLINE if inline else self.executor
         registry = get_registry()
-        trace_payload = task_trace_payload()
-        journal = get_journal()
-        ship = (
+        trace_payload = None if inline else task_trace_payload()
+        journal = None if inline else get_journal()
+        ship = not inline and (
             registry.enabled
             or trace_payload is not None
             or journal is not None
         )
-        n_tasks = len(tasks)
-        results: Dict[int, List] = {}
-        attempts = [0] * n_tasks
-        pending: List[int] = list(range(n_tasks))
+        results: Dict[int, List[KeyValue]] = {}
+        attempts = [0] * len(tasks)
+        pending: List[int] = list(range(len(tasks)))
         failure_rounds = 0
         while pending:
-            if ship:
-                submitted = {
-                    i: self.executor.submit(
-                        _run_task_with_telemetry, func, job, tasks[i],
-                        trace_payload, journal, phase,
+            submitted = {
+                i: (
+                    executor.submit(
+                        _run_task_with_telemetry, job, tasks[i],
+                        trace_payload, journal,
                     )
-                    for i in pending
-                }
-            else:
-                submitted = {
-                    i: self.executor.submit(func, job, tasks[i])
-                    for i in pending
-                }
+                    if ship
+                    else executor.submit(_reduce_partition, job, tasks[i])
+                )
+                for i in pending
+            }
             next_pending: List[int] = []
             backend_broken = False
             for i in pending:
@@ -691,62 +486,58 @@ class MapReduceEngine:
                     # own: re-run without charging an attempt.
                     next_pending.append(i)
                     continue
+                started = time.monotonic()
                 try:
-                    outcome = self.executor.result(
+                    outcome = executor.result(
                         submitted[i], timeout=self.task_timeout
                     )
                 except (WorkerCrash, TaskTimeout) as exc:
                     backend_broken = True
                     timed_out = isinstance(exc, TaskTimeout)
                     if timed_out:
-                        if self.last_stats is not None:
-                            self.last_stats.task_timeouts += 1
-                        get_registry().counter("mapreduce.task_timeouts").inc()
+                        registry.counter("mapreduce.task_timeouts").inc()
                     self._restart_pool(
-                        f"{phase} task {i} "
+                        f"reduce task {i} "
                         + ("timed out" if timed_out else "lost its worker")
                     )
                     if not self._charge_failure(
-                        func, job, tasks[i], i, attempts, exc,
-                        phase=phase, split=split, results=results,
-                        in_pool=True,
+                        job, tasks, i, attempts, exc,
+                        results=results, isolate_on=executor,
                     ):
                         next_pending.append(i)
                     continue
                 except Exception as exc:
                     if not self._charge_failure(
-                        func, job, tasks[i], i, attempts, exc,
-                        phase=phase, split=split, results=results,
-                        in_pool=False,
+                        job, tasks, i, attempts, exc,
+                        results=results, isolate_on=_INLINE,
                     ):
                         next_pending.append(i)
                     continue
                 if ship:
-                    result, snapshot, worker_spans = outcome
+                    outcome, snapshot, worker_spans = outcome
                     registry.merge(snapshot)
                     record_spans(worker_spans, registry)
-                    results[i] = result
-                else:
-                    results[i] = outcome
+                elif inline and self.task_timeout is not None:
+                    elapsed = time.monotonic() - started
+                    if elapsed > self.task_timeout:
+                        self._note_deadline_miss(elapsed)
+                results[i] = outcome
             if next_pending:
                 failure_rounds += 1
                 self._backoff(failure_rounds)
             pending = next_pending
-        return [results[i] for i in range(n_tasks)]
+        return [results[i] for i in range(len(tasks))]
 
     def _charge_failure(
         self,
-        func,
         job: MapReduceJob,
-        task,
+        tasks: List[Partition],
         index: int,
         attempts: List[int],
         exc: BaseException,
         *,
-        phase: str,
-        split,
-        results: Dict[int, List],
-        in_pool: bool,
+        results: Dict[int, List[KeyValue]],
+        isolate_on: TaskExecutor,
     ) -> bool:
         """Charge one failed attempt to a task; resolve it when spent.
 
@@ -757,22 +548,21 @@ class MapReduceEngine:
         attempts[index] += 1
         if attempts[index] <= self.max_retries:
             logger.warning(
-                "%sparallel %s task %d failed (attempt %d of %d): %s; "
-                "retrying",
-                self._log_ctx(), phase, index, attempts[index],
+                "%sreduce task %d failed (attempt %d of %d): %s; retrying",
+                self._log_ctx(), index, attempts[index],
                 self.max_retries + 1, exc,
             )
-            self._note_retry(phase)
+            get_registry().counter("mapreduce.task_retries").inc()
+            journal_emit("retry", phase="reduce", shard=self.shard)
             return False
         if not self.quarantine:
             raise exc
         logger.warning(
-            "%sparallel %s task %d failed all %d attempts (%s); isolating "
-            "its units", self._log_ctx(), phase, index,
-            self.max_retries + 1, exc,
+            "%sreduce task %d failed all %d attempts (%s); isolating its "
+            "%d key group(s)", self._log_ctx(), index, attempts[index], exc,
+            len(tasks[index]),
         )
         results[index] = self._isolate_units(
-            func, job, split(task),
-            phase=phase, attempts=attempts[index], use_pool=in_pool,
+            job, tasks[index], attempts=attempts[index], executor=isolate_on
         )
         return True

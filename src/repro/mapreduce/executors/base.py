@@ -1,10 +1,10 @@
 """The :class:`TaskExecutor` protocol: one engine, many backends.
 
 The paper ran BAYWATCH on a 13-node Hadoop cluster; the engine's job
-here is the *computation* (map/shuffle/reduce, retries, backoff,
-quarantine) while the executor supplies the *mechanism* — where a task
-runs and how a stuck one is put down.  Three backends implement the
-protocol:
+here is the *computation* (partitioned reduce tasks, retry rounds,
+backoff, quarantine) while the executor supplies the *mechanism* —
+where a task runs and how a stuck one is put down.  Three backends
+implement the protocol:
 
 - :class:`~repro.mapreduce.executors.local.SerialExecutor` — inline,
   zero dispatch overhead, the debugging default;
@@ -17,13 +17,16 @@ protocol:
 
 The engine speaks to all of them through four calls — :meth:`submit`,
 :meth:`result`, :meth:`restart`, :meth:`close` — plus one trait,
-``parallelism``: how many tasks can genuinely run at once.  At 1 (or
-for a phase too small to dispatch) the engine runs tasks inline, where
-nothing can kill a late one, so a missed ``task_timeout`` is a *soft*
-breach: warn and journal a ``task_deadline`` event.  Dispatched tasks
-run in other processes, which :meth:`restart` kills, so there a
-:class:`TaskTimeout` is *hard*: the task is presumed lost, the backend
-restarts, and the task is retried.
+``parallelism``: how many tasks can genuinely run at once.  Its one
+task loop drives every backend the same way.  At 1 (or for a job too
+small to dispatch) it submits the tasks to a
+:class:`~repro.mapreduce.executors.local.SerialExecutor`, which runs
+them inline, where nothing can kill a late one, so a missed
+``task_timeout`` is a *soft* breach: warn and journal a
+``task_deadline`` event.  Dispatched tasks run in other processes,
+which :meth:`restart` kills, so there a :class:`TaskTimeout` is
+*hard*: the task is presumed lost, the backend restarts, and the task
+is retried.
 """
 
 from __future__ import annotations

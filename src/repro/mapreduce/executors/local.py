@@ -31,10 +31,12 @@ logger = logging.getLogger(__name__)
 class SerialExecutor(TaskExecutor):
     """Run tasks inline in the caller — zero overhead, full debugger.
 
-    ``parallelism == 1`` keeps the engine on its serial path (which
-    handles retries, quarantine, and the soft ``task_timeout`` check
-    itself), so :meth:`submit`/:meth:`result` exist only for protocol
-    completeness: a handle is a deferred thunk, awaited by running it.
+    A handle is a deferred thunk, awaited by running it in the caller,
+    under the caller's registry, trace and journal.  ``parallelism ==
+    1`` makes the engine run every task inline; it also runs a job too
+    small to dispatch through an instance of this class, whatever its
+    backend.  Nothing here can time a task out, so the engine checks
+    ``task_timeout`` after the fact (a soft breach).
     """
 
     name = "serial"

@@ -1,11 +1,10 @@
 """MapReduce job abstraction (paper Section VII).
 
-BAYWATCH structures every phase as a modular MapReduce job so that raw
-logs are processed once and intermediate ActivitySummaries are reused.
-A job defines ``map(key, value) -> iterable of (key2, value2)`` and
-``reduce(key2, values) -> iterable of (key3, value3)``; the engine
+BAYWATCH runs beaconing detection as the reduce tasks of a MapReduce
+job over records already keyed by communication pair.  A job defines
+``reduce(key, values) -> iterable of (key2, value2)``; the engine
 handles partitioning (the paper's hash ``H(s, d)`` controlling the
-number of reduce tasks), shuffling, and execution.
+number of reduce tasks), grouping, and execution.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ def stable_hash(key: Any) -> int:
 
 
 class MapReduceJob(ABC):
-    """One modular phase of the analysis.
+    """A reduce-side job over keyed records.
 
     ``n_partitions`` plays the role of the paper's hash-bit count: a
     5-bit hash yields 32 reduce partitions, trading per-task startup
@@ -39,10 +38,6 @@ class MapReduceJob(ABC):
 
     #: Number of reduce partitions (paper default: 32 = 2^5).
     n_partitions: int = 32
-
-    @abstractmethod
-    def map(self, key: Any, value: Any) -> Iterator[KeyValue]:
-        """Transform one input record into zero or more keyed records."""
 
     @abstractmethod
     def reduce(self, key: Any, values: Iterable[Any]) -> Iterator[KeyValue]:

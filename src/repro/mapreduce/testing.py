@@ -59,7 +59,7 @@ class FaultMarker:
 
 
 class _IdentityJob(MapReduceJob):
-    """Base: identity map/reduce over 4 partitions."""
+    """Base: identity reduce over 4 partitions."""
 
     n_partitions = 4
 
@@ -67,37 +67,16 @@ class _IdentityJob(MapReduceJob):
         self.marker = FaultMarker(marker_path)
         self.poison_key = poison_key
 
-    def map(self, key: Any, value: Any) -> Iterator[KeyValue]:
-        yield key, value
-
     def reduce(self, key: Any, values: Iterable[Any]) -> Iterator[KeyValue]:
         for value in values:
             yield key, value
 
 
 class PoisonPillJob(_IdentityJob):
-    """The marked key fails on every attempt, in map or reduce."""
-
-    def __init__(
-        self,
-        marker_path: str,
-        *,
-        poison_key: Any = POISON_KEY,
-        fail_in: str = "reduce",
-    ) -> None:
-        super().__init__(marker_path, poison_key=poison_key)
-        if fail_in not in ("map", "reduce"):
-            raise ValueError("fail_in must be 'map' or 'reduce'")
-        self.fail_in = fail_in
-
-    def map(self, key: Any, value: Any) -> Iterator[KeyValue]:
-        if self.fail_in == "map" and key == self.poison_key:
-            self.marker.bump()
-            raise RuntimeError(f"poison pill in map: {key!r}")
-        yield key, value
+    """The marked key fails on every reduce attempt."""
 
     def reduce(self, key: Any, values: Iterable[Any]) -> Iterator[KeyValue]:
-        if self.fail_in == "reduce" and key == self.poison_key:
+        if key == self.poison_key:
             self.marker.bump()
             raise RuntimeError(f"poison pill in reduce: {key!r}")
         for value in values:

@@ -8,8 +8,8 @@ spent.  This package gives the reproduction the same visibility:
   and timers, scoped per run, with snapshot/merge aggregation across
   threads and MapReduce worker processes;
 - :mod:`repro.obs.tracing` — nested wall-clock (and optional
-  peak-memory) spans over the 8 filter stages, the MapReduce phases,
-  and the detector's internal steps;
+  peak-memory) spans over the 8 filter stages, the MapReduce engine's
+  reduce tasks, and the detector's internal steps;
 - :mod:`repro.obs.export` — the human run report (funnel + stage
   latency tables), JSON lines, Prometheus text format, and the trace
   renderers (ASCII tree + Chrome trace-event JSON);

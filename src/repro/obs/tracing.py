@@ -1,7 +1,7 @@
 """Lightweight span tracing for the 8-step funnel.
 
 A *span* measures one named unit of work — a filter stage, a MapReduce
-phase, a detector step — as a context manager:
+job, a detector step — as a context manager:
 
 >>> from repro.obs import span
 >>> with span("pipeline.run"):
@@ -13,7 +13,7 @@ Spans nest: the inner span above is recorded under the dotted path
 table shows both the whole and its parts.  Nesting is tracked per
 thread; worker processes start their own stacks (a forked worker drops
 the stack it inherited), so a dispatched task's spans record paths
-rooted at ``task.map`` / ``task.reduce``, and their measurements flow
+rooted at ``task.reduce``, and their measurements flow
 back through registry snapshots (see :mod:`repro.obs.registry`).
 
 Each completed span observes its wall-clock duration into the current

@@ -21,7 +21,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.timeseries import ActivitySummary
 from repro.lm.domains import registered_domain
-from repro.sources.proxy import LogFormatError, ProxyLogRecord, parse_timestamp
+from repro.sources.proxy import (
+    LogFormatError, ProxyLogRecord, has_label, parse_timestamp,
+)
 from repro.utils.validation import require_positive
 
 
@@ -45,15 +47,21 @@ class DnsLogRecord:
         """Parse a tab-separated log line.
 
         Raises :class:`~repro.sources.proxy.LogFormatError` naming the
-        line when it does not hold exactly four fields or its timestamp
-        is not a finite number.
+        line when it does not hold exactly four fields, its timestamp
+        is not a finite number, or its query name has no label (see
+        :func:`~repro.sources.proxy.has_label`).
         """
         parts = line.rstrip("\n").split("\t")
         malformed = f"malformed DNS log line: {line!r}"
         if len(parts) != 4:
             raise LogFormatError(malformed)
+        timestamp = parse_timestamp(parts[0], malformed)
+        if not has_label(parts[2]):
+            raise LogFormatError(
+                f"{malformed}: query name {parts[2]!r} has no label"
+            )
         return cls(
-            timestamp=parse_timestamp(parts[0], malformed),
+            timestamp=timestamp,
             client=parts[1],
             qname=parts[2],
             qtype=parts[3],

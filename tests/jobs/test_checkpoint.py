@@ -276,10 +276,12 @@ class _PoisonedDetectionJob(BeaconingDetectionJob):
         super().__init__(*args, **kwargs)
         self._poison_destination = poison_destination
 
-    def map(self, key, value):
-        if value.destination == self._poison_destination:
-            raise RuntimeError(f"poisoned pair {key}")
-        return super().map(key, value)
+    def reduce_partition(self, grouped):
+        grouped = list(grouped)
+        for key, _summaries in grouped:
+            if key[1] == self._poison_destination:
+                raise RuntimeError(f"poisoned pair {key}")
+        return super().reduce_partition(grouped)
 
 
 class TestQuarantineEndToEnd:
@@ -305,7 +307,7 @@ class TestQuarantineEndToEnd:
 
         # The batch completed; the poisoned pair is reported, not fatal.
         assert report.quarantined, "no quarantine entries in report"
-        assert all(e.phase == "map" for e in report.quarantined)
+        assert all(e.phase == "reduce" for e in report.quarantined)
         assert {e.key[1] for e in report.quarantined} == {victim}
         assert victim not in {c.destination for c in report.detected_cases}
 

@@ -28,7 +28,7 @@ class TestDetectionJob:
 
     def test_skips_short_series(self, engine):
         summary = ActivitySummary.from_timestamps("m", "d", [0.0, 60.0, 120.0])
-        job = BeaconingDetectionJob(min_events=4)
+        job = BeaconingDetectionJob()
         assert engine.run(job, [(summary.pair, summary)]) == []
 
     def test_non_periodic_not_reported(self, engine, rng):

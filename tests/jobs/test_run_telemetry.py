@@ -327,19 +327,14 @@ class TestDistributedTrace:
 
 
 class TestEngineLogContext:
-    def test_retry_warnings_carry_run_and_shard(self, caplog):
+    def test_retry_warnings_carry_run_and_shard(self, caplog, tmp_path):
+        from repro.mapreduce.testing import TransientFaultJob
+
         engine = MapReduceEngine(max_retries=1, retry_backoff=0.0)
         engine.set_run_context(run_id="ctx01", shard=7)
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("transient")
-            return "ok"
-
+        job = TransientFaultJob(str(tmp_path / "marker"), fail_times=1)
         with caplog.at_level(logging.WARNING, logger="repro"):
-            assert engine._attempt(flaky) == "ok"
+            assert engine.run(job, [("poison", "ok")]) == [("poison", "ok")]
         assert any(
             "run ctx01" in record.getMessage()
             and "shard 7" in record.getMessage()

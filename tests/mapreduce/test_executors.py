@@ -165,11 +165,9 @@ class TestSoftDeadlineEngine:
                         inputs,
                     )
         assert len(output) == len(inputs)  # the task was never abandoned
-        assert engine.last_stats.task_deadline_misses >= 1
-        assert engine.last_stats.pool_restarts == 0
-        assert dict(registry.counters())[
-            "mapreduce.task_deadline_misses"
-        ] >= 1
+        counters = dict(registry.counters())
+        assert counters["mapreduce.task_deadline_misses"] >= 1
+        assert "mapreduce.pool_restarts" not in counters
         events = [
             e for e in read_events(journal.path)
             if e["event"] == "task_deadline"

@@ -7,6 +7,7 @@ import pytest
 
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import MapReduceJob
+from repro.obs import MetricsRegistry, scoped_registry
 
 
 class FlakyJob(MapReduceJob):
@@ -35,9 +36,6 @@ class FlakyJob(MapReduceJob):
             handle.write(str(count))
         return count
 
-    def map(self, key, value):
-        yield key, value
-
     def reduce(self, key, values):
         if key == "poison" and self._bump() <= self.fail_times:
             raise RuntimeError("injected task failure")
@@ -60,10 +58,12 @@ class TestRetries:
             engine.run(FlakyJob(1, marker), INPUTS)
 
     def test_retry_recovers_transient_failure(self, marker):
-        engine = MapReduceEngine(max_retries=2)
-        output = engine.run(FlakyJob(1, marker), INPUTS)
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
+            engine = MapReduceEngine(max_retries=2)
+            output = engine.run(FlakyJob(1, marker), INPUTS)
         assert sorted(output) == sorted(INPUTS)
-        assert engine.last_stats.task_retries == 1
+        assert dict(registry.counters())["mapreduce.task_retries"] == 1
 
     def test_persistent_failure_still_raises(self, marker):
         engine = MapReduceEngine(max_retries=2)

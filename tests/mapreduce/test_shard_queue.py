@@ -30,6 +30,7 @@ from repro.mapreduce.testing import (
     WorkerFleet,
     WorkerKillerJob,
 )
+from repro.obs import MetricsRegistry, scoped_registry
 from repro.obs.journal import EventJournal, read_events, scoped_journal
 
 
@@ -173,14 +174,15 @@ class TestTwoHostFleet:
         )
 
     def test_fleet_completes_a_run(self, queue, tmp_path):
-        with WorkerFleet(queue, 2):
+        registry = MetricsRegistry()
+        with scoped_registry(registry), WorkerFleet(queue, 2):
             with self._engine(queue, max_retries=2) as engine:
                 output = engine.run(
                     TransientFaultJob(str(tmp_path / "marker"), fail_times=1),
                     INPUTS,
                 )
         assert len(output) == len(INPUTS)
-        assert engine.last_stats.task_retries >= 1
+        assert dict(registry.counters())["mapreduce.task_retries"] >= 1
         assert engine.last_quarantine == []
 
     def test_sigkilled_worker_costs_one_lease_not_the_run(
@@ -196,7 +198,8 @@ class TestTwoHostFleet:
         """
         journal = EventJournal.in_dir(tmp_path / "journal")
         marker = str(tmp_path / "marker")
-        with scoped_journal(journal):
+        registry = MetricsRegistry()
+        with scoped_journal(journal), scoped_registry(registry):
             with WorkerFleet(queue, 2, claim_ttl=0.5) as fleet:
                 with self._engine(
                     queue, max_retries=2, task_timeout=10.0
@@ -208,7 +211,8 @@ class TestTwoHostFleet:
                 survivors = fleet.pids()
         assert len(output) == len(INPUTS)
         assert len(survivors) == 1  # one host really died
-        assert engine.last_stats.pool_restarts == 0  # recovery was a lease
+        # Recovery was a lease, not a backend restart.
+        assert "mapreduce.pool_restarts" not in dict(registry.counters())
         expired = [
             e for e in read_events(journal.path)
             if e["event"] == "claim_expired"

@@ -213,9 +213,6 @@ class TestRetryLogging:
             n_partitions = 1
             attempts = 0
 
-            def map(self, key, value):
-                yield key, value
-
             def reduce(self, key, values):
                 FlakyOnce.attempts += 1
                 if FlakyOnce.attempts == 1:

@@ -29,9 +29,10 @@ class TestDnsRecord:
 
     def test_malformed_rejected(self):
         stamps = ("abc", "nan", "inf", "-inf", "")
+        names = ("", ".", "..", " ", " . ")
         for line in ("a\tb", "1.5\tclient1\tx.com\tA\textra", *(
             f"{stamp}\tclient1\tx.com\tA" for stamp in stamps
-        )):
+        ), *(f"1.5\tclient1\t{name}\tA" for name in names)):
             with pytest.raises(LogFormatError, match="malformed DNS") as info:
                 DnsLogRecord.from_line(line)
             assert repr(line) in str(info.value)

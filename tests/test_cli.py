@@ -59,7 +59,7 @@ class TestPipeline:
     def test_end_to_end(self, trace_path, capsys):
         out, truth = trace_path
         code = main([
-            "pipeline", str(out), "--tau-p", "0.25", "--percentile", "0.0",
+            "run", str(out), "--tau-p", "0.25", "--percentile", "0.0",
         ])
         assert code == 0
         text = capsys.readouterr().out
@@ -73,7 +73,7 @@ class TestTelemetry:
         out, _truth = trace_path
         telemetry = tmp_path / "telemetry"
         code = main([
-            "pipeline", str(out), "--tau-p", "0.25", "--percentile", "0.0",
+            "run", str(out), "--tau-p", "0.25", "--percentile", "0.0",
             "--telemetry", str(telemetry),
         ])
         assert code == 0
@@ -88,7 +88,7 @@ class TestTelemetry:
     def test_no_telemetry_flag_writes_nothing(self, trace_path, tmp_path):
         out, _truth = trace_path
         before = set(tmp_path.iterdir())
-        assert main(["pipeline", str(out), "--tau-p", "0.25",
+        assert main(["run", str(out), "--tau-p", "0.25",
                      "--percentile", "0.0"]) == 0
         assert set(tmp_path.iterdir()) == before
 
@@ -137,7 +137,7 @@ class TestTelemetry:
         out, _truth = trace_path
         telemetry = tmp_path / "telemetry"
         assert main([
-            "pipeline", str(out), "--tau-p", "0.25", "--percentile", "0.0",
+            "run", str(out), "--tau-p", "0.25", "--percentile", "0.0",
             "--telemetry", str(telemetry),
         ]) == 0
         assert (telemetry / "profiles.jsonl").stat().st_size > 0
@@ -152,7 +152,7 @@ class TestTelemetry:
         out, _truth = trace_path
         telemetry = tmp_path / "telemetry"
         assert main([
-            "pipeline", str(out), "--tau-p", "0.25", "--percentile", "0.0",
+            "run", str(out), "--tau-p", "0.25", "--percentile", "0.0",
             "--telemetry", str(telemetry),
         ]) == 0
         capsys.readouterr()
@@ -163,7 +163,7 @@ class TestTelemetry:
         out, _truth = trace_path
         telemetry = tmp_path / "telemetry"
         assert main([
-            "pipeline", str(out), "--tau-p", "0.25", "--percentile", "0.0",
+            "run", str(out), "--tau-p", "0.25", "--percentile", "0.0",
             "--telemetry", str(telemetry),
         ]) == 0
         report = (telemetry / "report.txt").read_text()
@@ -248,7 +248,7 @@ HOSTILE_LOGS = {  # name: (log, start of the error line)
 class TestHostileLogs:
     """A log the fold cannot read ends the run with one line, exit 2."""
 
-    @pytest.mark.parametrize("command", ["run", "pipeline", "report"])
+    @pytest.mark.parametrize("command", ["run", "report"])
     @pytest.mark.parametrize("log", sorted(HOSTILE_LOGS))
     def test_one_line_error(self, tmp_path, capsys, command, log):
         text, message = HOSTILE_LOGS[log]
@@ -280,7 +280,7 @@ class TestHostileLogs:
             "'.' has no label\n"
         )
 
-    @pytest.mark.parametrize("command", ["run", "pipeline", "report"])
+    @pytest.mark.parametrize("command", ["run", "report"])
     @pytest.mark.parametrize(
         "missing", [True, False], ids=["missing-file", "directory"]
     )
@@ -325,9 +325,6 @@ BAD_OPTIONS = {  # name: (command and options, start of the error line)
         ["run", "--resume"], "resume without checkpoint_dir",
     ),
     "negative-top": (["run", "--top", "-1"], "--top must be non-negative"),
-    "pipeline-negative-top": (
-        ["pipeline", "--top", "-1"], "--top must be non-negative",
-    ),
     "report-negative-max-cases": (
         ["report", "--max-cases", "-1"], "--max-cases must be non-negative",
     ),

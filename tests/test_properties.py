@@ -122,9 +122,6 @@ class TestRescaleInvariants:
 class _CountJob(MapReduceJob):
     n_partitions = 4
 
-    def map(self, key, value):
-        yield value % 5, 1
-
     def reduce(self, key, values):
         yield key, sum(values)
 
@@ -134,7 +131,7 @@ class TestEngineAgreesWithNaive:
     @given(values=st.lists(st.integers(min_value=0, max_value=1000), max_size=80))
     def test_group_count_equivalence(self, values):
         engine_out = dict(
-            MapReduceEngine().run(_CountJob(), list(enumerate(values)))
+            MapReduceEngine().run(_CountJob(), [(v % 5, 1) for v in values])
         )
         naive = {}
         for value in values:
