@@ -5,7 +5,8 @@ communication pair (paper Section VII-A): the first request timestamp, a
 time scale (1 second at the finest granularity), and the list of
 inter-request intervals.  This module provides:
 
-- :class:`ActivitySummary` — the canonical container,
+- :class:`ActivitySummary` — the canonical container, and
+  :func:`freeze`, which hands it an interval buffer without a copy,
 - :func:`intervals_from_timestamps` / :func:`timestamps_from_intervals` —
   the lossless conversions,
 - :func:`bin_series` — turn timestamps into the discrete signal ``x(n)``
@@ -22,7 +23,6 @@ inter-request intervals.  This module provides:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -124,7 +124,40 @@ def bin_series(
     return signal
 
 
-@dataclass(frozen=True)
+def freeze(array: np.ndarray) -> np.ndarray:
+    """``array``, which its caller alone holds, made read-only in place.
+
+    :class:`ActivitySummary` keeps read-only intervals without copying
+    them, so a producer that owns a fresh interval buffer freezes it
+    here before it slices it or hands it over.
+    """
+    array.flags.writeable = False
+    return array
+
+
+def _read_only_intervals(values: Sequence[float]) -> np.ndarray:
+    """``values`` as a checked, read-only 1-D float64 array.
+
+    A read-only array whose base, when an array, is read-only too is
+    kept as it is, so slices of a frozen buffer stay views of it;
+    anything else is copied, then frozen.
+    """
+    array = as_float_array(values, "intervals")
+    if array.size and array.min() < 0:
+        raise ValueError("intervals must be non-negative")
+    base_flags = getattr(array.base, "flags", array.flags)
+    if array.flags.writeable or base_flags.writeable:
+        array = freeze(array.copy())
+    return array
+
+
+def _unpickle_summary(*fields) -> "ActivitySummary":
+    """A pickled summary; its fresh interval array is frozen, not copied."""
+    *scalars, intervals, urls = fields
+    return ActivitySummary(*scalars, freeze(intervals), urls)
+
+
+@dataclass(frozen=True, eq=False)
 class ActivitySummary:
     """Request activity of one source/destination communication pair.
 
@@ -132,13 +165,19 @@ class ActivitySummary:
     the time scale ``e`` in seconds, the first request timestamp, the
     interval list, and optional side-channel information (URLs) used by
     the token filter (Section V-A).
+
+    ``intervals`` is a read-only 1-D float64 array that no caller can
+    write: the constructor keeps an array that is already read-only
+    (see :func:`_read_only_intervals`) and copies anything else.
+    Summaries compare and hash by value, and pickle to equal summaries
+    with read-only intervals.
     """
 
     source: str
     destination: str
     time_scale: float
     first_timestamp: float
-    intervals: Tuple[float, ...]
+    intervals: np.ndarray
     urls: Tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -149,14 +188,36 @@ class ActivitySummary:
                     f"pair {self.pair}: {name} must be finite, got {value!r}"
                 )
         require_positive(self.time_scale, "time_scale")
-        ivals = as_float_array(self.intervals, "intervals")
-        if np.any(ivals < 0):
-            raise ValueError("intervals must be non-negative")
-        # tolist() converts to Python floats in C — identical values to
-        # the old per-element float() loop, an order of magnitude
-        # cheaper on the ingestion hot path.
-        object.__setattr__(self, "intervals", tuple(ivals.tolist()))
+        object.__setattr__(
+            self, "intervals", _read_only_intervals(self.intervals)
+        )
         object.__setattr__(self, "urls", tuple(self.urls))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.source == other.source
+            and self.destination == other.destination
+            and self.time_scale == other.time_scale
+            and self.first_timestamp == other.first_timestamp
+            and self.urls == other.urls
+            and np.array_equal(self.intervals, other.intervals)
+        )
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, the one pair of equal floats whose
+        # bytes differ (intervals hold no NaN).
+        return hash((
+            self.source, self.destination, self.time_scale,
+            self.first_timestamp, (self.intervals + 0.0).tobytes(), self.urls,
+        ))
+
+    def __reduce__(self):
+        return _unpickle_summary, (
+            self.source, self.destination, self.time_scale,
+            self.first_timestamp, self.intervals, self.urls,
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -183,7 +244,7 @@ class ActivitySummary:
             destination=destination,
             time_scale=time_scale,
             first_timestamp=float(quantized[0]),
-            intervals=tuple(np.diff(quantized)),
+            intervals=freeze(np.diff(quantized)),
             urls=tuple(urls),
         )
 
@@ -192,12 +253,17 @@ class ActivitySummary:
     @property
     def event_count(self) -> int:
         """Number of requests summarized (intervals + 1)."""
-        return len(self.intervals) + 1
+        return self.intervals.size + 1
 
     @property
     def duration(self) -> float:
-        """Seconds between the first and the last request."""
-        return float(sum(self.intervals))
+        """Seconds between the first and the last request.
+
+        The intervals summed left to right, as a running sum adds them.
+        """
+        if not self.intervals.size:
+            return 0.0
+        return float(np.cumsum(self.intervals)[-1])
 
     @property
     def pair(self) -> Tuple[str, str]:
@@ -212,10 +278,6 @@ class ActivitySummary:
         """The binned signal ``x(n)`` at this summary's time scale."""
         return bin_series(self.timestamps(), self.time_scale, binary=binary)
 
-    def interval_array(self) -> np.ndarray:
-        """Intervals as a numpy array (excluding zero intervals on request)."""
-        return np.asarray(self.intervals, dtype=float)
-
     def nonzero_intervals(self) -> np.ndarray:
         """Intervals strictly greater than zero.
 
@@ -223,8 +285,7 @@ class ActivitySummary:
         the statistical pruning filters (Section IV-C) operate on the
         positive intervals.
         """
-        ivals = self.interval_array()
-        return ivals[ivals > 0]
+        return self.intervals[self.intervals > 0]
 
 
 def rescale(summary: ActivitySummary, new_time_scale: float) -> ActivitySummary:
@@ -253,7 +314,7 @@ def rescale(summary: ActivitySummary, new_time_scale: float) -> ActivitySummary:
         summary,
         time_scale=new_time_scale,
         first_timestamp=float(quantized[0]),
-        intervals=tuple(np.diff(quantized)),
+        intervals=freeze(np.diff(quantized)),
     )
 
 
@@ -276,19 +337,17 @@ def merge(summaries: Sequence[ActivitySummary]) -> ActivitySummary:
             )
     if len(summaries) == 1:
         return head
-    all_ts: List[float] = []
-    all_urls: List[str] = []
-    for summary in summaries:
-        all_ts.extend(summary.timestamps().tolist())
-        all_urls.extend(summary.urls)
-    all_ts.sort()
+    all_ts = np.sort(
+        np.concatenate([summary.timestamps() for summary in summaries]),
+        kind="stable",
+    )
     return ActivitySummary(
         source=head.source,
         destination=head.destination,
         time_scale=head.time_scale,
         first_timestamp=float(all_ts[0]),
-        intervals=tuple(np.diff(np.asarray(all_ts))),
-        urls=tuple(all_urls),
+        intervals=freeze(np.diff(all_ts)),
+        urls=tuple(url for summary in summaries for url in summary.urls),
     )
 
 
@@ -338,18 +397,22 @@ class SummaryColumns:
             first_timestamp=np.array(
                 [s.first_timestamp for s in summaries], dtype=float
             ),
-            interval_offsets=_offsets([len(s.intervals) for s in summaries]),
-            intervals=np.fromiter(
-                itertools.chain.from_iterable(s.intervals for s in summaries),
-                dtype=float,
-            ),
+            interval_offsets=_offsets([s.intervals.size for s in summaries]),
+            intervals=freeze(np.concatenate(
+                [s.intervals for s in summaries] or [np.empty(0)]
+            )),
             url_offsets=_offsets([len(s.urls) for s in summaries]),
             url_ids=np.array(url_ids, dtype=np.int64),
             url_table=list(table),
         )
 
     def summaries(self) -> List[ActivitySummary]:
-        """One summary per row, in row order."""
+        """One summary per row, in row order.
+
+        Each summary's intervals are a view of :attr:`intervals` when
+        that is read-only, as the library's producers of columns leave
+        it, and a copy otherwise.
+        """
         table = self.url_table
         urls = [table[i] for i in self.url_ids.tolist()]
         bounds = self.interval_offsets.tolist()
@@ -566,7 +629,7 @@ def merge_rescaled(
             if not alone[top]:
                 values = np.sort(values, kind="stable")
             first = values[0]
-            intervals = np.diff(values)
+            intervals = freeze(np.diff(values))
         merged.append(ActivitySummary(
             source=source,
             destination=destination,

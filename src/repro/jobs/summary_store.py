@@ -32,7 +32,12 @@ from typing import (
 
 import numpy as np
 
-from repro.core.timeseries import ActivitySummary, SummaryColumns, merge_rescaled
+from repro.core.timeseries import (
+    ActivitySummary,
+    SummaryColumns,
+    freeze,
+    merge_rescaled,
+)
 from repro.obs import get_registry, span
 from repro.utils.validation import require, require_positive
 
@@ -99,11 +104,11 @@ def pack_summaries(summaries: Sequence[ActivitySummary]) -> bytes:
     """
     columns = SummaryColumns.from_summaries(summaries)
     sections = [
-        columns.time_scale.astype("<f8"),
-        columns.first_timestamp.astype("<f8"),
-        columns.interval_offsets.astype("<i8"),
-        columns.intervals.astype("<f8"),
-        columns.url_offsets.astype("<i8"),
+        columns.time_scale.astype("<f8", copy=False),
+        columns.first_timestamp.astype("<f8", copy=False),
+        columns.interval_offsets.astype("<i8", copy=False),
+        columns.intervals.astype("<f8", copy=False),
+        columns.url_offsets.astype("<i8", copy=False),
         *_encode_strings(columns.sources),
         *_encode_strings(columns.destinations),
         *_encode_strings(columns.url_table),
@@ -268,7 +273,8 @@ def _columns(frames: Sequence[_Frame]) -> SummaryColumns:
     url_offsets = _increasing(_stitch([f.url_offsets for f in frames]), "URL")
     time_scale = np.concatenate([f.time_scale for f in frames])
     first_timestamp = np.concatenate([f.first_timestamp for f in frames])
-    intervals = np.concatenate([f.intervals for f in frames])
+    # Frozen, so the summaries sliced from these columns keep views.
+    intervals = freeze(np.concatenate([f.intervals for f in frames]))
     if time_scale.size and not (
         time_scale.min() > 0 and time_scale.max() < np.inf
     ):
@@ -459,7 +465,11 @@ class SummaryStore:
         ))
 
     def load_day(self, day: int) -> List[ActivitySummary]:
-        """All summaries of one day (empty when absent)."""
+        """All summaries of one day (empty when absent), in stored order.
+
+        Their intervals are read-only views of one array decoded from
+        the day's frames.
+        """
         return self._read([day]).summaries()
 
     def load_window(
@@ -479,6 +489,10 @@ class SummaryStore:
         naming the pair, the day and both scales, and a damaged frame
         raises :class:`CorruptFrameError`.  See
         :func:`~repro.core.timeseries.merge_rescaled`.
+
+        A merged pair's intervals are a read-only array of its own; a
+        pair stored once in the window, at the requested scale, keeps a
+        read-only view of the decoded window's intervals.
         """
         require_positive(window_days, "window_days")
         days = self.days()

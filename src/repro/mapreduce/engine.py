@@ -25,11 +25,12 @@ failures).  One task loop carries it on every backend:
   be killed, so there the deadline downgrades to a warn-and-journal
   soft breach;
 - with ``quarantine=True`` a partition that fails every attempt is
-  split into its key groups, each run in isolation, and only the
-  genuinely poisonous groups are dropped — recorded as
-  :class:`QuarantinedTask` entries in :attr:`MapReduceEngine.last_quarantine`
-  — so a single poison-pill pair degrades the batch instead of
-  aborting it.
+  dropped when it holds one key group and raised its own exception;
+  any other is split into its key groups, each run in isolation, and
+  only the genuinely poisonous groups are dropped.  Each dropped group
+  is recorded as a :class:`QuarantinedTask` entry in
+  :attr:`MapReduceEngine.last_quarantine`, so a single poison-pill
+  pair degrades the batch instead of aborting it.
 """
 
 from __future__ import annotations
@@ -81,7 +82,10 @@ class QuarantinedTask:
     """One key group dropped after exhausting every retry.
 
     ``phase`` is always ``"reduce"``; ``key`` is the group key;
-    ``error`` is the repr of the final exception.  The engine collects
+    ``error`` is the repr of the final exception; ``attempts`` counts
+    the runs charged to the group: its partition's, plus its isolated
+    run if it had one (a run lost with a worker that another task took
+    down is re-run free and not counted).  The engine collects
     these in :attr:`MapReduceEngine.last_quarantine` so callers (the
     sharded runner, the run report) can surface them instead of losing
     them.
@@ -172,10 +176,12 @@ class MapReduceEngine:
         reproducible delays under test; each slept delay is also
         journalled as a ``backoff`` event.
     ``quarantine``
-        When a partition exhausts its retries, split it into its key
-        groups, run each in isolation, and drop only the failing groups
-        — each recorded in :attr:`last_quarantine` — so poison-pill
-        inputs degrade the output instead of aborting the batch.
+        When a partition exhausts its retries, drop it if it holds one
+        key group and its last failure was its own exception (not a
+        lost or hung worker); otherwise split it into its key groups,
+        run each in isolation, and drop only the failing groups — each
+        recorded in :attr:`last_quarantine` — so poison-pill inputs
+        degrade the output instead of aborting the batch.
     """
 
     def __init__(
@@ -367,7 +373,8 @@ class MapReduceEngine:
         the backend (one group per task), so a group that takes its
         worker down cannot take the caller with it; the backend is
         restarted after each such casualty.  Any other partition is
-        isolated inline.
+        isolated inline.  A group that fails alone is quarantined with
+        the partition's ``attempts`` plus its own run.
         """
         outputs: List[KeyValue] = []
         for key, values in grouped:
@@ -379,9 +386,9 @@ class MapReduceEngine:
                 )
             except (WorkerCrash, TaskTimeout) as exc:
                 self._restart_pool(f"isolating poisoned reduce unit {key!r}")
-                self._record_quarantine(key, exc, attempts)
+                self._record_quarantine(key, exc, attempts + 1)
             except Exception as exc:
-                self._record_quarantine(key, exc, attempts)
+                self._record_quarantine(key, exc, attempts + 1)
         return outputs
 
     # -- execution ---------------------------------------------------------
@@ -541,6 +548,12 @@ class MapReduceEngine:
     ) -> bool:
         """Charge one failed attempt to a task; resolve it when spent.
 
+        A spent task holding one key group that failed with its own
+        exception is quarantined at once, with its runs as ``attempts``:
+        run alone it would only fail again.  Any other spent task is
+        split into its key groups (:meth:`_isolate_units`), also a
+        one-group task spent on worker deaths or timeouts, which charge
+        the first task waited on rather than the one at fault.
         Returns True when the task is *resolved* (quarantined into
         ``results`` or the exception re-raised); False when it should be
         retried in the next round.
@@ -557,6 +570,13 @@ class MapReduceEngine:
             return False
         if not self.quarantine:
             raise exc
+        if len(tasks[index]) == 1 and not isinstance(
+            exc, (WorkerCrash, TaskTimeout)
+        ):
+            [(key, _values)] = tasks[index]
+            self._record_quarantine(key, exc, attempts[index])
+            results[index] = []
+            return True
         logger.warning(
             "%sreduce task %d failed all %d attempts (%s); isolating its "
             "%d key group(s)", self._log_ctx(), index, attempts[index], exc,

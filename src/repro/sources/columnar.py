@@ -46,7 +46,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.timeseries import ActivitySummary
+from repro.core.timeseries import ActivitySummary, freeze
 from repro.sources.proxy import (
     STATUS_BOUND,
     PairConfig,
@@ -449,7 +449,7 @@ class _ColumnarPairState:
             destination=destination,
             time_scale=time_scale,
             first_timestamp=float(quantized[0]),
-            intervals=np.diff(quantized),
+            intervals=freeze(np.diff(quantized)),
             urls=() if table is None else tuple(table.decode(self.url_ids)),
         )
 

@@ -1,5 +1,6 @@
 """Unit and property tests for repro.core.timeseries."""
 
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -130,13 +131,17 @@ class TestActivitySummary:
         summary = self.make()
         assert summary.event_count == 4
         assert summary.duration == 180.0
-        assert summary.intervals == (60.0, 60.0, 60.0)
+        assert summary.intervals.tolist() == [60.0, 60.0, 60.0]
+        assert summary.intervals.dtype == np.float64
+        assert not summary.intervals.flags.writeable
 
     def test_quantizes_to_time_scale(self):
         summary = ActivitySummary.from_timestamps(
             "s", "d", [0.4, 60.7, 121.2], time_scale=1.0
         )
-        assert summary.intervals == (60.0, 61.0)
+        assert summary.intervals.tolist() == [60.0, 61.0]
+        assert summary.intervals.dtype == np.float64
+        assert not summary.intervals.flags.writeable
 
     def test_timestamps_roundtrip(self):
         summary = self.make()
@@ -189,6 +194,66 @@ class TestActivitySummary:
             replace(self.make(), **{name: value})
 
 
+class TestIntervalArrays:
+    """Intervals are read-only float64 arrays that no caller can write."""
+
+    def test_read_only_float64_also_after_pickling(self):
+        summary = ActivitySummary("s", "d", 1.0, 0.0, [60.0, 61.0])
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(summary, protocol=protocol))
+            assert restored == summary
+            for ivals in (summary.intervals, restored.intervals):
+                assert ivals.ndim == 1 and ivals.dtype == np.float64
+                with pytest.raises(ValueError, match="read-only"):
+                    ivals[0] = 1.0
+
+    def test_writes_to_the_input_array_do_not_reach_the_summary(self):
+        source = np.array([60.0, 61.0, 62.0])
+        frozen_view = source[:2]
+        frozen_view.flags.writeable = False  # its base stays writable
+        summaries = [
+            ActivitySummary("s", "d", 1.0, 0.0, source[:2]),
+            ActivitySummary("s", "d", 1.0, 0.0, frozen_view),
+        ]
+        source[:] = 0.0
+        for summary in summaries:
+            assert summary.intervals.tolist() == [60.0, 61.0]
+
+    def test_equal_summaries_hash_equal(self):
+        plus = ActivitySummary("s", "d", 1.0, 0.0, (0.0, 60.0))
+        minus = ActivitySummary("s", "d", 1.0, 0.0, np.array([-0.0, 60.0]))
+        assert plus.intervals.tobytes() != minus.intervals.tobytes()
+        assert plus == minus and hash(plus) == hash(minus)
+        assert len({plus, minus}) == 1
+        assert plus != replace(plus, intervals=(0.0, 61.0))
+
+    def test_duration_sums_left_to_right(self):
+        summary = ActivitySummary("s", "d", 1.0, 0.0, [0.1] * 10)
+        total = 0.0
+        for value in [0.1] * 10:
+            total += value
+        assert summary.duration == total
+        # numpy's pairwise sum rounds differently here.
+        assert summary.intervals.sum() != total
+
+    def test_columns_round_trip_as_views_of_one_buffer(self):
+        summaries = [
+            ActivitySummary("a", "x", 1.0, 5.0, (1.0, 2.0), ("/u",)),
+            ActivitySummary("b", "y", 60.0, 0.0, (), ()),
+            ActivitySummary("a", "z", 1.0, 9.0, (0.0,), ("/v", "/u")),
+        ]
+        columns = SummaryColumns.from_summaries(summaries)
+        assert not columns.intervals.flags.writeable
+        for rows in (columns.summaries(), merge_rescaled(columns, None)):
+            assert sorted(rows, key=lambda s: s.pair) == sorted(
+                summaries, key=lambda s: s.pair
+            )
+            for row in rows:
+                assert np.shares_memory(row.intervals, columns.intervals) or (
+                    row.intervals.size == 0
+                )
+
+
 class TestRescale:
     def test_rescale_to_coarser(self):
         summary = ActivitySummary.from_timestamps(
@@ -197,7 +262,9 @@ class TestRescale:
         coarse = rescale(summary, 60.0)
         assert coarse.time_scale == 60.0
         # Slots floor(t / 60): 0, 1, 2, 3.
-        assert coarse.intervals == (60.0, 60.0, 60.0)
+        assert coarse.intervals.tolist() == [60.0, 60.0, 60.0]
+        assert coarse.intervals.dtype == np.float64
+        assert not coarse.intervals.flags.writeable
 
     def test_rescale_same_scale_is_identity(self):
         summary = ActivitySummary.from_timestamps("s", "d", [0.0, 60.0])

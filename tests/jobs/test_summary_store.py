@@ -1,5 +1,6 @@
 """Tests for the persistent summary store."""
 
+import numpy as np
 import pytest
 
 from repro.core.timeseries import ActivitySummary
@@ -220,8 +221,10 @@ class TestPackedCodec:
         originals = self.summaries()
         restored = unpack_summaries(pack_summaries(originals))
         assert restored == originals
-        # Same concrete field types as a normally constructed summary.
-        assert all(type(v) is float for v in restored[0].intervals)
+        # Same field types as a normally constructed summary.
+        for summary in restored:
+            assert summary.intervals.dtype == np.float64
+            assert not summary.intervals.flags.writeable
         assert isinstance(restored[0].urls, tuple)
 
     def test_pack_empty_batch(self):

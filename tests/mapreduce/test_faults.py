@@ -7,6 +7,7 @@ counts are read from a scoped :class:`~repro.obs.MetricsRegistry`, as
 operators read them from a run's telemetry.
 """
 
+import time
 from collections import Counter
 from contextlib import contextmanager
 
@@ -59,6 +60,9 @@ def _counts(registry):
 
 class TestQuarantineSerial:
     def test_poison_reduce_is_quarantined_not_fatal(self, marker, registry):
+        # The poison key shares its partition with "more": the partition
+        # runs twice (initial attempt + 1 retry), then the poison key
+        # once more alone.
         engine = MapReduceEngine(max_retries=1, quarantine=True)
         output = engine.run(PoisonPillJob(marker), INPUTS)
         assert _keys(output) == ["fine", "more", "ok"]
@@ -68,7 +72,21 @@ class TestQuarantineSerial:
         assert entry.phase == "reduce"
         assert entry.key == POISON_KEY
         assert "poison pill" in entry.error
-        assert entry.attempts == 2  # initial attempt + 1 retry
+        assert entry.attempts == FaultMarker(marker).count() == 3
+
+    def test_poison_alone_in_its_partition_is_not_isolated(
+        self, marker, registry
+    ):
+        # Without "more" the poison key has its partition to itself: it
+        # is quarantined as soon as its retries are spent.
+        inputs = [(key, value) for key, value in INPUTS if key != "more"]
+        engine = MapReduceEngine(max_retries=1, quarantine=True)
+        output = engine.run(PoisonPillJob(marker), inputs)
+        assert _keys(output) == ["fine", "ok"]
+        [entry] = engine.last_quarantine
+        assert entry.key == POISON_KEY
+        assert entry.attempts == FaultMarker(marker).count() == 2
+        assert _counts(registry)["tasks_quarantined"] == 1
 
     def test_without_quarantine_poison_still_raises(self, marker):
         engine = MapReduceEngine(max_retries=1)
@@ -117,6 +135,18 @@ class TestQuarantineParallel:
         assert _counts(registry)["task_retries"] >= 1
 
 
+SLOW_KEY = "slow"
+
+
+class _SlowBesideKiller(WorkerKillerJob):
+    """The poison key kills its worker; ``SLOW_KEY`` takes a second."""
+
+    def reduce(self, key, values):
+        if key == SLOW_KEY:
+            time.sleep(1.0)
+        return super().reduce(key, values)
+
+
 class TestPoolRecovery:
     def test_killed_worker_restarts_pool_and_recovers(self, marker, registry):
         with MapReduceEngine(
@@ -151,6 +181,24 @@ class TestPoolRecovery:
         # else survived.
         assert len(output) == 3 * 30
         assert [e.key for e in engine.last_quarantine] == [POISON_KEY]
+
+    def test_crash_charged_to_a_slow_neighbour_spares_it(self, marker):
+        # A worker death is charged to the first task waited on: here
+        # the slow one-key partition ahead of the killer's, in every
+        # round until its retries are spent.  It then runs alone on the
+        # pool and keeps its output; only the killer is quarantined.
+        job = _SlowBesideKiller(marker, kill_times=100)
+        assert job.partition(SLOW_KEY) < job.partition(POISON_KEY)
+        inputs = [(SLOW_KEY, i) for i in range(10)]
+        inputs += [(POISON_KEY, i) for i in range(10)]
+        with MapReduceEngine(
+            n_workers=2, min_parallel_records=8, max_retries=1, quarantine=True
+        ) as engine:
+            output = engine.run(job, inputs)
+        assert sorted(output) == [(SLOW_KEY, i) for i in range(10)]
+        [entry] = engine.last_quarantine
+        assert entry.key == POISON_KEY
+        assert entry.attempts == 3  # two charged rounds, then alone
 
     def test_retry_budget_not_mutated_by_failures(self, marker):
         with MapReduceEngine(

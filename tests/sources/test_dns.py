@@ -48,7 +48,9 @@ class TestDnsSummaries:
         summaries = dns_records_to_summaries(records)
         assert len(summaries) == 1
         assert summaries[0].destination == "evil.com"
-        assert summaries[0].intervals == (60.0, 60.0)
+        assert summaries[0].intervals.tolist() == [60.0, 60.0]
+        assert summaries[0].intervals.dtype == np.float64
+        assert not summaries[0].intervals.flags.writeable
 
     def test_exact_name_grouping(self):
         records = [

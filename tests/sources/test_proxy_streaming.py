@@ -62,7 +62,9 @@ class TestStreamingEquivalence:
         records = (record(60.0 * i) for i in range(10))
         [summary] = fold(records, 3).summaries()
         assert summary.event_count == 10
-        assert summary.intervals == tuple([60.0] * 9)
+        assert summary.intervals.tolist() == [60.0] * 9
+        assert summary.intervals.dtype == np.float64
+        assert not summary.intervals.flags.writeable
 
     def test_url_cap_keeps_earliest_by_arrival(self):
         # Same timestamp everywhere: the cap must keep the first-arriving

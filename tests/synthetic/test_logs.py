@@ -1,5 +1,6 @@
 """Unit tests for the proxy-log records in repro.sources.proxy."""
 
+import numpy as np
 import pytest
 
 from repro.sources.proxy import (
@@ -52,7 +53,9 @@ class TestRecordsToSummaries:
     def test_intervals_computed(self, sample_records):
         summaries = records_to_summaries(sample_records)
         by_pair = {s.pair: s for s in summaries}
-        assert by_pair[("mac1", "a.com")].intervals == (60.0, 60.0)
+        intervals = by_pair[("mac1", "a.com")].intervals
+        assert intervals.tolist() == [60.0, 60.0]
+        assert intervals.dtype == np.float64 and not intervals.flags.writeable
 
     def test_urls_captured(self, sample_records):
         summaries = records_to_summaries(sample_records)
@@ -77,7 +80,9 @@ class TestRecordsToSummaries:
             ProxyLogRecord(60.0, "m", "ip", "d.com", "/"),
         ]
         summaries = records_to_summaries(records)
-        assert summaries[0].intervals == (60.0, 60.0)
+        assert summaries[0].intervals.tolist() == [60.0, 60.0]
+        assert summaries[0].intervals.dtype == np.float64
+        assert not summaries[0].intervals.flags.writeable
 
     def test_deterministic_ordering(self, sample_records):
         a = records_to_summaries(sample_records)

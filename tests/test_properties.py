@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core import DetectorConfig, PeriodicityDetector
 from repro.core.gmm import fit_gmm
 from repro.core.pruning import fold_intervals
-from repro.core.timeseries import ActivitySummary, rescale
+from repro.core.timeseries import ActivitySummary, merge, rescale
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import MapReduceJob
 
@@ -102,14 +102,29 @@ class TestRescaleInvariants:
     @given(ts=timestamps, scale=st.sampled_from([5.0, 60.0, 600.0]))
     def test_event_count_preserved(self, ts, scale):
         summary = ActivitySummary.from_timestamps("s", "d", ts)
-        assert rescale(summary, scale).event_count == summary.event_count
+        coarse = rescale(summary, scale)
+        assert coarse.event_count == summary.event_count
+        # Merging the rescaled halves of the events gives the whole back,
+        # compared by value.
+        stamps = np.sort(ts)
+        halves = [
+            rescale(ActivitySummary.from_timestamps("s", "d", part), scale)
+            for part in (stamps[: len(ts) // 2], stamps[len(ts) // 2:])
+        ]
+        merged = merge(halves)
+        assert merged == coarse and hash(merged) == hash(coarse)
+        assert np.array_equal(merged.intervals, coarse.intervals)
 
     @settings(max_examples=40, deadline=None)
     @given(ts=timestamps)
     def test_rescale_idempotent(self, ts):
         summary = ActivitySummary.from_timestamps("s", "d", ts)
         once = rescale(summary, 60.0)
-        assert rescale(once, 60.0).intervals == once.intervals
+        assert np.array_equal(rescale(once, 60.0).intervals, once.intervals)
+        rebuilt = ActivitySummary.from_timestamps(
+            "s", "d", once.timestamps(), time_scale=60.0
+        )
+        assert rebuilt == once and hash(rebuilt) == hash(once)
 
     @settings(max_examples=40, deadline=None)
     @given(ts=timestamps)
