@@ -139,11 +139,9 @@ class ThresholdCache:
     Bucket thresholds depend only on the bucket key and the cache's
     parameters (each is derived with a generator seeded from ``seed``),
     so warmth is shareable: :meth:`precompute` fills buckets ahead of a
-    run, and :meth:`save`/:meth:`load` persist them as JSON so resumed
-    batches start from the saved buckets.  A copy pickled into a worker
-    process warms on its own: the buckets it derives never reach the
-    caller's cache, so an engine run whose shards all ran on process
-    workers saves none of them.
+    run, :meth:`save`/:meth:`load` persist them as JSON so resumed
+    batches start from the saved buckets, and :meth:`merge` takes in
+    the buckets a copy pickled into a worker process derived.
     """
 
     def __init__(
@@ -245,6 +243,18 @@ class ThresholdCache:
     def __len__(self) -> int:
         return len(self._cache)
 
+    def buckets(self) -> Dict[Tuple[int, int], float]:
+        """A copy of the warm buckets: bucket key -> threshold."""
+        return dict(self._cache)
+
+    def merge(self, buckets: Dict[Tuple[int, int], float]) -> None:
+        """Take in :meth:`buckets` of a copy with the same parameters.
+
+        A copy derives each bucket exactly as this cache would, so
+        merging changes no threshold, only which are warm.
+        """
+        self._cache.update(buckets)
+
     # -- warmth ------------------------------------------------------------
 
     def precompute(self, grid: Iterable[Tuple[int, int]]) -> int:
@@ -338,5 +348,5 @@ class ThresholdCache:
             raise ThresholdCacheMismatch(
                 f"threshold cache {path} holds a non-finite threshold"
             )
-        self._cache.update(entries)
+        self.merge(entries)
         return len(entries)

@@ -273,7 +273,7 @@ class BaywatchPipeline:
 
     @property
     def scorer(self) -> DomainScorer:
-        """The domain LM scorer (built lazily: training takes ~1 s)."""
+        """The domain LM scorer (built lazily: training takes 0.1-0.2 s)."""
         if self._scorer is None:
             self._scorer = default_scorer()
         return self._scorer

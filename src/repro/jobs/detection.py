@@ -10,7 +10,9 @@ CandidatePeriod list for the ranking and investigation phases.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple,
+)
 
 from repro.core.batch import BatchedDetector
 from repro.core.detector import DetectionResult, DetectorConfig, PeriodicityDetector
@@ -29,10 +31,14 @@ class BeaconingDetectionJob(MapReduceJob):
     :class:`~repro.core.permutation.ThresholdCache` to every worker
     (the job is pickled into worker processes, cache included) so
     workers start from shared warm buckets instead of each re-deriving
-    every bucket from scratch; without one, each process starts a cold
-    cache of its own.  The reduce phase runs all pairs of a
-    partition through :class:`~repro.core.batch.BatchedDetector`,
-    amortizing FFT/ACF dispatch across them.
+    every bucket from scratch.  A dispatched task hands its copy's
+    buckets back (:meth:`worker_state`), and the engine merges them
+    into the caller's cache, so later tasks ship warmer and the sharded
+    runner saves every bucket any process derived.  Without a cache,
+    each process starts a cold one of its own.  The reduce phase runs
+    all pairs of a partition through
+    :class:`~repro.core.batch.BatchedDetector`, amortizing FFT/ACF
+    dispatch across them.
     """
 
     def __init__(
@@ -86,6 +92,19 @@ class BeaconingDetectionJob(MapReduceJob):
         state = dict(self.__dict__)
         state["_detector"] = None
         return state
+
+    def worker_state(self) -> Optional[Dict[Tuple[int, int], float]]:
+        """The worker copy's threshold buckets: those it was shipped
+        with, plus those its task derived."""
+        cache = self.threshold_cache
+        return None if cache is None else cache.buckets()
+
+    def merge_worker_state(
+        self, state: Optional[Dict[Tuple[int, int], float]]
+    ) -> None:
+        """Warm the caller's cache with a worker copy's buckets."""
+        if state and self.threshold_cache is not None:
+            self.threshold_cache.merge(state)
 
     def reduce(
         self, key: Tuple[str, str], values: Iterable[ActivitySummary]

@@ -19,7 +19,7 @@ the alphabet for characters never seen at all.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Dict, Iterable, Tuple
 
 from repro.utils.validation import require, require_in_range
@@ -56,27 +56,41 @@ class NgramLanguageModel:
     # -- training ------------------------------------------------------------
 
     def fit(self, corpus: Iterable[str]) -> "NgramLanguageModel":
-        """Count n-grams over the corpus; returns self for chaining."""
-        n_items = 0
-        for text in corpus:
-            if not text:
-                continue
-            n_items += 1
-            padded = _START * (self.order - 1) + text.lower() + _END
-            self._alphabet.update(padded)
-            for pos in range(self.order - 1, len(padded)):
-                char = padded[pos]
-                for k in range(1, self.order + 1):
-                    history = padded[pos - k + 1 : pos]
-                    key = (history, char)
-                    level = self._counts[k - 1]
-                    if key not in level:
-                        self._distinct[k - 1][history] += 1
-                    level[key] += 1
-                    self._totals[k - 1][history] += 1
-                if pos >= 1:
-                    self._continuation[char].add(padded[pos - 1])
-        require(n_items > 0, "corpus must contain at least one non-empty string")
+        """Count n-grams over the corpus; returns self for chaining.
+
+        Each padded text's ``order``-length windows are counted once.
+        The ``k``-gram ending at a position is the last ``k`` characters
+        of the window ending there, so every order's counts, totals and
+        distinct-continuation counts, the unigram continuation sets and
+        the alphabet follow from the distinct windows and their counts.
+        Repeated calls accumulate: ``fit(a).fit(b)`` equals
+        ``fit(a + b)``.
+        """
+        n = self.order
+        padding = _START * (n - 1)
+        padded = [padding + text.lower() + _END for text in corpus if text]
+        require(
+            len(padded) > 0,
+            "corpus must contain at least one non-empty string",
+        )
+        windows = Counter(
+            text[i : i + n]
+            for text in padded
+            for i in range(len(text) - n + 1)
+        )
+        for window, count in windows.items():
+            char = window[-1]
+            for k in range(1, n + 1):
+                history = window[n - k : -1]
+                key = (history, char)
+                level = self._counts[k - 1]
+                if key not in level:
+                    self._distinct[k - 1][history] += 1
+                level[key] += count
+                self._totals[k - 1][history] += count
+            self._continuation[char].add(window[-2])
+        # Every character of a padded text lies in one of its windows.
+        self._alphabet.update("".join(windows))
         self._trained = True
         return self
 

@@ -102,13 +102,21 @@ def _reduce_partition(job: MapReduceJob, grouped: Partition) -> List[KeyValue]:
     return list(job.reduce_partition(grouped))
 
 
+def _dispatched_reduce(
+    job: MapReduceJob, grouped: Partition
+) -> Tuple[List[KeyValue], Any]:
+    """Reduce one partition in a worker; hand back the job copy's
+    :meth:`~repro.mapreduce.job.MapReduceJob.worker_state` too."""
+    return _reduce_partition(job, grouped), job.worker_state()
+
+
 def _run_task_with_telemetry(
     job: MapReduceJob,
     grouped: Partition,
     trace: Optional[Dict[str, Optional[str]]] = None,
     journal=None,
 ):
-    """Reduce one partition under a fresh child registry.
+    """:func:`_dispatched_reduce` under a fresh child registry.
 
     Executed inside a worker process when the parent collects telemetry
     (or journals, or traces): the child registry captures everything the
@@ -130,7 +138,7 @@ def _run_task_with_telemetry(
         if journal is not None:
             journal.append("heartbeat", worker=os.getpid(), phase="reduce")
         with span("task.reduce"):
-            result = _reduce_partition(job, grouped)
+            result = _dispatched_reduce(job, grouped)
     return (
         result,
         registry.snapshot(),
@@ -377,13 +385,19 @@ class MapReduceEngine:
         the partition's ``attempts`` plus its own run.
         """
         outputs: List[KeyValue] = []
+        dispatched = executor is not _INLINE
         for key, values in grouped:
             try:
                 unit = [(key, values)]
-                handle = executor.submit(_reduce_partition, job, unit)
-                outputs.extend(
-                    executor.result(handle, timeout=self.task_timeout)
+                handle = executor.submit(
+                    _dispatched_reduce if dispatched else _reduce_partition,
+                    job, unit,
                 )
+                outcome = executor.result(handle, timeout=self.task_timeout)
+                if dispatched:
+                    outcome, state = outcome
+                    job.merge_worker_state(state)
+                outputs.extend(outcome)
             except (WorkerCrash, TaskTimeout) as exc:
                 self._restart_pool(f"isolating poisoned reduce unit {key!r}")
                 self._record_quarantine(key, exc, attempts + 1)
@@ -454,10 +468,11 @@ class MapReduceEngine:
         ``inline`` tasks run in the caller through a
         :class:`~repro.mapreduce.executors.SerialExecutor`, under the
         caller's registry, trace and journal.  Dispatched tasks run on
-        the backend in other processes; when the run collects
-        telemetry, traces or journals, each runs under a fresh child
-        registry and ships back a snapshot that is merged here (plus
-        completed span records, stitched under this engine's span
+        the backend in other processes and hand back their job copy's
+        ``worker_state``, merged into ``job`` here.  When the run
+        collects telemetry, traces or journals, each runs under a fresh
+        child registry and ships back a snapshot that is merged here
+        (plus completed span records, stitched under this engine's span
         tree, and per-task journal heartbeats).
         """
         executor = _INLINE if inline else self.executor
@@ -473,16 +488,15 @@ class MapReduceEngine:
         attempts = [0] * len(tasks)
         pending: List[int] = list(range(len(tasks)))
         failure_rounds = 0
+        if inline:
+            task, extra = _reduce_partition, ()
+        elif ship:
+            task, extra = _run_task_with_telemetry, (trace_payload, journal)
+        else:
+            task, extra = _dispatched_reduce, ()
         while pending:
             submitted = {
-                i: (
-                    executor.submit(
-                        _run_task_with_telemetry, job, tasks[i],
-                        trace_payload, journal,
-                    )
-                    if ship
-                    else executor.submit(_reduce_partition, job, tasks[i])
-                )
+                i: executor.submit(task, job, tasks[i], *extra)
                 for i in pending
             }
             next_pending: List[int] = []
@@ -520,11 +534,14 @@ class MapReduceEngine:
                     ):
                         next_pending.append(i)
                     continue
-                if ship:
-                    outcome, snapshot, worker_spans = outcome
-                    registry.merge(snapshot)
-                    record_spans(worker_spans, registry)
-                elif inline and self.task_timeout is not None:
+                if not inline:
+                    if ship:
+                        outcome, snapshot, worker_spans = outcome
+                        registry.merge(snapshot)
+                        record_spans(worker_spans, registry)
+                    outcome, state = outcome
+                    job.merge_worker_state(state)
+                elif self.task_timeout is not None:
                     elapsed = time.monotonic() - started
                     if elapsed > self.task_timeout:
                         self._note_deadline_miss(elapsed)

@@ -61,3 +61,18 @@ class MapReduceJob(ABC):
         """
         for key, values in grouped:
             yield from self.reduce(key, values)
+
+    def worker_state(self) -> Any:
+        """What a dispatched task's copy of the job hands back, or None.
+
+        A task that runs in another process reduces on a pickled copy
+        of the job, so anything the copy learns (a warmed cache, say)
+        would die with the task.  The engine calls this on the copy
+        after the task's reduce and passes the picklable result to
+        :meth:`merge_worker_state` on the caller's job.  Tasks run
+        inline use the caller's job itself and skip both calls.
+        """
+        return None
+
+    def merge_worker_state(self, state: Any) -> None:
+        """Fold a dispatched task's :meth:`worker_state` into this job."""

@@ -115,7 +115,7 @@ class StageContext:
     #: Decision-provenance recorder; None (the default) disables
     #: per-pair verdict records entirely.
     provenance: Optional[ProvenanceRecorder] = None
-    #: Builds the LM scorer on first use (training takes ~1 s).
+    #: Builds the LM scorer on first use (training takes 0.1-0.2 s).
     scorer_factory: Callable[[], DomainScorer] = default_scorer
     _scorer: Optional[DomainScorer] = field(default=None, repr=False)
 

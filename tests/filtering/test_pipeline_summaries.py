@@ -141,7 +141,7 @@ class TestScorerTraining:
         trained = default_scorer()
 
         def cold_factory():
-            time.sleep(delay)  # stands in for ~1 s of training
+            time.sleep(delay)  # stands in for 0.1-0.2 s of training
             return trained
 
         monkeypatch.setattr(pipeline_module, "default_scorer", cold_factory)

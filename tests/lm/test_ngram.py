@@ -3,10 +3,16 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.lm.ngram import NgramLanguageModel
+from tests.lm.oracle import reference_fit
+
+#: Mixed case, non-ASCII (with ``"İ".lower()`` two characters long) and
+#: the model's own padding characters.
+_TEXTS = st.text(alphabet="abAB.-0éÉİßΣ\x02\x03", max_size=6)
+_CORPORA = st.lists(_TEXTS, max_size=8)
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +102,74 @@ class TestScoring:
         score = english_model.log_score(text)
         assert math.isfinite(score)
         assert score < 0
+
+
+def _fitted(fit, order, *corpora):
+    """A model of ``order`` after ``fit`` over each corpus in turn, or the
+    ``ValueError`` the first all-empty corpus raises."""
+    model = NgramLanguageModel(order=order)
+    try:
+        for corpus in corpora:
+            fit(model, corpus)
+    except ValueError as exc:
+        return exc
+    return model
+
+
+def _state(model):
+    return (
+        model._counts,
+        model._totals,
+        model._distinct,
+        model._continuation,
+        model._alphabet,
+        model._trained,
+    )
+
+
+class TestFitMatchesOracle:
+    """``fit`` counts windows once; the per-position loop is the oracle."""
+
+    @staticmethod
+    def _assert_same(model, reference, probes):
+        if isinstance(reference, ValueError):
+            assert isinstance(model, ValueError)
+            return
+        assert _state(model) == _state(reference)
+        for text in probes:
+            assert model.log_score(text) == reference.log_score(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        order=st.integers(min_value=2, max_value=4),
+        first=_CORPORA,
+        second=_CORPORA,
+    )
+    @example(order=3, first=["", "", ""], second=["a"])
+    @example(order=4, first=["a", "ab", ""], second=["b"])
+    @example(order=3, first=["Ab", "ab", "AB", "ab"], second=["ab", "ba"])
+    @example(order=2, first=["İß", "Σσ"], second=["ΣΣ", "é"])
+    @example(order=3, first=["abab"], second=["abab", "ba"])
+    def test_fit_equals_oracle(self, order, first, second):
+        probes = [t for t in first + second if t] + ["abΣ", "\x02", "zq"]
+        fit = NgramLanguageModel.fit
+        for corpora in ((first,), (first, second), (first + second,)):
+            self._assert_same(
+                _fitted(fit, order, *corpora),
+                _fitted(reference_fit, order, *corpora),
+                probes,
+            )
+        # Repeated fits accumulate: fit(a).fit(b) holds what fit(a + b)
+        # holds, also in the distinct counts of keys both corpora have.
+        chained = _fitted(fit, order, first, second)
+        joined = _fitted(fit, order, first + second)
+        if not isinstance(chained, ValueError):
+            assert _state(chained) == _state(joined)
+
+    def test_bundled_corpus(self):
+        from repro.lm.corpus import training_corpus
+
+        corpus = training_corpus()
+        model = NgramLanguageModel().fit(corpus)
+        reference = reference_fit(NgramLanguageModel(), corpus)
+        assert _state(model) == _state(reference)

@@ -1,5 +1,7 @@
 """Tests for the local MapReduce engine."""
 
+import os
+
 import pytest
 
 from repro.mapreduce.engine import MapReduceEngine
@@ -71,6 +73,48 @@ class TestParallelEngine:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             MapReduceEngine(n_workers=0)
+
+
+class GroupCountJob(WordCountJob):
+    """Word count whose job copies report how many groups they reduced."""
+
+    def __init__(self):
+        self.reduced = 0
+        self.merged = []
+
+    def reduce(self, key, values):
+        self.reduced += 1
+        yield key, sum(values)
+
+    def worker_state(self):
+        return os.getpid(), self.reduced
+
+    def merge_worker_state(self, state):
+        self.merged.append(state)
+
+
+class TestWorkerState:
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_dispatched_tasks_hand_their_state_back(self, telemetry):
+        job = GroupCountJob()
+        registry = MetricsRegistry() if telemetry else None
+        with scoped_registry(registry), MapReduceEngine(
+            n_workers=2, min_parallel_records=1
+        ) as engine:
+            output = dict(engine.run(job, WORDS))
+        assert output["the"] == 3
+        # One state per partition task, each from a worker's copy.
+        assert len(job.merged) == len({job.partition(w) for w, _ in WORDS})
+        assert sum(count for _pid, count in job.merged) == len(output)
+        assert os.getpid() not in {pid for pid, _count in job.merged}
+        assert job.reduced == 0
+
+    def test_inline_tasks_reduce_on_the_callers_job(self):
+        job = GroupCountJob()
+        engine = MapReduceEngine(n_workers=2, min_parallel_records=1000)
+        output = dict(engine.run(job, WORDS))
+        assert job.reduced == len(output)
+        assert job.merged == []
 
 
 class TestPartitioning:

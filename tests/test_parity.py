@@ -284,6 +284,29 @@ def test_batched_sharded_run_with_persisted_cache_matches_pipeline(
     assert report_signature(report) == report_signature(pipeline_report)
 
 
+def test_worker_run_saves_the_serial_threshold_buckets(
+    records, scorer, tmp_path
+):
+    # Worker tasks hand back the buckets they derive, so a run whose
+    # every shard reaches the worker processes saves what a serial run
+    # saves (with no buckets shipped back it saved no file at all).
+    import json
+
+    def saved_entries(engine, name):
+        checkpoint = tmp_path / name
+        engine_pipeline(
+            PipelineConfig(**CONFIG), engine, scorer=scorer
+        ).run_records(records, shard_size=4, checkpoint_dir=str(checkpoint))
+        payload = (checkpoint / "threshold-cache.json").read_text()
+        return json.loads(payload)["entries"]
+
+    serial = saved_entries(MapReduceEngine(), "serial")
+    with MapReduceEngine(executor="processes", **WORKERS) as engine:
+        workers = saved_entries(engine, "workers")
+    assert serial
+    assert workers == serial
+
+
 def test_columnar_pipeline_matches_pipeline(records, scorer, pipeline_report):
     # Chunks and object records reach the same fold through the two
     # pipeline entry points; the reports must be bit-identical.
