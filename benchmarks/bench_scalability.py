@@ -190,8 +190,9 @@ def _usable_cores():
 def _processes_vs_serial():
     """``processes_2`` over ``serial`` throughput on one detection job.
 
-    Each arm runs one warmup and three timed runs; the ratio is of the
-    arms' mean seconds.
+    Both engines run one warmup; then the arms alternate for three
+    timed runs each, so a drift in the host's speed reaches both alike.
+    The ratio is of the arms' mean seconds.
     """
     summaries = _detection_workload(512)
     config = DetectorConfig(seed=0, use_gmm=False)
@@ -200,27 +201,28 @@ def _processes_vs_serial():
     job = BeaconingDetectionJob(config, threshold_cache=warm_cache)
     inputs = [(summary.pair, summary) for summary in summaries]
 
-    def mean_seconds(executor, n_workers):
-        with MapReduceEngine(
-            n_workers=n_workers, executor=executor, min_parallel_records=64
-        ) as engine:
+    with MapReduceEngine(
+        executor="serial", min_parallel_records=64
+    ) as serial, MapReduceEngine(
+        n_workers=2, executor="processes", min_parallel_records=64
+    ) as processes:
+        arms = {serial: [], processes: []}
+        for engine in arms:
             engine.run(job, inputs)
-            samples = []
-            for _ in range(3):
+        for _ in range(3):
+            for engine, samples in arms.items():
                 start = time.perf_counter()
                 engine.run(job, inputs)
                 samples.append(time.perf_counter() - start)
-        return statistics.fmean(samples)
-
-    serial = mean_seconds("serial", 1)
-    return serial / mean_seconds("processes", 2)
+    return statistics.fmean(arms[serial]) / statistics.fmean(arms[processes])
 
 
 def test_process_pool_keeps_pace_with_serial(benchmark, capsys):
     """Two worker processes at least match inline detection.
 
     The 1.0x floor sits below every ratio measured on a shared 2-CPU
-    VM (1.07x-2.25x over 28 runs of this workload).
+    VM (1.35x-1.73x over 7 runs of this workload, one reduce task per
+    worker and the arms interleaved).
     """
     ratio = benchmark.pedantic(_processes_vs_serial, rounds=1, iterations=1)
     cores = _usable_cores()

@@ -4,8 +4,8 @@
 Shows the Section VII production architecture at laptop scale:
 
 1. periodicity detection, the costly phase, as a MapReduce job over the
-   local engine, run in shards; extraction, popularity and ranking run
-   in-process,
+   local engine (a serial one unless the pipeline is given another),
+   run in shards; extraction, popularity and ranking run in-process,
 2. multi-day operation with rescale-and-merge: per-day extraction at
    1-second granularity, then a weekly coarse-grained pass over merged
    summaries that spots slow beacons invisible in a single day,
@@ -49,9 +49,7 @@ def main() -> None:
 
     print("\n=== daily operation (1 s granularity) ===")
     novelty = NoveltyStore()  # carried across the daily runs
-    pipeline = BaywatchPipeline(
-        pipeline_config, engine=MapReduceEngine(), novelty=novelty
-    )
+    pipeline = BaywatchPipeline(pipeline_config, novelty=novelty)
     for day in range(3):
         start, end = day * DAY, (day + 1) * DAY
         day_records = [r for r in records if start <= r.timestamp < end]
@@ -62,9 +60,7 @@ def main() -> None:
               f"{time.time() - t0:5.1f} s -> new reports: {names}")
 
     print("\n=== weekly pass: rescale to 60 s, merge, re-detect ===")
-    weekly_pipeline = BaywatchPipeline(
-        pipeline_config, engine=MapReduceEngine()
-    )
+    weekly_pipeline = BaywatchPipeline(pipeline_config)
     t0 = time.time()
     weekly = weekly_pipeline.run_records(records, analysis_time_scale=60.0)
     print(f"  {time.time() - t0:.1f} s")

@@ -6,9 +6,9 @@ Public API highlights:
   (DFT + permutation threshold, pruning, ACF verification, GMM
   multi-period analysis),
 - :class:`repro.filtering.BaywatchPipeline` — the 8-step filtering
-  methodology end-to-end; given a
-  :class:`repro.mapreduce.MapReduceEngine`, it runs periodicity
-  detection as checkpointed MapReduce shards,
+  methodology end-to-end, with periodicity detection in checkpointable
+  shards on a :class:`repro.mapreduce.MapReduceEngine` (serial unless
+  given another),
 - :mod:`repro.synthetic` — enterprise traffic generation with implanted
   beacons and ground truth,
 - :class:`repro.analysis.Investigator` — bootstrap case classification

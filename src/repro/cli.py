@@ -7,7 +7,6 @@ The subcommands cover the operational surface:
 - ``run``      — run the 8-step methodology over a proxy log, in
   fault-tolerant shards (checkpoint/resume),
 - ``score``    — score domain names under the language model,
-- ``report``   — run the pipeline and emit an analyst report,
 - ``stats``    — render a run report from saved telemetry,
 - ``trace``    — render a distributed trace tree / export Chrome JSON,
 - ``worker``   — drain shard-queue tasks from a run's checkpoint directory,
@@ -27,15 +26,17 @@ detection on the MapReduce engine, in bounded shards with durable JSONL
 checkpoints (``--checkpoint-dir`` / ``--resume``), worker-pool recovery
 (``--task-timeout``, ``--max-retries``, ``--retry-backoff``), and
 quarantine of poison-pill pairs (see ``docs/OPERATIONS.md``).  It
-exits 3 when ``--max-shards`` stopped the run before every shard
-completed.  Every sharded run
+prints the funnel and the top ranked cases; ``--report FILE`` also
+writes the analyst report (:func:`repro.analysis.render_report`) of
+those cases.  It exits 3 when ``--max-shards`` stopped the run before
+every shard completed.  Every sharded run
 journals its progress to ``events.jsonl`` in the checkpoint (or
 telemetry) directory; ``--status-port N`` additionally serves
 ``/status``, ``/metrics``, and ``/events`` over HTTP for the duration
 of the run, and ``repro watch`` follows either the journal file or the
 HTTP service.
 
-``run`` and ``report`` accept ``--telemetry <dir>`` to collect
+``run`` accepts ``--telemetry <dir>`` to collect
 per-stage metrics and write ``report.txt`` / ``metrics.jsonl`` /
 ``metrics.prom`` (see ``docs/OBSERVABILITY.md``).  ``-v`` turns on
 INFO logging, ``-vv`` DEBUG.  A bad argument, an input that cannot be
@@ -54,7 +55,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.core.detector import DetectorConfig, PeriodicityDetector
 from repro.filtering.pipeline import (
@@ -107,6 +108,17 @@ def _check_telemetry_dir(telemetry: Optional[Path]) -> None:
         )
 
 
+def _check_report_file(report: Optional[Path]) -> None:
+    if report is None:
+        return
+    if report.is_dir():
+        raise _UsageError(f"--report target {report} is a directory")
+    if not report.parent.is_dir():
+        raise _UsageError(
+            f"--report target {report}: no directory {report.parent}"
+        )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -149,8 +161,14 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="ranking score percentile to report")
     runp.add_argument("--top", type=int, default=20,
                       help="print at most this many ranked cases")
+    runp.add_argument(
+        "--report", type=Path, default=None, metavar="FILE",
+        help="also write the analyst report of the top --top cases to FILE",
+    )
     runp.add_argument("--workers", type=int, default=1,
-                      help="worker processes for the MapReduce engine")
+                      help="worker processes for the MapReduce engine; "
+                           "a dispatched shard becomes this many tasks "
+                           "(shard-queue: the expected fleet size)")
     runp.add_argument(
         "--executor", default=None, metavar="BACKEND",
         choices=("serial", "processes", "shard-queue"),
@@ -234,21 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     score = sub.add_parser("score", help="score domains under the 3-gram LM")
     score.add_argument("domains", nargs="+", help="domain names to score")
-
-    rep = sub.add_parser(
-        "report", help="run the pipeline and emit an analyst report"
-    )
-    rep.add_argument("input", type=Path, help="proxy log (TSV; .gz ok)")
-    rep.add_argument("--tau-p", type=float, default=0.01)
-    rep.add_argument("--percentile", type=float, default=0.9)
-    rep.add_argument("--max-cases", type=int, default=10)
-    rep.add_argument("--output", type=Path, default=None,
-                     help="write the report here instead of stdout")
-    rep.add_argument(
-        "--telemetry", type=Path, default=None, metavar="DIR",
-        help="collect run telemetry and write report.txt/metrics.jsonl/"
-             "metrics.prom into DIR",
-    )
 
     stats = sub.add_parser(
         "stats", help="render a run report from saved telemetry"
@@ -367,24 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_instrumented(
-    telemetry: Optional[Path], run: Callable[[], PipelineReport]
-) -> Tuple[PipelineReport, Optional[Path]]:
-    """Run ``run()``, collecting and writing telemetry when requested.
-
-    Returns the report and the telemetry directory (None when telemetry
-    was not requested).
-    """
-    if telemetry is None:
-        return run(), None
-    _check_telemetry_dir(telemetry)
-    registry = MetricsRegistry()
-    with scoped_registry(registry):
-        report = run()
-    write_telemetry(telemetry, registry, funnel=report.funnel)
-    return report, telemetry
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         config = EnterpriseConfig(
@@ -444,7 +429,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     """The command's PipelineConfig; a value it rejects is a usage error."""
     provenance = None
-    if getattr(args, "provenance", None) is not None:
+    if args.provenance is not None:
         from repro.obs import ProvenancePolicy
 
         try:
@@ -517,6 +502,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "event journal lives there)"
         )
     _check_telemetry_dir(args.telemetry)
+    _check_report_file(args.report)
     # The library's own checks, run before anything starts.
     try:
         check_sharding(
@@ -543,8 +529,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     pipeline = BaywatchPipeline(config, engine=engine)
     run_id = args.run_id if args.run_id else new_run_id()
 
-    # The status service needs the *live* registry (for /metrics), so
-    # one is owned here rather than delegating to _run_instrumented; a
+    # The status service needs the *live* registry (for /metrics); a
     # bare --status-port run gets live metrics without writing files.
     registry: Optional[MetricsRegistry] = None
     if args.telemetry is not None or args.status_port is not None:
@@ -606,6 +591,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  {entry.phase}  {entry.key!r}  {entry.error}")
         if checkpoint_dir is not None:
             print(f"quarantine report: {args.checkpoint_dir}/quarantine.jsonl")
+    if args.report is not None:
+        from repro.analysis import render_report
+
+        args.report.write_text(
+            render_report(report, max_cases=args.top), encoding="utf-8"
+        )
+        print(f"wrote report to {args.report}")
     if telemetry_dir is not None:
         print(f"wrote telemetry to {telemetry_dir}")
     return 0
@@ -619,26 +611,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
     for domain, value in scorer.score_many(args.domains):
         marker = "SUSPICIOUS" if scorer.is_suspicious(domain) else ""
         print(f"{value:8.3f}  {domain}  {marker}")
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis.reporting import render_report
-
-    config = _pipeline_config(args)
-    _non_negative(args.max_cases, "--max-cases")
-    chunks = read_log_chunks(_readable(args.input))
-    pipeline_report, telemetry_dir = _run_instrumented(
-        args.telemetry, lambda: BaywatchPipeline(config).run_chunks(chunks)
-    )
-    text = render_report(pipeline_report, max_cases=args.max_cases)
-    if args.output is not None:
-        args.output.write_text(text, encoding="utf-8")
-        print(f"wrote report to {args.output}")
-    else:
-        print(text)
-    if telemetry_dir is not None:
-        print(f"wrote telemetry to {telemetry_dir}")
     return 0
 
 
@@ -860,7 +832,6 @@ _COMMANDS = {
     "run": _cmd_run,
     "worker": _cmd_worker,
     "score": _cmd_score,
-    "report": _cmd_report,
     "stats": _cmd_stats,
     "trace": _cmd_trace,
     "watch": _cmd_watch,

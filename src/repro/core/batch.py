@@ -56,9 +56,13 @@ __all__ = [
 
 #: Binned signal slots one chunk may hold across all its (pair, scale)
 #: signals.  A slot costs 8 bytes of signal and about 4 of periodogram,
-#: so a chunk stays near 50 MB whatever its pair count; a pair larger
-#: than the budget on its own runs as a chunk of one.
-SLOT_BUDGET = 1 << 22
+#: so a chunk stays near 6 MB whatever its pair count; a pair larger
+#: than the budget on its own runs as a chunk of one.  Results do not
+#: depend on it; it trades chunk size for peak memory.  Perfbench's
+#: ``daily`` batch (20 pairs, 1.5 M slots in one call) peaked near
+#: 161 MB RSS at 2^22 and 152 MB at 2^19 on a 2-CPU VM, and
+#: ``monthly`` ran at the same speed.
+SLOT_BUDGET = 1 << 19
 
 
 def batch_power_spectra(signals: np.ndarray) -> np.ndarray:

@@ -21,11 +21,10 @@ funnel plus the detector's internal rejection reasons.)
 
 The step bodies themselves live in :mod:`repro.stages`; this module's
 :class:`BaywatchPipeline` is the one front end that composes them.
-Ingestion, the whitelists and ranking always run in this process.
-Periodicity detection runs in-process too, unless the pipeline is given
-a :class:`~repro.mapreduce.MapReduceEngine`: then detection runs on the
-engine in bounded, checkpointed shards (:mod:`repro.jobs.runner`).
-Both ways give the same report.  See ``docs/ARCHITECTURE.md``.
+Ingestion, the whitelists and ranking run in this process; periodicity
+detection runs on a :class:`~repro.mapreduce.MapReduceEngine` (a serial
+one unless the pipeline is given another) in bounded, checkpointable
+shards (:mod:`repro.jobs.runner`).  See ``docs/ARCHITECTURE.md``.
 
 Phase (d) — investigation and verification — lives in
 :mod:`repro.analysis`, consuming this pipeline's output.
@@ -47,7 +46,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.detector import DetectorConfig, PeriodicityDetector
+from repro.core.detector import DetectorConfig
 from repro.core.permutation import ThresholdCache
 from repro.core.timeseries import ActivitySummary
 from repro.filtering.case import BeaconingCase
@@ -189,10 +188,11 @@ class FunnelStats:
 class PipelineReport:
     """Everything a pipeline run produced.
 
-    ``quarantined`` lists the poison-pill inputs a fault-tolerant
-    sharded run dropped after exhausting every retry
+    ``quarantined`` lists the poison-pill inputs a quarantining engine
+    dropped after exhausting every retry
     (:class:`~repro.mapreduce.QuarantinedTask` records); it is empty
-    for in-process runs and for batches without failures.
+    for batches without failures, and always with the default serial
+    engine, which re-raises the failure instead.
     """
 
     ranked_cases: List[BeaconingCase]
@@ -228,12 +228,11 @@ class BaywatchPipeline:
     :func:`repro.sources.proxy.records_to_summaries`), so ``records``
     or ``chunks`` may be a lazy iterator of any size.
 
-    Without an ``engine`` every step runs in this process.  With one,
-    periodicity detection — the only phase whose cost needs workers —
-    runs on the engine in bounded shards with optional durable
-    checkpoints, retries and quarantine
-    (:func:`repro.jobs.runner.run_on_engine`); every other step still
-    runs here.  ``detection_job_factory`` (engine runs only) builds the
+    Periodicity detection — the only phase whose cost needs workers —
+    runs on ``engine`` (a serial :class:`~repro.mapreduce.MapReduceEngine`
+    when None) in bounded shards with optional durable checkpoints,
+    retries and quarantine (:func:`repro.jobs.runner.run_on_engine`);
+    every other step runs here.  ``detection_job_factory`` builds the
     detection job from the keyword arguments of
     :class:`~repro.jobs.detection.BeaconingDetectionJob` — the seam
     fault-injection tests hook into.
@@ -250,10 +249,12 @@ class BaywatchPipeline:
         scorer: Optional[DomainScorer] = None,
         detection_job_factory: Optional[Callable[..., Any]] = None,
     ) -> None:
-        require(
-            detection_job_factory is None or engine is not None,
-            "detection_job_factory needs an engine",
-        )
+        if engine is None:
+            # Imported lazily: the filtering layer does not depend on
+            # the mapreduce layer at import time.
+            from repro.mapreduce.engine import MapReduceEngine
+
+            engine = MapReduceEngine()
         self.config = config or PipelineConfig()
         self.engine = engine
         self.global_whitelist = (
@@ -263,13 +264,10 @@ class BaywatchPipeline:
         self.token_filter = token_filter if token_filter is not None else TokenFilter()
         self._scorer = scorer
         self.detection_job_factory = detection_job_factory
-        # One cache for every run: in-process detection warms it,
-        # engine runs ship it to their workers and persist it next to
-        # the shard checkpoints.
+        # One cache for every run: inline tasks warm it, dispatched
+        # ones ship it to their workers and hand their buckets back,
+        # and checkpointed runs persist it next to the shards.
         self.threshold_cache = ThresholdCache()
-        self.detector = PeriodicityDetector(
-            self.config.detector, threshold_cache=self.threshold_cache
-        )
 
     @property
     def scorer(self) -> DomainScorer:
@@ -316,11 +314,10 @@ class BaywatchPipeline:
 
         ``analysis_time_scale`` (seconds) rescales every summary to that
         coarser granularity and merges each pair's summaries before the
-        funnel (see :func:`rescale_and_merge`).  The other keywords need
-        an engine and are those of
-        :func:`repro.jobs.runner.run_on_engine`: ``shard_size``,
-        ``checkpoint_dir``, ``resume``, ``max_shards``, ``run_id`` and
-        ``journal_dir``.
+        funnel (see :func:`rescale_and_merge`).  The other keywords are
+        those of :func:`repro.jobs.runner.run_on_engine`:
+        ``shard_size``, ``checkpoint_dir``, ``resume``, ``max_shards``,
+        ``run_id`` and ``journal_dir``.
         """
         return self._run(summaries, None, "", **options)
 
@@ -334,11 +331,6 @@ class BaywatchPipeline:
         **sharding: Any,
     ) -> PipelineReport:
         """The body of every run: check, fold, rescale, then the funnel."""
-        if sharding and self.engine is None:
-            raise ValueError(
-                f"{', '.join(sorted(sharding))}: sharding keywords need an "
-                "engine (BaywatchPipeline(engine=...))"
-            )
         check_analysis_time_scale(analysis_time_scale, self.config.time_scale)
         summaries = source
         if fold is not None:
@@ -350,17 +342,11 @@ class BaywatchPipeline:
                 )
         if analysis_time_scale is not None:
             summaries = rescale_and_merge(summaries, analysis_time_scale)
-        if self.engine is not None:
-            # Imported lazily: the filtering layer does not depend on
-            # the jobs and mapreduce layers at import time.
-            from repro.jobs.runner import run_on_engine
+        # Imported lazily: the filtering layer does not depend on the
+        # jobs layer at import time.
+        from repro.jobs.runner import run_on_engine
 
-            return run_on_engine(self, summaries, **sharding)
-        from repro.stages import InProcessDetection
-
-        executor = InProcessDetection(self.detector)
-        with span("pipeline"):
-            return self._run_stages(summaries, executor)
+        return run_on_engine(self, summaries, **sharding)
 
     def _run_stages(
         self, summaries: Sequence[ActivitySummary], executor: Any

@@ -1,10 +1,10 @@
 """The MapReduce side of BAYWATCH: detection job, checkpoints, store.
 
 Of the paper's Section VII jobs, only periodicity detection runs on the
-engine (:class:`BeaconingDetectionJob`, driven in checkpointed shards by
-:func:`repro.jobs.runner.run_on_engine` when a
-:class:`~repro.filtering.BaywatchPipeline` is given an engine); the
-other phases run in-process.  :class:`SummaryStore` keeps per-day
+engine (:class:`BeaconingDetectionJob`, driven in checkpointable shards
+by :func:`repro.jobs.runner.run_on_engine` for every
+:class:`~repro.filtering.BaywatchPipeline` run); the other phases run
+in-process.  :class:`SummaryStore` keeps per-day
 summaries for the long-window cadence runs.
 """
 

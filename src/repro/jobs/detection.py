@@ -36,9 +36,9 @@ class BeaconingDetectionJob(MapReduceJob):
     into the caller's cache, so later tasks ship warmer and the sharded
     runner saves every bucket any process derived.  Without a cache,
     each process starts a cold one of its own.  The reduce phase runs
-    all pairs of a partition through
+    all pairs of a task through
     :class:`~repro.core.batch.BatchedDetector`, amortizing FFT/ACF
-    dispatch across them.
+    dispatch across them; run inline, a shard is one task.
     """
 
     def __init__(
@@ -109,22 +109,22 @@ class BeaconingDetectionJob(MapReduceJob):
     def reduce(
         self, key: Tuple[str, str], values: Iterable[ActivitySummary]
     ) -> Iterator[KeyValue]:
-        """Detect one pair's history: a partition of one key group."""
+        """Detect one pair's history: a task of one key group."""
         return self.reduce_partition([(key, values)])
 
     def reduce_partition(
         self, grouped: Iterable[Tuple[Any, Iterable[ActivitySummary]]]
     ) -> Iterator[KeyValue]:
-        """Detect all pairs of the partition in one batched call.
+        """Detect all pairs of the task in one batched call.
 
-        The partition's summaries are flattened (preserving group
-        order) and run through the shape-grouped batched kernels under
-        a ``detect`` span — inside a worker process the span record
-        ships back to the engine with its parent link, which is how
+        The task's summaries are flattened (preserving group order) and
+        run through the shape-grouped batched kernels under a
+        ``detect`` span — inside a worker process the span record ships
+        back to the engine with its parent link, which is how
         worker-side detection time shows up in the merged trace tree.
-        Quarantine fallback still works: a failing partition is split
-        into single-group units, each of which re-enters here as a
-        partition of one group.
+        Quarantine fallback still works: a failing task is split into
+        single-group units, each of which re-enters here as a task of
+        one group.
         """
         flat: List[Tuple[Any, ActivitySummary]] = [
             (key, value) for key, values in grouped for value in values

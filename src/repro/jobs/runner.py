@@ -1,11 +1,12 @@
 """Periodicity detection on a MapReduce engine, in checkpointed shards.
 
 :class:`~repro.filtering.BaywatchPipeline` is the one front end of the
-8-step funnel.  Given a :class:`~repro.mapreduce.MapReduceEngine`, it
-hands its run to :func:`run_on_engine`: ingestion, the whitelists and
-ranking still run in-process through the shared :mod:`repro.stages`
-objects, and only periodicity detection — the paper's Section VII-D
-job, the one phase whose cost needs workers — runs on the engine.
+8-step funnel, and it hands every run to :func:`run_on_engine`:
+ingestion, the whitelists and ranking run in-process through the shared
+:mod:`repro.stages` objects, and only periodicity detection — the
+paper's Section VII-D job, the one phase whose cost needs workers —
+runs on the pipeline's :class:`~repro.mapreduce.MapReduceEngine`.  On
+a serial engine each shard is one task, one batched detector call.
 
 Detection runs in bounded shards with durable JSONL checkpoints (see
 :mod:`repro.jobs.checkpoint`): an interrupted run restarted with
@@ -96,9 +97,8 @@ def _absorb_detection_provenance(
     """Fold worker-shipped detection verdicts into the recorder.
 
     Pairs the workers shipped no result for were non-periodic and
-    outside the sampling policy — an in-process run would have closed
-    and dropped those chains, so they are discarded here, keeping the
-    final store identical across executors.
+    outside the sampling policy, so their chains are discarded here,
+    keeping the final store identical across executors.
     """
     recorded = {record.pair for record in records}
     recorder.extend(records)

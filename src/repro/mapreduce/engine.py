@@ -2,20 +2,25 @@
 
 Substitutes the paper's 13-node Hadoop cluster with a local model of
 the part BAYWATCH distributes, the reduce tasks of its detection job
-(paper Section VII-D): group the keyed input records by the job's
-partitioner (values in input order, keys sorted by ``repr`` for
-determinism) and reduce partition by partition.  *Where* tasks run is
-delegated to a :class:`~repro.mapreduce.executors.TaskExecutor` —
-serial inline, a process pool, or a multi-host shard queue drained by
-``repro worker`` processes; jobs and records must be picklable for the
-out-of-process backends, exactly as Hadoop requires them to be
-serializable.
+(paper Section VII-D): group the keyed input records by key (values in
+input order, keys sorted by ``repr`` for determinism) and cut the
+groups into as many tasks as the backend can run at once.  An inline
+run is one task holding every group; a dispatched run is
+``executor.parallelism`` tasks, a key going to task
+``stable_hash(key) % parallelism``.  The paper's 5-bit ``H(s, d)``
+makes 32 reduce tasks so that 13 nodes can share them; here a task
+count above the backend's parallelism would only split the batched
+detector's input.  *Where* tasks run is delegated to a
+:class:`~repro.mapreduce.executors.TaskExecutor` — serial inline, a
+process pool, or a multi-host shard queue drained by ``repro worker``
+processes; jobs and records must be picklable for the out-of-process
+backends, exactly as Hadoop requires them to be serializable.
 
 Fault tolerance mirrors Hadoop's task-level story (paper Section VII: a
 multi-hour batch over millions of pairs must survive individual task
 failures).  One task loop carries it on every backend:
 
-- partitions run in retry *rounds*: a task that *raises* is retried in
+- tasks run in retry *rounds*: a task that *raises* is retried in
   the next round, up to ``max_retries`` times, with one exponential
   backoff (``retry_backoff``) before each round that follows a failure;
 - a dispatched task whose worker *dies*
@@ -24,7 +29,7 @@ failures).  One task loop carries it on every backend:
   lost tasks, against the same retry budget; a task run inline cannot
   be killed, so there the deadline downgrades to a warn-and-journal
   soft breach;
-- with ``quarantine=True`` a partition that fails every attempt is
+- with ``quarantine=True`` a task that fails every attempt is
   dropped when it holds one key group and raised its own exception;
   any other is split into its key groups, each run in isolation, and
   only the genuinely poisonous groups are dropped.  Each dropped group
@@ -49,7 +54,7 @@ from repro.mapreduce.executors import (
     WorkerCrash,
     make_executor,
 )
-from repro.mapreduce.job import KeyValue, MapReduceJob
+from repro.mapreduce.job import KeyValue, MapReduceJob, stable_hash
 from repro.obs import (
     MetricsRegistry,
     TraceContext,
@@ -70,10 +75,11 @@ logger = logging.getLogger(__name__)
 #: Cap, in seconds, of the exponential retry-backoff envelope.
 MAX_BACKOFF = 30.0
 
-#: Runs the tasks of a job too small to dispatch, and the isolated
-#: units of a partition that failed without taking its worker down.
+#: Runs the task of a job run inline, and the isolated units of a
+#: task that failed without taking its worker down.
 _INLINE = SerialExecutor()
 
+#: The key groups one task reduces, in ``repr(key)`` order.
 Partition = List[Tuple[Any, List[Any]]]
 
 
@@ -83,7 +89,7 @@ class QuarantinedTask:
 
     ``phase`` is always ``"reduce"``; ``key`` is the group key;
     ``error`` is the repr of the final exception; ``attempts`` counts
-    the runs charged to the group: its partition's, plus its isolated
+    the runs charged to the group: its task's, plus its isolated
     run if it had one (a run lost with a worker that another task took
     down is re-run free and not counted).  The engine collects
     these in :attr:`MapReduceEngine.last_quarantine` so callers (the
@@ -98,14 +104,14 @@ class QuarantinedTask:
 
 
 def _reduce_partition(job: MapReduceJob, grouped: Partition) -> List[KeyValue]:
-    """Reduce all key groups of one partition (via the job's hook)."""
+    """Reduce all key groups of one task (via the job's hook)."""
     return list(job.reduce_partition(grouped))
 
 
 def _dispatched_reduce(
     job: MapReduceJob, grouped: Partition
 ) -> Tuple[List[KeyValue], Any]:
-    """Reduce one partition in a worker; hand back the job copy's
+    """Reduce one task in a worker; hand back the job copy's
     :meth:`~repro.mapreduce.job.MapReduceJob.worker_state` too."""
     return _reduce_partition(job, grouped), job.worker_state()
 
@@ -155,14 +161,15 @@ class MapReduceEngine:
     for the legacy mapping — ``"processes"`` when ``n_workers > 1``,
     ``"serial"`` otherwise.  Backend resources are created lazily and
     reused across runs (workers are where Hadoop's task JVMs would be).
-    A job runs its tasks inline when the backend's ``parallelism`` is 1
-    or the job has fewer than ``min_parallel_records`` input records,
-    too few to amortize dispatch.
+    A job runs inline, as one task, when the backend's ``parallelism``
+    is 1 or the job has fewer than ``min_parallel_records`` input
+    records, too few to amortize dispatch; otherwise it runs as
+    ``parallelism`` tasks on the backend.
 
     Fault-tolerance knobs (all executor-agnostic):
 
     ``max_retries``
-        Re-runs a failed reduce partition, the local analogue of
+        Re-runs a failed reduce task, the local analogue of
         Hadoop's task-level fault tolerance.  Tasks that fail on every
         attempt re-raise the final exception (unless quarantined,
         below).
@@ -184,7 +191,7 @@ class MapReduceEngine:
         reproducible delays under test; each slept delay is also
         journalled as a ``backoff`` event.
     ``quarantine``
-        When a partition exhausts its retries, drop it if it holds one
+        When a task exhausts its retries, drop it if it holds one
         key group and its last failure was its own exception (not a
         lost or hung worker); otherwise split it into its key groups,
         run each in isolation, and drop only the failing groups — each
@@ -374,15 +381,15 @@ class MapReduceEngine:
         attempts: int,
         executor: TaskExecutor,
     ) -> List[KeyValue]:
-        """Run each key group of an exhausted partition alone on
+        """Run each key group of an exhausted task alone on
         ``executor``; quarantine the groups that fail.
 
-        A partition whose task killed or hung its worker is isolated on
-        the backend (one group per task), so a group that takes its
-        worker down cannot take the caller with it; the backend is
-        restarted after each such casualty.  Any other partition is
-        isolated inline.  A group that fails alone is quarantined with
-        the partition's ``attempts`` plus its own run.
+        A task that killed or hung its worker is isolated on the
+        backend (one group per task), so a group that takes its worker
+        down cannot take the caller with it; the backend is restarted
+        after each such casualty.  Any other task is isolated inline.
+        A group that fails alone is quarantined with the task's
+        ``attempts`` plus its own run.
         """
         outputs: List[KeyValue] = []
         dispatched = executor is not _INLINE
@@ -413,9 +420,10 @@ class MapReduceEngine:
         """Run ``job`` over the keyed records ``inputs``; returns the
         reduce output.
 
-        Output records are ordered deterministically (by partition, then
-        by sorted key within the partition) regardless of worker count.
-        Units quarantined during this run are in :attr:`last_quarantine`.
+        Output records are ordered deterministically: by task, then by
+        ``repr(key)`` within the task (so an inline run's output is in
+        key order).  Units quarantined during this run are in
+        :attr:`last_quarantine`.
         """
         records = list(inputs)
         self.last_quarantine = []
@@ -424,16 +432,15 @@ class MapReduceEngine:
             self.executor.parallelism == 1
             or len(records) < self.min_parallel_records
         )
+        n_tasks = 1 if inline else self.executor.parallelism
         with span(f"mapreduce.{job_name}"):
-            partitions: Dict[int, Dict[Any, List[Any]]] = {}
+            grouped: Dict[Any, List[Any]] = {}
             for key, value in records:
-                partitions.setdefault(job.partition(key), {}).setdefault(
-                    key, []
-                ).append(value)
-            tasks = [
-                sorted(partitions[p].items(), key=lambda item: repr(item[0]))
-                for p in sorted(partitions)
-            ]
+                grouped.setdefault(key, []).append(value)
+            tasks: List[Partition] = [[] for _ in range(n_tasks)]
+            for key in sorted(grouped, key=repr):
+                tasks[stable_hash(key) % n_tasks].append((key, grouped[key]))
+            tasks = [task for task in tasks if task]
             with span("reduce"):
                 results = self._run_tasks(job, tasks, inline=inline)
         output = [item for part in results for item in part]
@@ -446,7 +453,7 @@ class MapReduceEngine:
             registry.gauge(f"{prefix}.partitions_used").set(len(tasks))
             registry.gauge("mapreduce.n_workers").set(self.n_workers)
         logger.debug(
-            "job %s: %d in, %d partitions, %d out (%d quarantined)",
+            "job %s: %d in, %d tasks, %d out (%d quarantined)",
             job_name, len(records), len(tasks), len(output),
             len(self.last_quarantine),
         )
@@ -455,7 +462,7 @@ class MapReduceEngine:
     def _run_tasks(
         self, job: MapReduceJob, tasks: List[Partition], *, inline: bool
     ) -> List[List[KeyValue]]:
-        """Reduce every partition in retry rounds; survive lost workers.
+        """Reduce every task in retry rounds; survive lost workers.
 
         Every still-pending task is submitted, results are collected,
         and failures carry into the next round until their budget is

@@ -1,7 +1,7 @@
 """The :class:`TaskExecutor` protocol: one engine, many backends.
 
 The paper ran BAYWATCH on a 13-node Hadoop cluster; the engine's job
-here is the *computation* (partitioned reduce tasks, retry rounds,
+here is the *computation* (keyed reduce tasks, retry rounds,
 backoff, quarantine) while the executor supplies the *mechanism* —
 where a task runs and how a stuck one is put down.  Three backends
 implement the protocol:
@@ -134,9 +134,9 @@ def make_executor(
     """Build a backend by name (see :data:`EXECUTOR_NAMES`).
 
     ``n_workers`` sizes the process pool; for the shard queue it
-    is the *expected* worker-fleet size (used only for the parallelism
-    trait — actual workers are whatever ``repro worker`` processes are
-    pointed at the queue).  ``queue_dir``/``claim_ttl``/``poll_interval``
+    is the *expected* worker-fleet size (its parallelism trait, so the
+    number of tasks a dispatched job becomes — actual workers are
+    whatever ``repro worker`` processes are pointed at the queue).  ``queue_dir``/``claim_ttl``/``poll_interval``
     apply to the shard queue only; a queue left unbound here is bound by
     the sharded runner to ``<checkpoint-dir>/queue``.
     """

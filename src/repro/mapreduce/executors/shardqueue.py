@@ -92,9 +92,10 @@ def _dump_outcome(status: str, value: Any) -> bytes:
 class ShardQueueExecutor(TaskExecutor):
     """Coordinator side of the file-backed multi-host task queue.
 
-    ``parallelism`` is the *expected* fleet size (it only gates the
-    engine's go-parallel decision); the true concurrency is however
-    many ``repro worker`` processes are pointed at the queue.  The
+    ``parallelism`` is the *expected* fleet size: the engine cuts a
+    dispatched job into that many tasks, one per worker.  The true
+    concurrency is however many ``repro worker`` processes are pointed
+    at the queue, so workers beyond ``parallelism`` idle.  The
     queue directory may be given up front or bound later — the sharded
     runner binds an unbound queue to ``<checkpoint-dir>/queue`` so the
     CLI flow is just ``repro run --executor shard-queue

@@ -59,9 +59,7 @@ class FaultMarker:
 
 
 class _IdentityJob(MapReduceJob):
-    """Base: identity reduce over 4 partitions."""
-
-    n_partitions = 4
+    """Base: identity reduce."""
 
     def __init__(self, marker_path: str, *, poison_key: Any = POISON_KEY) -> None:
         self.marker = FaultMarker(marker_path)

@@ -2,8 +2,8 @@
 
 One step, one object: the funnel's filtering semantics live here once,
 and :class:`~repro.filtering.BaywatchPipeline` composes these stage
-instances over a :class:`StageContext` whether detection runs
-in-process or on a MapReduce engine in checkpointed shards.
+instances over a :class:`StageContext`, with detection on a MapReduce
+engine in checkpointable shards.
 :func:`run_stages` provides uniform funnel
 accounting (:class:`~repro.filtering.pipeline.FunnelStats` rows,
 telemetry spans, per-stage counters), and :func:`build_report` turns a
@@ -19,11 +19,9 @@ but is never imported from here).  See ``docs/ARCHITECTURE.md``.
 from repro.stages.base import Stage, run_stages
 from repro.stages.context import PopularityIndex, StageContext, build_report
 from repro.stages.detection import (
-    InProcessDetection,
     PeriodicityDetectionStage,
     build_case,
     detection_verdicts,
-    record_detection_verdicts,
 )
 from repro.stages.funnel import (
     GlobalWhitelistStage,
@@ -41,11 +39,9 @@ __all__ = [
     "PopularityIndex",
     "StageContext",
     "build_report",
-    "InProcessDetection",
     "PeriodicityDetectionStage",
     "build_case",
     "detection_verdicts",
-    "record_detection_verdicts",
     "GlobalWhitelistStage",
     "LocalWhitelistStage",
     "MinEventsStage",

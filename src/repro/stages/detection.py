@@ -1,12 +1,11 @@
-"""The periodicity-detection stage (funnel steps 3-5) and its executors.
+"""The periodicity-detection stage (funnel steps 3-5).
 
 Steps 3-5 — DFT candidate extraction, permutation thresholding and
 pruning, ACF verification — run inside
 :class:`~repro.core.batch.BatchedDetector`, the one detection loop.
-The stage itself is execution-agnostic: a pluggable *executor* maps
-surviving summaries to ``(summary, DetectionResult)`` pairs, which lets
-the same stage object run in-process (:class:`InProcessDetection`) or
-on a MapReduce engine in checkpointed shards — that executor lives in
+The stage itself is execution-agnostic: its *executor* maps surviving
+summaries to ``(summary, DetectionResult)`` pairs.  The one executor,
+which detects on a MapReduce engine in checkpointable shards, lives in
 :mod:`repro.jobs.runner`, keeping this package free of job
 dependencies.
 
@@ -17,26 +16,12 @@ similar sources, LM score).
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Iterable,
-    List,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, List, Sequence, Tuple
 
-from repro.core.batch import BatchedDetector
-from repro.core.detector import DetectionResult, PeriodicityDetector
+from repro.core.detector import DetectionResult
 from repro.core.timeseries import ActivitySummary
 from repro.filtering.case import BeaconingCase
-from repro.obs.provenance import (
-    ProvenancePolicy,
-    ProvenanceRecorder,
-    VerdictRecord,
-    clean_values,
-)
+from repro.obs.provenance import ProvenancePolicy, VerdictRecord, clean_values
 from repro.stages.base import Stage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,11 +29,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "DetectionExecutor",
-    "InProcessDetection",
     "PeriodicityDetectionStage",
     "build_case",
     "detection_verdicts",
-    "record_detection_verdicts",
 ]
 
 #: Early-screen rejection codes (see PeriodicityDetector._screen); the
@@ -67,9 +50,8 @@ def detection_verdicts(
     """Verdict records for funnel steps 3-5, derived from one result.
 
     A pure function of the (extended) :class:`DetectionResult`, so an
-    in-process run, a MapReduce worker, and a sharded worker that
-    round-tripped the result through a checkpoint all produce the exact
-    same chain.
+    inline task, a worker process, and a shard that round-tripped the
+    result through a checkpoint all produce the exact same chain.
     """
     records: List[VerdictRecord] = []
 
@@ -147,18 +129,6 @@ def detection_verdicts(
     return records
 
 
-def record_detection_verdicts(
-    recorder: ProvenanceRecorder,
-    pairs: Iterable[Tuple[ActivitySummary, DetectionResult]],
-) -> None:
-    """Fold detection verdicts for fully known (summary, result) pairs."""
-    for summary, result in pairs:
-        recorder.extend(
-            detection_verdicts(
-                summary.source, summary.destination, result, recorder.policy
-            )
-        )
-
 #: An executor maps (context, summaries) to the detected
 #: ``(summary, result)`` pairs plus any quarantined units.
 DetectionExecutor = Callable[
@@ -187,36 +157,6 @@ def build_case(
         similar_sources=context.popularity.similar_sources(destination),
         lm_score=context.scorer.normalized_score(destination),
     )
-
-
-class InProcessDetection:
-    """Executor running the batched detector in this process.
-
-    The detector (and its warm
-    :class:`~repro.core.permutation.ThresholdCache`) is the pipeline's,
-    shared across runs.
-    """
-
-    def __init__(self, detector: PeriodicityDetector) -> None:
-        self._detector = detector
-
-    def __call__(
-        self, context: "StageContext", summaries: List[ActivitySummary]
-    ) -> Tuple[List[Tuple[ActivitySummary, DetectionResult]], List[Any]]:
-        """Detect every summary; nothing is ever quarantined in-process."""
-        results = BatchedDetector(self._detector).detect_summaries(summaries)
-        if context.provenance is not None:
-            record_detection_verdicts(
-                context.provenance, zip(summaries, results)
-            )
-        return (
-            [
-                (summary, result)
-                for summary, result in zip(summaries, results)
-                if result.periodic
-            ],
-            [],
-        )
 
 
 class PeriodicityDetectionStage(Stage):

@@ -4,8 +4,8 @@ Steps 1-2 (whitelist analysis) and 6-8 (suspicious indication) as
 :class:`~repro.stages.base.Stage` objects, plus the min-events
 prefilter that sits between the whitelists and periodicity detection.
 Step bodies live *only* here: the pipeline composes these instances
-whichever executor runs detection, so a change to one filter's
-semantics reaches in-process and engine runs at once.
+whichever backend runs detection, so a change to one filter's
+semantics reaches every run at once.
 
 When the context carries a
 :class:`~repro.obs.provenance.ProvenanceRecorder`, every stage also
@@ -281,7 +281,7 @@ def default_stages(detection: PeriodicityDetectionStage) -> List[Stage]:
     """The canonical 8-step funnel as a stage list.
 
     ``detection`` is the periodicity-detection stage (steps 3-5) with
-    its executor (in-process or sharded on an engine); every other step
+    its executor (sharded on the pipeline's engine); every other step
     is shared.
     """
     return [

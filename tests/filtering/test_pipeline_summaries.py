@@ -105,12 +105,6 @@ class TestRunOptions:
         with pytest.raises(ValueError, match="analysis_time_scale"):
             pipeline.run_summaries([], analysis_time_scale=value)
 
-    def test_sharding_keywords_need_an_engine(self, pipeline):
-        with pytest.raises(ValueError, match="checkpoint_dir, shard_size"):
-            pipeline.run_summaries([], shard_size=4, checkpoint_dir="x")
-        with pytest.raises(ValueError, match="engine"):
-            BaywatchPipeline(detection_job_factory=object)
-
 
 class TestOperationsDefaults:
     def test_default_cadences_shape(self):

@@ -30,13 +30,6 @@ def _clean_trace_state():
     set_trace(None)
 
 
-def engine_pipeline(config, engine=None):
-    """The pipeline with detection on ``engine`` (a serial one by default)."""
-    return BaywatchPipeline(
-        config, engine=engine if engine is not None else MapReduceEngine()
-    )
-
-
 def _events_of(kind, events):
     return [event for event in events if event["event"] == kind]
 
@@ -47,7 +40,7 @@ class TestJournalOfShardedRun:
     ):
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
-        runner = engine_pipeline(pipeline_config)
+        runner = BaywatchPipeline(pipeline_config)
         runner.run_records(
             records, shard_size=5, checkpoint_dir=str(ckpt), run_id="jrun01"
         )
@@ -73,7 +66,7 @@ class TestJournalOfShardedRun:
     ):
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
-        runner = engine_pipeline(pipeline_config)
+        runner = BaywatchPipeline(pipeline_config)
         runner.run_records(records, shard_size=5, checkpoint_dir=str(ckpt))
         status = build_status(read_events(ckpt / JOURNAL_FILE))
         progress = CheckpointStore(str(ckpt)).progress()
@@ -87,7 +80,7 @@ class TestJournalOfShardedRun:
     ):
         records, _truth = enterprise
         jdir = tmp_path / "journal-only"
-        runner = engine_pipeline(pipeline_config)
+        runner = BaywatchPipeline(pipeline_config)
         runner.run_records(records, shard_size=5, journal_dir=str(jdir))
         events = read_events(jdir / JOURNAL_FILE)
         assert _events_of("run_finish", events)
@@ -96,7 +89,7 @@ class TestJournalOfShardedRun:
         self, enterprise, pipeline_config
     ):
         records, _truth = enterprise
-        runner = engine_pipeline(pipeline_config)
+        runner = BaywatchPipeline(pipeline_config)
         report = runner.run_records(records, shard_size=5)
         assert report.ranked_cases  # runs fine, just unjournaled
 
@@ -107,7 +100,7 @@ class TestInterruptResumeJournal:
     ):
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
-        runner = engine_pipeline(pipeline_config)
+        runner = BaywatchPipeline(pipeline_config)
         with pytest.raises(IncompleteRunError):
             runner.run_records(
                 records, shard_size=5, checkpoint_dir=str(ckpt),
@@ -120,7 +113,7 @@ class TestInterruptResumeJournal:
         }
         assert len(finished_first) == 2
 
-        resumed_runner = engine_pipeline(pipeline_config)
+        resumed_runner = BaywatchPipeline(pipeline_config)
         resumed_runner.run_records(
             records, shard_size=5, checkpoint_dir=str(ckpt),
             resume=True, run_id="cycle2",
@@ -152,7 +145,7 @@ class TestInterruptResumeJournal:
         records, _truth = enterprise
         ckpt, clean = tmp_path / "ckpt", tmp_path / "clean"
         with pytest.raises(IncompleteRunError):
-            engine_pipeline(pipeline_config).run_records(
+            BaywatchPipeline(pipeline_config).run_records(
                 records, shard_size=5, checkpoint_dir=str(ckpt),
                 max_shards=2, run_id="cycle1",
             )
@@ -161,7 +154,7 @@ class TestInterruptResumeJournal:
         with (ckpt / JOURNAL_FILE).open("a", encoding="utf-8") as handle:
             handle.write('{"v": 1, "event": "shard_fin')
         for directory in (clean, ckpt):
-            engine_pipeline(pipeline_config).run_records(
+            BaywatchPipeline(pipeline_config).run_records(
                 records, shard_size=5, checkpoint_dir=str(directory),
                 resume=True, run_id="cycle2",
             )
@@ -183,12 +176,12 @@ class TestInterruptResumeJournal:
     ):
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
-        runner = engine_pipeline(pipeline_config)
+        runner = BaywatchPipeline(pipeline_config)
         with pytest.raises(IncompleteRunError):
             runner.run_records(
                 records, shard_size=5, checkpoint_dir=str(ckpt), max_shards=1
             )
-        engine_pipeline(pipeline_config).run_records(
+        BaywatchPipeline(pipeline_config).run_records(
             records, shard_size=5, checkpoint_dir=str(ckpt), resume=True
         )
         events = read_events(ckpt / JOURNAL_FILE)
@@ -205,7 +198,7 @@ class TestDistributedTrace:
         # through the worker pool, so detect spans genuinely run in
         # other processes.
         engine = MapReduceEngine(n_workers=2, min_parallel_records=1)
-        runner = engine_pipeline(pipeline_config, engine)
+        runner = BaywatchPipeline(pipeline_config, engine=engine)
         registry = MetricsRegistry()
         with scoped_registry(registry), engine:
             runner.run_records(
@@ -247,7 +240,7 @@ class TestDistributedTrace:
         engine = MapReduceEngine(n_workers=2, min_parallel_records=1)
         registry = MetricsRegistry()
         with scoped_registry(registry), engine:
-            engine_pipeline(pipeline_config, engine).run_records(
+            BaywatchPipeline(pipeline_config, engine=engine).run_records(
                 records, shard_size=5
             )
         spans = pending_spans(registry)
@@ -284,12 +277,12 @@ class TestDistributedTrace:
         records, _truth = enterprise
         for run_id in ("first", "second"):
             with scoped_registry(MetricsRegistry()):
-                engine_pipeline(pipeline_config).run_records(
+                BaywatchPipeline(pipeline_config).run_records(
                     records, shard_size=50, run_id=run_id
                 )
         registry = MetricsRegistry()
         with scoped_registry(registry):
-            report = engine_pipeline(pipeline_config).run_records(
+            report = BaywatchPipeline(pipeline_config).run_records(
                 records, shard_size=50, run_id="third"
             )
         written = write_telemetry(tmp_path, registry, funnel=report.funnel)
@@ -302,7 +295,7 @@ class TestDistributedTrace:
         self, enterprise, pipeline_config, tmp_path
     ):
         records, _truth = enterprise
-        runner = engine_pipeline(pipeline_config)
+        runner = BaywatchPipeline(pipeline_config)
         runner.run_records(
             records, shard_size=5, checkpoint_dir=str(tmp_path / "ckpt")
         )
@@ -314,7 +307,7 @@ class TestDistributedTrace:
         records, _truth = enterprise
         ckpt = tmp_path / "ckpt"
         engine = MapReduceEngine(n_workers=2, min_parallel_records=1)
-        runner = engine_pipeline(pipeline_config, engine)
+        runner = BaywatchPipeline(pipeline_config, engine=engine)
         with engine:
             runner.run_records(
                 records, shard_size=5, checkpoint_dir=str(ckpt)

@@ -12,8 +12,6 @@ from repro.obs import MetricsRegistry, scoped_registry
 class WordCountJob(MapReduceJob):
     """The canonical example: count words keyed one record per word."""
 
-    n_partitions = 8
-
     def reduce(self, key, values):
         yield key, sum(values)
 
@@ -103,8 +101,8 @@ class TestWorkerState:
         ) as engine:
             output = dict(engine.run(job, WORDS))
         assert output["the"] == 3
-        # One state per partition task, each from a worker's copy.
-        assert len(job.merged) == len({job.partition(w) for w, _ in WORDS})
+        # One state per task, each from a worker's copy.
+        assert len(job.merged) == len({stable_hash(w) % 2 for w, _ in WORDS})
         assert sum(count for _pid, count in job.merged) == len(output)
         assert os.getpid() not in {pid for pid, _count in job.merged}
         assert job.reduced == 0
@@ -117,12 +115,57 @@ class TestWorkerState:
         assert job.merged == []
 
 
+class TaskRecordingJob(WordCountJob):
+    """Word count whose job copies record each task's keys."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def reduce_partition(self, grouped):
+        grouped = list(grouped)
+        self.tasks.append([key for key, _values in grouped])
+        return super().reduce_partition(grouped)
+
+    def worker_state(self):
+        return self.tasks
+
+    def merge_worker_state(self, state):
+        self.tasks.extend(state)
+
+
 class TestPartitioning:
     def test_stable_hash_is_deterministic(self):
         assert stable_hash(("a", "b")) == stable_hash(("a", "b"))
         assert stable_hash("x") != stable_hash("y")
 
-    def test_partition_in_range(self):
-        job = WordCountJob()
-        for key in ["alpha", "beta", ("pair", 1), 42]:
-            assert 0 <= job.partition(key) < job.n_partitions
+    @pytest.mark.parametrize("engine_kwargs", [
+        {},
+        {"n_workers": 2, "executor": "processes",
+         "min_parallel_records": 1000},
+    ], ids=["serial", "processes-below-min-records"])
+    def test_an_inline_run_is_one_task_in_key_order(self, engine_kwargs):
+        job = TaskRecordingJob()
+        with MapReduceEngine(**engine_kwargs) as engine:
+            output = engine.run(job, WORDS)
+        keys = sorted({word for word, _ in WORDS}, key=repr)
+        assert job.tasks == [keys]
+        assert [key for key, _count in output] == keys
+        assert not engine.executor.active
+
+    def test_a_dispatched_run_is_one_task_per_worker(self):
+        job = TaskRecordingJob()
+        registry = MetricsRegistry()
+        with scoped_registry(registry), MapReduceEngine(
+            n_workers=2, min_parallel_records=1
+        ) as engine:
+            output = dict(engine.run(job, WORDS))
+        assert output["the"] == 3
+        assert len(job.tasks) == 2
+        for keys in job.tasks:
+            assert keys == sorted(keys, key=repr)
+            assert len({stable_hash(key) % 2 for key in keys}) == 1
+        assert sorted(key for keys in job.tasks for key in keys) == sorted(
+            output
+        )
+        gauges = dict(registry.gauges())
+        assert gauges["mapreduce.TaskRecordingJob.partitions_used"] == 2

@@ -15,7 +15,7 @@ import pytest
 
 from repro.mapreduce.engine import MapReduceEngine, QuarantinedTask
 from repro.mapreduce.executors import ShardQueueExecutor
-from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.job import MapReduceJob, stable_hash
 from repro.mapreduce.testing import (
     POISON_KEY,
     FaultMarker,
@@ -60,9 +60,9 @@ def _counts(registry):
 
 class TestQuarantineSerial:
     def test_poison_reduce_is_quarantined_not_fatal(self, marker, registry):
-        # The poison key shares its partition with "more": the partition
-        # runs twice (initial attempt + 1 retry), then the poison key
-        # once more alone.
+        # An inline run is one task holding every key: the task runs
+        # twice (initial attempt + 1 retry), then the poison key once
+        # more alone.
         engine = MapReduceEngine(max_retries=1, quarantine=True)
         output = engine.run(PoisonPillJob(marker), INPUTS)
         assert _keys(output) == ["fine", "more", "ok"]
@@ -77,12 +77,12 @@ class TestQuarantineSerial:
     def test_poison_alone_in_its_partition_is_not_isolated(
         self, marker, registry
     ):
-        # Without "more" the poison key has its partition to itself: it
-        # is quarantined as soon as its retries are spent.
-        inputs = [(key, value) for key, value in INPUTS if key != "more"]
+        # The poison key is the run's only key, so it has its task to
+        # itself: it is quarantined as soon as its retries are spent.
+        inputs = [(key, value) for key, value in INPUTS if key == POISON_KEY]
         engine = MapReduceEngine(max_retries=1, quarantine=True)
         output = engine.run(PoisonPillJob(marker), inputs)
-        assert _keys(output) == ["fine", "ok"]
+        assert output == []
         [entry] = engine.last_quarantine
         assert entry.key == POISON_KEY
         assert entry.attempts == FaultMarker(marker).count() == 2
@@ -184,11 +184,11 @@ class TestPoolRecovery:
 
     def test_crash_charged_to_a_slow_neighbour_spares_it(self, marker):
         # A worker death is charged to the first task waited on: here
-        # the slow one-key partition ahead of the killer's, in every
-        # round until its retries are spent.  It then runs alone on the
-        # pool and keeps its output; only the killer is quarantined.
+        # the slow one-key task ahead of the killer's, in every round
+        # until its retries are spent.  It then runs alone on the pool
+        # and keeps its output; only the killer is quarantined.
         job = _SlowBesideKiller(marker, kill_times=100)
-        assert job.partition(SLOW_KEY) < job.partition(POISON_KEY)
+        assert stable_hash(SLOW_KEY) % 2 < stable_hash(POISON_KEY) % 2
         inputs = [(SLOW_KEY, i) for i in range(10)]
         inputs += [(POISON_KEY, i) for i in range(10)]
         with MapReduceEngine(
@@ -281,8 +281,6 @@ class TestBackoff:
 class _TwoTransientFaults(MapReduceJob):
     """Each of ``keys`` fails its first reduce attempt."""
 
-    n_partitions = 4
-
     def __init__(self, marker_dir, keys):
         self.marker_dir = marker_dir
         self.keys = keys
@@ -296,21 +294,24 @@ class _TwoTransientFaults(MapReduceJob):
 
 
 class TestRetryRounds:
-    """Inline tasks retry in rounds, like dispatched ones."""
+    """Tasks that fail in one round retry together in the next."""
 
     def test_failures_of_one_round_share_one_backoff(
         self, tmp_path, registry
     ):
         from repro.obs.journal import EventJournal, read_events, scoped_journal
 
-        job = _TwoTransientFaults(str(tmp_path), keys=("ok", POISON_KEY))
-        assert job.partition("ok") != job.partition(POISON_KEY)
+        job = _TwoTransientFaults(str(tmp_path), keys=("fine", POISON_KEY))
+        # Two tasks: "fine" in one, the poison key (with "ok" and
+        # "more") in the other.
+        assert stable_hash("fine") % 2 != stable_hash(POISON_KEY) % 2
         journal = EventJournal.in_dir(tmp_path / "journal")
         engine = MapReduceEngine(
-            max_retries=1, retry_backoff=1.0, backoff_seed=0
+            n_workers=2, executor="processes", min_parallel_records=1,
+            max_retries=1, retry_backoff=1.0, backoff_seed=0,
         )
         engine._sleep = lambda _delay: None
-        with scoped_journal(journal):
+        with scoped_journal(journal), engine:
             output = engine.run(job, INPUTS)
         assert sorted(output) == sorted(INPUTS)
         backoffs = [

@@ -17,8 +17,6 @@ class FlakyJob(MapReduceJob):
     (parallel workers) and is visible to the retrying engine.
     """
 
-    n_partitions = 4
-
     def __init__(self, fail_times: int, marker_path: str) -> None:
         self.fail_times = fail_times
         self.marker_path = marker_path

@@ -84,7 +84,7 @@ class TestPipelineTelemetry:
             "step7_novelty_filter",
             "step8_weighted_ranking",
         ):
-            assert f"span.pipeline.{stage}.seconds" in names
+            assert f"span.run.{stage}.seconds" in names
 
     def test_threshold_cache_counters_present(self, run):
         registry, _report = run
@@ -210,7 +210,6 @@ class TestRetryLogging:
         from repro.mapreduce.job import MapReduceJob
 
         class FlakyOnce(MapReduceJob):
-            n_partitions = 1
             attempts = 0
 
             def reduce(self, key, values):

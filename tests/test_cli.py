@@ -96,8 +96,8 @@ class TestTelemetry:
         out, _truth = trace_path
         telemetry = tmp_path / "telemetry"
         assert main([
-            "report", str(out), "--tau-p", "0.25", "--percentile", "0.0",
-            "--output", str(tmp_path / "analyst.txt"),
+            "run", str(out), "--tau-p", "0.25", "--percentile", "0.0",
+            "--report", str(tmp_path / "analyst.txt"),
             "--telemetry", str(telemetry),
         ]) == 0
         capsys.readouterr()
@@ -191,19 +191,27 @@ class TestReport:
         log, _truth = trace_path
         out = tmp_path / "report.txt"
         code = main([
-            "report", str(log), "--tau-p", "0.25",
-            "--percentile", "0.0", "--output", str(out),
+            "run", str(log), "--tau-p", "0.25",
+            "--percentile", "0.0", "--report", str(out),
         ])
         assert code == 0
         text = out.read_text()
         assert "BAYWATCH daily report" in text
         assert "rank score" in text
 
-    def test_analyst_report_to_stdout(self, trace_path, capsys):
+    def test_report_leaves_the_ranking_on_stdout(
+        self, trace_path, tmp_path, capsys
+    ):
         log, _truth = trace_path
-        assert main(["report", str(log), "--tau-p", "0.25",
-                     "--percentile", "0.0"]) == 0
-        assert "BAYWATCH daily report" in capsys.readouterr().out
+        argv = ["run", str(log), "--tau-p", "0.25", "--percentile", "0.0",
+                "--top", "1"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        out = tmp_path / "report.txt"
+        assert main(argv + ["--report", str(out)]) == 0
+        assert capsys.readouterr().out == plain + f"wrote report to {out}\n"
+        # The report holds the same --top cases the run printed.
+        assert out.read_text().count("rank score") == 1
 
 
 def tsv(*lines):
@@ -245,6 +253,15 @@ HOSTILE_LOGS = {  # name: (log, start of the error line)
 }
 
 
+def run_argv(command, path, tmp_path):
+    """``repro run`` on ``path``; its ``report`` variant also asks for
+    the analyst report, which a run that fails must not write."""
+    argv = ["run", str(path)]
+    if command == "report":
+        argv += ["--report", str(tmp_path / "analyst.txt")]
+    return argv
+
+
 class TestHostileLogs:
     """A log the fold cannot read ends the run with one line, exit 2."""
 
@@ -254,11 +271,12 @@ class TestHostileLogs:
         text, message = HOSTILE_LOGS[log]
         path = tmp_path / "log.tsv"
         path.write_text(text)
-        assert main([command, str(path)]) == 2
+        assert main(run_argv(command, path, tmp_path)) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+        assert not (tmp_path / "analyst.txt").exists()
 
     def test_beacon_to_a_dot_destination_stops_before_detection(
         self, tmp_path, capsys, monkeypatch
@@ -286,11 +304,12 @@ class TestHostileLogs:
     )
     def test_unreadable_input(self, tmp_path, capsys, command, missing):
         path = tmp_path / "absent.tsv" if missing else tmp_path
-        assert main([command, str(path)]) == 2
+        assert main(run_argv(command, path, tmp_path)) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot read {path}: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+        assert not (tmp_path / "analyst.txt").exists()
 
 
 BAD_OPTIONS = {  # name: (command and options, start of the error line)
@@ -325,8 +344,12 @@ BAD_OPTIONS = {  # name: (command and options, start of the error line)
         ["run", "--resume"], "resume without checkpoint_dir",
     ),
     "negative-top": (["run", "--top", "-1"], "--top must be non-negative"),
-    "report-negative-max-cases": (
-        ["report", "--max-cases", "-1"], "--max-cases must be non-negative",
+    "report-is-a-directory": (
+        ["run", "--report", "{tmp}"], "--report target {tmp} is a directory",
+    ),
+    "report-parent-missing": (
+        ["run", "--report", "{tmp}/missing/r.txt"],
+        "--report target {tmp}/missing/r.txt: no directory {tmp}/missing",
     ),
     "percentile-above-one": (
         ["run", "--percentile", "2"], "ranking_percentile must be in",
@@ -335,8 +358,8 @@ BAD_OPTIONS = {  # name: (command and options, start of the error line)
         ["run", "--provenance", "{tmp}/p", "--provenance-sample", "2"],
         "--provenance-sample: ",
     ),
-    "report-telemetry-is-a-file": (
-        ["report", "--telemetry", "{log}"], "--telemetry target",
+    "telemetry-is-a-file": (
+        ["run", "--telemetry", "{log}"], "--telemetry target",
     ),
     "negative-max-shards": (
         ["run", "--checkpoint-dir", "{tmp}/c", "--max-shards", "-1"],
@@ -377,7 +400,7 @@ def test_bad_option_is_one_line_before_the_run(tmp_path, capsys, case):
     assert main(argv[:1] + [str(log)] + argv[1:]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.startswith(f"error: {message.format(tmp=tmp_path)}")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
 

@@ -1,12 +1,12 @@
 """Executor parity: one stage graph, identical reports everywhere.
 
 The same synthetic enterprise trace runs through every execution mode
-of :class:`BaywatchPipeline` — in-process detection, a serial engine, a
-2-worker engine, the shard queue, and an interrupt-and-resume sharded
-run — and must produce *identical* :class:`PipelineReport`
-contents: ranked cases, detected cases, funnel rows, population, and
-quarantine list.  Where detection executes is a mechanism, never an
-input: any divergence shows up here as a report mismatch.
+of :class:`BaywatchPipeline` — the default serial engine, a 2-worker
+engine, the shard queue, and an interrupt-and-resume sharded run — and
+must produce *identical* :class:`PipelineReport` contents: ranked
+cases, detected cases, funnel rows, population, and quarantine list.
+Where detection executes is a mechanism, never an input: any divergence
+shows up here as a report mismatch.
 """
 
 import pytest
@@ -79,25 +79,10 @@ def pipeline_report(records, scorer):
     ).run_records(records)
 
 
-def engine_pipeline(config, engine=None, **kwargs):
-    """The pipeline with detection on ``engine`` (a serial one by default)."""
-    return BaywatchPipeline(
-        config, engine=engine if engine is not None else MapReduceEngine(),
-        **kwargs,
-    )
-
-
-def test_serial_runner_matches_pipeline(records, scorer, pipeline_report):
-    engine_report = engine_pipeline(
-        PipelineConfig(**CONFIG), scorer=scorer
-    ).run_records(records)
-    assert report_signature(engine_report) == report_signature(pipeline_report)
-
-
 def test_two_worker_engine_matches_pipeline(records, scorer, pipeline_report):
     with MapReduceEngine(**WORKERS) as engine:
-        engine_report = engine_pipeline(
-            PipelineConfig(**CONFIG), engine, scorer=scorer
+        engine_report = BaywatchPipeline(
+            PipelineConfig(**CONFIG), engine=engine, scorer=scorer
         ).run_records(records)
     assert report_signature(engine_report) == report_signature(pipeline_report)
 
@@ -107,7 +92,7 @@ def test_shard_queue_engine_matches_pipeline(
 ):
     # The multi-host backend: the coordinator never computes a task
     # itself, two real worker processes drain the queue — and the
-    # report is still bit-identical to the in-process pipeline.
+    # report is still bit-identical to the serial one.
     from repro.mapreduce.executors import ShardQueueExecutor
     from repro.mapreduce.testing import WorkerFleet
 
@@ -115,8 +100,8 @@ def test_shard_queue_engine_matches_pipeline(
     executor = ShardQueueExecutor(queue, claim_ttl=5.0, poll_interval=0.02)
     with WorkerFleet(queue, 2, claim_ttl=5.0):
         with MapReduceEngine(executor=executor, **WORKERS) as engine:
-            report = engine_pipeline(
-                PipelineConfig(**CONFIG), engine, scorer=scorer
+            report = BaywatchPipeline(
+                PipelineConfig(**CONFIG), engine=engine, scorer=scorer
             ).run_records(
                 records,
                 shard_size=4,
@@ -136,8 +121,8 @@ def test_processes_checkpoint_resumes_under_shard_queue(
     checkpoint = str(tmp_path / "ckpt")
     with MapReduceEngine(executor="processes", **WORKERS) as engine:
         with pytest.raises(IncompleteRunError):
-            engine_pipeline(
-                PipelineConfig(**CONFIG), engine, scorer=scorer
+            BaywatchPipeline(
+                PipelineConfig(**CONFIG), engine=engine, scorer=scorer
             ).run_records(
                 records,
                 shard_size=4,
@@ -147,8 +132,8 @@ def test_processes_checkpoint_resumes_under_shard_queue(
     queue = str(tmp_path / "ckpt" / "queue")
     with WorkerFleet(queue, 2, claim_ttl=5.0):
         with MapReduceEngine(executor="shard-queue", **WORKERS) as engine:
-            report = engine_pipeline(
-                PipelineConfig(**CONFIG), engine, scorer=scorer
+            report = BaywatchPipeline(
+                PipelineConfig(**CONFIG), engine=engine, scorer=scorer
             ).run_records(
                 records,
                 shard_size=4,
@@ -162,7 +147,7 @@ def test_interrupted_resumed_sharded_run_matches_pipeline(
     records, scorer, pipeline_report, tmp_path
 ):
     checkpoint = str(tmp_path / "ckpt")
-    interrupted = engine_pipeline(PipelineConfig(**CONFIG), scorer=scorer)
+    interrupted = BaywatchPipeline(PipelineConfig(**CONFIG), scorer=scorer)
     with pytest.raises(IncompleteRunError):
         interrupted.run_records(
             records,
@@ -170,7 +155,7 @@ def test_interrupted_resumed_sharded_run_matches_pipeline(
             checkpoint_dir=checkpoint,
             max_shards=2,
         )
-    resumed = engine_pipeline(PipelineConfig(**CONFIG), scorer=scorer)
+    resumed = BaywatchPipeline(PipelineConfig(**CONFIG), scorer=scorer)
     report = resumed.run_records(
         records,
         shard_size=4,
@@ -208,10 +193,9 @@ def test_provenance_verdicts_identical_across_executors(
     records, scorer, tmp_path, sample
 ):
     # The same verdict chains — stage, kept/dropped, reason, near-miss
-    # flag, and governing numbers — must come out of in-process
-    # detection, a serial engine, and an interrupt-and-resumed sharded
-    # run, and survive the JSONL round-trip through the checkpoint
-    # directory unchanged.
+    # flag, and governing numbers — must come out of an uninterrupted
+    # run and an interrupt-and-resumed sharded run, and survive the
+    # JSONL round-trip through the checkpoint directory unchanged.
     from repro.obs import ProvenancePolicy, read_provenance
 
     policy = ProvenancePolicy(sample_early_drops=sample)
@@ -223,17 +207,12 @@ def test_provenance_verdicts_identical_across_executors(
     assert base.provenance, "provenance-enabled run recorded nothing"
     base_sig = verdict_signature(base.provenance)
 
-    serial = engine_pipeline(
-        PipelineConfig(**config), scorer=scorer
-    ).run_records(records)
-    assert verdict_signature(serial.provenance) == base_sig
-
     checkpoint = str(tmp_path / f"ckpt-{sample}")
     with pytest.raises(IncompleteRunError):
-        engine_pipeline(PipelineConfig(**config), scorer=scorer).run_records(
+        BaywatchPipeline(PipelineConfig(**config), scorer=scorer).run_records(
             records, shard_size=4, checkpoint_dir=checkpoint, max_shards=2
         )
-    sharded = engine_pipeline(
+    sharded = BaywatchPipeline(
         PipelineConfig(**config), scorer=scorer
     ).run_records(
         records, shard_size=4, checkpoint_dir=checkpoint, resume=True
@@ -260,7 +239,7 @@ def test_batched_sharded_run_with_persisted_cache_matches_pipeline(
 
     config = PipelineConfig(**CONFIG)
     checkpoint = str(tmp_path / "ckpt")
-    interrupted = engine_pipeline(config, scorer=scorer)
+    interrupted = BaywatchPipeline(config, scorer=scorer)
     with pytest.raises(IncompleteRunError):
         interrupted.run_records(
             records,
@@ -274,7 +253,7 @@ def test_batched_sharded_run_with_persisted_cache_matches_pipeline(
     assert cache_path.is_file()
     assert ThresholdCache().load(cache_path) > 0
 
-    resumed = engine_pipeline(config, scorer=scorer)
+    resumed = BaywatchPipeline(config, scorer=scorer)
     report = resumed.run_records(
         records,
         shard_size=4,
@@ -294,8 +273,8 @@ def test_worker_run_saves_the_serial_threshold_buckets(
 
     def saved_entries(engine, name):
         checkpoint = tmp_path / name
-        engine_pipeline(
-            PipelineConfig(**CONFIG), engine, scorer=scorer
+        BaywatchPipeline(
+            PipelineConfig(**CONFIG), engine=engine, scorer=scorer
         ).run_records(records, shard_size=4, checkpoint_dir=str(checkpoint))
         payload = (checkpoint / "threshold-cache.json").read_text()
         return json.loads(payload)["entries"]
@@ -326,8 +305,8 @@ def test_columnar_shm_sharded_run_matches_pipeline(
     from repro.sources.columnar import records_to_chunks
 
     with MapReduceEngine(**WORKERS) as engine:
-        report = engine_pipeline(
-            PipelineConfig(**CONFIG), engine, scorer=scorer
+        report = BaywatchPipeline(
+            PipelineConfig(**CONFIG), engine=engine, scorer=scorer
         ).run_chunks(
             records_to_chunks(records, chunk_size=256),
             shard_size=4,
@@ -347,10 +326,10 @@ def test_checkpoint_resumes_across_data_planes(
 
     checkpoint = str(tmp_path / "ckpt")
     with pytest.raises(IncompleteRunError):
-        engine_pipeline(PipelineConfig(**CONFIG), scorer=scorer).run_records(
+        BaywatchPipeline(PipelineConfig(**CONFIG), scorer=scorer).run_records(
             records, shard_size=4, checkpoint_dir=checkpoint, max_shards=2
         )
-    report = engine_pipeline(
+    report = BaywatchPipeline(
         PipelineConfig(**CONFIG), scorer=scorer
     ).run_chunks(
         records_to_chunks(records, chunk_size=128),
@@ -363,7 +342,7 @@ def test_checkpoint_resumes_across_data_planes(
 
 @pytest.fixture(scope="module")
 def small_log(records, scorer, tmp_path_factory):
-    """The trace as a proxy log on disk, and its in-process report."""
+    """The trace as a proxy log on disk, and its serial report."""
     path = tmp_path_factory.mktemp("log") / "proxy.tsv"
     write_log(records, path)
     report = BaywatchPipeline(
@@ -389,14 +368,10 @@ def test_report_invariant_to_executor_shards_and_chunks(
         PeriodicityDetectionStage.name
     ]
     chunk_size = data.draw(st.integers(1, n_records), label="chunk_size")
-    sharding = {}
-    engine = None
-    if data.draw(st.booleans(), label="engine"):
-        engine = MapReduceEngine()
-        sharding["shard_size"] = data.draw(
-            st.integers(1, n_pairs), label="shard_size"
-        )
+    shard_size = data.draw(st.integers(1, n_pairs), label="shard_size")
     report = BaywatchPipeline(
-        PipelineConfig(**CONFIG), engine=engine, scorer=scorer
-    ).run_chunks(read_log_chunks(path, chunk_size=chunk_size), **sharding)
+        PipelineConfig(**CONFIG), scorer=scorer
+    ).run_chunks(
+        read_log_chunks(path, chunk_size=chunk_size), shard_size=shard_size
+    )
     assert report_signature(report) == report_signature(expected)

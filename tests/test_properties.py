@@ -135,8 +135,6 @@ class TestRescaleInvariants:
 
 
 class _CountJob(MapReduceJob):
-    n_partitions = 4
-
     def reduce(self, key, values):
         yield key, sum(values)
 
