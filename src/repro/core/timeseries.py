@@ -14,9 +14,11 @@ inter-request intervals.  This module provides:
 - :func:`rescale` / :func:`merge` — the rescaling-and-merging phase
   (paper Section VII-B) that lets long windows be analyzed at coarse
   granularity without reprocessing raw logs,
-- :class:`SummaryColumns` / :func:`merge_rescaled` — the same phase
-  over columnar rows: every pair of a weekly or monthly window is
-  rescaled and merged in one array pipeline, bit-identical to the
+- :class:`SummaryColumns` / :class:`WindowFold` / :func:`merge_rescaled` —
+  the same phase
+  over columnar rows: a weekly or monthly window is folded one batch of
+  rows (a stored day) at a time, each batch rescaled in one array pass
+  and dropped, then each pair's rows are merged, bit-identical to the
   composition of the two, with one output summary per pair and no
   intermediate summary per input day.
 """
@@ -25,10 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
+from repro.obs.tracing import span
 from repro.utils.validation import (
     as_float_array,
     as_sorted_timestamps,
@@ -356,7 +361,7 @@ class SummaryColumns:
     """Activity summaries as parallel columns, one row per summary.
 
     The form the summary store decodes its packed frames into and
-    :func:`merge_rescaled` consumes.  Row ``r`` summarizes the pair
+    :meth:`WindowFold.add` consumes.  Row ``r`` summarizes the pair
     ``(sources[r], destinations[r])`` at ``time_scale[r]`` seconds from
     ``first_timestamp[r]`` on, with the intervals
     ``intervals[interval_offsets[r]:interval_offsets[r + 1]]`` and the
@@ -493,153 +498,285 @@ def _on_day(columns: SummaryColumns, row: int) -> str:
     return "" if columns.days is None else f" on day {int(columns.days[row])}"
 
 
-def merge_rescaled(
-    columns: SummaryColumns, time_scale: Optional[float]
-) -> List[ActivitySummary]:
-    """Rescale every row to ``time_scale`` and merge each pair's rows.
+def _register(ids: Dict[Any, int], keys: Iterable[Any]) -> List[Any]:
+    """``keys`` as a list, each new one given the next id in ``ids``."""
+    keys = list(keys)
+    for key in keys:
+        if key not in ids:
+            ids[key] = len(ids)
+    return keys
 
-    The rescaling-and-merging phase (paper Section VII-B) as one array
-    pipeline over all rows.  A pair's rows merge in order of their
-    rescaled first timestamps, ties in row order, and each merged
+
+class _Rows(NamedTuple):
+    """One folded batch of rows, each in ``1 + its interval count`` slots.
+
+    A row's slots hold its first timestamp and intervals as
+    :func:`rescale` returns them, or, where that is exact, the
+    timestamps :func:`merge` reads from them (``stamped``).
+    """
+
+    pair: np.ndarray  # each row's pair id, ids in arrival order
+    first: np.ndarray  # each row's rescaled first timestamp
+    lengths: np.ndarray  # each row's interval count
+    slots: np.ndarray  # every row's slots, in row order
+    stamped: np.ndarray
+    url_lengths: np.ndarray
+    url_ids: np.ndarray  # ids into the fold's one URL table
+
+
+#: Slots summed per :func:`_row_sums` call when a fold merges its pairs,
+#: so the sums' temporaries stay small beside the window.
+_SUM_CHUNK = 1 << 16
+
+
+class WindowFold:
+    """Rescale rows to one time scale and merge each pair's, batch by batch.
+
+    The rescaling-and-merging phase (paper Section VII-B) of a weekly or
+    monthly window.  :meth:`add` takes one batch of rows, a stored day
+    say, rescales it in one array pass and keeps only the rescaled rows,
+    so the caller can drop the batch before it reads the next one.
+    :meth:`summaries` then merges each pair's rows: in order of their
+    rescaled first timestamps, ties in arrival order.  Each merged
     summary is bit-identical to ``merge([rescale(s, time_scale) for s
-    in rows])``: every value is computed with the composition's
-    floating-point operations in its order, or exactly where whole
-    numbers allow a shortcut.  ``time_scale=None`` keeps every pair at
-    its stored scale.  Returns one validated summary per pair, sorted
-    by pair.
+    in rows])`` however the rows were batched: every value is computed
+    with the composition's floating-point operations in its order, or
+    exactly where whole numbers allow a shortcut.  ``time_scale=None``
+    keeps every pair at its stored scale.
 
     Rescaling only coarsens.  A row stored coarser than ``time_scale``,
-    or with ``None`` a pair stored at two scales, raises ``ValueError``
-    naming the pair, the day (when ``columns.days`` is set) and both
-    scales.
+    or with ``None`` a pair stored at two scales, makes :meth:`add`
+    raise ``ValueError`` naming the pair, the day (when the batch's
+    ``days`` is set) and both scales.
     """
-    n = len(columns)
-    if n == 0:
-        return []
-    if time_scale is not None:
-        require(
-            0 < time_scale < math.inf,
-            f"time_scale must be positive and finite, got {time_scale!r}",
-        )
-    pairs = list(zip(columns.sources, columns.destinations))
-    unique = sorted(set(pairs))
-    rank = {pair: index for index, pair in enumerate(unique)}
-    pair_of = np.fromiter(map(rank.__getitem__, pairs), dtype=np.intp, count=n)
-    scales = columns.time_scale
-    firsts = columns.first_timestamp
-    if time_scale is None:
-        # Each pair stays at its first row's scale, which all its rows
-        # must share.
-        _, head = np.unique(pair_of, return_index=True)
-        mismatched = np.flatnonzero(scales != scales[head][pair_of])
-        if mismatched.size:
-            row = int(mismatched[0])
-            other = int(head[pair_of[row]])
-            raise ValueError(
-                f"cannot merge pair {pairs[row]} across time scales: "
-                f"{scales[other]:g} s{_on_day(columns, other)} and "
-                f"{scales[row]:g} s{_on_day(columns, row)}"
+
+    def __init__(self, time_scale: Optional[float]) -> None:
+        if time_scale is not None:
+            require(
+                0 < time_scale < math.inf,
+                f"time_scale must be positive and finite, got {time_scale!r}",
             )
-        rescaled = np.zeros(n, dtype=bool)
-        start = firsts
-    else:
-        coarser = np.flatnonzero(scales > time_scale)
-        if coarser.size:
-            row = int(coarser[0])
-            raise ValueError(
-                f"cannot rescale pair {pairs[row]}{_on_day(columns, row)} "
-                f"to a finer granularity: {time_scale:g} s < "
-                f"{scales[row]:g} s"
-            )
-        rescaled = scales < time_scale
-        start = np.where(
-            rescaled, np.floor(firsts / time_scale) * time_scale, firsts
+        self.time_scale = time_scale
+        self._start()
+
+    def _start(self) -> None:
+        """Empty the window."""
+        self._pairs: Dict[Tuple[str, str], int] = {}  # ids in arrival order
+        self._scales: List[float] = []  # each pair's first row's scale ...
+        self._head_days: List[str] = []  # ... and its day, for errors
+        self._urls: Dict[str, int] = {}  # the window's one URL table
+        self._batches: List[_Rows] = []
+
+    def add(self, columns: SummaryColumns) -> None:
+        """Rescale the rows of ``columns`` and keep them for the merge."""
+        n = len(columns)
+        if n == 0:
+            return
+        pairs = self._pairs
+        pair_of = np.fromiter(
+            map(pairs.__getitem__, _register(
+                pairs, zip(columns.sources, columns.destinations)
+            )),
+            dtype=np.intp, count=n,
         )
-    # Rows grouped by pair, each pair's in rescaled-start order (lexsort
-    # is stable, so ties keep row order); from here on rows are taken
-    # in this order.
-    order = np.lexsort((start, pair_of))
-    pair_rows = _offsets(np.bincount(pair_of, minlength=len(unique)))
-    alone = (np.diff(pair_rows) == 1)[pair_of[order]]
-    rescaled = rescaled[order]
-    # Every row's timestamps as ActivitySummary.timestamps() computes
-    # them: its first timestamp plus a 0-prefixed running sum of its
-    # intervals.
-    lengths = np.diff(columns.interval_offsets)[order]
-    counts = lengths + 1
-    bounds = _offsets(counts)
-    steps = np.zeros(int(bounds[-1]))
-    is_interval = np.ones(steps.size, dtype=bool)
-    is_interval[bounds[:-1]] = False
-    steps[is_interval] = columns.intervals[
-        _ragged(columns.interval_offsets[order], lengths)
-    ]
-    stamps = _row_sums(steps, bounds, firsts[order])
-    if rescaled.any():
-        # rescale(): quantize to the coarser slots ...
-        picked = None if rescaled.all() else np.repeat(rescaled, counts)
-        quantized = stamps if picked is None else stamps[picked]
-        np.divide(quantized, time_scale, out=quantized)
-        np.floor(quantized, out=quantized)
-        np.multiply(quantized, time_scale, out=quantized)
-        if picked is not None:
-            stamps[picked] = quantized
-        # ... and, where merge() re-reads the rescaled summary, the
-        # round trip through its intervals: diff, then a 0-prefixed
-        # running sum from the quantized first timestamp.  Whole
-        # multiples of a whole time scale in [0, 2**53) come back
-        # unchanged, so the trip only runs for other values.
-        trip = np.flatnonzero(rescaled & ~alone)
-        if trip.size and not (
-            float(time_scale).is_integer()
-            and stamps.min() >= 0
-            and stamps.max() < _EXACT_INTEGERS
-        ):
-            trip_bounds = _offsets(counts[trip])
-            where = _ragged(bounds[trip], counts[trip])
-            quantized = stamps[where]
-            deltas = np.empty_like(quantized)
-            np.subtract(quantized[1:], quantized[:-1], out=deltas[1:])
-            heads = quantized[trip_bounds[:-1]]
-            deltas[trip_bounds[:-1]] = 0.0
-            stamps[where] = _row_sums(deltas, trip_bounds, heads)
-    url_lengths = np.diff(columns.url_offsets)[order]
-    url_bounds = _offsets(url_lengths)
-    urls = np.array(columns.url_table, dtype=object)[
-        columns.url_ids[_ragged(columns.url_offsets[order], url_lengths)]
-    ].tolist()
-    element_bounds = bounds[pair_rows].tolist()
-    url_pair_bounds = url_bounds[pair_rows].tolist()
-    tops = pair_rows.tolist()
-    order_rows = order.tolist()
-    alone = alone.tolist()
-    rescaled = rescaled.tolist()
-    merged: List[ActivitySummary] = []
-    for index, (source, destination) in enumerate(unique):
-        top = tops[index]
-        row = order_rows[top]
-        if alone[top] and not rescaled[top]:
-            # merge() of one summary at its own scale returns it as is.
-            first = firsts[row]
-            intervals = columns.intervals[
-                columns.interval_offsets[row]:columns.interval_offsets[row + 1]
-            ]
+        scales = columns.time_scale
+        ids, heads = np.unique(pair_of, return_index=True)
+        for row in heads[ids >= len(self._scales)].tolist():
+            self._scales.append(float(scales[row]))
+            self._head_days.append(_on_day(columns, row))
+        time_scale = self.time_scale
+        if time_scale is None:
+            # Each pair stays at its first row's scale, which all its
+            # rows must share.
+            mismatched = np.flatnonzero(
+                scales != np.array(self._scales)[pair_of]
+            )
+            if mismatched.size:
+                row = int(mismatched[0])
+                head = int(pair_of[row])
+                raise ValueError(
+                    f"cannot merge pair {list(pairs)[head]} across time "
+                    f"scales: {self._scales[head]:g} s{self._head_days[head]} "
+                    f"and {scales[row]:g} s{_on_day(columns, row)}"
+                )
+            rescaled = np.zeros(n, dtype=bool)
         else:
-            values = stamps[element_bounds[index]:element_bounds[index + 1]]
-            if not alone[top]:
-                values = np.sort(values, kind="stable")
-            first = values[0]
-            intervals = freeze(np.diff(values))
-        merged.append(ActivitySummary(
-            source=source,
-            destination=destination,
-            time_scale=float(
-                scales[row] if time_scale is None else time_scale
-            ),
-            first_timestamp=float(first),
-            intervals=intervals,
-            urls=tuple(
-                urls[url_pair_bounds[index]:url_pair_bounds[index + 1]]
-            ),
+            coarser = np.flatnonzero(scales > time_scale)
+            if coarser.size:
+                row = int(coarser[0])
+                raise ValueError(
+                    f"cannot rescale pair {list(pairs)[pair_of[row]]}"
+                    f"{_on_day(columns, row)} to a finer granularity: "
+                    f"{time_scale:g} s < {scales[row]:g} s"
+                )
+            rescaled = scales < time_scale
+        offsets = columns.interval_offsets
+        lengths = np.diff(offsets)
+        bounds = _offsets(lengths + 1)
+        is_interval = np.ones(int(bounds[-1]), dtype=bool)
+        is_interval[bounds[:-1]] = False
+        slots = np.zeros(is_interval.size)
+        slots[is_interval] = columns.intervals[offsets[0]:offsets[-1]]
+        stamped = np.zeros(n, dtype=bool)
+        if rescaled.any():
+            # rescale(): every row's timestamps as
+            # ActivitySummary.timestamps() computes them, quantized to
+            # the coarser slots.
+            stamps = _row_sums(slots, bounds, columns.first_timestamp)
+            picked = None if rescaled.all() else np.repeat(
+                rescaled, lengths + 1)
+            quantized = stamps if picked is None else stamps[picked]
+            np.divide(quantized, time_scale, out=quantized)
+            np.floor(quantized, out=quantized)
+            np.multiply(quantized, time_scale, out=quantized)
+            if float(time_scale).is_integer() and quantized.min() >= 0 \
+                    and quantized.max() < _EXACT_INTEGERS:
+                # Whole multiples of a whole time scale in [0, 2**53):
+                # the round trip merge() makes through the intervals
+                # gives them back unchanged, so the rows keep them.
+                stamped = rescaled
+            else:
+                # The rows keep rescale()'s first timestamp and intervals.
+                row_heads = bounds[:-1] if picked is None else _offsets(
+                    lengths[rescaled] + 1)[:-1]
+                firsts = quantized[row_heads]
+                np.subtract(quantized[1:], quantized[:-1], out=quantized[1:])
+                quantized[row_heads] = firsts
+            if picked is None:
+                slots = quantized
+            else:
+                slots[picked] = quantized
+        slots[bounds[:-1][~rescaled]] = columns.first_timestamp[~rescaled]
+        urls = self._urls
+        remap = np.fromiter(
+            map(urls.__getitem__, _register(urls, columns.url_table)),
+            dtype=np.intp, count=len(columns.url_table),
+        )
+        url_offsets = columns.url_offsets
+        self._batches.append(_Rows(
+            pair_of, slots[bounds[:-1]], lengths, slots, stamped,
+            np.diff(url_offsets),
+            remap[columns.url_ids[url_offsets[0]:url_offsets[-1]]],
         ))
-    return merged
+
+    def summaries(self) -> List[ActivitySummary]:
+        """One merged summary per pair, sorted by pair; empties the fold.
+
+        The kept rows are copied into one buffer a batch at a time, each
+        pair's rows side by side, and each batch is dropped once copied.
+        A pair's summary keeps a read-only view of that buffer as its
+        intervals, and its URL sample names each distinct URL of the
+        window with one string.
+        """
+        batches = self._batches
+        pairs, scales, urls = list(self._pairs), self._scales, self._urls
+        self._start()
+        if not batches:
+            return []
+        by_pair = sorted(range(len(pairs)), key=pairs.__getitem__)
+        rank = np.empty(len(pairs), dtype=np.intp)
+        rank[by_pair] = np.arange(len(pairs))
+        pair_of = rank[np.concatenate([batch.pair for batch in batches])]
+        row_counts = np.bincount(pair_of, minlength=len(pairs))
+        alone = row_counts == 1
+        # Rows grouped by pair, each pair's in rescaled-start order
+        # (lexsort is stable, so ties keep arrival order); the pairs of
+        # more than one row come first.
+        order = np.lexsort((
+            np.concatenate([batch.first for batch in batches]),
+            pair_of, alone[pair_of],
+        ))
+        pair_order = np.lexsort((np.arange(len(pairs)), alone))
+        top = np.empty(len(pairs), dtype=np.int64)  # each pair's first row
+        top[pair_order] = _offsets(row_counts[pair_order])[:-1]
+        position = np.empty(order.size, dtype=np.intp)
+        position[order] = np.arange(order.size)
+        lengths = np.concatenate([batch.lengths for batch in batches])
+        counts = lengths[order] + 1
+        bounds = _offsets(counts)
+        url_bounds = _offsets(
+            np.concatenate([batch.url_lengths for batch in batches])[order]
+        )
+        stamped = np.concatenate([batch.stamped for batch in batches])[order]
+        values = np.empty(int(bounds[-1]))
+        url_ids = np.empty(int(url_bounds[-1]), dtype=np.intp)
+        row = 0
+        batches.reverse()
+        while batches:
+            batch = batches.pop()  # dropped once copied
+            at = position[row:row + batch.pair.size]
+            values[_ragged(bounds[at], batch.lengths + 1)] = batch.slots
+            url_ids[_ragged(url_bounds[at], batch.url_lengths)] = batch.url_ids
+            row += batch.pair.size
+            del batch
+        # merge(): the timestamps of every merged row not stamped yet,
+        # its first timestamp plus a 0-prefixed running sum of its
+        # intervals, a chunk of rows at a time.
+        summed = np.flatnonzero(~stamped[:int(row_counts[~alone].sum())])
+        cuts = np.flatnonzero(np.diff(
+            np.cumsum(counts[summed]) // _SUM_CHUNK, prepend=0
+        )).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [summed.size]):
+            rows = summed[lo:hi]
+            if rows.size:
+                row_bounds = _offsets(counts[rows])
+                where = _ragged(bounds[rows], counts[rows])
+                steps = values[where]
+                firsts = steps[row_bounds[:-1]]
+                steps[row_bounds[:-1]] = 0.0
+                values[where] = _row_sums(steps, row_bounds, firsts)
+        # Then each merged pair's stamps sorted (stably: equal stamps
+        # keep row order) and each pair's intervals differenced in
+        # place, but a pair alone in the window whose row kept
+        # rescale()'s intervals.
+        busy = np.flatnonzero(~alone | stamped[top])
+        for a, b, merged in zip(
+            bounds[top[busy]].tolist(),
+            bounds[top[busy] + row_counts[busy]].tolist(),
+            (~alone[busy]).tolist(),
+        ):
+            region = values[a:b]
+            if merged:
+                region.sort(kind="stable")
+            np.subtract(region[1:], region[:-1], out=region[1:])
+        freeze(values)
+        table = np.array(list(urls), dtype=object)
+        starts = bounds[top].tolist()
+        ends = bounds[top + row_counts].tolist()
+        url_starts = url_bounds[top].tolist()
+        url_ends = url_bounds[top + row_counts].tolist()
+        heads = values[bounds[top]].tolist()
+        time_scale = self.time_scale
+        return [
+            ActivitySummary(
+                source=pairs[index][0],
+                destination=pairs[index][1],
+                time_scale=float(
+                    scales[index] if time_scale is None else time_scale
+                ),
+                first_timestamp=head,
+                intervals=values[start + 1:end],
+                urls=tuple(table[url_ids[url_start:url_end]].tolist()),
+            )
+            for index, head, start, end, url_start, url_end in zip(
+                by_pair, heads, starts, ends, url_starts, url_ends
+            )
+        ]
+
+
+def merge_rescaled(
+    batches: Iterable[SummaryColumns], time_scale: Optional[float]
+) -> List[ActivitySummary]:
+    """Rescale and merge the rows of ``batches`` with one :class:`WindowFold`.
+
+    Batches are taken one at a time, so a caller that builds each one
+    when asked (a day file's read, say) holds one batch at a time.
+    Each fold step, every ``add`` and the closing merge, is a ``merge``
+    span.  Returns :meth:`WindowFold.summaries`.
+    """
+    fold = WindowFold(time_scale)
+    for columns in batches:
+        with span("merge"):
+            fold.add(columns)
+    with span("merge"):
+        return fold.summaries()

@@ -40,6 +40,7 @@ from typing import (
     Any,
     Callable,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -48,7 +49,7 @@ from typing import (
 
 from repro.core.detector import DetectorConfig
 from repro.core.permutation import ThresholdCache
-from repro.core.timeseries import ActivitySummary
+from repro.core.timeseries import ActivitySummary, SummaryColumns
 from repro.filtering.case import BeaconingCase
 from repro.filtering.novelty import NoveltyStore
 from repro.filtering.ranking import RankingWeights
@@ -112,6 +113,11 @@ def check_analysis_time_scale(
     )
 
 
+#: Intervals per batch :func:`rescale_and_merge` hands its fold, so the
+#: fold's temporaries stay small beside the summaries.
+_MERGE_BATCH = 1 << 16
+
+
 def rescale_and_merge(
     summaries: Iterable[ActivitySummary], time_scale: float
 ) -> List[ActivitySummary]:
@@ -120,17 +126,30 @@ def rescale_and_merge(
     The rescaling-and-merging phase (paper Section VII-B): a pair's
     summaries merge in order of their first timestamps once rescaled
     (ties keep input order), so the URL sample stays chronological.
-    The output is sorted by pair.  This is the summary store's window
-    merge, :func:`~repro.core.timeseries.merge_rescaled`, over
-    in-memory summaries.
+    The output is sorted by pair.  The summaries go through the summary
+    store's window merge, :func:`~repro.core.timeseries.merge_rescaled`,
+    in batches of about 65,536 intervals.
     """
     # Looked up at call time, so a wrapper installed on the module
     # attribute (a layer trace) sees the merge.
-    from repro.core.timeseries import SummaryColumns, merge_rescaled
+    from repro.core.timeseries import merge_rescaled
 
-    return merge_rescaled(
-        SummaryColumns.from_summaries(list(summaries)), time_scale
-    )
+    return merge_rescaled(_batches(summaries), time_scale)
+
+
+def _batches(
+    summaries: Iterable[ActivitySummary],
+) -> Iterator[SummaryColumns]:
+    """``summaries`` as columns of about :data:`_MERGE_BATCH` intervals."""
+    batch: List[ActivitySummary] = []
+    size = 0
+    for summary in summaries:
+        batch.append(summary)
+        size += summary.intervals.size
+        if size >= _MERGE_BATCH:
+            yield SummaryColumns.from_summaries(batch)
+            batch, size = [], 0
+    yield SummaryColumns.from_summaries(batch)
 
 
 @dataclass

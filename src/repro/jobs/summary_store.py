@@ -12,22 +12,27 @@ root, and each ``append_day`` call adds one **packed frame** to it: the
 (parallel float/offset arrays, UTF-8 string blobs and a per-frame
 dictionary of distinct URLs).  Reads decode frames straight into
 :class:`~repro.core.timeseries.SummaryColumns`, checking every section
-on the way, so a window loads as one set of columns and merges in one
-:func:`~repro.core.timeseries.merge_rescaled` call.  A frame that
-cannot be read raises :class:`CorruptFrameError` naming the day file
-and the frame; a day that older versions stored as a directory of
-partition files raises :class:`StoreLayoutError` naming it.
+on the way.  A window is read one day file at a time: each day's
+columns are folded into a :class:`~repro.core.timeseries.WindowFold`
+and dropped before the next day is read, so the decoded window is
+never held whole.  A frame that cannot be read, or a day file that
+holds no frame, raises :class:`CorruptFrameError` naming the day file;
+a day that older versions stored as a directory of partition files
+raises :class:`StoreLayoutError` naming it.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
+import re
 import shutil
 import struct
 from dataclasses import replace
 from pathlib import Path
 from typing import (
-    Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Any, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Union,
 )
 
 import numpy as np
@@ -350,6 +355,17 @@ def _payloads(path: Path, data: bytes) -> Iterator[memoryview]:
         index += 1
 
 
+def _whole(value: Any, name: str) -> int:
+    """``value`` as an ``int``; a float or a bool raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+#: The names :meth:`SummaryStore._day_path` gives day files, and only those.
+_DAY_NAME = re.compile(r"day-(\d{5,})")
+
+
 class SummaryStore:
     """Day-indexed persistent storage of per-pair activity summaries."""
 
@@ -358,7 +374,7 @@ class SummaryStore:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _day_path(self, day: int) -> Path:
-        return self.root / f"day-{day:05d}"
+        return self.root / f"day-{_whole(day, 'day'):05d}"
 
     # -- writing ---------------------------------------------------------------
 
@@ -378,10 +394,10 @@ class SummaryStore:
         under a temporary name and renamed into place, so a failure at
         any point, in ``summaries`` included, leaves the old day or the
         new one.  An empty ``summaries`` still writes a frame: the day
-        counts as ingested.
+        counts as ingested.  ``day`` must be a non-negative ``int``.
         """
-        require(day >= 0, "day must be non-negative")
         path = self._day_path(day)
+        require(day >= 0, "day must be non-negative")
         if path.is_dir():
             raise _partitioned(path)
         rows = list(summaries)
@@ -410,59 +426,62 @@ class SummaryStore:
         return self._day_path(day).exists()
 
     def days(self) -> List[int]:
-        """The day indices present in the store, ascending."""
-        out = []
-        for path in sorted(self.root.glob("day-*")):
-            try:
-                out.append(int(path.name.split("-")[1]))
-            except (IndexError, ValueError):
-                continue
-        return out
+        """The day indices present in the store, ascending.
 
-    def _read(self, days: Sequence[int]) -> SummaryColumns:
-        """Every row of ``days``, checked, in day and frame order.
-
-        Days the store does not hold are skipped, never created.  Counts
-        the frames, rows and bytes read.  A damaged frame raises
-        :class:`CorruptFrameError` naming its day file and index, and a
-        day in the partitioned layout :class:`StoreLayoutError`.
+        Only names the store writes count: ``day-`` and the day's index,
+        zero-padded to five digits.  Anything else under the root (a
+        ``day-7``, a staging ``.tmp`` file) is not a day.
         """
+        out = []
+        for path in self.root.glob("day-*"):
+            match = _DAY_NAME.fullmatch(path.name)
+            if match and self._day_path(int(match[1])).name == path.name:
+                out.append(int(match[1]))
+        return sorted(out)
+
+    def _read(self, day: int) -> SummaryColumns:
+        """Every row of ``day``, checked, in frame order.
+
+        A day the store does not hold reads as no rows and is never
+        created.  Counts the frames, rows and bytes read.  A damaged
+        frame raises :class:`CorruptFrameError` naming its day file and
+        index, as does a day file with no frame in it, and a day in the
+        partitioned layout :class:`StoreLayoutError`.
+        """
+        path = self._day_path(day)
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return SummaryColumns.from_summaries([])
+        except IsADirectoryError:
+            raise _partitioned(path) from None
+        if not data:
+            raise CorruptFrameError(
+                f"{path} is empty: a day file holds at least one frame"
+            )
         frames: List[_Frame] = []
-        located: List[Tuple[int, int]] = []  # each frame's day and index
-        size = 0
-        for day in days:
-            path = self._day_path(day)
+        for index, payload in enumerate(_payloads(path, data)):
             try:
-                data = path.read_bytes()
-            except FileNotFoundError:
-                continue
-            except IsADirectoryError:
-                raise _partitioned(path) from None
-            size += len(data)
-            for index, payload in enumerate(_payloads(path, data)):
-                try:
-                    frames.append(_parse_frame(payload))
-                except CorruptFrameError as exc:
-                    raise exc.at(path, index) from None
-                located.append((day, index))
+                frames.append(_parse_frame(payload))
+            except CorruptFrameError as exc:
+                raise exc.at(path, index) from None
         try:
             columns = _columns(frames)
         except CorruptFrameError:
             # Name the damaged frame: check every frame on its own.
-            for frame, (day, index) in zip(frames, located):
+            for index, frame in enumerate(frames):
                 try:
                     _columns([frame])
                 except CorruptFrameError as exc:
-                    raise exc.at(self._day_path(day), index) from None
+                    raise exc.at(path, index) from None
             raise
         registry = get_registry()
         registry.counter("summary_store.frames_read").inc(len(frames))
         registry.counter("summary_store.rows_read").inc(len(columns))
-        registry.counter("summary_store.bytes_read").inc(size)
-        return replace(columns, days=np.repeat(
-            np.array([day for day, _index in located], dtype=np.int64),
-            [len(frame.time_scale) for frame in frames],
-        ))
+        registry.counter("summary_store.bytes_read").inc(len(data))
+        return replace(
+            columns, days=np.full(len(columns), day, dtype=np.int64)
+        )
 
     def load_day(self, day: int) -> List[ActivitySummary]:
         """All summaries of one day (empty when absent), in stored order.
@@ -470,7 +489,7 @@ class SummaryStore:
         Their intervals are read-only views of one array decoded from
         the day's frames.
         """
-        return self._read([day]).summaries()
+        return self._read(day).summaries()
 
     def load_window(
         self,
@@ -481,20 +500,27 @@ class SummaryStore:
     ) -> List[ActivitySummary]:
         """Trailing window of summaries, one per pair, sorted by pair.
 
-        Windows reaching before day 0 are clipped.  Each pair's stored
-        rows are rescaled to ``time_scale`` and merged (the weekly and
-        monthly passes run coarse); ``None`` keeps every pair at its
-        stored scale.  A row stored coarser than ``time_scale``, or with
-        ``None`` a pair stored at two scales, raises ``ValueError``
-        naming the pair, the day and both scales, and a damaged frame
-        raises :class:`CorruptFrameError`.  See
-        :func:`~repro.core.timeseries.merge_rescaled`.
+        The window is the days ``end_day - window_days + 1`` to
+        ``end_day`` (by default the latest stored day) that the store
+        holds; both must be ``int`` and ``window_days`` positive.  Each
+        pair's stored rows are rescaled to ``time_scale`` and merged
+        (the weekly and monthly passes run coarse); ``None`` keeps every
+        pair at its stored scale.  Days are read one at a time, each
+        folded into a :class:`~repro.core.timeseries.WindowFold` by
+        :func:`~repro.core.timeseries.merge_rescaled` and dropped before
+        the next is read.  A row stored coarser than
+        ``time_scale``, or with ``None`` a pair stored at two scales,
+        raises ``ValueError`` naming the pair, the day and both scales
+        (days after it are not read), and a damaged frame raises
+        :class:`CorruptFrameError`.
 
-        A merged pair's intervals are a read-only array of its own; a
-        pair stored once in the window, at the requested scale, keeps a
-        read-only view of the decoded window's intervals.
+        The merged pairs' intervals are read-only views of one buffer,
+        each pair's own slice of it.
         """
+        window_days = _whole(window_days, "window_days")
         require_positive(window_days, "window_days")
+        if end_day is not None:
+            end_day = _whole(end_day, "end_day")
         days = self.days()
         if not days:
             return []
@@ -502,10 +528,15 @@ class SummaryStore:
             end_day = days[-1]
         wanted = [d for d in days if end_day - window_days < d <= end_day]
         with span("summary_store.load_window"):
+            return merge_rescaled(self._read_each(wanted), time_scale)
+
+    def _read_each(self, days: Sequence[int]) -> Iterator[SummaryColumns]:
+        """Each day's columns in turn, each read only when asked for."""
+        for day in days:
             with span("decode"):
-                columns = self._read(wanted)
-            with span("merge"):
-                return merge_rescaled(columns, time_scale)
+                columns = self._read(day)
+            yield columns
+            del columns  # the day's bytes and columns go before the next
 
     # -- maintenance -----------------------------------------------------------
 
@@ -517,6 +548,7 @@ class SummaryStore:
         ``d - window_days + 1`` so disk usage stays bounded by the
         longest cadence window instead of growing with run length.
         """
+        day = _whole(day, "day")
         old = [stored for stored in self.days() if stored < day]
         for stored in old:
             self._remove_day(stored)

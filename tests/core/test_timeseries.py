@@ -6,16 +6,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.timeseries import (
     ActivitySummary,
     SummaryColumns,
+    WindowFold,
     bin_series,
     intervals_from_timestamps,
     merge,
-    merge_rescaled,
     rescale,
     timestamps_from_intervals,
 )
@@ -244,14 +244,18 @@ class TestIntervalArrays:
         ]
         columns = SummaryColumns.from_summaries(summaries)
         assert not columns.intervals.flags.writeable
-        for rows in (columns.summaries(), merge_rescaled(columns, None)):
-            assert sorted(rows, key=lambda s: s.pair) == sorted(
-                summaries, key=lambda s: s.pair
+        rows = columns.summaries()
+        assert rows == summaries
+        for row in rows:
+            assert np.shares_memory(row.intervals, columns.intervals) or (
+                row.intervals.size == 0
             )
-            for row in rows:
-                assert np.shares_memory(row.intervals, columns.intervals) or (
-                    row.intervals.size == 0
-                )
+        # A fold's pairs are views of the one buffer it merged into.
+        merged = fold_columns(columns, None)
+        assert merged == sorted(summaries, key=lambda s: s.pair)
+        buffers = {id(row.intervals.base) for row in merged}
+        assert len(buffers) == 1 and None not in buffers
+        assert not merged[0].intervals.base.flags.writeable
 
 
 class TestRescale:
@@ -330,9 +334,16 @@ class TestMerge:
         assert merge([a, b]).urls == ("/a", "/b")
 
 
+def fold_columns(columns, time_scale):
+    """``columns`` through a window fold, as one batch."""
+    fold = WindowFold(time_scale)
+    fold.add(columns)
+    return fold.summaries()
+
+
 def merge_rows(summaries, time_scale):
-    """The columnar kernel over in-memory summaries."""
-    return merge_rescaled(SummaryColumns.from_summaries(summaries), time_scale)
+    """The window fold over in-memory summaries, as one batch."""
+    return fold_columns(SummaryColumns.from_summaries(summaries), time_scale)
 
 
 class TestMergeRescaled:
@@ -373,7 +384,7 @@ class TestMergeRescaled:
             "finite",
         ):
             with np.errstate(invalid="ignore"):
-                merge_rescaled(
+                fold_columns(
                     replace(columns, first_timestamp=firsts), time_scale
                 )
 
@@ -469,6 +480,93 @@ class TestMergeRescaled:
     def test_validates_the_target_scale(self):
         with pytest.raises(ValueError, match="time_scale"):
             merge_rows(self._days(n_days=1), 0.0)
+
+
+FOLD_PAIRS = [("mac1", "a.com"), ("mac1", "b.com"), ("mac2", "a.com")]
+
+
+@st.composite
+def fold_rows(draw):
+    """Rows of a few pairs at scales from 0.25 s to 60 s.  Negative
+    first timestamps and fractional scales keep some batches off the
+    exact whole-number path, so one pair can mix both kinds of row."""
+    scale = draw(st.sampled_from([0.25, 1.0, 60.0]))
+    gaps = draw(st.lists(st.integers(0, 5_000), max_size=10))
+    return ActivitySummary(
+        *draw(st.sampled_from(FOLD_PAIRS)),
+        scale,
+        draw(st.integers(-2_000, 200_000)) * scale,
+        np.array(gaps, dtype=float) * scale,
+        draw(st.lists(st.sampled_from(["/a", "/b?q=1", "/é"]), max_size=3)),
+    )
+
+
+def window_bits(fold_or_error):
+    if isinstance(fold_or_error, Exception):
+        return type(fold_or_error), str(fold_or_error)
+    return [(s.pair, s.time_scale, np.float64(s.first_timestamp).tobytes(),
+             s.intervals.tobytes(), s.urls) for s in fold_or_error]
+
+
+def fold_batches(rows, cuts, time_scale):
+    """``rows`` folded in batches split at ``cuts``, or the error."""
+    fold = WindowFold(time_scale)
+    edges = [0] + sorted(cut % (len(rows) + 1) for cut in cuts) + [len(rows)]
+    try:
+        for lo, hi in zip(edges, edges[1:]):
+            fold.add(SummaryColumns.from_summaries(rows[lo:hi]))
+        return fold.summaries()
+    except ValueError as exc:
+        return exc
+
+
+class TestWindowFold:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        rows=st.lists(fold_rows(), max_size=12),
+        cuts=st.lists(st.integers(0, 12), max_size=6),
+        time_scale=st.sampled_from([None, 0.5, 1.0, 2.5, 60.0, 600.0]),
+    )
+    @example(  # one pair: an exact batch, then one below zero
+        rows=[ActivitySummary("mac1", "a.com", 1.0, 10.0, [5.0, 700.0]),
+              ActivitySummary("mac1", "a.com", 1.0, -1.0, [3.0])],
+        cuts=[1], time_scale=600.0,
+    )
+    def test_batching_does_not_change_the_window(self, rows, cuts, time_scale):
+        whole = fold_batches(rows, [], time_scale)
+        assert window_bits(fold_batches(rows, cuts, time_scale)) == (
+            window_bits(whole)
+        )
+        assert window_bits(
+            fold_batches(rows, range(len(rows)), time_scale)
+        ) == window_bits(whole)
+
+    def test_summaries_empties_the_fold(self):
+        fold = WindowFold(60.0)
+        fold.add(SummaryColumns.from_summaries(
+            [ActivitySummary("s", "d", 1.0, 0.0, [61.0], ("/u",))]
+        ))
+        assert len(fold.summaries()) == 1
+        assert fold.summaries() == []
+        fold.add(SummaryColumns.from_summaries(
+            [ActivitySummary("t", "e", 1.0, 0.0, [], ("/v",))]
+        ))
+        [again] = fold.summaries()
+        assert again.pair == ("t", "e") and again.urls == ("/v",)
+
+    def test_urls_share_one_string_per_distinct_url(self):
+        fold = WindowFold(None)
+        for day in range(3):
+            fold.add(SummaryColumns.from_summaries([
+                ActivitySummary("s", f"d{pair}", 1.0, day * 86_400.0, [1.0],
+                                ("/" + "x" * 40, "/y"))
+                for pair in range(2)
+            ]))
+        merged = fold.summaries()
+        assert {id(url) for s in merged for url in s.urls} == {
+            id(url) for url in merged[0].urls[:2]
+        }
 
 
 class TestSummaryColumns:

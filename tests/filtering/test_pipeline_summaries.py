@@ -1,5 +1,6 @@
 """Pipeline behaviour on prebuilt summaries and report surfaces."""
 
+import numpy as np
 import pytest
 
 from repro.core.timeseries import ActivitySummary
@@ -98,6 +99,26 @@ class TestRunOptions:
         report = pipeline.run_summaries(days[::-1], analysis_time_scale=60.0)
         [case] = report.detected_cases
         assert case.summary == merged[1]
+
+    def test_rescale_in_batches_merges_as_one_composition(self):
+        from repro.core.timeseries import merge, rescale
+        from repro.filtering.pipeline import rescale_and_merge
+
+        rng = np.random.default_rng(3)
+        days = [
+            ActivitySummary.from_timestamps(
+                f"mac{pair}", "xqzwvkpj.com",
+                day * 86_400.0 + np.sort(rng.uniform(0, 86_400.0, 12_000)),
+                urls=(f"/day{day}",),
+            )
+            for day in range(4) for pair in range(3)
+        ]
+        assert sum(s.intervals.size for s in days) > 2 * 65_536
+        merged = rescale_and_merge(days, 600.0)
+        assert merged == [
+            merge([rescale(s, 600.0) for s in days[pair::3]])
+            for pair in range(3)
+        ]
 
     @pytest.mark.parametrize("value", [0.0, -5.0, 0.5, float("nan"),
                                        float("inf")])

@@ -3,6 +3,7 @@
 import pickle
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,11 +298,12 @@ class TestTelemetry:
         assert counters["summary_store.bytes_read"] == sum(
             path.stat().st_size for path in tmp_path.glob("day-*")
         )
-        names = {h.name for h in registry.histograms()}
-        for path in ("summary_store.load_window",
-                     "summary_store.load_window.decode",
-                     "summary_store.load_window.merge"):
-            assert f"span.{path}.seconds" in names
+        counts = {h.name: h.count for h in registry.histograms()}
+        # One decode and one merge per day read, then the pairs' merge.
+        for path, count in (("summary_store.load_window", 1),
+                            ("summary_store.load_window.decode", 2),
+                            ("summary_store.load_window.merge", 3)):
+            assert counts[f"span.{path}.seconds"] == count
 
 
 # -- the window read against the paper-level reference ---------------------
@@ -397,3 +399,122 @@ def test_window_equals_rescale_then_merge(data, layout):
                 end_day=end_day, window_days=window_days,
                 time_scale=time_scale,
             )) == bits(expected)
+
+
+# -- day names, empty day files and day arguments ------------------------
+
+def four_events(day):
+    return [summary("mac1", "a.com", day * DAY, [60, 60, 60])]
+
+
+class TestDayNames:
+    def test_only_names_the_store_writes_are_days(self, tmp_path):
+        store = SummaryStore(tmp_path)
+        for day in range(3):
+            store.append_day(day, four_events(day))
+        for stray in ("day-7", "day-000004", "day-00005.tmp", "day-x"):
+            (tmp_path / stray).write_bytes(b"")
+        assert store.days() == [0, 1, 2]
+        [window] = store.load_window()
+        assert window.event_count == 12
+        assert store.evict_before(10) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "day-000004", "day-00005.tmp", "day-7", "day-x",
+        ]
+
+    def test_six_digit_days_are_listed(self, tmp_path):
+        store = SummaryStore(tmp_path)
+        store.append_day(123_456, four_events(0))
+        assert (tmp_path / "day-123456").is_file()
+        assert store.days() == [123_456]
+
+
+class TestEmptyDayFile:
+    """A crash between opening a day file and writing its frame leaves
+    an empty file: it is damage, not an empty day."""
+
+    def test_reads_name_the_file(self, tmp_path):
+        store = SummaryStore(tmp_path)
+        for day in range(2):
+            store.append_day(day, four_events(day))
+        empty = tmp_path / "day-00002"
+        empty.write_bytes(b"")
+        assert store.has_day(2)
+        for read in (lambda: store.load_day(2),
+                     lambda: store.load_window(window_days=3),
+                     lambda: store.load_window(window_days=3,
+                                               time_scale=600.0)):
+            with pytest.raises(CorruptFrameError) as caught:
+                read()
+            assert str(caught.value).startswith(f"{empty} is empty")
+
+    def test_replace_repairs_it(self, tmp_path):
+        store = SummaryStore(tmp_path)
+        (tmp_path / "day-00000").write_bytes(b"")
+        store.append_day(0, four_events(0), replace=True)
+        assert store.load_day(0) == four_events(0)
+
+
+class TestDayArguments:
+    @pytest.mark.parametrize("call, name, value", [
+        (lambda s: s.load_window(window_days=1.5), "window_days", 1.5),
+        (lambda s: s.load_window(window_days=True), "window_days", True),
+        (lambda s: s.load_window(end_day=1.5), "end_day", 1.5),
+        (lambda s: s.load_window(end_day=False), "end_day", False),
+        (lambda s: s.append_day(1.5, SAMPLE), "day", 1.5),
+        (lambda s: s.append_day(True, SAMPLE), "day", True),
+        (lambda s: s.load_day(1.0), "day", 1.0),
+        (lambda s: s.has_day(0.5), "day", 0.5),
+        (lambda s: s.evict_before(2.5), "day", 2.5),
+    ], ids=["window-float", "window-bool", "end-float", "end-bool",
+            "append-float", "append-bool", "load-float", "has-float",
+            "evict-float"])
+    def test_must_be_whole_numbers(self, tmp_path, call, name, value):
+        store = SummaryStore(tmp_path)
+        for day in range(3):
+            store.append_day(day, four_events(day))
+        with pytest.raises(ValueError) as caught:
+            call(store)
+        assert str(caught.value) == (
+            f"{name} must be a whole number, got {value!r}"
+        )
+        assert store.days() == [0, 1, 2]
+
+    def test_numpy_integers_are_whole_numbers(self, tmp_path):
+        store = SummaryStore(tmp_path)
+        store.append_day(np.int64(1), four_events(1))
+        [window] = store.load_window(
+            end_day=np.int32(1), window_days=np.int64(1)
+        )
+        assert window.event_count == 4 and store.has_day(np.int16(1))
+
+
+# -- the window read's memory ----------------------------------------------
+
+def test_window_read_peaks_below_three_times_its_result(tmp_path):
+    """The decoded window is never held whole: the read's peak stays near
+    what its result holds (about 4x at a month-wide merge)."""
+    rng = np.random.default_rng(7)
+    store = SummaryStore(tmp_path)
+    paths = [f"/p{index}?q={index * 7919}" for index in range(200)]
+    for day in range(10):
+        store.append_day(day, [
+            ActivitySummary.from_timestamps(
+                f"mac{pair % 8}", f"site{pair}.example",
+                day * DAY + np.sort(rng.uniform(0, DAY, 2_000)),
+                urls=[paths[i] for i in rng.integers(0, 200, 16)],
+            )
+            for pair in range(40)
+        ])
+    store.load_window(window_days=10, time_scale=600.0)  # warm
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        window = store.load_window(window_days=10, time_scale=600.0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(window) == 40
+    assert sum(s.event_count for s in window) == 10 * 40 * 2_000
+    assert peak - before < 3 * (held - before)

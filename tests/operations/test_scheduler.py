@@ -173,3 +173,49 @@ class TestRollingStore:
         for day in range(5):
             operator.ingest_day(_toy_day(day))
         assert len(operator._daily_summaries) == 2
+
+
+def test_monthly_window_in_memory_equals_the_stored_window(
+    tmp_path, monkeypatch
+):
+    """The coarse cadence merges its buffered days with the same fold as
+    the store's window read: the two windows agree field for field."""
+    from repro.filtering import pipeline
+    from repro.jobs import SummaryStore
+
+    windows = []
+
+    def recorded(summaries, time_scale):
+        windows.append(original(summaries, time_scale))
+        return windows[-1]
+
+    original = pipeline.rescale_and_merge
+    monkeypatch.setattr(pipeline, "rescale_and_merge", recorded)
+    n_days = 3
+    config = EnterpriseConfig(
+        n_hosts=10, n_sites=20, duration=n_days * DAY,
+        session_rate=0.3 / 3600.0,
+        implants=(ImplantSpec("slow", "zeus", n_infected=1,
+                              period=28_800.0),),
+        seed=401,
+    )
+    records, _truth = EnterpriseSimulator(config).generate()
+    store = SummaryStore(tmp_path / "summaries")
+    operator = MultiTimescaleOperator(
+        PipelineConfig(ranking_percentile=0.0),
+        cadences=(Cadence("monthly", every_days=n_days, window_days=n_days,
+                          time_scale=600.0),),
+        store=store,
+    )
+    for day in range(n_days):
+        start, end = day * DAY, (day + 1) * DAY
+        operator.ingest_day([r for r in records if start <= r.timestamp < end])
+    [window] = windows
+
+    def fields(summaries):
+        return [(s.pair, s.time_scale, s.first_timestamp,
+                 s.intervals.tobytes(), s.urls) for s in summaries]
+
+    stored = store.load_window(window_days=n_days, time_scale=600.0)
+    assert len(window) > 20
+    assert fields(window) == fields(stored)
